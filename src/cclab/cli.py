@@ -133,6 +133,8 @@ def _exp_decompose(cfg):
     p = _merge_params({"operator": "divcurl2", "fields": 50, "shape": 64,
                        "tol_recon": 1e-10, "tol_ortho": 1e-9}, cfg.params,
                       "decompose")
+    if int(p["fields"]) < 1:
+        raise ConfigError(f"decompose needs fields >= 1, got {p['fields']!r}")
     sym = sym_mod.make_operator(p["operator"])
     report = sym_mod.constant_rank_check(sym, samples=200)
     rows, worst = [], {"recon": 0.0, "constraint": 0.0, "ortho": 0.0,
@@ -637,7 +639,7 @@ def main(argv=None):
             config = ExperimentConfig(experiment=args.command, seed=args.seed,
                                       out=args.out, params=params)
         report = run(config)
-    except (ConfigError, KeyError, ValueError, OverflowError) as e:
+    except Exception as e:  # any failure ends in the JSON error object
         print(_error_object(e), file=sys.stderr)
         return 1
     print(json.dumps({"experiment": config.experiment,

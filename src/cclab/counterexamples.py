@@ -16,7 +16,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import integrate
 
-from .field import GridField, TrigPoly, trig_product, trig_integral, mollify
+from .field import GridField, TrigPoly, trig_pair, trig_product, mollify
 from .norms import (YoungFunction, MaximalConfig, local_hardy_norm,
                     besov_block_sums, dominates)
 
@@ -307,16 +307,17 @@ def _case3_trigs(spec, k):
     # the layer index ell runs 1..k, so the weight is (ell+1)^{-1/n}
     amps = [float(f) ** (-(n - alpha) / n) * (ell + 1.0) ** (-1.0 / n)
             for ell, f in zip(range(1, k + 1), freqs)]
-    u1 = TrigPoly.zero(2, 1)
-    u2 = TrigPoly.zero(2, 1)
-    phi = TrigPoly.zero(2, 1)
+    # the layers have pairwise disjoint frequencies, so each sum is the
+    # union of the layers' term dicts, validated once
+    u1, u2, phi = {}, {}, {}
     for f, a in zip(freqs, amps):
-        u1 = u1 + TrigPoly.wave(2, (f, 0), "sin", a)
-        u2 = u2 + TrigPoly.wave(2, (0, f), "cos", -a)
-        phi = phi + trig_product(
+        u1.update(TrigPoly.wave(2, (f, 0), "sin", a).terms)
+        u2.update(TrigPoly.wave(2, (0, f), "cos", -a).terms)
+        phi.update(trig_product(
             TrigPoly.wave(2, (0, f), "sin", float(f) ** (-alpha)),
-            TrigPoly.wave(2, (f, 0), "cos"))
-    return {"u1": u1, "u2": u2, "phi": phi, "freqs": freqs}
+            TrigPoly.wave(2, (f, 0), "cos")).terms)
+    return {"u1": TrigPoly(2, 1, u1), "u2": TrigPoly(2, 1, u2),
+            "phi": TrigPoly(2, 1, phi), "freqs": freqs}
 
 
 def _orlicz_fields(spec):
@@ -600,11 +601,11 @@ def _run_case1(spec, ks):
 
 
 def _torus_det_pairing(u1, u2, phi, cap):
-    """Exact integral of det(Du) phi for u = (u1(x1-heavy), u2) by sparse
-    products; u1 depends only on x1 and u2 only on x2 (up to cutoff-free
-    torus variants), so det(Du) = d1(u1) d2(u2) exactly."""
+    """Exact integral of det(Du) phi for u = (u1(x1-heavy), u2) by a sparse
+    product and a sparse pairing; u1 depends only on x1 and u2 only on x2
+    (up to cutoff-free torus variants), so det(Du) = d1(u1) d2(u2) exactly."""
     det = trig_product(u1.derivative(0), u2.derivative(1), cap)
-    return float(trig_integral(trig_product(det, phi, cap))[0])
+    return trig_pair(det, phi)
 
 
 def _run_case2(spec, ks):

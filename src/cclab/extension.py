@@ -233,7 +233,7 @@ def theoremD_ratio(u, v, phi, alpha, s=2, pairing=None):
     """Measured ratio |<F(u)-F(v), phi>| / ([phi]_alpha [u-v]_{-1+beta,s}
     ([u]+[v])^{s-1}) with beta = 1 - alpha/s, for the div-curl integrand on
     4-component sparse fields (components (v1, v2, w1, w2): F = v.w)."""
-    from .field import trig_product, trig_integral
+    from .field import trig_pair, trig_product
 
     beta = 1.0 - alpha / s
     if s != 2:
@@ -248,7 +248,7 @@ def theoremD_ratio(u, v, phi, alpha, s=2, pairing=None):
 
     if pairing is None:
         diff_F = F_pair(u, u) - F_pair(v, v)
-        pairing = float(trig_integral(trig_product(diff_F, phi))[0])
+        pairing = trig_pair(diff_F, phi)
     holder = _holder_surrogate(phi, alpha)
     d = u - v
     dn = _trig_lifted_seminorm(d, -1.0 + beta)

@@ -9,8 +9,10 @@ grid remain exact).
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,6 +30,7 @@ __all__ = [
     "riesz_potential",
     "trig_product",
     "trig_integral",
+    "trig_pair",
     "mollify",
     "standard_bump",
     "save_field",
@@ -250,9 +253,30 @@ def riesz_potential(order):
 # TrigPoly
 # ---------------------------------------------------------------------------
 
-def _clean_amp(amp, dimV):
-    amp = np.asarray(amp, dtype=complex).reshape(dimV)
-    return amp
+def _neg(m):
+    return tuple(map(operator.neg, m))
+
+
+def _check_hermitian(keys, rows, index):
+    """Raise on the first key m, in order, whose conjugate frequency is
+    missing or has conj(a_{-m}) != a_m beyond atol = 1e-12 (1 + max|a_m|).
+
+    The closeness test is np.allclose(conj(a_{-m}), a_m, rtol=0, atol=...)
+    evaluated for all rows at once (so NaN and inf amplitudes get the same
+    decision as there, without its warning about a non-finite atol).
+    """
+    neg = np.array([index.get(_neg(m), -1) for m in keys], dtype=np.intp)
+    missing = neg < 0
+    x = np.conj(rows[neg])
+    atol = 1e-12 * (1 + np.max(np.abs(rows), axis=1))
+    with np.errstate(invalid="ignore"):
+        close = ((np.abs(x - rows) <= atol[:, None]) & np.isfinite(rows)) | (x == rows)
+    bad = missing | ~np.all(close, axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if missing[i]:
+            raise ValueError(f"missing conjugate frequency {_neg(keys[i])} for {keys[i]}")
+        raise ValueError(f"Hermitian symmetry violated at {keys[i]}")
 
 
 @dataclass
@@ -261,7 +285,8 @@ class TrigPoly:
 
     terms maps integer frequency tuples to complex amplitude vectors;
     Hermitian symmetry terms[-m] = conj(terms[m]) is enforced on construction
-    (real-valuedness).  Frequencies are exact Python integers.
+    (real-valuedness).  Frequencies are exact Python integers.  Exactly-zero
+    amplitudes are dropped and keys equal after int() are summed.
     """
 
     n: int
@@ -270,25 +295,29 @@ class TrigPoly:
     period: float = 2 * math.pi
 
     def __post_init__(self):
-        clean = {}
-        for m, amp in self.terms.items():
-            m = tuple(int(x) for x in m)
+        keys = [tuple(map(int, m)) for m in self.terms]
+        for m in keys:
             if len(m) != self.n:
                 raise ValueError(f"frequency {m} has wrong length (n={self.n})")
-            amp = _clean_amp(amp, self.dimV)
-            if np.any(amp != 0):
-                clean[m] = clean.get(m, 0) + amp
-        self.terms = clean
-        self._enforce_hermitian()
-
-    def _enforce_hermitian(self, tol=0.0):
-        for m, amp in list(self.terms.items()):
-            neg = tuple(-x for x in m)
-            other = self.terms.get(neg)
-            if other is None:
-                raise ValueError(f"missing conjugate frequency {neg} for {m}")
-            if not np.allclose(np.conj(other), amp, rtol=0, atol=1e-12 * (1 + np.max(np.abs(amp)))):
-                raise ValueError(f"Hermitian symmetry violated at {m}")
+        # stored amplitudes are 0 + a, so no component is a negative zero
+        rows = np.array([np.asarray(a, dtype=complex).reshape(self.dimV)
+                         for a in self.terms.values()],
+                        dtype=complex).reshape(len(keys), self.dimV) + 0
+        keep = np.any(rows != 0, axis=1)
+        if not keep.all():
+            rows = rows[keep]
+            keys = list(itertools.compress(keys, keep))
+        index = dict(zip(keys, range(len(keys))))
+        if len(index) < len(keys):
+            summed = {}
+            for m, a in zip(keys, rows):
+                summed[m] = summed[m] + a if m in summed else a
+            keys = list(summed)
+            rows = np.array(list(summed.values())).reshape(len(keys), self.dimV)
+            index = dict(zip(keys, range(len(keys))))
+        if keys:
+            _check_hermitian(keys, rows, index)
+        self.terms = dict(zip(keys, rows))
 
     # -- constructors -------------------------------------------------------
 
@@ -394,22 +423,6 @@ class TrigPoly:
                 terms[m] = terms.get(m, 0) + amp
         return TrigPoly(n=self.n, dimV=sym.dimW, terms=terms, period=self.period)
 
-    def max_abs_amplitude(self):
-        if not self.terms:
-            return 0.0
-        return max(float(np.max(np.abs(a))) for a in self.terms.values())
-
-    def prune(self, tol=0.0):
-        terms = {m: a for m, a in self.terms.items()
-                 if np.max(np.abs(a)) > tol}
-        # keep conjugate pairs intact
-        keep = {}
-        for m in terms:
-            neg = tuple(-x for x in m)
-            if neg in terms:
-                keep[m] = terms[m]
-        return TrigPoly(n=self.n, dimV=self.dimV, terms=keep, period=self.period)
-
     def render(self, shape):
         """Sample on a grid (exact when frequencies are grid-resolvable)."""
         shape = tuple(int(s) for s in shape)
@@ -433,14 +446,15 @@ def trig_product(a, b, cap=TRIG_TERM_CAP):
     if len(a.terms) * len(b.terms) > cap:
         raise OverflowError(
             f"product would touch {len(a.terms) * len(b.terms)} terms (cap {cap})")
+    bs = [(m2, a2[0]) for m2, a2 in b.terms.items()]
     terms = {}
     for m1, a1 in a.terms.items():
         c1 = a1[0]
-        for m2, a2 in b.terms.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            terms[m] = terms.get(m, 0.0) + c1 * a2[0]
-    out = {m: np.array([c]) for m, c in terms.items() if c != 0}
-    return TrigPoly(n=a.n, dimV=1, terms=out, period=a.period)
+        for m2, c2 in bs:
+            m = tuple(map(operator.add, m1, m2))
+            terms[m] = terms.get(m, 0.0) + c1 * c2
+    # the constructor drops the modes that cancel exactly
+    return TrigPoly(n=a.n, dimV=1, terms=terms, period=a.period)
 
 
 def trig_dot(a, b, cap=TRIG_TERM_CAP):
@@ -462,8 +476,23 @@ def trig_integral(a):
     return np.real(zero) * vol
 
 
-def trig_mean(a):
-    return trig_integral(a) / a.period**a.n
+def trig_pair(a, b):
+    """Exact integral of a b over the box for scalar trig polynomials:
+    vol sum_m a_m b_{-m}, summed over the smaller dict.  Equal to
+    trig_integral(trig_product(a, b))[0] without building the product."""
+    if a.n != b.n:
+        raise ValueError("dimension mismatch")
+    if a.dimV != 1 or b.dimV != 1:
+        raise ValueError("trig_pair pairs scalar polynomials")
+    vol = a.period**a.n
+    if len(b.terms) < len(a.terms):
+        a, b = b, a
+    total = 0.0
+    for m, am in a.terms.items():
+        bm = b.terms.get(_neg(m))
+        if bm is not None:
+            total += am[0] * bm[0]
+    return float(np.real(total) * vol)
 
 
 # ---------------------------------------------------------------------------

@@ -207,10 +207,13 @@ def young_conjugate(phi, check_convex=True, check_young=True):
     if check_young:
         ss = np.geomspace(1e-3, 1e3, 13)
         tt = np.geomspace(1e-3, 1e3, 13)
+        # each value is computed once, not once per (s, t) pair
+        out_tt = [float(out(t)) for t in tt]
         for s in ss:
-            for t in tt:
+            phi_s = float(phi(s))
+            for t, out_t in zip(tt, out_tt):
                 lhs = s * t
-                rhs = float(phi(s)) + float(out(t))
+                rhs = phi_s + out_t
                 if lhs > rhs * (1 + 1e-8) + 1e-10:
                     raise AssertionError("Young inequality violated by conjugate")
     return out

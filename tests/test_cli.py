@@ -166,3 +166,26 @@ def test_main_orlicz_runs(tmp_path, capsys):
     assert code == 0
     out = json.loads(capsys.readouterr().out)
     assert out["results"]["luxemburg_gap"] < 1e-8
+
+
+def test_main_runner_exception_is_machine_readable(tmp_path, capsys):
+    # lambdas must be a list; the runner's TypeError ends in the JSON error
+    # object, not a traceback
+    code = main(["truncate", "--param", "lambdas=5", "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] is True
+    assert "not iterable" in err["message"]
+
+
+@pytest.mark.parametrize("fields", ["-1", "0"])
+def test_main_decompose_rejects_no_fields(tmp_path, capsys, fields):
+    # a run over zero fields checks nothing, so it must not pass
+    code = main(["decompose", "--param", f"fields={fields}",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "fields" in json.loads(capsys.readouterr().err)["message"]
+    assert not (tmp_path / "residuals.csv").exists()
+

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cclab import counterexamples as cex
-from cclab.field import trig_integral
+from cclab.field import TrigPoly, trig_integral, trig_product
 
 
 # -- spec construction ------------------------------------------------------
@@ -170,6 +170,32 @@ def test_case3_exact_harmonic_sum():
     spec = cex.make_spec("jac_case3")
     rep = cex.run_case(spec, (4, 8))
     assert rep["max_rel_err"] < 1e-12
+
+
+def _case3_trigs_by_sums(spec, k):
+    """The layered sums of _case3_trigs built one layer at a time with +."""
+    n, alpha = spec.params["n"], spec.params["alpha"]
+    freqs = cex.case3_frequencies(spec, k)
+    amps = [float(f) ** (-(n - alpha) / n) * (ell + 1.0) ** (-1.0 / n)
+            for ell, f in zip(range(1, k + 1), freqs)]
+    u1 = u2 = phi = TrigPoly.zero(2, 1)
+    for f, a in zip(freqs, amps):
+        u1 = u1 + TrigPoly.wave(2, (f, 0), "sin", a)
+        u2 = u2 + TrigPoly.wave(2, (0, f), "cos", -a)
+        phi = phi + trig_product(
+            TrigPoly.wave(2, (0, f), "sin", float(f) ** (-alpha)),
+            TrigPoly.wave(2, (f, 0), "cos"))
+    return {"u1": u1, "u2": u2, "phi": phi}
+
+
+def test_case3_trigs_equal_layered_sums():
+    spec = cex.make_spec("jac_case3")
+    built = cex._case3_trigs(spec, 8)
+    summed = _case3_trigs_by_sums(spec, 8)
+    for name in ("u1", "u2", "phi"):
+        got, want = built[name].terms, summed[name].terms
+        assert list(got) == list(want)
+        assert all(got[m].tobytes() == want[m].tobytes() for m in want)
 
 
 def test_case3_frequencies_exact_ints():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from cclab.field import (GridField, TrigPoly, fft, ifft, apply_symbol,
                          riesz_potential, apply_multiplier, trig_product,
-                         trig_dot, trig_integral, mollify, save_field,
+                         trig_dot, trig_integral, trig_pair, mollify, save_field,
                          load_field, trigpoly_to_json, trigpoly_from_json)
 from cclab.symbol import make_operator
 
@@ -140,3 +141,139 @@ def test_trigpoly_serialization_round_trip():
     assert set(back.terms) == set(tp.terms)
     for m in tp.terms:
         assert np.allclose(back.terms[m], tp.terms[m])
+
+
+# -- TrigPoly validation and sparse pairing ---------------------------------
+
+def _per_term_check(terms):
+    """The per-term Hermitian check of the validated terms, one np.allclose
+    per frequency in insertion order: the reference for the vectorised one."""
+    for m, amp in terms.items():
+        neg = tuple(-x for x in m)
+        other = terms.get(neg)
+        if other is None:
+            return f"missing conjugate frequency {neg} for {m}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ok = np.allclose(np.conj(other), amp, rtol=0,
+                             atol=1e-12 * (1 + np.max(np.abs(amp))))
+        if not ok:
+            return f"Hermitian symmetry violated at {m}"
+    return None
+
+
+def _check_message(terms, dimV):
+    try:
+        TrigPoly(n=1, dimV=dimV, terms=terms)
+    except ValueError as e:
+        return str(e)
+    return None
+
+
+def test_hermitian_first_offender_in_insertion_order():
+    missing_first = {(5,): [1.0], (3,): [1.0], (-3,): [2.0]}
+    assert _check_message(missing_first, 1) == \
+        "missing conjugate frequency (-5,) for (5,)"
+    violated_first = {(3,): [1.0], (-3,): [2.0], (5,): [1.0]}
+    assert _check_message(violated_first, 1) == \
+        "Hermitian symmetry violated at (3,)"
+    # the conjugate of a later key is checked after the earlier keys
+    later = {(1,): [1.0], (-1,): [1.0], (-2,): [1j], (2,): [1j]}
+    assert _check_message(later, 1) == "Hermitian symmetry violated at (-2,)"
+
+
+def test_hermitian_tolerance_scales_with_amplitude():
+    a = 1e3
+    inside = {(1,): [a + 0.9e-12 * (1 + a)], (-1,): [a]}
+    outside = {(1,): [a + 2e-12 * (1 + a)], (-1,): [a]}
+    assert _check_message(inside, 1) is None
+    assert _check_message(outside, 1) == "Hermitian symmetry violated at (1,)"
+
+
+_SPECIAL = [0.0, 1.0, -1.0, 1j, 1.0 + 1e-13, math.nan, math.inf, -math.inf,
+            complex(math.inf, 1.0), complex(1.0, math.nan),
+            complex(math.inf, math.nan)]
+
+
+@given(st.lists(st.tuples(st.sampled_from([1, 2, -1, -2]),
+                          st.sampled_from(_SPECIAL),
+                          st.sampled_from(_SPECIAL)),
+                min_size=1, max_size=5))
+def test_hermitian_decision_matches_per_term_allclose(entries):
+    # NaN and inf amplitudes (and a non-finite tolerance) get the decision
+    # and the message of one np.allclose per term
+    terms = {(m,): [x, y] for m, x, y in entries}
+    kept = {m: np.asarray(a, dtype=complex) for m, a in terms.items()
+            if np.any(np.asarray(a, dtype=complex) != 0)}
+    assert _check_message(terms, 2) == _per_term_check(kept)
+
+
+def test_exact_zero_amplitudes_are_dropped():
+    tp = TrigPoly(n=1, dimV=1, terms={(0,): [1.0], (2,): [0.0], (-2,): [0j],
+                                      (3,): [-0.0]})
+    assert list(tp.terms) == [(0,)]
+    # dropping one side of a pair leaves the other without its conjugate
+    with pytest.raises(ValueError, match=r"missing conjugate frequency \(-4,\) for \(4,\)"):
+        TrigPoly(n=1, dimV=1, terms={(4,): [1e-300], (-4,): [0.0]})
+
+
+def test_keys_colliding_after_int_are_summed():
+    # 2.5 and 1.9 are distinct dict keys that int() maps onto 2 and 1
+    tp = TrigPoly(n=1, dimV=1, terms={(np.int64(2),): [0.5], (2.5,): [0.25],
+                                      (-2,): [0.75], (1.9,): [1.0],
+                                      (-1,): [1.0]})
+    assert list(tp.terms) == [(2,), (-2,), (1,), (-1,)]
+    assert all(type(m[0]) is int for m in tp.terms)
+    assert tp.terms[(2,)][0] == 0.75
+    assert tp.terms[(1,)][0] == 1.0
+
+
+def test_terms_hold_one_amplitude_vector_per_frequency():
+    tp = TrigPoly(n=2, dimV=2, terms={(1, 0): np.array([[1.0, 2j]]),
+                                      (-1, 0): [1.0, -2j], (0, 0): (3.0, 0)})
+    for a in tp.terms.values():
+        assert a.shape == (2,) and a.dtype == complex
+    with pytest.raises(ValueError):
+        TrigPoly(n=1, dimV=2, terms={(0,): [1.0]})
+    with pytest.raises(ValueError, match="wrong length"):
+        TrigPoly(n=2, dimV=1, terms={(0,): [1.0]})
+
+
+_FREQ = st.one_of(st.integers(-3, 3), st.integers(8**20, 8**22),
+                  st.integers(-(8**22), -(8**20)))
+_AMP = st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                          allow_infinity=False)
+
+
+@st.composite
+def _hermitian_pair(draw):
+    pool = draw(st.lists(st.tuples(_FREQ, _FREQ), min_size=1, max_size=6))
+
+    def poly():
+        terms = {}
+        for m in draw(st.lists(st.sampled_from(pool), max_size=6)):
+            neg = tuple(-x for x in m)
+            a = draw(_AMP)
+            if m == neg:
+                a = complex(a.real, 0.0)
+            terms[m], terms[neg] = a, a.conjugate()
+        return TrigPoly(n=2, dimV=1, terms={m: [a] for m, a in terms.items()})
+
+    return poly(), poly()
+
+
+@given(_hermitian_pair())
+def test_trig_pair_matches_product_zero_mode(pair):
+    a, b = pair
+    via_product = trig_integral(trig_product(a, b))[0]
+    scale = (2 * math.pi) ** 2 * sum(
+        abs(amp[0]) * abs(b.terms.get(tuple(-x for x in m), [0])[0])
+        for m, amp in a.terms.items())
+    assert abs(trig_pair(a, b) - via_product) <= 1e-12 * scale
+    assert abs(trig_pair(b, a) - via_product) <= 1e-12 * scale
+
+
+def test_trig_pair_rejects_vectors():
+    v = TrigPoly.stack([TrigPoly.wave(2, (1, 0), "cos")] * 2)
+    with pytest.raises(ValueError):
+        trig_pair(v, v)
