@@ -94,6 +94,16 @@ def _merge_params(defaults, params, experiment):
     unknown = set(params) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown params for {experiment}: {sorted(unknown)}")
+    # a param takes its default's type, except that JSON gives lists for
+    # tuples and an int is a valid float (a bool is never a number)
+    loose = {tuple: (tuple, list), list: (tuple, list), float: (int, float)}
+    for key, value in params.items():
+        want = loose.get(type(defaults[key]), (type(defaults[key]),))
+        if defaults[key] is not None and (not isinstance(value, want) or (
+                isinstance(value, bool) and bool not in want)):
+            names = " or ".join(t.__name__ for t in want)
+            raise ConfigError(f"param {key!r} of {experiment} expects {names}, "
+                              f"got {value!r}")
     out = dict(defaults)
     out.update(params)
     return out

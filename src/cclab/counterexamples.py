@@ -19,6 +19,7 @@ from scipy import integrate
 from .field import GridField, TrigPoly, trig_pair, trig_product, mollify
 from .norms import (YoungFunction, MaximalConfig, local_hardy_norm,
                     besov_block_sums, dominates)
+from .quasiaffine import fit_exponent
 
 __all__ = ["SequenceSpec", "Table1Row", "make_spec", "make_sequence",
            "run_case", "table1", "case3_norm_audit", "sequence_verdict",
@@ -336,8 +337,7 @@ def _orlicz_fields(spec):
                             * np.power(np.log1p(1.0 / np.maximum(t, 1e-300)), -c),
                             0.0)
 
-    def ftilde(t):
-        ft = f(t)
+    def ftilde_of(ft):
         out = np.zeros_like(ft)
         nz = ft > 0
         # g(t) t = phi^{-1}(psi(t))
@@ -346,8 +346,12 @@ def _orlicz_fields(spec):
                                 for y in psi(ft[nz])])
         return out
 
-    return {"f": f, "ftilde": ftilde, "phi": phi, "psi": psi,
-            "F": lambda t: f(t) * ftilde(t)}
+    def F(t):
+        ft = f(t)
+        return ft * ftilde_of(ft)
+
+    return {"f": f, "ftilde": lambda t: ftilde_of(f(t)), "phi": phi,
+            "psi": psi, "F": F}
 
 
 def make_sequence(spec, index):
@@ -420,12 +424,18 @@ def _log_substituted_quad(fn, s_max=700.0):
 
 
 def truncated_llogl_masses(F, levels=(10.0, 1e2, 1e3, 1e4, 1e5, 1e6)):
-    """Integrals of min(F,M) log(1+min(F,M)) on (0,1) per truncation level."""
+    """Integrals of min(F,M) log(1+min(F,M)) on (0,1) per truncation level.
+
+    F must be pure: it runs once per distinct node float(t) across levels."""
+    seen = {}
     out = []
     for M in levels:
         def fn(t, M=M):
+            key = float(t)
             with np.errstate(over="ignore"):
-                val = np.minimum(F(t), M)
+                if key not in seen:
+                    seen[key] = F(t)
+                val = np.minimum(seen[key], M)
             return val * np.log1p(val)
         out.append(_log_substituted_quad(fn))
     return out
@@ -562,14 +572,6 @@ def _grid_det_pairing(u, phi):
     return float(np.sum(det * phi.values[..., 0]) * u.cell_volume)
 
 
-def _fit_exponent(ks, vals):
-    logs = np.log(np.asarray(ks, dtype=float))
-    logv = np.log(np.abs(np.asarray(vals, dtype=float)))
-    A = np.stack([logs, np.ones_like(logs)], axis=-1)
-    coef, res, *_ = np.linalg.lstsq(A, logv, rcond=None)
-    return float(coef[0])
-
-
 def _run_case1(spec, ks):
     p = spec.params
     gamma = _case1_gamma(p)
@@ -595,7 +597,7 @@ def _run_case1(spec, ks):
     richardson = 2 * ie[-1] - ie[-2]
     return {"k": list(ks), "pairings": vals, "gamma": gamma,
             "expected_exponent": p["n"] * gamma,
-            "fitted_exponent": _fit_exponent(ks, vals),
+            "fitted_exponent": fit_exponent(ks, np.abs(vals))[0],
             "a1": a1, "moment_target": a1 * d1_at_0,
             "moment_richardson": richardson}
 
@@ -629,7 +631,7 @@ def _run_case2(spec, ks):
     expected = p["n"] - p["alpha"] - p["n"] * beta1
     return {"k": list(ks), "pairings": vals, "beta1": beta1,
             "expected_exponent": expected,
-            "fitted_exponent": _fit_exponent(ks, vals)}
+            "fitted_exponent": fit_exponent(ks, np.abs(vals))[0]}
 
 
 def _run_case3(spec, ks):

@@ -83,6 +83,8 @@ class YoungFunction:
             raise ValueError("could not bracket phi inverse")
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # no later step changes (lo+hi)/2, the result
             if float(self.phi(mid)) < y:
                 lo = mid
             else:
@@ -171,6 +173,8 @@ def _conjugate_argmax(phi, t, s_floor=1e-14):
     lo = s_floor
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break  # no later step changes (lo+hi)/2, the result
         if float(phi.derivative(mid)) < t:
             lo = mid
         else:
@@ -531,12 +535,6 @@ def _besov_sup(f, alpha):
     if not blocks:
         return 0.0
     return max(2.0 ** (alpha * j) * s for j, s in blocks.items())
-
-
-def besov_lp_surrogate(f, beta, p):
-    """(sum_j (2^{beta j} block_j)^p)^{1/p} with block_j the annulus l^1 sum."""
-    blocks = besov_block_sums(f)
-    return float(sum((2.0 ** (beta * j) * s) ** p for j, s in blocks.items()) ** (1.0 / p))
 
 
 # ---------------------------------------------------------------------------

@@ -169,15 +169,49 @@ def test_main_orlicz_runs(tmp_path, capsys):
 
 
 def test_main_runner_exception_is_machine_readable(tmp_path, capsys):
-    # lambdas must be a list; the runner's TypeError ends in the JSON error
-    # object, not a traceback
-    code = main(["truncate", "--param", "lambdas=5", "--out", str(tmp_path)])
+    # samples=-5 is a well-typed int; the runner's ValueError ends in the
+    # JSON error object, not a traceback
+    code = main(["check-rank", "--param", "samples=-5", "--out", str(tmp_path)])
     assert code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     err = json.loads(captured.err)
     assert err["error"] is True
-    assert "not iterable" in err["message"]
+    assert "sample" in err["message"]
+
+
+def test_main_param_type_error_names_key(tmp_path, capsys):
+    # lambdas must be a list; the type check stops it before the runner
+    code = main(["truncate", "--param", "lambdas=5", "--out", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    message = json.loads(captured.err)["message"]
+    assert "lambdas" in message and "list" in message and "5" in message
+    assert not (tmp_path / "truncate.csv").exists()
+
+
+def test_main_hardy_accepts_int_for_float_param(tmp_path, capsys):
+    assert main(["hardy", "--param", "R=1", "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("default, value, ok", [
+    (None, "anything", True), (None, [1], True),
+    ((0.5, 1.0), [2, 3], True), ([[64, 16]], [[32, 8]], True),
+    ((0.5, 1.0), 5, False), ((0.5, 1.0), "5", False),
+    (10, 3, True), (10, True, False), (10, 3.0, False),
+    (1e-8, 1, True), (1e-8, 1.5, True), (1e-8, False, False),
+    (1e-8, "x", False), ("ex63", "ex61", True), ("ex63", 1, False),
+    ({}, {"p": 1.5}, True), ({}, [], False),
+    (True, False, True), (True, 1, False),
+])
+def test_merge_params_type_rules(default, value, ok):
+    if ok:
+        assert cli._merge_params({"x": default}, {"x": value}, "e") == {"x": value}
+    else:
+        with pytest.raises(ConfigError, match="'x' of e expects"):
+            cli._merge_params({"x": default}, {"x": value}, "e")
 
 
 @pytest.mark.parametrize("fields", ["-1", "0"])

@@ -1,0 +1,47 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "compare_runs.py"
+_spec = importlib.util.spec_from_file_location("compare_runs", _PATH)
+compare_runs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_runs)
+
+CSV = "# seed=0\n# column k tag=exact\n# column v tag=measured\nk,v\n1,{v}\n2,x\n"
+
+
+def _tree(root, value, stamp, wall):
+    (root / "exp").mkdir(parents=True)
+    (root / "exp" / "t.csv").write_text(CSV.format(v=value))
+    (root / "exp" / "report.json").write_text(json.dumps(
+        {"config": {"out": str(root)}, "results": {"v": [float(value)]},
+         "timestamp": stamp, "wall_clock": wall}))
+
+
+@pytest.mark.parametrize("after, code, line", [
+    ("0.5", 0, "exp/t.csv: identical"),
+    ("0.5000000000000001", 0, "exp/t.csv: v max rel diff 2.220e-16"),
+    ("0.5001", 1, "exp/report.json: results.v[0] max rel diff 2.000e-04"),
+])
+def test_compare_runs(tmp_path, capsys, after, code, line):
+    _tree(tmp_path / "a", "0.5", "2020-01-01T00:00:00", 1.0)
+    _tree(tmp_path / "b", after, "2021-01-01T00:00:00", 2.0)
+    assert compare_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == code
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_compare_runs_missing_file(tmp_path, capsys):
+    _tree(tmp_path / "a", "0.5", "t", 1.0)
+    _tree(tmp_path / "b", "0.5", "t", 1.0)
+    (tmp_path / "b" / "exp" / "t.csv").unlink()
+    assert compare_runs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert f"exp/t.csv: only in {tmp_path / 'a'}" in capsys.readouterr().out
+
+
+def test_rel_diff_text_and_nan():
+    assert compare_runs.rel_diff("x", "y") == float("inf")
+    assert compare_runs.rel_diff("nan", "nan") == 0.0
+    assert compare_runs.rel_diff(True, False) == float("inf")
+    assert compare_runs.rel_diff(2.0, 1.0) == 0.5

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -87,6 +88,53 @@ def test_borderline_masses_frozen():
     assert abs(rep["constraint_mass"] - 4.165711339211) < 1e-9
 
 
+def _llogl_masses_uncached(F, levels):
+    """truncated_llogl_masses as it was before its node memo (reference)."""
+    out = []
+    for M in levels:
+        def fn(t, M=M):
+            with np.errstate(over="ignore"):
+                val = np.minimum(F(t), M)
+            return val * np.log1p(val)
+        out.append(cex._log_substituted_quad(fn))
+    return out
+
+
+def _counted(F):
+    calls = Counter()
+
+    def counted(t):
+        calls[float(t)] += 1
+        return F(t)
+    return counted, calls
+
+
+def test_llogl_masses_evaluate_each_node_once():
+    F = cex.ex63_profile(cex.make_spec("ex63"))["F"]
+    levels = (10.0, 1e2, 1e3, 1e4, 1e5, 1e6)
+    memo_F, memo_calls = _counted(F)
+    ref_F, ref_calls = _counted(F)
+    got = cex.truncated_llogl_masses(memo_F, levels)
+    want = _llogl_masses_uncached(ref_F, levels)
+    assert repr(got) == repr(want)
+    # the levels share nodes, and each shared node is now evaluated once
+    assert sum(ref_calls.values()) > len(ref_calls)
+    assert set(memo_calls) == set(ref_calls)
+    assert set(memo_calls.values()) == {1}
+
+
+def test_orlicz_F_is_f_times_ftilde_bitwise():
+    fields = cex.make_sequence(cex.make_spec("appendixOrlicz"), 1)
+    t = np.concatenate([np.geomspace(1e-300, 0.5, 60),
+                        np.linspace(0.01, 0.99, 60)])
+    with np.errstate(over="ignore"):
+        assert (fields["F"](t).tobytes()
+                == (fields["f"](t) * fields["ftilde"](t)).tobytes())
+        for x in (1e-12, 0.3, 0.999):
+            assert (fields["F"](x).tobytes()
+                    == (fields["f"](x) * fields["ftilde"](x)).tobytes())
+
+
 def test_borderline_l1_finite():
     rep = cex.run_case(cex.make_spec("ex63"))
     assert math.isfinite(rep["l1_mass"])
@@ -164,6 +212,23 @@ def test_case2_grid_exponent():
     rep = cex.run_case(spec, (8, 16, 32, 64, 128))
     assert abs(rep["fitted_exponent"] - rep["expected_exponent"]) \
         < 0.15 * rep["expected_exponent"]
+
+
+def _fit_exponent_lstsq(ks, vals):
+    """The exponent fit the Jacobian cases used before sharing
+    quasiaffine.fit_exponent (reference)."""
+    logs = np.log(np.asarray(ks, dtype=float))
+    logv = np.log(np.abs(np.asarray(vals, dtype=float)))
+    A = np.stack([logs, np.ones_like(logs)], axis=-1)
+    coef, res, *_ = np.linalg.lstsq(A, logv, rcond=None)
+    return float(coef[0])
+
+
+@pytest.mark.parametrize("case, overrides, ks", [
+    ("jac_case1", {}, (4, 8)), ("jac_case2", {"mode": "grid"}, (8, 16, 32))])
+def test_jacobian_fitted_exponent_bitwise(case, overrides, ks):
+    rep = cex.run_case(cex.make_spec(case, **overrides), ks)
+    assert rep["fitted_exponent"] == _fit_exponent_lstsq(ks, rep["pairings"])
 
 
 def test_case3_exact_harmonic_sum():

@@ -2,10 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cclab.field import GridField, TrigPoly
-from cclab.norms import (YoungFunction, lebesgue_norm, zygmund_norm,
+from cclab.norms import (YoungFunction, _conjugate_argmax, lebesgue_norm, zygmund_norm,
                          luxemburg_norm, young_conjugate, delta2_check,
                          dominates, hardy_bracket_check, neg_sobolev_norm,
                          gagliardo_seminorm, holder_seminorm,
@@ -78,6 +78,127 @@ def test_young_conjugate_of_square():
     star = young_conjugate(phi)
     ts = np.geomspace(1e-2, 1e2, 25)
     assert np.max(np.abs(star(ts) - 0.5 * ts**2) / (0.5 * ts**2)) < 1e-6
+
+
+# -- the bisections' fixed-point exit -------------------------------------------
+# Reference copies of the solvers as they were before they stopped at their
+# fixed point: every bisection ran all of its 200 steps.
+
+def _inverse_200(young, y, hi0=1.0):
+    y = float(y)
+    if y <= 0:
+        return 0.0
+    lo, hi = 0.0, hi0
+    for _ in range(400):
+        if float(young.phi(hi)) >= y:
+            break
+        hi *= 2.0
+    else:
+        raise ValueError("could not bracket phi inverse")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(young.phi(mid)) < y:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _conjugate_argmax_200(phi, t, s_floor=1e-14):
+    t = float(t)
+    if t <= 0:
+        return 0.0
+    if float(phi.derivative(s_floor)) >= t:
+        return 0.0
+    hi = 1.0
+    for _ in range(300):
+        if float(phi.derivative(hi)) >= t:
+            break
+        hi *= 2.0
+    else:
+        raise OverflowError("phi' stays below t; conjugate is infinite there")
+    lo = s_floor
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if float(phi.derivative(mid)) < t:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _bits(solve, *args):
+    """The result's exact bits (float.hex keeps the sign of zero), or the
+    exception type."""
+    try:
+        with np.errstate(all="ignore"):
+            return float(solve(*args)).hex()
+    except (ValueError, OverflowError) as e:
+        return type(e).__name__
+
+
+_YOUNG = {
+    "t2": YoungFunction.power(2),
+    "t3/3": YoungFunction.power(3, 1 / 3),
+    "t": YoungFunction.power(1),
+    "tlogt": YoungFunction.zygmund(1, 1),
+    "t2log": YoungFunction.zygmund(2, 1),
+    "exp": YoungFunction.exp_minus_one(),
+    # not Young functions: a bracket that doubles to inf, a jump to inf,
+    # a nan above a threshold, and a finite-difference derivative
+    "log1p": YoungFunction(phi=np.log1p, dphi=lambda t: 1.0 / (1.0 + t)),
+    "inf-jump": YoungFunction(phi=lambda t: np.where(t < 1e3, t * t, np.inf)),
+    "nan-jump": YoungFunction(phi=lambda t: np.where(t < 1e3, t * t, np.nan)),
+}
+_VALUES = (st.floats(allow_nan=True, allow_infinity=True)
+           | st.floats(1e-300, 1e300)
+           | st.sampled_from([1e-300, 5e-324, 1.0, 1e300, 1.7e308]))
+
+
+@settings(max_examples=300)
+@given(name=st.sampled_from(sorted(_YOUNG)), y=_VALUES,
+       hi0=st.sampled_from([1.0, 1e-300, 0.5, 1e300, 1.7e308]))
+@example(name="t2", y=1e300, hi0=1e300)  # the 200-step cap still binds
+@example(name="t", y=1.7e308, hi0=1.79e308)  # lo + hi overflows to inf
+@example(name="log1p", y=1e3, hi0=1e300)  # the bracket doubles to inf
+@example(name="inf-jump", y=1e300, hi0=1.0)
+@example(name="nan-jump", y=2e6, hi0=1.0)
+def test_inverse_exit_keeps_bits(name, y, hi0):
+    young = _YOUNG[name]
+    assert (_bits(young.inverse, y, hi0)
+            == _bits(_inverse_200, young, y, hi0))
+
+
+@settings(max_examples=300)
+@given(name=st.sampled_from(sorted(_YOUNG)), t=_VALUES)
+@example(name="t2", t=1e-300)
+@example(name="exp", t=1e300)
+@example(name="inf-jump", t=5.0)
+def test_conjugate_argmax_exit_keeps_bits(name, t):
+    phi = _YOUNG[name]
+    assert (_bits(_conjugate_argmax, phi, t)
+            == _bits(_conjugate_argmax_200, phi, t))
+
+
+def test_inverse_cap_binds():
+    # from [0, 1e300] to sqrt(1e300) takes more than 200 halvings, so the
+    # result is the 200-step midpoint, not the root
+    young = YoungFunction.power(2)
+    with np.errstate(over="ignore"):
+        got = young.inverse(1e300, hi0=1e300)
+        assert got == _inverse_200(young, 1e300, hi0=1e300)
+    assert got != young.inverse(1e300, hi0=1e150)
+
+
+def test_young_conjugate_of_square_keeps_bits():
+    phi = YoungFunction(phi=lambda t: 0.5 * t**2, dphi=lambda t: t,
+                        label="t^2/2")
+    ts = np.geomspace(1e-3, 1e3, 41)
+    want = []
+    for t in ts:
+        s = _conjugate_argmax_200(phi, t)
+        want.append(t * s - float(phi(s)))
+    assert young_conjugate(phi)(ts).tobytes() == np.array(want).tobytes()
 
 
 def test_young_conjugate_round_trip_cubic():
