@@ -1,0 +1,118 @@
+#!/usr/bin/env python3
+"""Time every experiment at its defaults, each run in a fresh interpreter.
+
+Every registered experiment runs at its defaults, and so does
+counterexample case=jac_case3 at k = 8, 16, 32, 64, 128 (the default
+counterexample run does not reach it).  Each run is one new python process
+that imports cclab from --src, calls cclab.cli.run once and reports the
+wall time of that call, its peak resident memory (ru_maxrss) and the
+verdict.  Each experiment runs three times; the median wall time and the
+largest ru_maxrss are kept.  The BLAS runs on one thread, as in bench/run.py.
+
+The figures go into one column of a JSON file, next to the versions of
+python, numpy and scipy the runs used.  Other columns of the file are kept,
+so the figures of two checkouts can sit side by side:
+
+    python3 scripts/bench_defaults.py --src src --column change --json BENCH.json
+    python3 scripts/bench_defaults.py --src ../parent/src --column parent \\
+        --json BENCH.json
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+REPEATS = 3
+JAC_CASE3 = ("counterexample:jac_case3", "counterexample",
+             {"case": "jac_case3", "indices": [8, 16, 32, 64, 128]})
+
+# One run: the child prints a JSON line {wall_s, maxrss_mb, verdict}.
+CHILD = r"""
+import json, resource, sys, tempfile, time
+from cclab.cli import ExperimentConfig, run
+experiment, params = sys.argv[1], json.loads(sys.argv[2])
+with tempfile.TemporaryDirectory() as out:
+    start = time.perf_counter()
+    report = run(ExperimentConfig(experiment, seed=0, out=out, params=params))
+    wall = time.perf_counter() - start
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+print(json.dumps({"wall_s": wall, "maxrss_mb": rss, "verdict": report.verdict}))
+"""
+
+ENV = r"""
+import json, platform, numpy, scipy
+from cclab.cli import REGISTRY
+print(json.dumps({"python": platform.python_version(),
+                  "numpy": numpy.__version__, "scipy": scipy.__version__,
+                  "experiments": sorted(REGISTRY)}))
+"""
+
+
+def _python(src, code, *args):
+    env = dict(os.environ, PYTHONPATH=str(Path(src).resolve()),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def measure(src, experiment, params):
+    runs = [_python(src, CHILD, experiment, json.dumps(params))
+            for _ in range(REPEATS)]
+    verdicts = sorted({r["verdict"] for r in runs})
+    return {"wall_s": statistics.median(r["wall_s"] for r in runs),
+            "walls_s": [r["wall_s"] for r in runs],
+            "maxrss_mb": max(r["maxrss_mb"] for r in runs),
+            "verdict": verdicts[0] if len(verdicts) == 1 else verdicts}
+
+
+def environment(src):
+    """Versions of python, numpy and scipy, the machine, and the registry
+    names: (env, names)."""
+    env = _python(src, ENV)
+    names = env.pop("experiments")
+    env.update(machine=platform.machine(), cpus=os.cpu_count(),
+               blas_threads=1, repeats=REPEATS)
+    return env, names
+
+
+def write_column(path, name, env, results):
+    """Store one column in the JSON file at path, keeping its other columns."""
+    column = {"env": env, "experiments": results,
+              "total_wall_s": sum(r["wall_s"] for r in results.values())}
+    path = Path(path)
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc.setdefault("columns", {})[name] = column
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return column
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default="src",
+                        help="directory that holds the cclab package")
+    parser.add_argument("--column", default="change")
+    parser.add_argument("--json", default="BENCH.json")
+    args = parser.parse_args(argv)
+
+    env, names = environment(args.src)
+    results = {}
+    for name, experiment, params in [(n, n, {}) for n in names] + [JAC_CASE3]:
+        results[name] = measure(args.src, experiment, params)
+        r = results[name]
+        print(f"{name:26s} {str(r['verdict']):8s} {r['wall_s']:8.3f} s "
+              f"{r['maxrss_mb']:8.1f} MB", flush=True)
+
+    column = write_column(args.json, args.column, env, results)
+    print(f"total {column['total_wall_s']:.2f} s -> {args.json} [{args.column}]")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,7 +11,8 @@ Usage:
 
 import argparse
 
-from cclab.cli import item_rng, _random_smooth_compact
+from cclab.cli import item_rng
+from cclab.field import random_bandlimited
 from cclab.extension import pairing_identity
 
 
@@ -28,8 +29,8 @@ def main():
     for i in range(args.cases):
         for N, L in levels:
             rng = item_rng(args.seed, "extension-convergence", f"{i}:{N}")
-            u = _random_smooth_compact(rng, N, 2)
-            phi = _random_smooth_compact(rng, N, 1)
+            u = random_bandlimited(rng, (N, N), 2, cutoff=True)
+            phi = random_bandlimited(rng, (N, N), 1, cutoff=True)
             rep = pairing_identity(u, phi, T=args.T, tLevels=L)
             print(f"{i:>4} {N:>5} {L:>8} {rep['lhs']:>14.6e} "
                   f"{rep['rhs']:>14.6e} {rep['relError']:>10.2e}")

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import symbol as sym_mod
 from . import counterexamples as cex
-from .field import GridField, standard_bump
+from .field import GridField, random_bandlimited
 from .decompose import helmholtz
 from .quasiaffine import (INTEGRANDS, FAMILIES, quasiaffine_mean_test,
                           pairing_experiment, make_test_function)
@@ -121,24 +121,6 @@ def _exp_check_rank(cfg):
                              ("constant", "measured")], "rows": rows}}
 
 
-def _random_bandlimited(rng, shape, dimV, bandlimit=6):
-    period = 2 * math.pi
-    axes = [np.arange(s) * period / s for s in shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    comps = []
-    for _ in range(dimV):
-        vals = np.zeros(shape)
-        for m1 in range(0, bandlimit + 1):
-            for m2 in range(-bandlimit, bandlimit + 1):
-                if m1 == 0 and m2 <= 0:
-                    continue
-                a, b = rng.normal(size=2) / (1.0 + m1 * m1 + m2 * m2)
-                phase = m1 * grids[0] + m2 * grids[1]
-                vals += a * np.cos(phase) + b * np.sin(phase)
-        comps.append(vals)
-    return GridField(np.stack(comps, axis=-1), (period,) * len(shape))
-
-
 def _exp_decompose(cfg):
     p = _merge_params({"operator": "divcurl2", "fields": 50, "shape": 64,
                        "tol_recon": 1e-10, "tol_ortho": 1e-9}, cfg.params,
@@ -152,7 +134,7 @@ def _exp_decompose(cfg):
     shape = (int(p["shape"]),) * sym.n
     for i in range(int(p["fields"])):
         rng = item_rng(cfg.seed, "decompose", i)
-        v = _random_bandlimited(rng, shape, sym.dimV)
+        v = random_bandlimited(rng, shape, sym.dimV)
         res = helmholtz(v, sym, rank_report=report)
         worst["recon"] = max(worst["recon"], res.reconstructionError)
         worst["constraint"] = max(worst["constraint"], res.constraintResidual)
@@ -354,26 +336,6 @@ def _exp_hardy(cfg):
                   "rows": [[p["test"], p["R"], val]]}}
 
 
-def _random_smooth_compact(rng, N, dimV, mmax=6):
-    period = 2 * math.pi
-    x = np.arange(N) * period / N
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    c = period / 2
-    r = np.hypot(X - c, Y - c)
-    cut = standard_bump(r / (period / 4)) / standard_bump(np.zeros(1))[0]
-    comps = []
-    for _ in range(dimV):
-        vals = np.zeros_like(X)
-        for m1 in range(0, mmax + 1):
-            for m2 in range(-mmax, mmax + 1):
-                if m1 == 0 and m2 <= 0:
-                    continue
-                a, b = rng.normal(size=2) / (1.0 + m1 * m1 + m2 * m2)
-                vals += a * np.cos(m1 * X + m2 * Y) + b * np.sin(m1 * X + m2 * Y)
-        comps.append(vals * cut)
-    return GridField(np.stack(comps, axis=-1), (period, period))
-
-
 def _exp_extension_identity(cfg):
     p = _merge_params({"cases": 5, "T": 8.0,
                        "levels": ((64, 16), (128, 32), (256, 64)),
@@ -383,8 +345,8 @@ def _exp_extension_identity(cfg):
         errs = []
         for N, L in p["levels"]:
             rng = item_rng(cfg.seed, "extension-identity", f"{i}:{N}")
-            u = _random_smooth_compact(rng, int(N), 2)
-            phi = _random_smooth_compact(rng, int(N), 1)
+            u = random_bandlimited(rng, (int(N),) * 2, 2, cutoff=True)
+            phi = random_bandlimited(rng, (int(N),) * 2, 1, cutoff=True)
             rep = pairing_identity(u, phi, T=p["T"], tLevels=int(L))
             errs.append(rep["relError"])
             rows.append([i, N, L, rep["lhs"], rep["rhs"], rep["relError"]])

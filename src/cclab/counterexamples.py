@@ -16,7 +16,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import integrate
 
-from .field import GridField, TrigPoly, trig_pair, trig_product, mollify
+from .field import (GridField, TrigPoly, jacobian, mollify, trig_pair,
+                    trig_product)
 from .norms import (YoungFunction, MaximalConfig, local_hardy_norm,
                     besov_block_sums, dominates)
 from .quasiaffine import fit_exponent
@@ -554,22 +555,8 @@ def run_case(spec, indices=None, **kwargs):
 
 # -- Jacobian cases ---------------------------------------------------------
 
-def _spectral_grad(values, period):
-    N = values.shape[0]
-    freq = np.fft.fftfreq(N, d=1.0 / N)
-    hat = np.fft.fftn(values, axes=(0, 1))
-    scale = 2 * math.pi / period
-    gx = np.real(np.fft.ifftn(hat * (1j * freq * scale)[:, None], axes=(0, 1)))
-    gy = np.real(np.fft.ifftn(hat * (1j * freq * scale)[None, :], axes=(0, 1)))
-    return gx, gy
-
-
 def _grid_det_pairing(u, phi):
-    period = u.period[0]
-    u1x, u1y = _spectral_grad(u.values[..., 0], period)
-    u2x, u2y = _spectral_grad(u.values[..., 1], period)
-    det = u1x * u2y - u1y * u2x
-    return float(np.sum(det * phi.values[..., 0]) * u.cell_volume)
+    return float(np.sum(jacobian(u) * phi.values[..., 0]) * u.cell_volume)
 
 
 def _run_case1(spec, ks):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbol as sym_mod
-from .field import GridField, fft, ifft, xi_grids, apply_symbol
+from .field import GridField, Spectrum, ifft, apply_symbol
 from .norms import evaluate_norm, neg_sobolev_norm, lebesgue_norm
 
 __all__ = ["HelmholtzResult", "helmholtz", "helmholtz_estimates"]
@@ -30,10 +30,10 @@ class HelmholtzResult:
     potentialResidual: float
 
 
-def _symbol_stack(sym, f):
-    """A(xi) for every grid frequency, shape (nfreq, dimW, dimV)."""
-    xis = xi_grids(f)
-    flat = np.stack([x.ravel() for x in xis], axis=-1)  # (nfreq, n)
+def _symbol_stack(sym, rec):
+    """A(xi) for every frequency of a Spectrum, shape (nfreq, dimW, dimV)."""
+    flat = np.stack([np.broadcast_to(x, rec.field.shape).ravel()
+                     for x in rec.xi], axis=-1)  # (nfreq, n)
     A = np.zeros((flat.shape[0], sym.dimW, sym.dimV))
     for alpha, mat in sym.coeffs.items():
         mono = np.ones(flat.shape[0])
@@ -42,6 +42,35 @@ def _symbol_stack(sym, f):
                 mono = mono * col**a
         A += mono[:, None, None] * mat[None, :, :]
     return A, flat
+
+
+def _frequency_solve(sym, rec, tolSV, cache):
+    """(nz, A[nz], P, (A A^T)^+) on the nonzero frequencies of rec's grid,
+    read-only.  cache (a RankReport's solve_cache) keeps the last one, so
+    the calls that share a report, operator, grid and tolSV reuse it."""
+    key = (sym.n, sym.l, sym.dimV, sym.dimW,
+           tuple((alpha, mat.tobytes()) for alpha, mat in sym.coeffs.items()),
+           rec.field.shape, rec.field.period, tolSV)
+    solve = cache.get(key)
+    if solve is None:
+        A, flat_xi = _symbol_stack(sym, rec)
+        mag = np.sqrt(np.sum(flat_xi**2, axis=-1))
+        nz = mag > 0
+        # normalize frequencies (P and the pinv computations are 0-homogeneous
+        # in exact arithmetic; normalizing keeps conditioning uniform)
+        An = np.array(A)
+        An[nz] /= mag[nz, None, None] ** sym.l
+        Adag = np.linalg.pinv(An[nz], rcond=tolSV)
+        P = np.eye(sym.dimV)[None, :, :] - Adag @ An[nz]
+        A_nz = A[nz]
+        AATdag = np.linalg.pinv(A_nz @ np.transpose(A_nz, (0, 2, 1)),
+                                rcond=tolSV)
+        solve = (nz, A_nz, P, AATdag)
+        for arr in solve:
+            arr.setflags(write=False)
+        cache.clear()
+        cache[key] = solve
+    return solve
 
 
 def helmholtz(v, sym, tolSV=sym_mod.DEFAULT_TOL_SV, rank_report=None):
@@ -56,27 +85,19 @@ def helmholtz(v, sym, tolSV=sym_mod.DEFAULT_TOL_SV, rank_report=None):
     if not report.is_constant:
         raise ValueError("helmholtz requires a constant-rank operator "
                          f"(witness {report.witness})")
-    vhat = fft(v)
+    rec = Spectrum(v)
+    vhat = rec.hat
     nfreq = int(np.prod(v.shape))
     vflat = vhat.reshape(nfreq, v.dimV)
-    A, flat_xi = _symbol_stack(sym, v)
-    mag = np.sqrt(np.sum(flat_xi**2, axis=-1))
-    nz = mag > 0
-    # normalize frequencies (P and the pinv computations are 0-homogeneous in
-    # exact arithmetic; normalizing keeps conditioning uniform)
-    An = np.array(A)
-    An[nz] /= mag[nz, None, None] ** sym.l
-    Adag = np.linalg.pinv(An[nz], rcond=tolSV)
-    P = np.eye(sym.dimV)[None, :, :] - Adag @ An[nz]
+    nz, A_nz, P, AATdag = _frequency_solve(sym, rec, tolSV,
+                                           report.solve_cache)
     b_flat = np.array(vflat)
     b_flat[nz] = np.einsum("kij,kj->ki", P, vflat[nz])
     a_flat = vflat - b_flat
     # w from (A A^T)^+ i^l A v^, using the unnormalized symbol
     il = 1j**sym.l
-    AAT = A[nz] @ np.transpose(A[nz], (0, 2, 1))
-    AATdag = np.linalg.pinv(AAT, rcond=tolSV)
     w_flat = np.zeros((nfreq, sym.dimW), dtype=complex)
-    w_flat[nz] = np.einsum("kij,kj->ki", AATdag, il * np.einsum("kij,kj->ki", A[nz], vflat[nz]))
+    w_flat[nz] = np.einsum("kij,kj->ki", AATdag, il * np.einsum("kij,kj->ki", A_nz, vflat[nz]))
     bPart = ifft(b_flat.reshape(vhat.shape), v.period)
     aStarPart = ifft(a_flat.reshape(v.shape + (v.dimV,)), v.period)
     w = ifft(w_flat.reshape(v.shape + (sym.dimW,)), v.period)

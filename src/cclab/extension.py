@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridField, TrigPoly
+from .field import GridField, Spectrum, TrigPoly, gradient, jacobian
 from .norms import besov_block_sums, gagliardo_seminorm, lebesgue_norm
 
 __all__ = ["HalfSpaceField", "poisson_extend", "average_extend",
@@ -38,18 +38,10 @@ class HalfSpaceField:
 # extensions
 # ---------------------------------------------------------------------------
 
-def _xi_magnitude(f):
-    mags = 0.0
-    for ax, (s, p) in enumerate(zip(f.shape, f.period)):
-        m = np.fft.fftfreq(s, d=1.0 / s)
-        shape = [1] * len(f.shape)
-        shape[ax] = s
-        mags = mags + (m.reshape(shape) * 2 * math.pi / p) ** 2
-    return np.sqrt(mags)
-
-
 def poisson_slab(f, t):
-    """Harmonic-extension slab at height t (mean extended as a constant)."""
+    """Harmonic-extension slab at height t (mean extended as a constant).
+
+    f: TrigPoly, GridField or a GridField's Spectrum."""
     if isinstance(f, TrigPoly):
         scale = 2 * math.pi / f.period
         terms = {}
@@ -57,11 +49,10 @@ def poisson_slab(f, t):
             mag = math.sqrt(sum(float(x) ** 2 for x in m)) * scale
             terms[m] = a * math.exp(-t * mag)
         return TrigPoly(n=f.n, dimV=f.dimV, terms=terms, period=f.period)
-    hat = np.fft.fftn(f.values, axes=tuple(range(f.n)))
-    decay = np.exp(-t * _xi_magnitude(f))
-    out = np.real(np.fft.ifftn(hat * decay[..., None],
-                               axes=tuple(range(f.n))))
-    return GridField(out, f.period)
+    rec = Spectrum.of(f)
+    decay = np.exp(-t * rec.mag)
+    out = np.real(np.fft.ifftn(rec.hat * decay[..., None], axes=rec.axes))
+    return GridField(out, rec.field.period)
 
 
 def poisson_extend(f, tGrid):
@@ -72,17 +63,16 @@ def poisson_extend(f, tGrid):
 
 def average_extend(u, tGrid):
     """Slab at height t = average of u over the periodic ball B_t(x)."""
-    grids = u.meshgrid()
+    d2 = 0.0
+    for g, p in zip(u.meshgrid(), u.period):
+        d = np.minimum(g, p - g)
+        d2 = d2 + d**2
+    hat = np.fft.fftn(u.values, axes=tuple(range(u.n)))
     slabs = []
     for t in tGrid:
-        d2 = 0.0
-        for g, p in zip(grids, u.period):
-            d = np.minimum(g, p - g)
-            d2 = d2 + d**2
         mask = (d2 <= float(t) ** 2).astype(float)
         mask /= mask.sum()
         mhat = np.fft.fftn(mask)
-        hat = np.fft.fftn(u.values, axes=tuple(range(u.n)))
         out = np.real(np.fft.ifftn(hat * mhat[..., None],
                                    axes=tuple(range(u.n))))
         slabs.append(GridField(out, u.period))
@@ -93,21 +83,18 @@ def average_extend(u, tGrid):
 def slab_derivatives(f, t):
     """(d_t, d_x1, ..., d_xn) of the harmonic extension at height t.
 
-    Returns arrays of shape f.shape + (dimV,); all factors are exact per
-    mode: d_t multiplies by -|xi|, d_xj by i xi_j.
+    f: GridField or its Spectrum (reused across heights).  Returns arrays of
+    shape f.shape + (dimV,); all factors are exact per mode: d_t multiplies
+    by -|xi|, d_xj by i xi_j.
     """
-    hat = np.fft.fftn(f.values, axes=tuple(range(f.n)))
-    mag = _xi_magnitude(f)
+    rec = Spectrum.of(f)
+    hat, mag = rec.hat, rec.mag
     decay = np.exp(-t * mag)
-    axes = tuple(range(f.n))
-    out = [np.real(np.fft.ifftn(hat * (-mag * decay)[..., None], axes=axes))]
-    for ax, (s, p) in enumerate(zip(f.shape, f.period)):
-        m = np.fft.fftfreq(s, d=1.0 / s)
-        shape = [1] * f.n
-        shape[ax] = s
-        xi = m.reshape(shape) * 2 * math.pi / p
+    out = [np.real(np.fft.ifftn(hat * (-mag * decay)[..., None],
+                                axes=rec.axes))]
+    for xi in rec.xi:
         out.append(np.real(np.fft.ifftn(hat * (1j * xi * decay)[..., None],
-                                        axes=axes)))
+                                        axes=rec.axes)))
     return out
 
 
@@ -122,6 +109,8 @@ def harmonicity_residual(hsf):
     worst = 0.0
     base = hsf.base
     scale = float(np.max(np.abs(base.values))) + 1e-300
+    mag = Spectrum(base).mag
+    mag2, kmax = mag**2, float(np.max(mag))
     for i in range(1, len(t) - 1):
         h1, h2 = t[i] - t[i - 1], t[i + 1] - t[i]
         u0, u1, u2 = (hsf.slabs[i - 1].values, hsf.slabs[i].values,
@@ -129,11 +118,9 @@ def harmonicity_residual(hsf):
         dtt = 2 * (h1 * u2 + h2 * u0 - (h1 + h2) * u1) / (h1 * h2 * (h1 + h2))
         hat = np.fft.fftn(u1, axes=tuple(range(base.n)))
         lap = -np.real(np.fft.ifftn(
-            hat * (_xi_magnitude(base) ** 2)[..., None],
-            axes=tuple(range(base.n))))
+            hat * mag2[..., None], axes=tuple(range(base.n))))
         # FD truncation is O(h^2 * |xi|^4); normalize by the mode scale
         hmax = max(h1, h2)
-        kmax = float(np.max(_xi_magnitude(base)))
         tol_scale = scale * (1 + hmax**2 * kmax**4)
         worst = max(worst, float(np.max(np.abs(dtt + lap))) / tol_scale)
     return worst
@@ -142,16 +129,6 @@ def harmonicity_residual(hsf):
 # ---------------------------------------------------------------------------
 # pairing identity
 # ---------------------------------------------------------------------------
-
-def _grad2(values, period):
-    N1, N2 = values.shape
-    hat = np.fft.fftn(values)
-    f1 = np.fft.fftfreq(N1, d=1.0 / N1) * 2 * math.pi / period[0]
-    f2 = np.fft.fftfreq(N2, d=1.0 / N2) * 2 * math.pi / period[1]
-    gx = np.real(np.fft.ifftn(hat * (1j * f1)[:, None]))
-    gy = np.real(np.fft.ifftn(hat * (1j * f2)[None, :]))
-    return gx, gy
-
 
 def _det3(r0, r1, r2):
     return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
@@ -171,12 +148,13 @@ def pairing_identity(u, phi, T=8.0, tLevels=64, tail_tol=1e-6):
     if u.n != 2 or u.dimV != 2 or phi.dimV != 1:
         raise ValueError("the identity is implemented for 2D, u in R^2")
     cell = u.cell_volume
-    u1x, u1y = _grad2(u.values[..., 0], u.period)
-    u2x, u2y = _grad2(u.values[..., 1], u.period)
-    det_surface = u1x * u2y - u1y * u2x
-    lhs = float(np.sum(det_surface * phi.values[..., 0]) * cell)
-    scale = float(np.sum(np.abs(det_surface * phi.values[..., 0])) * cell)
+    phi0 = phi.values[..., 0]
+    det_surface = jacobian(u)
+    lhs = float(np.sum(det_surface * phi0) * cell)
+    scale = float(np.sum(np.abs(det_surface * phi0)) * cell)
 
+    # one record per field, shared by every slab
+    u, phi = Spectrum(u), Spectrum(phi)
     nodes, weights = np.polynomial.legendre.leggauss(tLevels)
     ts = 0.5 * T * (nodes + 1.0)
     ws = 0.5 * T * weights
@@ -193,10 +171,7 @@ def pairing_identity(u, phi, T=8.0, tLevels=64, tail_tol=1e-6):
 
     # boundary determinant mass at height T (truncation error witness)
     phiT = poisson_slab(phi, T).values[..., 0]
-    uT = poisson_slab(u, T)
-    v1x, v1y = _grad2(uT.values[..., 0], u.period)
-    v2x, v2y = _grad2(uT.values[..., 1], u.period)
-    tail = abs(float(np.sum(phiT * (v1x * v2y - v1y * v2x)) * cell))
+    tail = abs(float(np.sum(phiT * jacobian(poisson_slab(u, T))) * cell))
     denom = max(abs(lhs), scale, 1e-300)
     if tail > tail_tol * denom:
         raise ValueError(f"tail bound violated at T={T}: boundary mass "
@@ -311,8 +286,8 @@ def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
             from .field import trig_product
             phi_tp = trig_product(phi_tp, TrigPoly.wave(2, (0, m), "sin"))
             phiv = phi_tp.render((shape, shape))
-            u1x, u1y = _grad2(uvals[..., 0], (period, period))
-            u2x, u2y = _grad2(uvals[..., 1], (period, period))
+            u1x, u1y = gradient(u.component(0))
+            u2x, u2y = gradient(u.component(1))
             det = u1x * u2y - u1y * u2x
             pairing = float(np.sum(det * phiv.values[..., 0]) * u.cell_volume)
             du = GridField(np.stack([u1x, u1y, u2x, u2y], axis=-1),
@@ -346,8 +321,9 @@ def frac_trace_check(f, beta, p, tGrid=None):
     w_exp = p * (1.0 - 1.0 / p - beta)
     masses = []
     cell = f.cell_volume
+    rec = Spectrum(f)
     for t in tGrid:
-        ds = slab_derivatives(f, float(t))
+        ds = slab_derivatives(rec, float(t))
         mag2 = sum(np.sum(d**2, axis=-1) for d in ds)
         masses.append(float(np.sum(mag2 ** (p / 2.0)) * cell)
                       * float(t) ** w_exp)

@@ -9,6 +9,7 @@ grid remain exact).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -23,9 +24,12 @@ __all__ = [
     "GridField",
     "TrigPoly",
     "MultiplierSpec",
+    "Spectrum",
     "fft",
     "ifft",
     "apply_symbol",
+    "gradient",
+    "jacobian",
     "apply_multiplier",
     "riesz_potential",
     "trig_product",
@@ -33,6 +37,7 @@ __all__ = [
     "trig_pair",
     "mollify",
     "standard_bump",
+    "random_bandlimited",
     "save_field",
     "load_field",
     "trigpoly_to_json",
@@ -144,18 +149,6 @@ class GridField:
         return GridField(vals, tuple(period))
 
 
-def freq_indices(shape):
-    """Integer frequency index arrays m_i (numpy fft layout) for each axis."""
-    return [np.fft.fftfreq(s, d=1.0 / s) for s in shape]
-
-
-def xi_grids(f):
-    """Real frequency arrays xi_i = 2 pi m_i / period_i, meshgridded."""
-    ms = freq_indices(f.shape)
-    xs = [2 * math.pi * m / p for m, p in zip(ms, f.period)]
-    return np.meshgrid(*xs, indexing="ij")
-
-
 def fft(f):
     """Forward FFT over the space axes; returns complex array, same layout."""
     return np.fft.fftn(f.values, axes=tuple(range(f.n)))
@@ -167,76 +160,113 @@ def ifft(fhat, period=()):
     return GridField(np.real(vals), period)
 
 
+class Spectrum:
+    """One field's spectral record: its transform and frequency grids.
+
+    hat is fft(field); xi[i] holds the axis-i frequencies 2 pi m_i / p_i
+    (m_i in numpy fft order), shaped to broadcast over the grid; mag is |xi|;
+    radius is each grid point's periodic distance |x| from the origin.  Each
+    is built on first use and then kept.  mollify and the slab functions of
+    extension take a Spectrum in place of a GridField, so a caller that
+    transforms one field many times (a sweep of scales or slab heights)
+    pays for each piece once.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.axes = tuple(range(field.n))
+
+    @staticmethod
+    def of(f):
+        return f if isinstance(f, Spectrum) else Spectrum(f)
+
+    @functools.cached_property
+    def hat(self):
+        return fft(self.field)
+
+    @functools.cached_property
+    def xi(self):
+        f = self.field
+        out = []
+        for ax, (s, p) in enumerate(zip(f.shape, f.period)):
+            shape = [1] * f.n
+            shape[ax] = s
+            m = np.fft.fftfreq(s, d=1.0 / s)
+            out.append(m.reshape(shape) * 2 * math.pi / p)
+        return out
+
+    @functools.cached_property
+    def mag(self):
+        return np.sqrt(sum(x**2 for x in self.xi))
+
+    @functools.cached_property
+    def radius(self):
+        disp = []
+        for s, p in zip(self.field.shape, self.field.period):
+            x = np.arange(s) * (p / s)
+            disp.append(np.where(x > p / 2, x - p, x))  # periodic displacement
+        grids = np.meshgrid(*disp, indexing="ij")
+        return np.sqrt(sum(g**2 for g in grids))
+
+    def derivative(self, axis):
+        """d/dx_axis of every component, an array of shape shape + (dimV,)."""
+        return np.real(np.fft.ifftn(self.hat * (1j * self.xi[axis])[..., None],
+                                    axes=self.axes))
+
+
+def gradient(f):
+    """[d_1 f, ..., d_n f] of a scalar field as arrays, spectrally.  Vector
+    fields go one component at a time: at 256^2 two scalar transforms take
+    less than half the time of one two-component transform."""
+    rec = Spectrum(f)
+    return [rec.derivative(axis)[..., 0] for axis in range(f.n)]
+
+
+def jacobian(u):
+    """det Du of a 2-component field on a 2D grid."""
+    (u1x, u1y), (u2x, u2y) = gradient(u.component(0)), gradient(u.component(1))
+    return u1x * u2y - u1y * u2x
+
+
 def apply_symbol(sym, f):
     """A f computed spectrally: (Af)^(m) = A(i xi_m) fhat(m) = i^l A(xi_m) fhat(m)."""
     if f.dimV != sym.dimV:
         raise ValueError(f"field has dimV={f.dimV}, operator expects {sym.dimV}")
     if f.n != sym.n:
         raise ValueError(f"field dimension {f.n} != operator dimension {sym.n}")
-    fhat = fft(f)
-    xis = xi_grids(f)
+    rec = Spectrum(f)
     out = np.zeros(f.shape + (sym.dimW,), dtype=complex)
     il = 1j**sym.l
     for alpha, mat in sym.coeffs.items():
         mono = np.ones(f.shape)
-        for a, xi in zip(alpha, xis):
+        for a, xi in zip(alpha, rec.xi):
             if a:
                 mono = mono * xi**a
-        out += (il * mono)[..., None] * (fhat @ mat.T)
+        out += (il * mono)[..., None] * (rec.hat @ mat.T)
     return ifft(out, f.period)
 
 
 @dataclass(frozen=True)
 class MultiplierSpec:
-    """Frequency multiplier m(xi): either matrix-valued per frequency or a
-    vectorized scalar function of the xi arrays.
+    """Scalar frequency multiplier m(xi).
 
-    func: for scalar=True, callable(list of xi meshgrids) -> real/complex array;
-          otherwise callable(xi vector) -> (dimOut, dimIn) matrix.
-    zero_value: explicit value at xi = 0 (scalar or matrix).
-    degree: homogeneity metadata (informational).
+    func: callable(list of xi meshgrids) -> real/complex array.
+    zero_value: explicit value at xi = 0.
     """
 
     func: object
     zero_value: object = 0.0
-    degree: float = 0.0
-    scalar: bool = True
-
-    def __call__(self, arg):
-        return self.func(arg)
 
 
 def apply_multiplier(mult, f):
     """Frequency-wise multiplication with the declared zero-frequency value."""
-    fhat = fft(f)
-    xis = xi_grids(f)
-    zero_idx = (0,) * f.n
-    if mult.scalar:
-        vals = np.asarray(mult.func(xis))
-        vals = np.array(vals, dtype=complex, copy=True)
-        vals[zero_idx] = mult.zero_value
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("multiplier is non-finite at a needed frequency")
-        out = vals[..., None] * fhat
-    else:
-        flat_xi = np.stack([x.ravel() for x in xis], axis=-1)
-        nfreq = flat_xi.shape[0]
-        fhat_flat = fhat.reshape(nfreq, f.dimV)
-        probe = np.asarray(mult.func(flat_xi[1] if nfreq > 1 else flat_xi[0]))
-        dim_out = probe.shape[0]
-        out_flat = np.empty((nfreq, dim_out), dtype=complex)
-        for k in range(nfreq):
-            if not np.any(flat_xi[k]):
-                m = np.asarray(mult.zero_value, dtype=complex)
-                if m.ndim == 0:
-                    m = m * np.eye(dim_out, f.dimV)
-            else:
-                m = np.asarray(mult.func(flat_xi[k]))
-            if not np.all(np.isfinite(m)):
-                raise ValueError("multiplier is non-finite at a needed frequency")
-            out_flat[k] = m @ fhat_flat[k]
-        out = out_flat.reshape(f.shape + (dim_out,))
-    return ifft(out, f.period)
+    rec = Spectrum(f)
+    xis = [np.broadcast_to(x, f.shape) for x in rec.xi]
+    vals = np.array(mult.func(xis), dtype=complex, copy=True)
+    vals[(0,) * f.n] = mult.zero_value
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("multiplier is non-finite at a needed frequency")
+    return ifft(vals[..., None] * rec.hat, f.period)
 
 
 def riesz_potential(order):
@@ -246,7 +276,42 @@ def riesz_potential(order):
         with np.errstate(divide="ignore"):
             out = np.where(mag > 0, mag ** (-float(order)), 0.0)
         return out
-    return MultiplierSpec(func=func, zero_value=0.0, degree=-float(order), scalar=True)
+    return MultiplierSpec(func=func, zero_value=0.0)
+
+
+def random_bandlimited(rng, shape, dimV, bandlimit=6, cutoff=False):
+    """Smooth random field on the torus [0, 2 pi)^n, n = len(shape) >= 2.
+
+    Each component is sum_m a_m cos(m.x) + b_m sin(m.x) over the half-plane
+    modes 0 <= m1 <= bandlimit, |m2| <= bandlimit (m1 = 0 needs m2 > 0) in
+    the first two coordinates, with (a_m, b_m) standard normal over
+    (1 + |m|^2).  The normals are drawn component by component, mode by
+    mode.  cutoff (2D shapes only) multiplies each component by a C^infty
+    bump of radius pi/2 about the box centre (peak 1), which makes the field
+    compactly supported inside the box.
+    """
+    shape = tuple(shape)
+    if cutoff and len(shape) != 2:
+        raise ValueError("the cut-off is defined on 2D grids only")
+    period = 2 * math.pi
+    axes = [np.arange(s) * period / s for s in shape]
+    grids = np.meshgrid(*axes, indexing="ij")
+    modes = [(m1, m2) for m1 in range(0, bandlimit + 1)
+             for m2 in range(-bandlimit, bandlimit + 1) if m1 > 0 or m2 > 0]
+    weights = np.array([1.0 + m1 * m1 + m2 * m2 for m1, m2 in modes])
+    coef = rng.normal(size=(dimV, len(modes), 2)) / weights[:, None]
+    comps = np.zeros((dimV,) + shape)
+    for k, (m1, m2) in enumerate(modes):
+        phase = m1 * grids[0] + m2 * grids[1]
+        cos, sin = np.cos(phase), np.sin(phase)
+        for vals, (a, b) in zip(comps, coef[:, k]):
+            vals += a * cos + b * sin
+    if cutoff:
+        c = period / 2
+        r = np.hypot(grids[0] - c, grids[1] - c)
+        comps = comps * (standard_bump(r / (period / 4))
+                         / standard_bump(np.zeros(1))[0])
+    return GridField(np.stack(list(comps), axis=-1), (period,) * len(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -513,25 +578,20 @@ def mollify(f, t, kernel=standard_bump):
     """Periodic convolution with kernel_t(x) = t^{-n} kernel(|x|/t).
 
     The sampled kernel is renormalized to exact unit discrete integral, so
-    mass is preserved to round-off.
+    mass is preserved to round-off.  f may be a Spectrum, whose transform
+    and radius grid are then reused.
     """
+    rec = Spectrum.of(f)
+    f = rec.field
     if t <= 0 or t > min(f.period) / 2:
         raise ValueError("scale t must lie in (0, min period / 2]")
-    disp = []
-    for s, p in zip(f.shape, f.period):
-        x = np.arange(s) * (p / s)
-        x = np.where(x > p / 2, x - p, x)  # periodic displacement
-        disp.append(x)
-    grids = np.meshgrid(*disp, indexing="ij")
-    r = np.sqrt(sum(g**2 for g in grids)) / t
-    ker = kernel(r)
+    ker = kernel(rec.radius / t)
     total = ker.sum() * f.cell_volume
     if total <= 0:
         raise ValueError("kernel support is below grid resolution")
     ker = ker / total
     ker_hat = np.fft.fftn(ker)
-    fhat = fft(f)
-    out = ker_hat[..., None] * fhat * f.cell_volume
+    out = ker_hat[..., None] * rec.hat * f.cell_volume
     return ifft(out, f.period)
 
 

@@ -11,14 +11,13 @@ one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import symbol as sym_mod
-from .field import (GridField, TrigPoly, apply_symbol, fft, ifft,
-                    standard_bump, trig_dot, trig_integral, trig_product)
-from .norms import local_hardy_norm
+from .field import (GridField, Spectrum, TrigPoly, gradient, standard_bump,
+                    trig_dot, trig_integral, trig_product)
 
 __all__ = [
     "Integrand",
@@ -338,13 +337,7 @@ def cofactor_field(U, s=None):
     s = s or U.dimV
     if s > U.n:
         raise ValueError("need s <= n")
-    grads = []  # grads[j][i] = d_i U_j as arrays
-    for jcomp in range(s):
-        comp = U.component(jcomp)
-        row = []
-        for axis in range(s):
-            row.append(_spectral_derivative(comp, axis).values[..., 0])
-        grads.append(row)
+    grads = [gradient(U.component(j))[:s] for j in range(s)]  # d_i U_j
     # Sigma_i = cofactor of entry (1, i) in the s x s matrix (d_i U_j)
     shape = U.shape
     Sigma = np.zeros(shape + (s,))
@@ -361,7 +354,7 @@ def cofactor_field(U, s=None):
     # divergence of Sigma in the x' variables
     div = np.zeros(shape)
     for i in range(s):
-        div += _spectral_derivative(Sigma_f.component(i), i).values[..., 0]
+        div += Spectrum(Sigma_f.component(i)).derivative(i)[..., 0]
     scale = float(np.max(np.abs(Sigma))) + 1e-300
     hadamard_rhs = math.factorial(s - 1)
     prod = np.ones(shape)
@@ -374,10 +367,3 @@ def cofactor_field(U, s=None):
                                    <= hadamard_rhs * prod * (1 + 1e-10) + 1e-12)),
     }
     return Sigma_f, checks
-
-
-def _spectral_derivative(f, axis):
-    from .field import xi_grids
-    fhat = fft(f)
-    xis = xi_grids(f)
-    return ifft(1j * xis[axis][..., None] * fhat, f.period)

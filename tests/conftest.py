@@ -1,34 +1,12 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import settings, HealthCheck
 
-from cclab.field import GridField
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
-
-
-def random_bandlimited(rng, shape, dimV, bandlimit=4):
-    """Smooth random periodic field with modes up to the bandlimit."""
-    period = 2 * math.pi
-    axes = [np.arange(s) * period / s for s in shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    comps = []
-    for _ in range(dimV):
-        vals = np.zeros(shape)
-        for m1 in range(0, bandlimit + 1):
-            for m2 in range(-bandlimit, bandlimit + 1):
-                if m1 == 0 and m2 <= 0:
-                    continue
-                a, b = rng.normal(size=2) / (1.0 + m1 * m1 + m2 * m2)
-                phase = m1 * grids[0] + m2 * grids[1]
-                vals += a * np.cos(phase) + b * np.sin(phase)
-        comps.append(vals)
-    return GridField(np.stack(comps, axis=-1), (period,) * len(shape))
 
 
 @pytest.fixture

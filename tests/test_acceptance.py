@@ -13,18 +13,16 @@ import numpy as np
 import pytest
 
 from cclab import counterexamples as cex
-from cclab.cli import item_rng, _random_smooth_compact, _truncate_case
+from cclab.cli import item_rng, _truncate_case
 from cclab.decompose import helmholtz
 from cclab.extension import (pairing_identity, thmD_ensemble, interpolation_ensemble)
-from cclab.field import GridField
+from cclab.field import GridField, random_bandlimited
 from cclab.norms import (YoungFunction, delta2_check, hardy_bracket_check,
                          lebesgue_norm, luxemburg_norm, young_conjugate)
 from cclab.quasiaffine import (INTEGRANDS, make_test_function,
                                pairing_experiment, quasiaffine_mean_test)
 from cclab.symbol import make_operator
 from cclab.truncate import lipschitz_truncate
-
-from conftest import random_bandlimited
 
 
 def test_01_indicator_pairing_exact():
@@ -41,7 +39,7 @@ def test_02_helmholtz_residuals():
     sym = make_operator("divcurl2")
     for i in range(50):
         rng = item_rng(0, "acceptance-decompose", i)
-        v = random_bandlimited(rng, (64, 64), sym.dimV)
+        v = random_bandlimited(rng, (64, 64), sym.dimV, bandlimit=4)
         res = helmholtz(v, sym)
         assert res.reconstructionError <= 1e-10
         assert res.constraintResidual <= 1e-10
@@ -168,8 +166,8 @@ def test_10_bulk_identity_refinement():
         errs = []
         for N, L in ((64, 16), (128, 32), (256, 64)):
             rng = item_rng(0, "acceptance-extension", f"{i}:{N}")
-            u = _random_smooth_compact(rng, N, 2)
-            phi = _random_smooth_compact(rng, N, 1)
+            u = random_bandlimited(rng, (N, N), 2, cutoff=True)
+            phi = random_bandlimited(rng, (N, N), 1, cutoff=True)
             rep = pairing_identity(u, phi, T=8.0, tLevels=L)
             errs.append(rep["relError"])
         assert all(a >= b for a, b in zip(errs, errs[1:]))

@@ -223,3 +223,11 @@ def test_main_decompose_rejects_no_fields(tmp_path, capsys, fields):
     assert "fields" in json.loads(capsys.readouterr().err)["message"]
     assert not (tmp_path / "residuals.csv").exists()
 
+
+@pytest.mark.parametrize("operator", ["grad:n=3", "div2:n=3"])
+def test_main_decompose_on_a_3d_grid(tmp_path, operator):
+    code = main(["decompose", "--param", f"operator={operator}",
+                 "--param", "fields=1", "--param", "shape=16",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "residuals.csv").exists()

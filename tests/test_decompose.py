@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from cclab.field import GridField, apply_symbol
+from cclab.field import GridField, apply_symbol, random_bandlimited
 from cclab.symbol import make_operator, adjoint_symbol
 from cclab.decompose import helmholtz, helmholtz_estimates
-
-from conftest import random_bandlimited
 
 
 @pytest.fixture(scope="module")
@@ -17,7 +15,7 @@ def divcurl():
 
 def test_residuals_small_random(divcurl, rng):
     for _ in range(5):
-        v = random_bandlimited(rng, (64, 64), 4)
+        v = random_bandlimited(rng, (64, 64), 4, bandlimit=4)
         res = helmholtz(v, divcurl)
         assert res.reconstructionError < 1e-12
         assert res.constraintResidual < 1e-12
@@ -26,7 +24,7 @@ def test_residuals_small_random(divcurl, rng):
 
 
 def test_idempotent(divcurl, rng):
-    v = random_bandlimited(rng, (32, 32), 4)
+    v = random_bandlimited(rng, (32, 32), 4, bandlimit=4)
     res = helmholtz(v, divcurl)
     res2 = helmholtz(res.bPart, divcurl)
     scale = np.max(np.abs(res.bPart.values)) + 1e-300
@@ -71,7 +69,7 @@ def test_zero_mode_goes_to_kernel(divcurl):
 
 def test_potential_identity(divcurl, rng):
     # aStarPart = A* w by construction (gauge fixed by the pseudoinverse)
-    v = random_bandlimited(rng, (32, 32), 4)
+    v = random_bandlimited(rng, (32, 32), 4, bandlimit=4)
     res = helmholtz(v, divcurl)
     astar_w = apply_symbol(adjoint_symbol(divcurl), res.w)
     scale = np.max(np.abs(v.values))
@@ -79,7 +77,7 @@ def test_potential_identity(divcurl, rng):
 
 
 def test_estimates_report_ratios(divcurl, rng):
-    v = random_bandlimited(rng, (32, 32), 4)
+    v = random_bandlimited(rng, (32, 32), 4, bandlimit=4)
     est = helmholtz_estimates(v, divcurl)
     assert 0.0 < est["ratioB"] <= 1.0 + 1e-12
     assert est["ratioW"] is None or est["ratioW"] > 0.0
@@ -97,6 +95,6 @@ def test_estimates_afree_ratio_not_applicable(divcurl):
 
 
 def test_dimension_mismatch_raises(divcurl, rng):
-    v = random_bandlimited(rng, (16, 16), 3)
+    v = random_bandlimited(rng, (16, 16), 3, bandlimit=4)
     with pytest.raises(ValueError):
         helmholtz(v, divcurl)

@@ -6,22 +6,21 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cclab.field import (GridField, TrigPoly, fft, ifft, apply_symbol,
+                         random_bandlimited,
                          riesz_potential, apply_multiplier, trig_product,
                          trig_dot, trig_integral, trig_pair, mollify, save_field,
                          load_field, trigpoly_to_json, trigpoly_from_json)
 from cclab.symbol import make_operator
 
-from conftest import random_bandlimited
-
 
 def test_fft_round_trip(rng):
-    f = random_bandlimited(rng, (32, 32), 3)
+    f = random_bandlimited(rng, (32, 32), 3, bandlimit=4)
     back = ifft(fft(f), f.period)
     assert np.max(np.abs(back.values - f.values)) < 1e-13
 
 
 def test_parseval(rng):
-    f = random_bandlimited(rng, (64, 64), 1)
+    f = random_bandlimited(rng, (64, 64), 1, bandlimit=4)
     hat = fft(f) / (64 * 64)
     lhs = np.sum(f.values**2) * f.cell_volume
     rhs = np.sum(np.abs(hat) ** 2) * f.volume
@@ -112,7 +111,7 @@ def test_render_integral_consistency(m1, m2, amp):
 
 
 def test_mollify_preserves_mass(rng):
-    f = random_bandlimited(rng, (64, 64), 1)
+    f = random_bandlimited(rng, (64, 64), 1, bandlimit=4)
     f = GridField(f.values + 2.0, f.period)
     sm = mollify(f, 0.4)
     assert abs(float(np.sum(sm.values) - np.sum(f.values))
@@ -120,7 +119,7 @@ def test_mollify_preserves_mass(rng):
 
 
 def test_mollify_scale_validation(rng):
-    f = random_bandlimited(rng, (16, 16), 1)
+    f = random_bandlimited(rng, (16, 16), 1, bandlimit=4)
     with pytest.raises(ValueError):
         mollify(f, 0.0)
     with pytest.raises(ValueError):
@@ -128,7 +127,7 @@ def test_mollify_scale_validation(rng):
 
 
 def test_field_serialization_round_trip(tmp_path, rng):
-    f = random_bandlimited(rng, (16, 16), 2)
+    f = random_bandlimited(rng, (16, 16), 2, bandlimit=4)
     save_field(f, tmp_path / "f")
     back = load_field(tmp_path / "f")
     assert np.array_equal(back.values, f.values)

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cclab.field import GridField, TrigPoly
+from cclab.field import GridField, TrigPoly, random_bandlimited
 from cclab.norms import (YoungFunction, _conjugate_argmax, lebesgue_norm, zygmund_norm,
                          luxemburg_norm, young_conjugate, delta2_check,
                          dominates, hardy_bracket_check, neg_sobolev_norm,
                          gagliardo_seminorm, holder_seminorm,
                          besov_block_sums, local_maximal, local_hardy_norm,
                          MaximalConfig, parse_norm_tag, evaluate_norm)
-
-from conftest import random_bandlimited
 
 
 def sine_field(N=128):
@@ -29,7 +27,7 @@ def test_lebesgue_analytic_values():
 
 
 def test_zygmund_alpha_zero_is_lebesgue_bitwise(rng):
-    f = random_bandlimited(rng, (32, 32), 2)
+    f = random_bandlimited(rng, (32, 32), 2, bandlimit=4)
     assert zygmund_norm(f, 2, 0) == lebesgue_norm(f, 2)
 
 
@@ -46,7 +44,7 @@ def test_zygmund_monotone_in_alpha_for_peaked_field():
 
 
 def test_luxemburg_power_matches_lebesgue(rng):
-    f = random_bandlimited(rng, (32, 32), 1)
+    f = random_bandlimited(rng, (32, 32), 1, bandlimit=4)
     for p in (1.5, 2.0, 3.0):
         lux = luxemburg_norm(f, YoungFunction.power(p))
         assert abs(lux - lebesgue_norm(f, p)) < 1e-7 * max(1.0, lux)
@@ -55,7 +53,7 @@ def test_luxemburg_power_matches_lebesgue(rng):
 @given(scale=st.floats(0.1, 10.0))
 def test_luxemburg_homogeneous(scale):
     rng = np.random.default_rng(7)
-    f = random_bandlimited(rng, (16, 16), 1)
+    f = random_bandlimited(rng, (16, 16), 1, bandlimit=4)
     phi = YoungFunction.zygmund(2, 1)
     a = luxemburg_norm(f, phi)
     b = luxemburg_norm(GridField(scale * f.values, f.period), phi)
@@ -64,8 +62,8 @@ def test_luxemburg_homogeneous(scale):
 
 def test_luxemburg_triangle(rng):
     phi = YoungFunction.zygmund(2, 1)
-    f = random_bandlimited(rng, (16, 16), 1)
-    g = random_bandlimited(rng, (16, 16), 1)
+    f = random_bandlimited(rng, (16, 16), 1, bandlimit=4)
+    g = random_bandlimited(rng, (16, 16), 1, bandlimit=4)
     s = GridField(f.values + g.values, f.period)
     assert luxemburg_norm(s, phi) <= (luxemburg_norm(f, phi)
                                       + luxemburg_norm(g, phi)) * (1 + 1e-6)
@@ -271,7 +269,7 @@ def test_besov_blocks_single_mode():
 
 
 def test_local_maximal_dominates_smooth_average(rng):
-    f = random_bandlimited(rng, (64, 64), 1)
+    f = random_bandlimited(rng, (64, 64), 1, bandlimit=4)
     mf = local_maximal(f)
     assert np.all(mf.values >= np.abs(f.values) - 1e-12)
 
@@ -295,6 +293,6 @@ def test_norm_tag_round_trip():
 
 
 def test_evaluate_norm_dispatch(rng):
-    f = random_bandlimited(rng, (32, 32), 1)
+    f = random_bandlimited(rng, (32, 32), 1, bandlimit=4)
     assert abs(evaluate_norm(f, "lebesgue:p=2") - lebesgue_norm(f, 2)) == 0.0
     assert evaluate_norm(f, "zygmund:p=2,a=0") == evaluate_norm(f, "lebesgue:p=2")

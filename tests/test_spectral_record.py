@@ -1,0 +1,769 @@
+"""Bit-identity of the spectral record (field.Spectrum) and the merged
+synthesiser against the transform-per-call code they replaced.
+
+Each `_old_*` function below is a verbatim copy of the earlier code (only
+renamed, and pointed at the copies of its helpers).  Every comparison is
+exact: np.array_equal on arrays, float.hex on scalars.  The grids mix even
+and odd sizes and the periods are unequal, so that a frequency formula that
+rounds differently (say m * (2 pi / p) instead of m * 2 pi / p) shows.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from cclab import counterexamples as cex
+from cclab import decompose
+from cclab.decompose import helmholtz
+from cclab.extension import (average_extend, harmonicity_residual,
+                             interpolation_ensemble, pairing_identity,
+                             poisson_extend, poisson_slab, slab_derivatives)
+from cclab.extension import _holder_surrogate
+from cclab.field import (GridField, Spectrum, TrigPoly, apply_multiplier,
+                         apply_symbol, fft, ifft, jacobian, mollify,
+                         random_bandlimited, riesz_potential, standard_bump,
+                         trig_product)
+from cclab.norms import MaximalConfig, lebesgue_norm, local_maximal
+from cclab.quasiaffine import cofactor_field
+from cclab import symbol as sym_mod
+
+SHAPES = [(8, 8), (9, 9), (8, 11), (12, 7), (16, 10)]
+PERIODS = [(2 * math.pi, 2 * math.pi), (1.0, 3.0), (5.5, 2 * math.pi),
+           (0.7, 0.7)]
+
+shapes = st.sampled_from(SHAPES)
+periods = st.sampled_from(PERIODS)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def _noise(seed, shape, dimV, period):
+    rng = np.random.default_rng(seed)
+    return GridField(rng.normal(size=tuple(shape) + (dimV,)), period)
+
+
+def _same(a, b):
+    """Equal to the last bit: arrays by np.array_equal, floats by hex."""
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(_same(x, y) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, GridField):
+        return a.period == b.period and np.array_equal(a.values, b.values)
+    if isinstance(a, float):
+        return float(a).hex() == float(b).hex()
+    return np.array_equal(a, b)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return "ok", fn(*args, **kwargs)
+    except ValueError as exc:
+        return "raised", str(exc)
+
+
+def _assert_same_outcome(old, new):
+    assert old[0] == new[0]
+    if old[0] == "raised":
+        assert old[1] == new[1]
+    else:
+        assert _same(old[1], new[1])
+
+
+# ---------------------------------------------------------------------------
+# verbatim copies of the earlier code
+# ---------------------------------------------------------------------------
+
+def _old_freq_indices(shape):
+    """Integer frequency index arrays m_i (numpy fft layout) for each axis."""
+    return [np.fft.fftfreq(s, d=1.0 / s) for s in shape]
+
+
+def _old_xi_grids(f):
+    """Real frequency arrays xi_i = 2 pi m_i / period_i, meshgridded."""
+    ms = _old_freq_indices(f.shape)
+    xs = [2 * math.pi * m / p for m, p in zip(ms, f.period)]
+    return np.meshgrid(*xs, indexing="ij")
+
+
+def _old_apply_symbol(sym, f):
+    """A f computed spectrally: (Af)^(m) = A(i xi_m) fhat(m) = i^l A(xi_m) fhat(m)."""
+    if f.dimV != sym.dimV:
+        raise ValueError(f"field has dimV={f.dimV}, operator expects {sym.dimV}")
+    if f.n != sym.n:
+        raise ValueError(f"field dimension {f.n} != operator dimension {sym.n}")
+    fhat = fft(f)
+    xis = _old_xi_grids(f)
+    out = np.zeros(f.shape + (sym.dimW,), dtype=complex)
+    il = 1j**sym.l
+    for alpha, mat in sym.coeffs.items():
+        mono = np.ones(f.shape)
+        for a, xi in zip(alpha, xis):
+            if a:
+                mono = mono * xi**a
+        out += (il * mono)[..., None] * (fhat @ mat.T)
+    return ifft(out, f.period)
+
+
+def _old_apply_multiplier_scalar(mult, f):
+    """Frequency-wise multiplication with the declared zero-frequency value."""
+    fhat = fft(f)
+    xis = _old_xi_grids(f)
+    zero_idx = (0,) * f.n
+    vals = np.asarray(mult.func(xis))
+    vals = np.array(vals, dtype=complex, copy=True)
+    vals[zero_idx] = mult.zero_value
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("multiplier is non-finite at a needed frequency")
+    out = vals[..., None] * fhat
+    return ifft(out, f.period)
+
+
+def _old_mollify(f, t, kernel=standard_bump):
+    """Periodic convolution with kernel_t(x) = t^{-n} kernel(|x|/t).
+
+    The sampled kernel is renormalized to exact unit discrete integral, so
+    mass is preserved to round-off.
+    """
+    if t <= 0 or t > min(f.period) / 2:
+        raise ValueError("scale t must lie in (0, min period / 2]")
+    disp = []
+    for s, p in zip(f.shape, f.period):
+        x = np.arange(s) * (p / s)
+        x = np.where(x > p / 2, x - p, x)  # periodic displacement
+        disp.append(x)
+    grids = np.meshgrid(*disp, indexing="ij")
+    r = np.sqrt(sum(g**2 for g in grids)) / t
+    ker = kernel(r)
+    total = ker.sum() * f.cell_volume
+    if total <= 0:
+        raise ValueError("kernel support is below grid resolution")
+    ker = ker / total
+    ker_hat = np.fft.fftn(ker)
+    fhat = fft(f)
+    out = ker_hat[..., None] * fhat * f.cell_volume
+    return ifft(out, f.period)
+
+
+def _old_local_maximal(f, cfg=MaximalConfig()):
+    """M_loc f = sup over the scale grid of |f * kernel_t| (pointwise)."""
+    if f.dimV != 1:
+        raise ValueError("local maximal function acts on scalar fields")
+    out = np.abs(f.values[..., 0]) if cfg.include_pointwise else np.zeros(f.shape)
+    for t in cfg.t_grid(f):
+        sm = _old_mollify(f, t, cfg.kernel)
+        out = np.maximum(out, np.abs(sm.values[..., 0]))
+    return GridField(out[..., None], f.period)
+
+
+def _old_xi_magnitude(f):
+    mags = 0.0
+    for ax, (s, p) in enumerate(zip(f.shape, f.period)):
+        m = np.fft.fftfreq(s, d=1.0 / s)
+        shape = [1] * len(f.shape)
+        shape[ax] = s
+        mags = mags + (m.reshape(shape) * 2 * math.pi / p) ** 2
+    return np.sqrt(mags)
+
+
+def _old_poisson_slab(f, t):
+    """Harmonic-extension slab at height t (mean extended as a constant)."""
+    hat = np.fft.fftn(f.values, axes=tuple(range(f.n)))
+    decay = np.exp(-t * _old_xi_magnitude(f))
+    out = np.real(np.fft.ifftn(hat * decay[..., None],
+                               axes=tuple(range(f.n))))
+    return GridField(out, f.period)
+
+
+def _old_slab_derivatives(f, t):
+    """(d_t, d_x1, ..., d_xn) of the harmonic extension at height t.
+
+    Returns arrays of shape f.shape + (dimV,); all factors are exact per
+    mode: d_t multiplies by -|xi|, d_xj by i xi_j.
+    """
+    hat = np.fft.fftn(f.values, axes=tuple(range(f.n)))
+    mag = _old_xi_magnitude(f)
+    decay = np.exp(-t * mag)
+    axes = tuple(range(f.n))
+    out = [np.real(np.fft.ifftn(hat * (-mag * decay)[..., None], axes=axes))]
+    for ax, (s, p) in enumerate(zip(f.shape, f.period)):
+        m = np.fft.fftfreq(s, d=1.0 / s)
+        shape = [1] * f.n
+        shape[ax] = s
+        xi = m.reshape(shape) * 2 * math.pi / p
+        out.append(np.real(np.fft.ifftn(hat * (1j * xi * decay)[..., None],
+                                        axes=axes)))
+    return out
+
+
+def _old_grad2(values, period):
+    N1, N2 = values.shape
+    hat = np.fft.fftn(values)
+    f1 = np.fft.fftfreq(N1, d=1.0 / N1) * 2 * math.pi / period[0]
+    f2 = np.fft.fftfreq(N2, d=1.0 / N2) * 2 * math.pi / period[1]
+    gx = np.real(np.fft.ifftn(hat * (1j * f1)[:, None]))
+    gy = np.real(np.fft.ifftn(hat * (1j * f2)[None, :]))
+    return gx, gy
+
+
+def _old_det3(r0, r1, r2):
+    return (r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+            - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+            + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
+
+
+def _old_pairing_identity(u, phi, T=8.0, tLevels=64, tail_tol=1e-6):
+    if u.n != 2 or u.dimV != 2 or phi.dimV != 1:
+        raise ValueError("the identity is implemented for 2D, u in R^2")
+    cell = u.cell_volume
+    u1x, u1y = _old_grad2(u.values[..., 0], u.period)
+    u2x, u2y = _old_grad2(u.values[..., 1], u.period)
+    det_surface = u1x * u2y - u1y * u2x
+    lhs = float(np.sum(det_surface * phi.values[..., 0]) * cell)
+    scale = float(np.sum(np.abs(det_surface * phi.values[..., 0])) * cell)
+
+    nodes, weights = np.polynomial.legendre.leggauss(tLevels)
+    ts = 0.5 * T * (nodes + 1.0)
+    ws = 0.5 * T * weights
+
+    def bulk(t):
+        dphi = _old_slab_derivatives(phi, t)
+        du = _old_slab_derivatives(u, t)
+        r0 = [d[..., 0] for d in dphi]
+        r1 = [d[..., 0] for d in du]
+        r2 = [d[..., 1] for d in du]
+        return float(np.sum(_old_det3(r0, r1, r2)) * cell)
+
+    rhs = -sum(w * bulk(t) for t, w in zip(ts, ws))
+
+    # boundary determinant mass at height T (truncation error witness)
+    phiT = _old_poisson_slab(phi, T).values[..., 0]
+    uT = _old_poisson_slab(u, T)
+    v1x, v1y = _old_grad2(uT.values[..., 0], u.period)
+    v2x, v2y = _old_grad2(uT.values[..., 1], u.period)
+    tail = abs(float(np.sum(phiT * (v1x * v2y - v1y * v2x)) * cell))
+    denom = max(abs(lhs), scale, 1e-300)
+    if tail > tail_tol * denom:
+        raise ValueError(f"tail bound violated at T={T}: boundary mass "
+                         f"{tail:.3e} vs scale {denom:.3e}")
+    return {"lhs": lhs, "rhs": rhs, "relError": abs(lhs - rhs) / denom,
+            "tail": tail}
+
+
+def _old_average_extend_slabs(u, tGrid):
+    grids = u.meshgrid()
+    slabs = []
+    for t in tGrid:
+        d2 = 0.0
+        for g, p in zip(grids, u.period):
+            d = np.minimum(g, p - g)
+            d2 = d2 + d**2
+        mask = (d2 <= float(t) ** 2).astype(float)
+        mask /= mask.sum()
+        mhat = np.fft.fftn(mask)
+        hat = np.fft.fftn(u.values, axes=tuple(range(u.n)))
+        out = np.real(np.fft.ifftn(hat * mhat[..., None],
+                                   axes=tuple(range(u.n))))
+        slabs.append(GridField(out, u.period))
+    return slabs
+
+
+def _old_harmonicity_residual(hsf):
+    t = np.asarray(hsf.tGrid)
+    worst = 0.0
+    base = hsf.base
+    scale = float(np.max(np.abs(base.values))) + 1e-300
+    for i in range(1, len(t) - 1):
+        h1, h2 = t[i] - t[i - 1], t[i + 1] - t[i]
+        u0, u1, u2 = (hsf.slabs[i - 1].values, hsf.slabs[i].values,
+                      hsf.slabs[i + 1].values)
+        dtt = 2 * (h1 * u2 + h2 * u0 - (h1 + h2) * u1) / (h1 * h2 * (h1 + h2))
+        hat = np.fft.fftn(u1, axes=tuple(range(base.n)))
+        lap = -np.real(np.fft.ifftn(
+            hat * (_old_xi_magnitude(base) ** 2)[..., None],
+            axes=tuple(range(base.n))))
+        # FD truncation is O(h^2 * |xi|^4); normalize by the mode scale
+        hmax = max(h1, h2)
+        kmax = float(np.max(_old_xi_magnitude(base)))
+        tol_scale = scale * (1 + hmax**2 * kmax**4)
+        worst = max(worst, float(np.max(np.abs(dtt + lap))) / tol_scale)
+    return worst
+
+
+def _old_spectral_derivative(f, axis):
+    fhat = fft(f)
+    xis = _old_xi_grids(f)
+    return ifft(1j * xis[axis][..., None] * fhat, f.period)
+
+
+def _old_spectral_grad(values, period):
+    N = values.shape[0]
+    freq = np.fft.fftfreq(N, d=1.0 / N)
+    hat = np.fft.fftn(values, axes=(0, 1))
+    scale = 2 * math.pi / period
+    gx = np.real(np.fft.ifftn(hat * (1j * freq * scale)[:, None], axes=(0, 1)))
+    gy = np.real(np.fft.ifftn(hat * (1j * freq * scale)[None, :], axes=(0, 1)))
+    return gx, gy
+
+
+def _old_grid_det_pairing(u, phi):
+    period = u.period[0]
+    u1x, u1y = _old_spectral_grad(u.values[..., 0], period)
+    u2x, u2y = _old_spectral_grad(u.values[..., 1], period)
+    det = u1x * u2y - u1y * u2x
+    return float(np.sum(det * phi.values[..., 0]) * u.cell_volume)
+
+
+def _old_symbol_stack(sym, f):
+    """A(xi) for every grid frequency, shape (nfreq, dimW, dimV)."""
+    xis = _old_xi_grids(f)
+    flat = np.stack([x.ravel() for x in xis], axis=-1)  # (nfreq, n)
+    A = np.zeros((flat.shape[0], sym.dimW, sym.dimV))
+    for alpha, mat in sym.coeffs.items():
+        mono = np.ones(flat.shape[0])
+        for a, col in zip(alpha, flat.T):
+            if a:
+                mono = mono * col**a
+        A += mono[:, None, None] * mat[None, :, :]
+    return A, flat
+
+
+def _old_helmholtz(v, sym, tolSV=sym_mod.DEFAULT_TOL_SV):
+    """The split and its residuals, as the earlier helmholtz computed them
+    (the rank certificate is the caller's)."""
+    from cclab.norms import lebesgue_norm
+    vhat = fft(v)
+    nfreq = int(np.prod(v.shape))
+    vflat = vhat.reshape(nfreq, v.dimV)
+    A, flat_xi = _old_symbol_stack(sym, v)
+    mag = np.sqrt(np.sum(flat_xi**2, axis=-1))
+    nz = mag > 0
+    An = np.array(A)
+    An[nz] /= mag[nz, None, None] ** sym.l
+    Adag = np.linalg.pinv(An[nz], rcond=tolSV)
+    P = np.eye(sym.dimV)[None, :, :] - Adag @ An[nz]
+    b_flat = np.array(vflat)
+    b_flat[nz] = np.einsum("kij,kj->ki", P, vflat[nz])
+    a_flat = vflat - b_flat
+    il = 1j**sym.l
+    AAT = A[nz] @ np.transpose(A[nz], (0, 2, 1))
+    AATdag = np.linalg.pinv(AAT, rcond=tolSV)
+    w_flat = np.zeros((nfreq, sym.dimW), dtype=complex)
+    w_flat[nz] = np.einsum("kij,kj->ki", AATdag, il * np.einsum("kij,kj->ki", A[nz], vflat[nz]))
+    bPart = ifft(b_flat.reshape(vhat.shape), v.period)
+    aStarPart = ifft(a_flat.reshape(v.shape + (v.dimV,)), v.period)
+    w = ifft(w_flat.reshape(v.shape + (sym.dimW,)), v.period)
+
+    scale = lebesgue_norm(v, 2) + 1e-300
+    recon = np.sqrt(np.sum((bPart.values + aStarPart.values - v.values) ** 2)
+                    * v.cell_volume) / scale
+    Ab = _old_apply_symbol(sym, bPart)
+    sym_scale = max(float(np.max(np.abs(m))) for m in sym.coeffs.values())
+    kmax = max(np.pi * s / p for s, p in zip(v.shape, v.period))
+    constraint = lebesgue_norm(Ab, 2) / (sym_scale * kmax**sym.l * scale)
+    Astar_w = _old_apply_symbol(sym_mod.adjoint_symbol(sym), w)
+    potential = np.sqrt(np.sum((Astar_w.values - aStarPart.values) ** 2)
+                        * v.cell_volume) / scale
+    ortho = abs(float(np.sum(bPart.values * aStarPart.values) * v.cell_volume)) / scale**2
+    return [bPart, aStarPart, w, float(recon), float(constraint),
+            float(ortho), float(potential)]
+
+
+def _old_cli_random_bandlimited(rng, shape, dimV, bandlimit=6):
+    period = 2 * math.pi
+    axes = [np.arange(s) * period / s for s in shape]
+    grids = np.meshgrid(*axes, indexing="ij")
+    comps = []
+    for _ in range(dimV):
+        vals = np.zeros(shape)
+        for m1 in range(0, bandlimit + 1):
+            for m2 in range(-bandlimit, bandlimit + 1):
+                if m1 == 0 and m2 <= 0:
+                    continue
+                a, b = rng.normal(size=2) / (1.0 + m1 * m1 + m2 * m2)
+                phase = m1 * grids[0] + m2 * grids[1]
+                vals += a * np.cos(phase) + b * np.sin(phase)
+        comps.append(vals)
+    return GridField(np.stack(comps, axis=-1), (period,) * len(shape))
+
+
+def _old_conftest_random_bandlimited(rng, shape, dimV, bandlimit=4):
+    """Smooth random periodic field with modes up to the bandlimit."""
+    period = 2 * math.pi
+    axes = [np.arange(s) * period / s for s in shape]
+    grids = np.meshgrid(*axes, indexing="ij")
+    comps = []
+    for _ in range(dimV):
+        vals = np.zeros(shape)
+        for m1 in range(0, bandlimit + 1):
+            for m2 in range(-bandlimit, bandlimit + 1):
+                if m1 == 0 and m2 <= 0:
+                    continue
+                a, b = rng.normal(size=2) / (1.0 + m1 * m1 + m2 * m2)
+                phase = m1 * grids[0] + m2 * grids[1]
+                vals += a * np.cos(phase) + b * np.sin(phase)
+        comps.append(vals)
+    return GridField(np.stack(comps, axis=-1), (period,) * len(shape))
+
+
+def _old_random_smooth_compact(rng, N, dimV, mmax=6):
+    period = 2 * math.pi
+    x = np.arange(N) * period / N
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    c = period / 2
+    r = np.hypot(X - c, Y - c)
+    cut = standard_bump(r / (period / 4)) / standard_bump(np.zeros(1))[0]
+    comps = []
+    for _ in range(dimV):
+        vals = np.zeros_like(X)
+        for m1 in range(0, mmax + 1):
+            for m2 in range(-mmax, mmax + 1):
+                if m1 == 0 and m2 <= 0:
+                    continue
+                a, b = rng.normal(size=2) / (1.0 + m1 * m1 + m2 * m2)
+                vals += a * np.cos(m1 * X + m2 * Y) + b * np.sin(m1 * X + m2 * Y)
+        comps.append(vals * cut)
+    return GridField(np.stack(comps, axis=-1), (period, period))
+
+
+# ---------------------------------------------------------------------------
+# the record
+# ---------------------------------------------------------------------------
+
+@given(shapes, periods, seeds)
+def test_record_matches_old_frequency_arrays(shape, period, seed):
+    f = _noise(seed, shape, 1, period)
+    rec = Spectrum(f)
+    assert np.array_equal(rec.hat, fft(f))
+    assert np.array_equal(rec.mag, _old_xi_magnitude(f))
+    full = [np.broadcast_to(x, f.shape) for x in rec.xi]
+    assert _same(full, _old_xi_grids(f))
+
+
+# ---------------------------------------------------------------------------
+# extension: slabs, the pairing identity and the private copies folded in
+# ---------------------------------------------------------------------------
+
+@given(shapes, periods, seeds, st.floats(0.0, 3.0), st.integers(1, 3))
+def test_slab_derivatives_bits(shape, period, seed, t, dimV):
+    f = _noise(seed, shape, dimV, period)
+    old = _old_slab_derivatives(f, t)
+    assert _same(slab_derivatives(f, t), old)
+    rec = Spectrum(f)
+    for _ in range(2):  # a record reused across heights
+        assert _same(slab_derivatives(rec, t), old)
+
+
+@given(shapes, periods, seeds, st.floats(0.0, 3.0), st.integers(1, 3))
+def test_poisson_slab_bits(shape, period, seed, t, dimV):
+    f = _noise(seed, shape, dimV, period)
+    old = _old_poisson_slab(f, t)
+    assert _same(poisson_slab(f, t), old)
+    assert _same(poisson_slab(Spectrum(f), t), old)
+
+
+@given(shapes, periods, seeds, st.sampled_from([2.0, 8.0]),
+       st.integers(2, 6), st.sampled_from([1e-6, 1.0]))
+def test_pairing_identity_bits(shape, period, seed, T, levels, tail_tol):
+    rng = np.random.default_rng(seed)
+    u = GridField(rng.normal(size=shape + (2,)), period)
+    phi = GridField(rng.normal(size=shape + (1,)), period)
+    _assert_same_outcome(
+        _outcome(_old_pairing_identity, u, phi, T, levels, tail_tol),
+        _outcome(pairing_identity, u, phi, T, levels, tail_tol))
+
+
+def test_pairing_identity_bits_on_experiment_inputs():
+    """The extension-identity inputs at the smallest level: rhs and the rest
+    to the last bit, with the experiment's T and tail gate."""
+    rng = np.random.default_rng(7)
+    u = random_bandlimited(rng, (64, 64), 2, cutoff=True)
+    phi = random_bandlimited(rng, (64, 64), 1, cutoff=True)
+    assert _same(pairing_identity(u, phi, T=8.0, tLevels=16),
+                 _old_pairing_identity(u, phi, T=8.0, tLevels=16))
+
+
+@given(shapes, periods, seeds)
+def test_average_extend_bits(shape, period, seed):
+    u = _noise(seed, shape, 2, period)
+    tGrid = [0.0, min(period) / 5, min(period) / 3]
+    new = average_extend(u, tGrid)
+    assert _same(list(new.slabs), _old_average_extend_slabs(u, tGrid))
+
+
+@given(shapes, periods, seeds)
+def test_harmonicity_residual_bits(shape, period, seed):
+    hsf = poisson_extend(_noise(seed, shape, 1, period), [0.0, 0.1, 0.25, 0.3])
+    assert _same(harmonicity_residual(hsf), _old_harmonicity_residual(hsf))
+
+
+def _old_interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
+                   amplitudes=(0.5, 1.0, 2.0), shape=256, beta1=0.75):
+    n = 2
+    if abs(alpha / q + (n - alpha) / p - 1.0) > 1e-12:
+        raise ValueError("exponents must satisfy alpha/q + (n-alpha)/p = 1")
+    period = 2 * math.pi
+    x = np.arange(shape) * (period / shape)
+    X, Y = np.meshgrid(x, x, indexing="ij")
+    records = []
+    for m in m_list:
+        for a in amplitudes:
+            amp = a * float(m) ** -beta1
+            uvals = np.stack([amp * np.sin(m * X), -amp * np.cos(m * Y)],
+                             axis=-1)
+            u = GridField(uvals, (period, period))
+            phi_tp = TrigPoly.wave(2, (m, 0), "cos", float(m) ** -alpha)
+            phi_tp = trig_product(phi_tp, TrigPoly.wave(2, (0, m), "sin"))
+            phiv = phi_tp.render((shape, shape))
+            u1x, u1y = _old_grad2(uvals[..., 0], (period, period))
+            u2x, u2y = _old_grad2(uvals[..., 1], (period, period))
+            det = u1x * u2y - u1y * u2x
+            pairing = float(np.sum(det * phiv.values[..., 0]) * u.cell_volume)
+            du = GridField(np.stack([u1x, u1y, u2x, u2y], axis=-1),
+                           (period, period))
+            denom = (_holder_surrogate(phi_tp, alpha)
+                     * lebesgue_norm(u, q) ** alpha
+                     * lebesgue_norm(du, p) ** (n - alpha))
+            records.append({"m": m, "amplitude": a,
+                            "ratio": abs(pairing) / denom})
+    ratios = [r["ratio"] for r in records]
+    return {"records": records, "max_ratio": max(ratios),
+            "min_ratio": min(ratios), "spread": max(ratios) / min(ratios)}
+
+
+def test_interpolation_ensemble_bits():
+    """The thmD interpolation ratios, built on per-component records."""
+    kw = dict(m_list=(4, 8), amplitudes=(0.5, 2.0), shape=32)
+    assert _same(interpolation_ensemble(**kw),
+                 _old_interpolation_ensemble(**kw))
+
+
+@given(shapes, periods, seeds)
+def test_jacobian_bits(shape, period, seed):
+    u = _noise(seed, shape, 2, period)
+    u1x, u1y = _old_grad2(u.values[..., 0], u.period)
+    u2x, u2y = _old_grad2(u.values[..., 1], u.period)
+    assert np.array_equal(jacobian(u), u1x * u2y - u1y * u2x)
+
+
+@given(shapes, periods, seeds, st.integers(2, 3))
+def test_record_derivative_matches_spectral_derivative(shape, period, seed,
+                                                       dimV):
+    f = _noise(seed, shape, dimV, period)
+    rec = Spectrum(f)
+    for axis in range(2):
+        for c in range(dimV):
+            old = _old_spectral_derivative(f.component(c), axis)
+            assert np.array_equal(rec.derivative(axis)[..., c],
+                                  old.values[..., 0])
+
+
+@given(shapes, periods, seeds)
+def test_cofactor_field_bits(shape, period, seed):
+    U = _noise(seed, shape, 2, period)
+    Sigma, checks = cofactor_field(U)
+    # the earlier construction, entry by entry
+    grads = [[_old_spectral_derivative(U.component(j), i).values[..., 0]
+              for i in range(2)] for j in range(2)]
+    DU = np.zeros(U.shape + (2, 2))
+    for j in range(2):
+        for i in range(2):
+            DU[..., j, i] = grads[j][i]
+    old_sigma = np.zeros(U.shape + (2,))
+    for i in range(2):
+        sub = np.delete(np.delete(DU, 0, axis=-2), i, axis=-1)
+        old_sigma[..., i] = (-1.0) ** i * np.linalg.det(sub)
+    old_sigma_f = GridField(old_sigma, U.period)
+    div = np.zeros(U.shape)
+    for i in range(2):
+        div += _old_spectral_derivative(old_sigma_f.component(i),
+                                        i).values[..., 0]
+    scale = float(np.max(np.abs(old_sigma))) + 1e-300
+    assert np.array_equal(Sigma.values, old_sigma)
+    assert _same(checks["div_residual"], float(np.max(np.abs(div))) / scale)
+
+
+def _case1_richardson_inputs():
+    N = cex.make_spec("jac_case1").params["shape"]
+    X, Y = cex._centered_axes(N, 2.0)
+    bank = cex._jac1_bump_bank()
+    test = np.sin(X) * cex._bump_profile(np.hypot(X, Y), 0.0, 0.9)
+    phi = GridField(test[..., None], (2.0, 2.0))
+    return [(GridField(eps ** (-0.5) * bank["g"](X / eps, Y / eps), (2.0, 2.0)),
+             phi) for eps in (1 / 8, 1 / 16, 1 / 32)]
+
+
+def test_jacobian_case_pairings_keep_repr():
+    """The Jacobian cases' grid pairings (jac_case1 at its default k and its
+    Richardson check, jac_case2 in grid mode) equal the earlier
+    m * (2 pi / p) gradient by repr: on periods 2 and 2 pi the record's
+    (m * 2 pi) / p gives the same pairings."""
+    inputs = _case1_richardson_inputs()
+    spec1 = cex.make_spec("jac_case1")
+    for k in (4, 8, 16):
+        f = cex._case1_fields(spec1, k)
+        inputs.append((f["u"], f["phi"]))
+    spec2 = cex.make_spec("jac_case2", mode="grid")
+    for k in (8, 16, 32, 64, 128):
+        f = cex._case2_grid(spec2, k)
+        inputs.append((f["u"], f["phi"]))
+    for u, phi in inputs:
+        assert (repr(cex._grid_det_pairing(u, phi))
+                == repr(_old_grid_det_pairing(u, phi)))
+
+
+# ---------------------------------------------------------------------------
+# mollify and the local maximal function
+# ---------------------------------------------------------------------------
+
+@given(shapes, periods, seeds, st.floats(0.01, 1.0))
+def test_mollify_bits(shape, period, seed, frac):
+    f = _noise(seed, shape, 2, period)
+    t = frac * min(period) / 2
+    old = _outcome(_old_mollify, f, t)
+    _assert_same_outcome(old, _outcome(mollify, f, t))
+    rec = Spectrum(f)
+    for _ in range(2):  # a record reused across scales
+        _assert_same_outcome(old, _outcome(mollify, rec, t))
+
+
+@given(shapes, periods, seeds, st.booleans())
+def test_local_maximal_bits(shape, period, seed, pointwise):
+    f = _noise(seed, shape, 1, period)
+    cfg = MaximalConfig(include_pointwise=pointwise)
+    assert _same(local_maximal(f, cfg), _old_local_maximal(f, cfg))
+
+
+# ---------------------------------------------------------------------------
+# symbols, multipliers and the Helmholtz split
+# ---------------------------------------------------------------------------
+
+OPERATORS = ["divcurl2", "div2", "curl2", "grad", "curl_matrix_n"]
+
+
+@given(shapes, periods, seeds, st.sampled_from(OPERATORS))
+def test_apply_symbol_bits(shape, period, seed, name):
+    sym = sym_mod.make_operator(name)
+    f = _noise(seed, shape, sym.dimV, period)
+    assert _same(apply_symbol(sym, f), _old_apply_symbol(sym, f))
+
+
+@given(shapes, periods, seeds, st.sampled_from([1, 2, 0.5]))
+def test_apply_multiplier_bits(shape, period, seed, order):
+    f = _noise(seed, shape, 2, period)
+    mult = riesz_potential(order)
+    assert _same(apply_multiplier(mult, f),
+                 _old_apply_multiplier_scalar(mult, f))
+
+
+@given(shapes, periods, seeds, st.sampled_from(OPERATORS))
+def test_symbol_stack_bits(shape, period, seed, name):
+    sym = sym_mod.make_operator(name)
+    f = _noise(seed, shape, sym.dimV, period)
+    assert _same(list(decompose._symbol_stack(sym, Spectrum(f))),
+                 list(_old_symbol_stack(sym, f)))
+
+
+def _split(v, sym, report):
+    res = helmholtz(v, sym, rank_report=report)
+    return [res.bPart, res.aStarPart, res.w, res.reconstructionError,
+            res.constraintResidual, res.orthogonalityResidual,
+            res.potentialResidual]
+
+
+@given(shapes, periods, st.lists(seeds, min_size=4, max_size=4),
+       st.sampled_from([("divcurl2", "div2"), ("div2", "curl_matrix_n"),
+                        ("curl_matrix_n", "divcurl2")]))
+def test_helmholtz_bits_first_reused_and_after_other_operator(
+        shape, period, keys, names):
+    sym, other = (sym_mod.make_operator(n) for n in names)
+    v = [_noise(k, shape, sym.dimV, period) for k in keys[:3]]
+    w = _noise(keys[3], shape, other.dimV, period)
+    # one report per operator, as the decompose experiment passes it, and
+    # one report shared by both, whose single entry the other operator evicts
+    for shared in (None, sym_mod.constant_rank_check(sym, samples=200)):
+        report = shared or sym_mod.constant_rank_check(sym, samples=200)
+        report_w = shared or sym_mod.constant_rank_check(other, samples=200)
+        assert _same(_split(v[0], sym, report), _old_helmholtz(v[0], sym))
+        assert _same(_split(v[1], sym, report), _old_helmholtz(v[1], sym))
+        assert _same(_split(w, other, report_w), _old_helmholtz(w, other))
+        assert _same(_split(v[2], sym, report), _old_helmholtz(v[2], sym))
+        assert len(report.solve_cache) == 1
+
+
+def test_helmholtz_solve_keyed_by_grid_and_tolerance():
+    sym = sym_mod.make_operator("divcurl2")
+    report = sym_mod.constant_rank_check(sym, samples=200)
+    v = _noise(3, (9, 8), sym.dimV, (1.0, 3.0))
+    for period, tol in (((1.0, 3.0), 1e-8), ((3.0, 1.0), 1e-8),
+                        ((1.0, 3.0), 0.5), ((1.0, 3.0), 1e-8)):
+        f = GridField(v.values, period)
+        res = helmholtz(f, sym, tolSV=tol, rank_report=report)
+        old = _old_helmholtz(f, sym, tolSV=tol)
+        assert _same([res.bPart, res.aStarPart, res.w], old[:3])
+        [key] = report.solve_cache
+        assert key[-2:] == (period, tol)
+
+
+def test_helmholtz_solve_is_read_only_and_kept_on_the_report():
+    sym = sym_mod.make_operator("div2")
+    report = sym_mod.constant_rank_check(sym, samples=200)
+    helmholtz(_noise(1, (8, 8), sym.dimV, (1.0, 1.0)), sym,
+              rank_report=report)
+    assert not hasattr(decompose, "_last_solve")
+    [solve] = report.solve_cache.values()
+    for arr in solve:
+        with pytest.raises(ValueError):
+            arr[...] = 0
+
+
+# ---------------------------------------------------------------------------
+# the merged synthesiser against the three loops it replaced
+# ---------------------------------------------------------------------------
+
+def _draws_after(rng):
+    return rng.normal(size=3).tolist()
+
+
+@given(seeds, st.sampled_from([(8, 8), (9, 9), (12, 7), (16, 10), (8, 8, 8),
+                               (5, 6, 7)]),
+       st.integers(1, 4), st.sampled_from([4, 6]))
+def test_synthesiser_matches_cli_and_conftest_loops(seed, shape, dimV,
+                                                    bandlimit):
+    for old_fn in (_old_cli_random_bandlimited,
+                   _old_conftest_random_bandlimited):
+        r_old, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        old = old_fn(r_old, shape, dimV, bandlimit=bandlimit)
+        new = random_bandlimited(r_new, shape, dimV, bandlimit=bandlimit)
+        assert _same(new, old)
+        assert _draws_after(r_new) == _draws_after(r_old)
+
+
+@given(seeds, st.sampled_from([8, 9, 16, 33]), st.integers(1, 3),
+       st.sampled_from([4, 6]))
+def test_synthesiser_cutoff_matches_smooth_compact_loop(seed, N, dimV,
+                                                        bandlimit):
+    r_old, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    old = _old_random_smooth_compact(r_old, N, dimV, mmax=bandlimit)
+    new = random_bandlimited(r_new, (N, N), dimV, bandlimit=bandlimit,
+                             cutoff=True)
+    assert _same(new, old)
+    assert _draws_after(r_new) == _draws_after(r_old)
+
+
+def test_synthesiser_cutoff_needs_a_2d_grid():
+    with pytest.raises(ValueError, match="2D"):
+        random_bandlimited(np.random.default_rng(0), (8, 8, 8), 1,
+                           cutoff=True)
+
+
+def test_synthesiser_defaults_match_cli_defaults():
+    """Default bandlimit 6, and u then phi from one stream as the
+    extension-identity experiment draws them."""
+    r_old, r_new = np.random.default_rng(11), np.random.default_rng(11)
+    assert _same(random_bandlimited(r_new, (16, 16), 4),
+                 _old_cli_random_bandlimited(r_old, (16, 16), 4))
+    for dimV in (2, 1):
+        assert _same(random_bandlimited(r_new, (16, 16), dimV, cutoff=True),
+                     _old_random_smooth_compact(r_old, 16, dimV))
