@@ -3,7 +3,7 @@
 The package bundles:
 
 * exact symbol algebra for l-homogeneous constant-coefficient operators
-  (wave cones, kernel projections, constant-rank checks),
+  (kernel projections, constant-rank checks),
 * periodic grid fields and sparse trigonometric polynomials with exact
   product/integral arithmetic,
 * a function-space toolbox (Zygmund / Orlicz / negative Sobolev / fractional

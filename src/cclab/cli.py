@@ -29,7 +29,7 @@ from .quasiaffine import (INTEGRANDS, FAMILIES, quasiaffine_mean_test,
                           pairing_experiment, make_test_function)
 from .norms import (YoungFunction, MaximalConfig, delta2_check,
                     hardy_bracket_check, luxemburg_norm, lebesgue_norm,
-                    local_hardy_norm, young_conjugate, parse_norm_tag)
+                    local_hardy_norm, young_conjugate)
 from .truncate import lipschitz_truncate, chain_mask_inclusion
 from .extension import pairing_identity, thmD_ensemble, interpolation_ensemble
 
@@ -497,7 +497,7 @@ def _fmt(x):
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))  # a NumPy float64 repr reads np.float64(...)
     return str(x)
 
 
@@ -563,9 +563,6 @@ def main(argv=None):
             sp.add_argument("--seq", default=None)
         if name == "counterexample":
             sp.add_argument("--case", default=None)
-        if name == "hardy":
-            sp.add_argument("--norm", default=None,
-                            help="norm tag sanity parse, e.g. hardy:R=1")
     lp = sub.add_parser("list", help="registry contents")
     del lp
     dp = sub.add_parser("describe", help="describe a registered id")
@@ -606,8 +603,6 @@ def main(argv=None):
                 params["seq"] = args.seq
             if getattr(args, "case", None):
                 params["case"] = args.case
-            if getattr(args, "norm", None):
-                parse_norm_tag(args.norm)  # validation only
             config = ExperimentConfig(experiment=args.command, seed=args.seed,
                                       out=args.out, params=params)
         report = run(config)

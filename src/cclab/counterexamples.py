@@ -16,10 +16,10 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 from scipy import integrate
 
-from .field import (GridField, TrigPoly, jacobian, mollify, trig_pair,
-                    trig_product)
-from .norms import (YoungFunction, MaximalConfig, local_hardy_norm,
-                    besov_block_sums, dominates)
+from .field import (GridField, TrigPoly, jacobian, mollify, standard_bump,
+                    trig_pair, trig_product)
+from .norms import (YoungFunction, local_hardy_norm, besov_block_sums,
+                    besov_sup, dominates)
 from .quasiaffine import fit_exponent
 
 __all__ = ["SequenceSpec", "Table1Row", "make_spec", "make_sequence",
@@ -457,14 +457,6 @@ def harmonic_tail_sum(k):
 # pairing diagnostics per scenario
 # ---------------------------------------------------------------------------
 
-def _bump_profile(r, center, width):
-    t = (np.asarray(r, dtype=float) - center) / width
-    out = np.zeros_like(t)
-    inside = np.abs(t) < 1.0
-    out[inside] = np.exp(-1.0 / (1.0 - t[inside] ** 2))
-    return out
-
-
 def _ex62_pairing(j, test):
     """2 pi int F_j(r) test(r) r dr by adaptive radial quadrature."""
     F = _ex62_radial_F(j)
@@ -488,7 +480,7 @@ def _scenario_concentration(spec, j_list):
         fields = make_sequence(spec, j)
         F = fields["F"]
         X, Y = _centered_axes(N, period)
-        test = _bump_profile(np.hypot(X, Y), 0.0, 0.75)
+        test = standard_bump((np.hypot(X, Y) - 0.0) / 0.75)
         cell = F.cell_volume
         rows["M"].append(float(np.sum(F.values[..., 0] * test) * cell))
         ball = (np.hypot(X, Y) <= 0.75).astype(float)
@@ -502,7 +494,8 @@ def _scenario_oscillation(spec, j_list, hardy_j=None):
     rows = {"j": list(j_list), "M": [], "M_flat": [], "L1": [], "H1": [],
             "hardy_j": []}
     for j in j_list:
-        rows["M"].append(_ex62_pairing(j, lambda r: _bump_profile(r, 0.5, 0.3)))
+        rows["M"].append(_ex62_pairing(
+            j, lambda r: standard_bump((r - 0.5) / 0.3)))
         rows["M_flat"].append(_ex62_pairing(j, lambda r: 1.0))
         # indicator of the ball r <= 1/2 captures only the + mass
         F = _ex62_radial_F(j)
@@ -573,7 +566,7 @@ def _run_case1(spec, ks):
     cell = (2.0 / N) ** 2
     a1 = 0.5 * float(np.sum(bank["b"](X, Y) ** 2) * cell)
     # Richardson check of the moment property with a fixed smooth test
-    test = np.sin(X) * _bump_profile(np.hypot(X, Y), 0.0, 0.9)
+    test = np.sin(X) * standard_bump((np.hypot(X, Y) - 0.0) / 0.9)
     # d/dx1 [sin(x1) bump(r)] at 0 = bump(0) = e^{-1}
     d1_at_0 = math.exp(-1.0)
     ie = []
@@ -653,8 +646,6 @@ def case3_norm_audit(spec, k):
     alpha = spec.params["alpha"]
     n = spec.params["n"]
     beta = (n - alpha) / n
-    phi_blocks = besov_block_sums(f["phi"])
-    holder_sup = max(2.0 ** (alpha * j) * s for j, s in phi_blocks.items())
     u_blocks = besov_block_sums(f["u1"])
     u_surrogate = sum((2.0 ** (beta * j) * s) ** n
                       for j, s in u_blocks.items()) ** (1.0 / n)
@@ -664,7 +655,8 @@ def case3_norm_audit(spec, k):
     gap_ok = min(gaps) >= base
     spacing_ok = all(freqs[i + 1] >= 4 * freqs[i] for i in range(len(freqs) - 1))
     one_per_annulus = len({(fr - 1).bit_length() for fr in freqs}) == len(freqs)
-    return {"holder_surrogate": holder_sup, "besov_surrogate": u_surrogate,
+    return {"holder_surrogate": besov_sup(f["phi"], alpha),
+            "besov_surrogate": u_surrogate,
             "min_gap_ok": bool(gap_ok), "spacing_ok": bool(spacing_ok),
             "one_freq_per_annulus": bool(one_per_annulus),
             "min_gap": min(gaps), "required_gap": base}

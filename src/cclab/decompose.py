@@ -14,9 +14,9 @@ import numpy as np
 
 from . import symbol as sym_mod
 from .field import GridField, Spectrum, ifft, apply_symbol
-from .norms import evaluate_norm, neg_sobolev_norm, lebesgue_norm
+from .norms import lebesgue_norm
 
-__all__ = ["HelmholtzResult", "helmholtz", "helmholtz_estimates"]
+__all__ = ["HelmholtzResult", "helmholtz"]
 
 
 @dataclass(frozen=True)
@@ -119,25 +119,3 @@ def helmholtz(v, sym, tolSV=sym_mod.DEFAULT_TOL_SV, rank_report=None):
                            orthogonalityResidual=float(ortho),
                            potentialResidual=float(potential))
 
-
-def helmholtz_estimates(v, sym, innerB="lebesgue:p=2", innerW="lebesgue:p=2",
-                        result=None):
-    """Measured ratios behind the decomposition estimates.
-
-    Returns {"ratioB": ||bPart||/||v||, "ratioW": ||aStarPart|| /
-    ||Av||_{W^{-l}, inner}}; ratios are reported, never asserted against
-    non-explicit constants.  A-free inputs make the second ratio 0/0 and it
-    is reported as None ("not applicable").
-    """
-    res = result or helmholtz(v, sym)
-    denomB = evaluate_norm(v, innerB)
-    ratioB = evaluate_norm(res.bPart, innerB) / denomB if denomB > 0 else None
-    Av = apply_symbol(sym, v)
-    scale = lebesgue_norm(v, 2) + 1e-300
-    if lebesgue_norm(Av, 2) <= 1e-12 * scale:
-        ratioW = None
-    else:
-        denomW = neg_sobolev_norm(Av, sym.l, innerW, strict=False)
-        numW = evaluate_norm(res.aStarPart, innerW)
-        ratioW = numW / denomW if denomW > 0 else None
-    return {"ratioB": ratioB, "ratioW": ratioW, "result": res}

@@ -13,25 +13,14 @@ determinant mass rather than a single-mode surrogate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .field import GridField, Spectrum, TrigPoly, gradient, jacobian
-from .norms import besov_block_sums, gagliardo_seminorm, lebesgue_norm
+from .norms import besov_sup, lebesgue_norm
 
-__all__ = ["HalfSpaceField", "poisson_extend", "average_extend",
-           "harmonicity_residual", "pairing_identity", "theoremD_ratio",
-           "thmD_ensemble", "interpolation_ensemble", "frac_trace_check",
-           "poisson_slab", "slab_derivatives"]
-
-
-@dataclass(frozen=True)
-class HalfSpaceField:
-    base: object
-    tGrid: tuple
-    slabs: tuple
-    extensionKind: str
+__all__ = ["pairing_identity", "theoremD_ratio", "thmD_ensemble",
+           "interpolation_ensemble", "poisson_slab", "slab_derivatives"]
 
 
 # ---------------------------------------------------------------------------
@@ -55,31 +44,6 @@ def poisson_slab(f, t):
     return GridField(out, rec.field.period)
 
 
-def poisson_extend(f, tGrid):
-    slabs = tuple(poisson_slab(f, float(t)) for t in tGrid)
-    return HalfSpaceField(base=f, tGrid=tuple(float(t) for t in tGrid),
-                          slabs=slabs, extensionKind="poisson")
-
-
-def average_extend(u, tGrid):
-    """Slab at height t = average of u over the periodic ball B_t(x)."""
-    d2 = 0.0
-    for g, p in zip(u.meshgrid(), u.period):
-        d = np.minimum(g, p - g)
-        d2 = d2 + d**2
-    hat = np.fft.fftn(u.values, axes=tuple(range(u.n)))
-    slabs = []
-    for t in tGrid:
-        mask = (d2 <= float(t) ** 2).astype(float)
-        mask /= mask.sum()
-        mhat = np.fft.fftn(mask)
-        out = np.real(np.fft.ifftn(hat * mhat[..., None],
-                                   axes=tuple(range(u.n))))
-        slabs.append(GridField(out, u.period))
-    return HalfSpaceField(base=u, tGrid=tuple(float(t) for t in tGrid),
-                          slabs=tuple(slabs), extensionKind="average")
-
-
 def slab_derivatives(f, t):
     """(d_t, d_x1, ..., d_xn) of the harmonic extension at height t.
 
@@ -96,34 +60,6 @@ def slab_derivatives(f, t):
         out.append(np.real(np.fft.ifftn(hat * (1j * xi * decay)[..., None],
                                         axes=rec.axes)))
     return out
-
-
-def harmonicity_residual(hsf):
-    """Max relative residual of the (t,x)-Laplacian on interior t-triplets
-    (second t-derivative by nonuniform finite differences)."""
-    if hsf.extensionKind != "poisson":
-        raise ValueError("harmonicity applies to the poisson extension")
-    if isinstance(hsf.base, TrigPoly):
-        raise TypeError("render the base to a grid before the residual check")
-    t = np.asarray(hsf.tGrid)
-    worst = 0.0
-    base = hsf.base
-    scale = float(np.max(np.abs(base.values))) + 1e-300
-    mag = Spectrum(base).mag
-    mag2, kmax = mag**2, float(np.max(mag))
-    for i in range(1, len(t) - 1):
-        h1, h2 = t[i] - t[i - 1], t[i + 1] - t[i]
-        u0, u1, u2 = (hsf.slabs[i - 1].values, hsf.slabs[i].values,
-                      hsf.slabs[i + 1].values)
-        dtt = 2 * (h1 * u2 + h2 * u0 - (h1 + h2) * u1) / (h1 * h2 * (h1 + h2))
-        hat = np.fft.fftn(u1, axes=tuple(range(base.n)))
-        lap = -np.real(np.fft.ifftn(
-            hat * mag2[..., None], axes=tuple(range(base.n))))
-        # FD truncation is O(h^2 * |xi|^4); normalize by the mode scale
-        hmax = max(h1, h2)
-        tol_scale = scale * (1 + hmax**2 * kmax**4)
-        worst = max(worst, float(np.max(np.abs(dtt + lap))) / tol_scale)
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +133,6 @@ def _trig_lifted_seminorm(f, order):
     return math.sqrt(total * vol)
 
 
-def _holder_surrogate(phi, alpha):
-    blocks = besov_block_sums(phi)
-    if not blocks:
-        return 0.0
-    return max(2.0 ** (alpha * j) * s for j, s in blocks.items())
-
-
 def theoremD_ratio(u, v, phi, alpha, s=2, pairing=None):
     """Measured ratio |<F(u)-F(v), phi>| / ([phi]_alpha [u-v]_{-1+beta,s}
     ([u]+[v])^{s-1}) with beta = 1 - alpha/s, for the div-curl integrand on
@@ -224,7 +153,7 @@ def theoremD_ratio(u, v, phi, alpha, s=2, pairing=None):
     if pairing is None:
         diff_F = F_pair(u, u) - F_pair(v, v)
         pairing = trig_pair(diff_F, phi)
-    holder = _holder_surrogate(phi, alpha)
+    holder = besov_sup(phi, alpha)
     d = u - v
     dn = _trig_lifted_seminorm(d, -1.0 + beta)
     un = _trig_lifted_seminorm(u, -1.0 + beta)
@@ -292,7 +221,7 @@ def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
             pairing = float(np.sum(det * phiv.values[..., 0]) * u.cell_volume)
             du = GridField(np.stack([u1x, u1y, u2x, u2y], axis=-1),
                            (period, period))
-            denom = (_holder_surrogate(phi_tp, alpha)
+            denom = (besov_sup(phi_tp, alpha)
                      * lebesgue_norm(u, q) ** alpha
                      * lebesgue_norm(du, p) ** (n - alpha))
             records.append({"m": m, "amplitude": a,
@@ -300,44 +229,3 @@ def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
     ratios = [r["ratio"] for r in records]
     return {"records": records, "max_ratio": max(ratios),
             "min_ratio": min(ratios), "spread": max(ratios) / min(ratios)}
-
-
-# ---------------------------------------------------------------------------
-# fractional trace constant
-# ---------------------------------------------------------------------------
-
-def frac_trace_check(f, beta, p, tGrid=None):
-    """Fitted constant: weighted slab-gradient mass over the extension
-    divided by the fractional seminorm of the trace.
-
-    (int int |t^{1-1/p-beta} D_{t,x}F|^p dx dt)^{1/p} / [f]_{beta,p}
-    (the denominator is ||f||_p at beta = 0).  Trapezoid in log t.
-    """
-    if not 0 <= beta < 1 or not 1 < p < math.inf:
-        raise ValueError("need 0 <= beta < 1 and p in (1, inf)")
-    if tGrid is None:
-        tGrid = np.geomspace(1e-4, 12.0, 96)
-    tGrid = np.asarray(tGrid, dtype=float)
-    w_exp = p * (1.0 - 1.0 / p - beta)
-    masses = []
-    cell = f.cell_volume
-    rec = Spectrum(f)
-    for t in tGrid:
-        ds = slab_derivatives(rec, float(t))
-        mag2 = sum(np.sum(d**2, axis=-1) for d in ds)
-        masses.append(float(np.sum(mag2 ** (p / 2.0)) * cell)
-                      * float(t) ** w_exp)
-    masses = np.asarray(masses)
-    # trapezoid in log t: dt = t dlog
-    logt = np.log(tGrid)
-    integral = float(np.trapezoid(masses * tGrid, logt))
-    numerator = integral ** (1.0 / p)
-    if beta == 0:
-        denom = lebesgue_norm(f, p)
-    else:
-        method = "fourier" if p == 2 else "double-sum"
-        denom = gagliardo_seminorm(f, beta, p, method=method)
-    if denom <= 0:
-        return {"constant": None, "note": "not applicable (constant input)"}
-    return {"constant": numerator / denom, "numerator": numerator,
-            "denominator": denom}

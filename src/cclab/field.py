@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass, field
@@ -38,10 +37,6 @@ __all__ = [
     "mollify",
     "standard_bump",
     "random_bandlimited",
-    "save_field",
-    "load_field",
-    "trigpoly_to_json",
-    "trigpoly_from_json",
 ]
 
 TRIG_TERM_CAP = 10**7
@@ -114,20 +109,6 @@ class GridField:
     def integral(self):
         """Vector of componentwise integrals over the box."""
         return self.values.reshape(-1, self.dimV).sum(axis=0) * self.cell_volume
-
-    def lp_norm(self, p):
-        if np.isinf(p):
-            return float(np.max(np.abs(self.values)))
-        return float((np.sum(np.abs(self.values) ** p) * self.cell_volume) ** (1.0 / p))
-
-    def pointwise_norm(self):
-        """Scalar GridField |f(x)| (euclidean over components)."""
-        mag = np.sqrt(np.sum(self.values**2, axis=-1))[..., None]
-        return GridField(mag, self.period)
-
-    def map_values(self, fn):
-        """New field fn(values); fn acts on the raw array."""
-        return GridField(np.asarray(fn(self.values), dtype=float), self.period)
 
     @staticmethod
     def from_function(fn, shape, period=None, dimV=None):
@@ -594,47 +575,3 @@ def mollify(f, t, kernel=standard_bump):
     out = ker_hat[..., None] * rec.hat * f.cell_volume
     return ifft(out, f.period)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-def save_field(f, path_prefix):
-    """Write <prefix>.dat (little-endian f64, row-major) + <prefix>.json sidecar."""
-    data = np.ascontiguousarray(f.values, dtype="<f8")
-    with open(str(path_prefix) + ".dat", "wb") as fh:
-        fh.write(data.tobytes())
-    sidecar = {"n": f.n, "shape": list(f.shape), "period": list(f.period),
-               "dimV": f.dimV}
-    with open(str(path_prefix) + ".json", "w") as fh:
-        json.dump(sidecar, fh)
-
-
-def load_field(path_prefix):
-    with open(str(path_prefix) + ".json") as fh:
-        sidecar = json.load(fh)
-    shape = tuple(sidecar["shape"]) + (sidecar["dimV"],)
-    raw = np.fromfile(str(path_prefix) + ".dat", dtype="<f8").reshape(shape)
-    return GridField(raw.astype(float), tuple(sidecar["period"]))
-
-
-def trigpoly_to_json(a):
-    return json.dumps([
-        {"m": list(m), "re": np.real(amp).tolist(), "im": np.imag(amp).tolist()}
-        for m, amp in sorted(a.terms.items())
-    ])
-
-
-def trigpoly_from_json(text, n=None, dimV=None, period=2 * math.pi):
-    doc = json.loads(text)
-    terms = {}
-    for entry in doc:
-        m = tuple(entry["m"])
-        amp = np.array(entry["re"], dtype=float) + 1j * np.array(entry["im"], dtype=float)
-        terms[m] = amp
-    if not terms and (n is None or dimV is None):
-        raise ValueError("empty serialization needs explicit n, dimV")
-    some = next(iter(terms)) if terms else None
-    n = n if n is not None else len(some)
-    dimV = dimV if dimV is not None else terms[some].size
-    return TrigPoly(n=n, dimV=dimV, terms=terms, period=period)

@@ -14,7 +14,7 @@ sample ranges, since any finite range alone cannot decide them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "neg_sobolev_norm",
     "gagliardo_seminorm",
     "holder_seminorm",
+    "besov_sup",
     "local_maximal",
     "local_hardy_norm",
     "parse_norm_tag",
@@ -474,42 +475,6 @@ def _gagliardo_fourier(f, beta, p):
     return float(math.sqrt(total))
 
 
-def holder_seminorm(f, alpha, method="gridmax", tile=2048):
-    """C^{0,alpha} seminorm.
-
-    gridmax: sup |f(x)-f(y)|/d(x,y)^alpha over grid pairs (periodic metric).
-    besov: sup over dyadic frequency annuli of 2^{alpha j} (block amplitude
-    sum); exact on single-product blocks, an upper bound in general; TrigPoly
-    only, and alpha in (0,1) (the dyadic-block route does not see alpha = 1).
-    """
-    if not (0 < alpha <= 1):
-        raise ValueError("alpha must lie in (0,1]")
-    if method == "besov":
-        if not isinstance(f, TrigPoly):
-            raise TypeError("besov method expects a TrigPoly")
-        if alpha == 1:
-            raise ValueError("besov route is only used for alpha in (0,1)")
-        return _besov_sup(f, alpha)
-    if isinstance(f, TrigPoly):
-        raise TypeError("gridmax method expects a GridField (render first)")
-    pts, vals = _flat_points(f)
-    npts = pts.shape[0]
-    best = 0.0
-    for i0 in range(0, npts, tile):
-        px = pts[i0 : i0 + tile]
-        vx = vals[i0 : i0 + tile]
-        for j0 in range(0, npts, tile):
-            py = pts[j0 : j0 + tile]
-            vy = vals[j0 : j0 + tile]
-            d2 = _periodic_dist2(px, py, f.period)
-            diff = np.sqrt(np.sum((vx[:, None, :] - vy[None, :, :]) ** 2, axis=-1))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = diff / d2 ** (alpha / 2.0)
-            q[d2 == 0.0] = 0.0
-            best = max(best, float(np.max(q)))
-    return best
-
-
 def _annulus_index(m):
     """Dyadic annulus j with 2^{j-1} < |m|_inf <= 2^j (exact on big ints)."""
     mag = max(abs(int(x)) for x in m)
@@ -529,11 +494,24 @@ def besov_block_sums(f):
     return blocks
 
 
-def _besov_sup(f, alpha):
+def besov_sup(f, alpha):
+    """Besov-block Holder surrogate of a TrigPoly: max over dyadic annuli j
+    of 2^{alpha j} times the block's amplitude sum (0.0 for a constant)."""
     blocks = besov_block_sums(f)
     if not blocks:
         return 0.0
     return max(2.0 ** (alpha * j) * s for j, s in blocks.items())
+
+
+def holder_seminorm(f, alpha):
+    """C^{0,alpha} seminorm of a TrigPoly by the Besov-block surrogate
+    (besov_sup); exact on single-product blocks, an upper bound in general.
+    alpha lies in (0,1): the dyadic-block route does not see alpha = 1."""
+    if not (0 < alpha < 1):
+        raise ValueError("alpha must lie in (0,1)")
+    if not isinstance(f, TrigPoly):
+        raise TypeError("holder_seminorm expects a TrigPoly")
+    return besov_sup(f, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -650,8 +628,7 @@ def evaluate_norm(f, tag):
         return gagliardo_seminorm(f, p.get("beta", 0.5), p.get("p", 2),
                                   method=p.get("method", "double-sum"))
     if v == "holder":
-        return holder_seminorm(f, p.get("alpha", 0.5),
-                               method=p.get("method", "gridmax"))
+        return holder_seminorm(f, p.get("alpha", 0.5))
     if v == "hardy":
         return local_hardy_norm(f, p.get("R", 1.0))
     raise ValueError(f"unknown norm variant {v!r}")

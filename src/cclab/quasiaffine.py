@@ -1,4 +1,4 @@
-"""Quasiaffine integrands, the mean test, cofactor structure, pairings.
+"""Quasiaffine integrands, the mean test and the pairing bank.
 
 An integrand F is quasiaffine for the operator A when its torus average over
 any A-free mean-zero perturbation equals its value at the mean.  The mean
@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbol as sym_mod
-from .field import (GridField, Spectrum, TrigPoly, gradient, standard_bump,
-                    trig_dot, trig_integral, trig_product)
+from .field import (GridField, TrigPoly, standard_bump, trig_dot,
+                    trig_integral, trig_product)
 
 __all__ = [
     "Integrand",
@@ -25,10 +25,8 @@ __all__ = [
     "evaluate_F",
     "quasiaffine_mean_test",
     "pairing_experiment",
-    "cofactor_field",
     "INTEGRANDS",
     "FAMILIES",
-    "TEST_FUNCTIONS",
     "make_test_function",
     "fit_exponent",
 ]
@@ -43,8 +41,7 @@ class Integrand:
     """Polynomial integrand F: R^dimV -> R with homogeneity degree s.
 
     grid_eval acts on value arrays (..., dimV); trig_eval (optional) maps a
-    vector TrigPoly to the exact scalar TrigPoly F(v); grad returns F'(v) as
-    an array (..., dimV).
+    vector TrigPoly to the exact scalar TrigPoly F(v).
     """
 
     name: str
@@ -52,7 +49,6 @@ class Integrand:
     dimV: int
     grid_eval: object
     trig_eval: object = None
-    grad: object = None
 
     def __call__(self, v):
         return evaluate_F(self, v)
@@ -67,11 +63,6 @@ def _det2_trig(v):
             - trig_product(v.component(1), v.component(2)))
 
 
-def _det2_grad(vals):
-    return np.stack([vals[..., 3], -vals[..., 2], -vals[..., 1], vals[..., 0]],
-                    axis=-1)
-
-
 def _dot_grid(vals):
     return vals[..., 0] * vals[..., 2] + vals[..., 1] * vals[..., 3]
 
@@ -79,11 +70,6 @@ def _dot_grid(vals):
 def _dot_trig(v):
     return (trig_product(v.component(0), v.component(2))
             + trig_product(v.component(1), v.component(3)))
-
-
-def _dot_grad(vals):
-    return np.stack([vals[..., 2], vals[..., 3], vals[..., 0], vals[..., 1]],
-                    axis=-1)
 
 
 def _sq_grid(vals):
@@ -97,32 +83,14 @@ def _sq_trig(v):
 INTEGRANDS = {
     # det of a 2x2 matrix field, row-major components (v11, v12, v21, v22)
     "det2": Integrand(name="det2", s=2, dimV=4, grid_eval=_det2_grid,
-                      trig_eval=_det2_trig, grad=_det2_grad),
+                      trig_eval=_det2_trig),
     # v . vt on R^4 = (v1, v2, vt1, vt2)
     "divcurl_dot": Integrand(name="divcurl_dot", s=2, dimV=4,
-                             grid_eval=_dot_grid, trig_eval=_dot_trig,
-                             grad=_dot_grad),
+                             grid_eval=_dot_grid, trig_eval=_dot_trig),
     # |v|^2: the classical non-quasiaffine control
     "sqnorm4": Integrand(name="sqnorm4", s=2, dimV=4, grid_eval=_sq_grid,
-                         trig_eval=_sq_trig, grad=lambda v: 2 * v),
+                         trig_eval=_sq_trig),
 }
-
-
-def minor_integrand(rows, cols, n):
-    """Minor det of the submatrix (rows x cols) of an n x n matrix field."""
-    rows, cols = tuple(rows), tuple(cols)
-    s = len(rows)
-    if s != len(cols):
-        raise ValueError("minor needs equally many rows and columns")
-    idx = [[r * n + c for c in cols] for r in rows]
-
-    def grid_eval(vals):
-        sub = np.stack([np.stack([vals[..., j] for j in row], axis=-1)
-                        for row in idx], axis=-2)
-        return np.linalg.det(sub)
-
-    return Integrand(name=f"minor({rows},{cols})", s=s, dimV=n * n,
-                     grid_eval=grid_eval)
 
 
 def evaluate_F(F, v):
@@ -271,10 +239,6 @@ class PairingReport:
     exponent: float
     fit_residual: float
 
-    @property
-    def deviations(self):
-        return tuple(abs(v - self.limit) for v in self.values)
-
 
 def fit_exponent(indices, deviations):
     """Least-squares slope of log|deviation| against log j."""
@@ -320,50 +284,3 @@ def pairing_experiment(family, F, phi, j_list, limit=0.0, test_id="",
                          test_id=test_id, limit=limit, exponent=expo,
                          fit_residual=resid)
 
-
-# ---------------------------------------------------------------------------
-# cofactor structure
-# ---------------------------------------------------------------------------
-
-def cofactor_field(U, s=None):
-    """Cofactor vector Sigma with det(D_{x'}U') = <D_{x'}U'_1, Sigma>.
-
-    U: GridField with dimV = s components depending on the first s coordinates
-    (s <= n, default s = dimV).  Returns (Sigma field, checks dict) where the
-    checks are the divergence-free residual of Sigma, the two-route
-    determinant agreement, and the pointwise Hadamard bound with constant
-    (s-1)!.
-    """
-    s = s or U.dimV
-    if s > U.n:
-        raise ValueError("need s <= n")
-    grads = [gradient(U.component(j))[:s] for j in range(s)]  # d_i U_j
-    # Sigma_i = cofactor of entry (1, i) in the s x s matrix (d_i U_j)
-    shape = U.shape
-    Sigma = np.zeros(shape + (s,))
-    DU = np.zeros(shape + (s, s))
-    for jcomp in range(s):
-        for i in range(s):
-            DU[..., jcomp, i] = grads[jcomp][i]
-    for i in range(s):
-        sub = np.delete(np.delete(DU, 0, axis=-2), i, axis=-1)
-        Sigma[..., i] = (-1.0) ** i * np.linalg.det(sub)
-    Sigma_f = GridField(Sigma, U.period)
-    det_direct = np.linalg.det(DU)
-    det_pair = np.sum(DU[..., 0, :] * Sigma, axis=-1)
-    # divergence of Sigma in the x' variables
-    div = np.zeros(shape)
-    for i in range(s):
-        div += Spectrum(Sigma_f.component(i)).derivative(i)[..., 0]
-    scale = float(np.max(np.abs(Sigma))) + 1e-300
-    hadamard_rhs = math.factorial(s - 1)
-    prod = np.ones(shape)
-    for jcomp in range(1, s):
-        prod *= np.sqrt(sum(grads[jcomp][i] ** 2 for i in range(s)))
-    checks = {
-        "div_residual": float(np.max(np.abs(div))) / scale,
-        "det_agreement": float(np.max(np.abs(det_direct - det_pair))),
-        "hadamard_ok": bool(np.all(np.sqrt(np.sum(Sigma**2, axis=-1))
-                                   <= hadamard_rhs * prod * (1 + 1e-10) + 1e-12)),
-    }
-    return Sigma_f, checks

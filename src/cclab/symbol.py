@@ -2,14 +2,13 @@
 
 An operator A = sum_{|alpha|=l} A_alpha d^alpha is represented by its
 coefficient matrices.  The symbol A(xi) = sum A_alpha xi^alpha is an exact
-polynomial; rank structure (constant rank, wave cone) is certified by sampling
-the unit sphere, and the frequency-wise projection P(xi) onto ker A(xi) is
+polynomial; its rank structure (constant rank) is certified by sampling the
+unit sphere, and the frequency-wise projection P(xi) onto ker A(xi) is
 what the Helmholtz decomposition consumes.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -19,16 +18,12 @@ __all__ = [
     "MultiIndex",
     "OperatorSymbol",
     "RankReport",
-    "WaveConeSample",
     "evaluate",
     "constant_rank_check",
-    "wave_cone_span",
     "kernel_projection",
     "adjoint_symbol",
     "unit_sphere_points",
     "make_operator",
-    "operator_to_json",
-    "operator_from_json",
     "NAMED_OPERATORS",
 ]
 
@@ -92,17 +87,6 @@ class RankReport:
     @property
     def is_constant(self):
         return isinstance(self.rank, (int, np.integer))
-
-
-@dataclass(frozen=True)
-class WaveConeSample:
-    directions: list  # list of (xi, kernel-basis matrix with columns in ker A(xi))
-    spanRank: int
-    dimV: int
-
-    @property
-    def spanning(self):
-        return self.spanRank == self.dimV
 
 
 def evaluate(sym, xi):
@@ -204,27 +188,6 @@ def kernel_projection(sym, xi, tolSV=DEFAULT_TOL_SV):
     return np.eye(sym.dimV) - Adag @ A
 
 
-def wave_cone_span(sym, samples=100, tolSV=DEFAULT_TOL_SV):
-    """Kernel bases of A(xi) over sampled directions and the rank of their span."""
-    pts = unit_sphere_points(sym.n, samples)
-    directions = []
-    stacked = []
-    for xi in pts:
-        A = evaluate(sym, xi)
-        u, sv, vt = np.linalg.svd(A)
-        sv_max = sv[0] if sv.size else 0.0
-        ker_dim = sym.dimV - (int(np.sum(sv > tolSV * sv_max)) if sv_max > 0 else 0)
-        if ker_dim > 0:
-            basis = vt[sym.dimV - ker_dim :].T  # columns span ker A(xi)
-            directions.append((xi, basis))
-            stacked.append(basis.T)
-    if stacked:
-        span_rank = _numerical_rank(np.vstack(stacked), tolSV)
-    else:
-        span_rank = 0
-    return WaveConeSample(directions=directions, spanRank=span_rank, dimV=sym.dimV)
-
-
 def adjoint_symbol(sym):
     """Formal adjoint A* = sum (-1)^l A_alpha^T d^alpha.
 
@@ -241,7 +204,7 @@ def adjoint_symbol(sym):
 
 
 # ---------------------------------------------------------------------------
-# named operators and serialization
+# named operators
 # ---------------------------------------------------------------------------
 
 def _e(n, i):
@@ -343,19 +306,3 @@ def _name_distance(a, b):
     # tiny edit-distance-ish score for suggestions
     return abs(len(a) - len(b)) + sum(ca != cb for ca, cb in zip(a, b))
 
-
-def operator_to_json(sym):
-    return json.dumps({
-        "n": sym.n, "l": sym.l, "dimV": sym.dimV, "dimW": sym.dimW,
-        "coeffs": [
-            {"alpha": list(alpha), "matrix": mat.tolist()}
-            for alpha, mat in sorted(sym.coeffs.items())
-        ],
-    })
-
-
-def operator_from_json(text):
-    doc = json.loads(text)
-    coeffs = {tuple(c["alpha"]): np.array(c["matrix"], dtype=float) for c in doc["coeffs"]}
-    return OperatorSymbol(n=doc["n"], l=doc["l"], dimV=doc["dimV"], dimW=doc["dimW"],
-                          coeffs=coeffs)

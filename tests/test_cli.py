@@ -71,6 +71,15 @@ def test_write_csv_tagged_headers(tmp_path):
     assert lines[-2:] == ["1,0.1", "2,0.25"]
 
 
+def test_write_csv_numpy_scalars_parse_as_floats(tmp_path):
+    vals = [np.float64(-0.48), np.float64(1e-19), np.float64(2.0)]
+    path = tmp_path / "t.csv"
+    write_csv(path, {"columns": [("x", "measured")],
+                     "rows": [[v] for v in vals]}, seed=0)
+    cells = path.read_text().splitlines()[-3:]
+    assert [float(c) for c in cells] == [float(v) for v in vals]
+
+
 def test_run_outputs_are_deterministic(tmp_path):
     for name in ("a", "b"):
         cfg = ExperimentConfig(experiment="check-rank", seed=11,

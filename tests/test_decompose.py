@@ -5,7 +5,7 @@ import pytest
 
 from cclab.field import GridField, apply_symbol, random_bandlimited
 from cclab.symbol import make_operator, adjoint_symbol
-from cclab.decompose import helmholtz, helmholtz_estimates
+from cclab.decompose import helmholtz
 
 
 @pytest.fixture(scope="module")
@@ -74,24 +74,6 @@ def test_potential_identity(divcurl, rng):
     astar_w = apply_symbol(adjoint_symbol(divcurl), res.w)
     scale = np.max(np.abs(v.values))
     assert np.max(np.abs(astar_w.values - res.aStarPart.values)) < 1e-10 * scale
-
-
-def test_estimates_report_ratios(divcurl, rng):
-    v = random_bandlimited(rng, (32, 32), 4, bandlimit=4)
-    est = helmholtz_estimates(v, divcurl)
-    assert 0.0 < est["ratioB"] <= 1.0 + 1e-12
-    assert est["ratioW"] is None or est["ratioW"] > 0.0
-
-
-def test_estimates_afree_ratio_not_applicable(divcurl):
-    N = 32
-    x = np.arange(N) * 2 * math.pi / N
-    X, Y = np.meshgrid(x, x, indexing="ij")
-    vals = np.stack([np.sin(Y), np.zeros_like(X),
-                     np.sin(X), np.zeros_like(X)], axis=-1)
-    v = GridField(vals, (2 * math.pi, 2 * math.pi))
-    est = helmholtz_estimates(v, divcurl)
-    assert est["ratioW"] is None
 
 
 def test_dimension_mismatch_raises(divcurl, rng):

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from cclab.field import GridField, TrigPoly, random_bandlimited, standard_bump
-from cclab.extension import (poisson_extend, poisson_slab, average_extend,
-                             harmonicity_residual, pairing_identity,
-                             theoremD_ratio, thmD_ensemble, interpolation_ensemble,
-                             frac_trace_check, slab_derivatives)
+from cclab.extension import (poisson_slab, pairing_identity, theoremD_ratio,
+                             thmD_ensemble, interpolation_ensemble,
+                             slab_derivatives)
 
 
 def test_poisson_single_mode_decay():
@@ -39,30 +38,6 @@ def test_poisson_trigpoly_exact():
     grid = slab.render((32, 32))
     ref = tp.render((32, 32))
     assert np.max(np.abs(grid.values - decay * ref.values)) < 1e-14
-
-
-def test_harmonicity_residual_small(rng):
-    f = random_bandlimited(rng, (64, 64), 1, bandlimit=3)
-    coarse = poisson_extend(f, np.linspace(0.2, 1.0, 12))
-    fine = poisson_extend(f, np.linspace(0.2, 1.0, 48))
-    # residual is normalized by the FD truncation scale, so both are tiny
-    assert harmonicity_residual(coarse) < 1e-4
-    assert harmonicity_residual(fine) < 1e-4
-
-
-def test_average_extend_constant_and_lipschitz():
-    c = GridField(np.full((64, 64, 1), 2.5), (2 * math.pi, 2 * math.pi))
-    out = average_extend(c, [0.3, 0.6])
-    for slab in out.slabs:
-        assert np.max(np.abs(slab.values - 2.5)) < 1e-12
-    # |U(x, t) - u(x)| <= L t for L-Lipschitz u
-    N = 128
-    x = np.arange(N) * 2 * math.pi / N
-    u = GridField(np.sin(x)[:, None].repeat(N, 1)[..., None],
-                  (2 * math.pi, 2 * math.pi))
-    t = 0.4
-    out = average_extend(u, [t])
-    assert np.max(np.abs(out.slabs[0].values - u.values)) <= 1.0 * t + 1e-9
 
 
 # -- pairing identity -------------------------------------------------------
@@ -155,41 +130,11 @@ def test_interpolation_exponent_constraint_enforced():
         interpolation_ensemble(alpha=0.5, q=1.0, p=2.0)
 
 
-# -- fractional trace -------------------------------------------------------
+# -- slab derivatives ------------------------------------------------------
 
 def single_mode(m, N=512):
     x = np.arange(N) * 2 * math.pi / N
     return GridField(np.cos(m * x)[..., None], (2 * math.pi,))
-
-
-def test_frac_trace_m_independent():
-    consts = [frac_trace_check(single_mode(m), 0.5, 2.0)["constant"]
-              for m in (2, 4, 8, 16)]
-    assert max(consts) / min(consts) <= 1.10
-
-
-def test_frac_trace_refinement_stable():
-    f = single_mode(6)
-    coarse = frac_trace_check(f, 0.5, 2.0,
-                              tGrid=np.geomspace(1e-4, 12.0, 48))["constant"]
-    fine = frac_trace_check(f, 0.5, 2.0,
-                            tGrid=np.geomspace(1e-4, 12.0, 192))["constant"]
-    assert abs(coarse - fine) <= 0.05 * fine
-
-
-def test_frac_trace_numerator_closed_form():
-    # beta = 1/2, p = 2 makes the weight t^0; F = e^{-mt} cos(mx), so
-    # int_0^inf int_0^{2pi} |D_{t,x}F|^2 dx dt = pi m.  The residual is
-    # dominated by the lower cut-off t = 1e-4 of the default grid.
-    for m in (2, 4, 8, 16):
-        num = frac_trace_check(single_mode(m), 0.5, 2.0)["numerator"]
-        assert abs(num**2 - math.pi * m) <= 1e-2 * math.pi * m
-
-
-def test_frac_trace_constant_not_applicable():
-    f = GridField(np.full((64, 1), 3.0), (2 * math.pi,))
-    rep = frac_trace_check(f, 0.5, 2.0)
-    assert rep["constant"] is None
 
 
 def test_slab_derivatives_match_mode():

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from cclab.field import (GridField, TrigPoly, fft, ifft, apply_symbol,
                          random_bandlimited,
                          riesz_potential, apply_multiplier, trig_product,
-                         trig_dot, trig_integral, trig_pair, mollify, save_field,
-                         load_field, trigpoly_to_json, trigpoly_from_json)
+                         trig_dot, trig_integral, trig_pair, mollify)
 from cclab.symbol import make_operator
 
 
@@ -124,22 +123,6 @@ def test_mollify_scale_validation(rng):
         mollify(f, 0.0)
     with pytest.raises(ValueError):
         mollify(f, 10.0)
-
-
-def test_field_serialization_round_trip(tmp_path, rng):
-    f = random_bandlimited(rng, (16, 16), 2, bandlimit=4)
-    save_field(f, tmp_path / "f")
-    back = load_field(tmp_path / "f")
-    assert np.array_equal(back.values, f.values)
-    assert back.period == f.period
-
-
-def test_trigpoly_serialization_round_trip():
-    tp = TrigPoly.wave(2, (10**30, 2), "sin", 1.5)
-    back = trigpoly_from_json(trigpoly_to_json(tp))
-    assert set(back.terms) == set(tp.terms)
-    for m in tp.terms:
-        assert np.allclose(back.terms[m], tp.terms[m])
 
 
 # -- TrigPoly validation and sparse pairing ---------------------------------

@@ -1,0 +1,32 @@
+"""Every cclab module exports only names it defines and imports only names
+it uses, so dead code cannot hide behind a stale export or import."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import cclab
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(cclab.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    mod = importlib.import_module(f"cclab.{name}")
+    assert [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)] == []
+    exec(f"from cclab.{name} import *", {})
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_unused_module_imports(name):
+    tree = ast.parse((Path(cclab.__file__).parent / f"{name}.py").read_text())
+    imported = {(alias.asname or alias.name).split(".")[0]
+                for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names}
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(imported - used) == []

@@ -5,11 +5,9 @@ import pytest
 
 from cclab.field import TrigPoly, trig_integral
 from cclab.symbol import make_operator
-from cclab.quasiaffine import (INTEGRANDS, minor_integrand, evaluate_F,
-                               quasiaffine_mean_test, pairing_experiment,
-                               make_test_function, fit_exponent,
-                               cofactor_field)
-from cclab.field import GridField, random_bandlimited
+from cclab.quasiaffine import (INTEGRANDS, evaluate_F, quasiaffine_mean_test,
+                               pairing_experiment, make_test_function,
+                               fit_exponent)
 
 
 def test_det2_mean_identity():
@@ -33,13 +31,6 @@ def test_sqnorm_rejected_with_margin():
     # perturbation mass exactly
     for rec in rep["records"]:
         assert rec["deviation"] >= 0.5 * rec["pert_mass"]
-
-
-def test_minor_integrand_matches_det2(rng):
-    F = minor_integrand((0, 1), (0, 1), 2)
-    vals = rng.normal(size=(10, 4))
-    expected = vals[:, 0] * vals[:, 3] - vals[:, 1] * vals[:, 2]
-    assert np.allclose(F.grid_eval(vals), expected)
 
 
 def test_evaluate_F_trig_grid_agree():
@@ -77,10 +68,3 @@ def test_test_function_bank():
     with pytest.raises(KeyError):
         make_test_function("nope")
 
-
-def test_cofactor_structure(rng):
-    u = random_bandlimited(rng, (64, 64), 2, bandlimit=4)
-    _, checks = cofactor_field(u)
-    assert checks["div_residual"] < 1e-10
-    assert checks["det_agreement"] < 1e-10
-    assert checks["hadamard_ok"]

@@ -17,16 +17,14 @@ from hypothesis import given, strategies as st
 from cclab import counterexamples as cex
 from cclab import decompose
 from cclab.decompose import helmholtz
-from cclab.extension import (average_extend, harmonicity_residual,
-                             interpolation_ensemble, pairing_identity,
-                             poisson_extend, poisson_slab, slab_derivatives)
-from cclab.extension import _holder_surrogate
+from cclab.extension import (interpolation_ensemble, pairing_identity,
+                             poisson_slab, slab_derivatives)
 from cclab.field import (GridField, Spectrum, TrigPoly, apply_multiplier,
                          apply_symbol, fft, ifft, jacobian, mollify,
                          random_bandlimited, riesz_potential, standard_bump,
                          trig_product)
-from cclab.norms import MaximalConfig, lebesgue_norm, local_maximal
-from cclab.quasiaffine import cofactor_field
+from cclab.norms import (MaximalConfig, besov_block_sums, lebesgue_norm,
+                         local_maximal)
 from cclab import symbol as sym_mod
 
 SHAPES = [(8, 8), (9, 9), (8, 11), (12, 7), (16, 10)]
@@ -251,46 +249,6 @@ def _old_pairing_identity(u, phi, T=8.0, tLevels=64, tail_tol=1e-6):
             "tail": tail}
 
 
-def _old_average_extend_slabs(u, tGrid):
-    grids = u.meshgrid()
-    slabs = []
-    for t in tGrid:
-        d2 = 0.0
-        for g, p in zip(grids, u.period):
-            d = np.minimum(g, p - g)
-            d2 = d2 + d**2
-        mask = (d2 <= float(t) ** 2).astype(float)
-        mask /= mask.sum()
-        mhat = np.fft.fftn(mask)
-        hat = np.fft.fftn(u.values, axes=tuple(range(u.n)))
-        out = np.real(np.fft.ifftn(hat * mhat[..., None],
-                                   axes=tuple(range(u.n))))
-        slabs.append(GridField(out, u.period))
-    return slabs
-
-
-def _old_harmonicity_residual(hsf):
-    t = np.asarray(hsf.tGrid)
-    worst = 0.0
-    base = hsf.base
-    scale = float(np.max(np.abs(base.values))) + 1e-300
-    for i in range(1, len(t) - 1):
-        h1, h2 = t[i] - t[i - 1], t[i + 1] - t[i]
-        u0, u1, u2 = (hsf.slabs[i - 1].values, hsf.slabs[i].values,
-                      hsf.slabs[i + 1].values)
-        dtt = 2 * (h1 * u2 + h2 * u0 - (h1 + h2) * u1) / (h1 * h2 * (h1 + h2))
-        hat = np.fft.fftn(u1, axes=tuple(range(base.n)))
-        lap = -np.real(np.fft.ifftn(
-            hat * (_old_xi_magnitude(base) ** 2)[..., None],
-            axes=tuple(range(base.n))))
-        # FD truncation is O(h^2 * |xi|^4); normalize by the mode scale
-        hmax = max(h1, h2)
-        kmax = float(np.max(_old_xi_magnitude(base)))
-        tol_scale = scale * (1 + hmax**2 * kmax**4)
-        worst = max(worst, float(np.max(np.abs(dtt + lap))) / tol_scale)
-    return worst
-
-
 def _old_spectral_derivative(f, axis):
     fhat = fft(f)
     xis = _old_xi_grids(f)
@@ -484,20 +442,6 @@ def test_pairing_identity_bits_on_experiment_inputs():
                  _old_pairing_identity(u, phi, T=8.0, tLevels=16))
 
 
-@given(shapes, periods, seeds)
-def test_average_extend_bits(shape, period, seed):
-    u = _noise(seed, shape, 2, period)
-    tGrid = [0.0, min(period) / 5, min(period) / 3]
-    new = average_extend(u, tGrid)
-    assert _same(list(new.slabs), _old_average_extend_slabs(u, tGrid))
-
-
-@given(shapes, periods, seeds)
-def test_harmonicity_residual_bits(shape, period, seed):
-    hsf = poisson_extend(_noise(seed, shape, 1, period), [0.0, 0.1, 0.25, 0.3])
-    assert _same(harmonicity_residual(hsf), _old_harmonicity_residual(hsf))
-
-
 def _old_interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
                    amplitudes=(0.5, 1.0, 2.0), shape=256, beta1=0.75):
     n = 2
@@ -522,7 +466,10 @@ def _old_interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 6
             pairing = float(np.sum(det * phiv.values[..., 0]) * u.cell_volume)
             du = GridField(np.stack([u1x, u1y, u2x, u2y], axis=-1),
                            (period, period))
-            denom = (_holder_surrogate(phi_tp, alpha)
+            blocks = besov_block_sums(phi_tp)
+            holder = (max(2.0 ** (alpha * j) * s for j, s in blocks.items())
+                      if blocks else 0.0)
+            denom = (holder
                      * lebesgue_norm(u, q) ** alpha
                      * lebesgue_norm(du, p) ** (n - alpha))
             records.append({"m": m, "amplitude": a,
@@ -559,36 +506,11 @@ def test_record_derivative_matches_spectral_derivative(shape, period, seed,
                                   old.values[..., 0])
 
 
-@given(shapes, periods, seeds)
-def test_cofactor_field_bits(shape, period, seed):
-    U = _noise(seed, shape, 2, period)
-    Sigma, checks = cofactor_field(U)
-    # the earlier construction, entry by entry
-    grads = [[_old_spectral_derivative(U.component(j), i).values[..., 0]
-              for i in range(2)] for j in range(2)]
-    DU = np.zeros(U.shape + (2, 2))
-    for j in range(2):
-        for i in range(2):
-            DU[..., j, i] = grads[j][i]
-    old_sigma = np.zeros(U.shape + (2,))
-    for i in range(2):
-        sub = np.delete(np.delete(DU, 0, axis=-2), i, axis=-1)
-        old_sigma[..., i] = (-1.0) ** i * np.linalg.det(sub)
-    old_sigma_f = GridField(old_sigma, U.period)
-    div = np.zeros(U.shape)
-    for i in range(2):
-        div += _old_spectral_derivative(old_sigma_f.component(i),
-                                        i).values[..., 0]
-    scale = float(np.max(np.abs(old_sigma))) + 1e-300
-    assert np.array_equal(Sigma.values, old_sigma)
-    assert _same(checks["div_residual"], float(np.max(np.abs(div))) / scale)
-
-
 def _case1_richardson_inputs():
     N = cex.make_spec("jac_case1").params["shape"]
     X, Y = cex._centered_axes(N, 2.0)
     bank = cex._jac1_bump_bank()
-    test = np.sin(X) * cex._bump_profile(np.hypot(X, Y), 0.0, 0.9)
+    test = np.sin(X) * standard_bump((np.hypot(X, Y) - 0.0) / 0.9)
     phi = GridField(test[..., None], (2.0, 2.0))
     return [(GridField(eps ** (-0.5) * bank["g"](X / eps, Y / eps), (2.0, 2.0)),
              phi) for eps in (1 / 8, 1 / 16, 1 / 32)]

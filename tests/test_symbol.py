@@ -4,8 +4,7 @@ from hypothesis import given, strategies as st
 
 from cclab import symbol as sym_mod
 from cclab.symbol import (OperatorSymbol, constant_rank_check, evaluate,
-                          kernel_projection, wave_cone_span, adjoint_symbol,
-                          make_operator, operator_to_json, operator_from_json,
+                          kernel_projection, adjoint_symbol, make_operator,
                           unit_sphere_points)
 
 
@@ -67,14 +66,6 @@ def test_projection_rejects_zero_frequency():
         kernel_projection(make_operator("divcurl2"), np.zeros(2))
 
 
-def test_wave_cone_spans_for_divcurl():
-    cone = wave_cone_span(make_operator("divcurl2"), samples=50)
-    assert cone.spanning
-    for xi, basis in cone.directions:
-        A = evaluate(make_operator("divcurl2"), xi)
-        assert np.max(np.abs(A @ basis)) < 1e-10
-
-
 def test_curl_matrix_kernel_is_rank_one():
     sym = make_operator("curl_matrix_n")
     xi = np.array([0.6, 0.8])
@@ -92,13 +83,6 @@ def test_adjoint_round_trip():
     assert adj.dimV == sym.dimW and adj.dimW == sym.dimV
     assert np.allclose(evaluate(adjoint_symbol(adj), np.array([1.0, 2.0])),
                        evaluate(sym, np.array([1.0, 2.0])))
-
-
-def test_json_round_trip():
-    sym = make_operator("divcurl2")
-    back = operator_from_json(operator_to_json(sym))
-    for alpha, mat in sym.coeffs.items():
-        assert np.array_equal(back.coeffs[alpha], mat)
 
 
 def test_make_operator_suggestion():
