@@ -476,14 +476,14 @@ def _scenario_concentration(spec, j_list):
     rows = {"j": list(j_list), "M": [], "L1": [], "H1": []}
     period = spec.params["period"]
     N = spec.params["shape"]
+    X, Y = _centered_axes(N, period)
+    test = standard_bump((np.hypot(X, Y) - 0.0) / 0.75)
+    ball = (np.hypot(X, Y) <= 0.75).astype(float)
     for j in j_list:
         fields = make_sequence(spec, j)
         F = fields["F"]
-        X, Y = _centered_axes(N, period)
-        test = standard_bump((np.hypot(X, Y) - 0.0) / 0.75)
         cell = F.cell_volume
         rows["M"].append(float(np.sum(F.values[..., 0] * test) * cell))
-        ball = (np.hypot(X, Y) <= 0.75).astype(float)
         rows["L1"].append(float(np.sum(F.values[..., 0] * ball) * cell))
         rows["H1"].append(local_hardy_norm(F, R=1.0))
     return rows

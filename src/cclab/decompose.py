@@ -44,13 +44,36 @@ def _symbol_stack(sym, rec):
     return A, flat
 
 
+def _operator_key(sym):
+    return (sym.n, sym.l, sym.dimV, sym.dimW,
+            tuple((alpha, mat.tobytes()) for alpha, mat in sym.coeffs.items()))
+
+
+# (operator, samples, tolSV) -> (rank, witness, samples, tolSV): the fields
+# of a sampled constant-rank certificate, which depend on nothing else
+_CERTIFICATES = {}
+_CERTIFICATE_SAMPLES = 200
+
+
+def _rank_certificate(sym, tolSV):
+    """A new RankReport for sym on every call, built from the certificate
+    remembered per operator and tolSV: the report's solve_cache belongs to
+    this one call, so no Helmholtz solve outlives it."""
+    key = (_operator_key(sym), _CERTIFICATE_SAMPLES, tolSV)
+    fields = _CERTIFICATES.get(key)
+    if fields is None:
+        rep = sym_mod.constant_rank_check(sym, samples=_CERTIFICATE_SAMPLES,
+                                          tolSV=tolSV)
+        fields = _CERTIFICATES[key] = (rep.rank, rep.witness, rep.samples,
+                                       rep.tolSV)
+    return sym_mod.RankReport(*fields)
+
+
 def _frequency_solve(sym, rec, tolSV, cache):
     """(nz, A[nz], P, (A A^T)^+) on the nonzero frequencies of rec's grid,
     read-only.  cache (a RankReport's solve_cache) keeps the last one, so
     the calls that share a report, operator, grid and tolSV reuse it."""
-    key = (sym.n, sym.l, sym.dimV, sym.dimW,
-           tuple((alpha, mat.tobytes()) for alpha, mat in sym.coeffs.items()),
-           rec.field.shape, rec.field.period, tolSV)
+    key = (_operator_key(sym), rec.field.shape, rec.field.period, tolSV)
     solve = cache.get(key)
     if solve is None:
         A, flat_xi = _symbol_stack(sym, rec)
@@ -77,11 +100,11 @@ def helmholtz(v, sym, tolSV=sym_mod.DEFAULT_TOL_SV, rank_report=None):
     """Split v into the frequency-kernel part and the A*-range part.
 
     Requires a certified constant-rank operator (a report may be passed in;
-    otherwise a sampling check is run here).
+    otherwise a sampling check is run here, once per operator and tolSV).
     """
     if v.dimV != sym.dimV:
         raise ValueError("field/operator dimension mismatch")
-    report = rank_report or sym_mod.constant_rank_check(sym, samples=200, tolSV=tolSV)
+    report = rank_report or _rank_certificate(sym, tolSV)
     if not report.is_constant:
         raise ValueError("helmholtz requires a constant-rank operator "
                          f"(witness {report.witness})")

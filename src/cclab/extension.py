@@ -39,9 +39,7 @@ def poisson_slab(f, t):
             terms[m] = a * math.exp(-t * mag)
         return TrigPoly(n=f.n, dimV=f.dimV, terms=terms, period=f.period)
     rec = Spectrum.of(f)
-    decay = np.exp(-t * rec.mag)
-    out = np.real(np.fft.ifftn(rec.hat * decay[..., None], axes=rec.axes))
-    return GridField(out, rec.field.period)
+    return GridField(rec.inverse(np.exp(-t * rec.mag)), rec.field.period)
 
 
 def slab_derivatives(f, t):
@@ -52,14 +50,9 @@ def slab_derivatives(f, t):
     by -|xi|, d_xj by i xi_j.
     """
     rec = Spectrum.of(f)
-    hat, mag = rec.hat, rec.mag
-    decay = np.exp(-t * mag)
-    out = [np.real(np.fft.ifftn(hat * (-mag * decay)[..., None],
-                                axes=rec.axes))]
-    for xi in rec.xi:
-        out.append(np.real(np.fft.ifftn(hat * (1j * xi * decay)[..., None],
-                                        axes=rec.axes)))
-    return out
+    decay = np.exp(-t * rec.mag)
+    return ([rec.inverse(-rec.mag * decay)]
+            + [rec.inverse(1j * xi * decay) for xi in rec.xi])
 
 
 # ---------------------------------------------------------------------------

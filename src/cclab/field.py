@@ -35,6 +35,7 @@ __all__ = [
     "trig_integral",
     "trig_pair",
     "mollify",
+    "mollified",
     "standard_bump",
     "random_bandlimited",
 ]
@@ -136,8 +137,11 @@ def fft(f):
 
 
 def ifft(fhat, period=()):
-    """Inverse of fft; imaginary round-off is discarded."""
-    vals = np.fft.ifftn(fhat, axes=tuple(range(fhat.ndim - 1)))
+    """Inverse of fft; imaginary round-off is discarded.
+
+    The transform runs in place: fhat (complex) is consumed, and the
+    result's values are a view of its real part.  Pass a temporary."""
+    vals = np.fft.ifftn(fhat, axes=tuple(range(fhat.ndim - 1)), out=fhat)
     return GridField(np.real(vals), period)
 
 
@@ -147,10 +151,10 @@ class Spectrum:
     hat is fft(field); xi[i] holds the axis-i frequencies 2 pi m_i / p_i
     (m_i in numpy fft order), shaped to broadcast over the grid; mag is |xi|;
     radius is each grid point's periodic distance |x| from the origin.  Each
-    is built on first use and then kept.  mollify and the slab functions of
-    extension take a Spectrum in place of a GridField, so a caller that
-    transforms one field many times (a sweep of scales or slab heights)
-    pays for each piece once.
+    is built on first use and then kept.  mollify, mollified and the slab
+    functions of extension take a Spectrum in place of a GridField, so a
+    caller that transforms one field many times (a sweep of scales or slab
+    heights) pays for each piece once.
     """
 
     def __init__(self, field):
@@ -189,10 +193,16 @@ class Spectrum:
         grids = np.meshgrid(*disp, indexing="ij")
         return np.sqrt(sum(g**2 for g in grids))
 
+    def inverse(self, multiplier):
+        """Real part of the inverse transform of hat * multiplier, the
+        multiplier (shape: the grid's) acting on every component.  The
+        product is transformed in place, so each call allocates one array."""
+        out = self.hat * multiplier[..., None]
+        return np.real(np.fft.ifftn(out, axes=self.axes, out=out))
+
     def derivative(self, axis):
         """d/dx_axis of every component, an array of shape shape + (dimV,)."""
-        return np.real(np.fft.ifftn(self.hat * (1j * self.xi[axis])[..., None],
-                                    axes=self.axes))
+        return self.inverse(1j * self.xi[axis])
 
 
 def gradient(f):
@@ -555,23 +565,38 @@ def standard_bump(r):
     return out
 
 
-def mollify(f, t, kernel=standard_bump):
-    """Periodic convolution with kernel_t(x) = t^{-n} kernel(|x|/t).
+def mollified(f, ts, kernel=standard_bump):
+    """Yield f * kernel_t for each scale t of ts, in order, where
+    kernel_t(x) = t^{-n} kernel(|x|/t) and the convolution is periodic.
 
     The sampled kernel is renormalized to exact unit discrete integral, so
     mass is preserved to round-off.  f may be a Spectrum, whose transform
-    and radius grid are then reused.
+    and radius grid are then reused.  One kernel-transform buffer and one
+    product buffer serve every scale: each yielded array (shape
+    shape + (dimV,)) is a view of the product buffer, which the next scale
+    overwrites.  A bad scale raises when the sweep reaches it.
     """
     rec = Spectrum.of(f)
     f = rec.field
-    if t <= 0 or t > min(f.period) / 2:
-        raise ValueError("scale t must lie in (0, min period / 2]")
-    ker = kernel(rec.radius / t)
-    total = ker.sum() * f.cell_volume
-    if total <= 0:
-        raise ValueError("kernel support is below grid resolution")
-    ker = ker / total
-    ker_hat = np.fft.fftn(ker)
-    out = ker_hat[..., None] * rec.hat * f.cell_volume
-    return ifft(out, f.period)
+    kbuf = np.empty(f.shape, dtype=complex)
+    buf = np.empty(f.values.shape, dtype=complex)
+    for t in ts:
+        if t <= 0 or t > min(f.period) / 2:
+            raise ValueError("scale t must lie in (0, min period / 2]")
+        ker = kernel(rec.radius / t)
+        total = ker.sum() * f.cell_volume
+        if total <= 0:
+            raise ValueError("kernel support is below grid resolution")
+        np.fft.fftn(ker / total, out=kbuf)
+        np.multiply(kbuf[..., None], rec.hat, out=buf)
+        buf *= f.cell_volume
+        vals = np.fft.ifftn(buf, axes=rec.axes, out=buf).real
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("field values must be finite")
+        yield vals
 
+
+def mollify(f, t, kernel=standard_bump):
+    """f * kernel_t as a GridField: the one scale t of mollified."""
+    rec = Spectrum.of(f)
+    return GridField(next(mollified(rec, (t,), kernel)), rec.field.period)

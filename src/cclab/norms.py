@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .field import (GridField, Spectrum, TrigPoly, apply_multiplier, fft,
-                    mollify, riesz_potential, standard_bump)
+                    mollified, riesz_potential, standard_bump)
 
 __all__ = [
     "YoungFunction",
@@ -541,9 +541,8 @@ def local_maximal(f, cfg=MaximalConfig()):
     rec = Spectrum(f)
     _hat, _radius = rec.hat, rec.radius
     out = np.abs(f.values[..., 0]) if cfg.include_pointwise else np.zeros(f.shape)
-    for t in cfg.t_grid(f):
-        sm = mollify(rec, t, cfg.kernel)
-        out = np.maximum(out, np.abs(sm.values[..., 0]))
+    for sm in mollified(rec, cfg.t_grid(f), cfg.kernel):
+        np.maximum(out, np.abs(sm[..., 0]), out=out)
     return GridField(out[..., None], f.period)
 
 

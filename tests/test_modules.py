@@ -30,3 +30,16 @@ def test_no_unused_module_imports(name):
                 for alias in node.names}
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     assert sorted(imported - used) == []
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_inverse_transforms_run_in_place(name):
+    """Every ifftn call passes out=: at 256^2 a fresh output array per
+    transform costs more than the transform itself."""
+    tree = ast.parse((Path(cclab.__file__).parent / f"{name}.py").read_text())
+    fresh = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "ifftn"
+             and "out" not in {k.arg for k in node.keywords}]
+    assert fresh == []

@@ -20,9 +20,9 @@ from cclab.decompose import helmholtz
 from cclab.extension import (interpolation_ensemble, pairing_identity,
                              poisson_slab, slab_derivatives)
 from cclab.field import (GridField, Spectrum, TrigPoly, apply_multiplier,
-                         apply_symbol, fft, ifft, jacobian, mollify,
-                         random_bandlimited, riesz_potential, standard_bump,
-                         trig_product)
+                         apply_symbol, fft, ifft, jacobian, mollified,
+                         mollify, random_bandlimited, riesz_potential,
+                         standard_bump, trig_product)
 from cclab.norms import (MaximalConfig, besov_block_sums, lebesgue_norm,
                          local_maximal)
 from cclab import symbol as sym_mod
@@ -557,6 +557,67 @@ def test_local_maximal_bits(shape, period, seed, pointwise):
     assert _same(local_maximal(f, cfg), _old_local_maximal(f, cfg))
 
 
+class _KernelFailingAt:
+    """standard_bump, except that call number `at` (from 0) returns the bump
+    times `factor`: 0 empties the kernel, nan poisons the values."""
+
+    def __init__(self, at, factor):
+        self.at, self.factor, self.calls = at, factor, 0
+
+    def __call__(self, r):
+        out = standard_bump(r)
+        if self.calls == self.at:
+            out = out * self.factor
+        self.calls += 1
+        return out
+
+
+@given(shapes, periods, seeds, st.lists(st.floats(0.01, 1.0), min_size=1,
+                                        max_size=5),
+       st.integers(0, 4), st.sampled_from(["none", "scale", "empty", "nan"]),
+       st.booleans())
+def test_mollified_matches_mollify_per_scale(shape, period, seed, fracs, at,
+                                             fault, record):
+    """Each yielded scale has the bytes of the old mollify at that t, and a
+    bad scale raises the old error when the sweep reaches it."""
+    f = _noise(seed, shape, 2, period)
+    ts = [frac * min(period) / 2 for frac in fracs]
+    if fault == "scale" and at < len(ts):
+        ts[at] = min(period)  # beyond min period / 2
+    factor = {"empty": 0.0, "nan": float("nan")}.get(fault, 1.0)
+
+    old, kernel = [], _KernelFailingAt(at, factor)
+    for t in ts:
+        old.append(_outcome(_old_mollify, f, t, kernel))
+        if old[-1][0] == "raised":
+            break
+    new, kernel = [], _KernelFailingAt(at, factor)
+    try:
+        for vals in mollified(Spectrum(f) if record else f, ts, kernel):
+            new.append(("ok", vals.copy()))
+    except ValueError as exc:
+        new.append(("raised", str(exc)))
+
+    assert [o[0] for o in new] == [o[0] for o in old]
+    for (kind, a), (_, b) in zip(old, new):
+        assert a == b if kind == "raised" else a.values.tobytes() == b.tobytes()
+    if fault != "none" and at < len(ts):
+        assert old[-1][0] == "raised" and len(old) == at + 1
+
+
+@given(st.sampled_from([(8, 8), (9, 7), (16, 5), (6, 5, 4), (3, 4, 7)]),
+       st.integers(1, 4), seeds)
+def test_ifft_transforms_its_argument_in_place(shape, dimV, seed):
+    rng = np.random.default_rng(seed)
+    fhat = (rng.normal(size=shape + (dimV,))
+            + 1j * rng.normal(size=shape + (dimV,)))
+    inverse = np.fft.ifftn(fhat.copy(), axes=tuple(range(len(shape))))
+    out = ifft(fhat)
+    assert out.values.tobytes() == np.real(inverse).tobytes()
+    assert fhat.tobytes() == inverse.tobytes()  # the argument is consumed
+    assert np.shares_memory(out.values, fhat)
+
+
 # ---------------------------------------------------------------------------
 # symbols, multipliers and the Helmholtz split
 # ---------------------------------------------------------------------------
@@ -626,6 +687,50 @@ def test_helmholtz_solve_keyed_by_grid_and_tolerance():
         assert _same([res.bPart, res.aStarPart, res.w], old[:3])
         [key] = report.solve_cache
         assert key[-2:] == (period, tol)
+
+
+def test_helmholtz_certifies_each_operator_once(monkeypatch):
+    checks, check = [], sym_mod.constant_rank_check
+
+    def counted(sym, samples, tolSV):
+        checks.append((sym.name, samples, tolSV))
+        return check(sym, samples=samples, tolSV=tolSV)
+
+    sym, other = sym_mod.make_operator("div2"), sym_mod.make_operator("curl2")
+    v = _noise(5, (9, 8), sym.dimV, (1.0, 3.0))
+    calls = [(sym, 1e-8), (other, 1e-8), (sym, 1e-8), (sym, 0.5),
+             (other, 1e-8), (sym, 0.5)]
+    old = [_old_helmholtz(v, s, tolSV=tol)[:3] for s, tol in calls]
+    monkeypatch.setattr(decompose, "_CERTIFICATES", {})
+    monkeypatch.setattr(sym_mod, "constant_rank_check", counted)
+    for (s, tol), parts in zip(calls, old):
+        res = helmholtz(v, s, tolSV=tol)
+        assert _same([res.bPart, res.aStarPart, res.w], parts)
+    assert checks == [("div2", 200, 1e-8), ("curl2", 200, 1e-8),
+                      ("div2", 200, 0.5)]
+
+
+def test_helmholtz_certificate_report_is_fresh_per_call(monkeypatch):
+    monkeypatch.setattr(decompose, "_CERTIFICATES", {})
+    sym = sym_mod.make_operator("div2")
+    first, second = (decompose._rank_certificate(sym, 1e-8) for _ in range(2))
+    assert first is not second and first.solve_cache is not second.solve_cache
+    assert first == second == sym_mod.constant_rank_check(sym, samples=200,
+                                                          tolSV=1e-8)
+
+
+def test_helmholtz_rejects_non_constant_rank_every_call(monkeypatch):
+    monkeypatch.setattr(decompose, "_CERTIFICATES", {})
+    sym = sym_mod.OperatorSymbol(
+        n=2, l=1, dimV=2, dimW=2,
+        coeffs={(1, 0): np.array([[1.0, 0.0], [0.0, 0.0]]),
+                (0, 1): np.array([[0.0, 0.0], [0.0, 1.0]])})
+    witness = sym_mod.constant_rank_check(sym, samples=200).witness
+    v = _noise(2, (8, 8), 2, (1.0, 1.0))
+    for _ in range(2):
+        assert _outcome(helmholtz, v, sym) == (
+            "raised", f"helmholtz requires a constant-rank operator "
+                      f"(witness {witness})")
 
 
 def test_helmholtz_solve_is_read_only_and_kept_on_the_report():
