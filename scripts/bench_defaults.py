@@ -10,12 +10,13 @@ verdict.  Each experiment runs three times; the median wall time and the
 largest ru_maxrss are kept.  The BLAS runs on one thread, as in bench/run.py.
 
 The figures go into one column of a JSON file, next to the versions of
-python, numpy and scipy the runs used.  Other columns of the file are kept,
-so the figures of two checkouts can sit side by side:
+python, numpy and scipy the runs used.  Other columns of the file are kept.
+With --parent-src, a second checkout is timed into the column "parent":
+each experiment's parent and change runs take turns, back to back, so that
+a drift in the host's load lands on both columns alike:
 
-    python3 scripts/bench_defaults.py --src src --column change --json BENCH.json
-    python3 scripts/bench_defaults.py --src ../parent/src --column parent \\
-        --json BENCH.json
+    python3 scripts/bench_defaults.py --src src --parent-src ../parent/src \\
+        --column change --json BENCH.json
 """
 
 import argparse
@@ -62,9 +63,19 @@ def _python(src, code, *args):
     return json.loads(out.strip().splitlines()[-1])
 
 
-def measure(src, experiment, params):
-    runs = [_python(src, CHILD, experiment, json.dumps(params))
-            for _ in range(REPEATS)]
+def measure(srcs, experiment, params):
+    """Run one experiment REPEATS times under each checkout of srcs, the
+    checkouts taking turns and the first to run alternating: one summary per
+    checkout, in the order of srcs."""
+    runs = [[] for _ in srcs]
+    for i in range(REPEATS):
+        turns = list(zip(srcs, runs))
+        for src, done in turns if i % 2 == 0 else turns[::-1]:
+            done.append(_python(src, CHILD, experiment, json.dumps(params)))
+    return [_summary(r) for r in runs]
+
+
+def _summary(runs):
     verdicts = sorted({r["verdict"] for r in runs})
     return {"wall_s": statistics.median(r["wall_s"] for r in runs),
             "walls_s": [r["wall_s"] for r in runs],
@@ -97,20 +108,35 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default="src",
                         help="directory that holds the cclab package")
+    parser.add_argument("--parent-src",
+                        help="cclab of a second checkout, timed in turn with "
+                             "--src into the column 'parent'")
     parser.add_argument("--column", default="change")
     parser.add_argument("--json", default="BENCH.json")
     args = parser.parse_args(argv)
 
-    env, names = environment(args.src)
-    results = {}
+    columns = {args.column: args.src}
+    if args.parent_src:
+        if args.column == "parent":
+            parser.error("--column must not be 'parent' with --parent-src")
+        columns = {"parent": args.parent_src, **columns}
+    envs, names = {}, None
+    for column, src in columns.items():
+        envs[column], found = environment(src)
+        # an experiment that one checkout lacks is not timed
+        names = found if names is None else [n for n in names if n in found]
+    results = {column: {} for column in columns}
     for name, experiment, params in [(n, n, {}) for n in names] + [JAC_CASE3]:
-        results[name] = measure(args.src, experiment, params)
-        r = results[name]
-        print(f"{name:26s} {str(r['verdict']):8s} {r['wall_s']:8.3f} s "
-              f"{r['maxrss_mb']:8.1f} MB", flush=True)
+        for column, r in zip(columns, measure(list(columns.values()),
+                                              experiment, params)):
+            results[column][name] = r
+            print(f"{name:26s} {column:8s} {str(r['verdict']):8s} "
+                  f"{r['wall_s']:8.3f} s {r['maxrss_mb']:8.1f} MB", flush=True)
 
-    column = write_column(args.json, args.column, env, results)
-    print(f"total {column['total_wall_s']:.2f} s -> {args.json} [{args.column}]")
+    for column in columns:
+        total = write_column(args.json, column, envs[column],
+                             results[column])["total_wall_s"]
+        print(f"total {total:.2f} s -> {args.json} [{column}]")
     return 0
 
 

@@ -30,7 +30,7 @@ from .quasiaffine import (INTEGRANDS, FAMILIES, quasiaffine_mean_test,
 from .norms import (YoungFunction, MaximalConfig, delta2_check,
                     hardy_bracket_check, luxemburg_norm, lebesgue_norm,
                     local_hardy_norm, young_conjugate)
-from .truncate import lipschitz_truncate, chain_mask_inclusion
+from .truncate import lipschitz_truncations, chain_mask_inclusion
 from .extension import pairing_identity, thmD_ensemble, interpolation_ensemble
 
 __all__ = ["ExperimentConfig", "RunReport", "run", "main", "describe",
@@ -304,8 +304,8 @@ def _exp_truncate(cfg):
     for i in range(int(p["cases"])):
         rng = item_rng(cfg.seed, "truncate", i)
         v = _truncate_case(rng, int(p["shape"]), int(p["n"]))
-        for lam in p["lambdas"]:
-            res = lipschitz_truncate(v, lam, k=int(p["k"]))
+        for res in lipschitz_truncations(v, p["lambdas"], k=int(p["k"])):
+            lam = res.lam
             worst_bound = max(worst_bound, res.measuredDerivBound)
             if math.isfinite(res.measuredVolumeConstant):
                 vol_by_lam[lam].append(res.measuredVolumeConstant)

@@ -341,10 +341,10 @@ def _orlicz_fields(spec):
     def ftilde_of(ft):
         out = np.zeros_like(ft)
         nz = ft > 0
-        # g(t) t = phi^{-1}(psi(t))
+        # g(t) t = phi^{-1}(psi(t)), bracketed from sqrt(y) since phi = t^2
         with np.errstate(over="ignore"):
-            out[nz] = np.array([phi.inverse(float(y), hi0=max(1.0, float(y)))
-                                for y in psi(ft[nz])])
+            out[nz] = np.array([phi.inverse(y, hi0=max(1.0, math.sqrt(y)))
+                                for y in psi(ft[nz]).tolist()])
         return out
 
     def F(t):

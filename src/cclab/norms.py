@@ -77,13 +77,14 @@ class YoungFunction:
         if y <= 0:
             return 0.0
         lo, hi = 0.0, hi0
-        for _ in range(400):
+        # 2,100 doublings or halvings span every float (2^-1074 to 2^1024)
+        for _ in range(2100):
             if float(self.phi(hi)) >= y:
                 break
             hi *= 2.0
         else:
             raise ValueError("could not bracket phi inverse")
-        for _ in range(200):
+        for _ in range(2100):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:
                 break  # no later step changes (lo+hi)/2, the result

@@ -26,7 +26,8 @@ from scipy import ndimage
 from .field import GridField
 
 __all__ = ["TruncationResult", "WhitneyCube", "lipschitz_truncate",
-           "whitney_extend", "whitney_cubes", "finite_difference_gradient"]
+           "lipschitz_truncations", "whitney_extend", "whitney_cubes",
+           "finite_difference_gradient"]
 
 C_IMPL = 64.0  # documented implementation constant for ||D^k u||_inf <= C lambda
 
@@ -77,18 +78,6 @@ def _level_magnitude(level):
     return np.sqrt(sum(a**2 for a in level))
 
 
-def _cube_average_stack(arr, radii_cells):
-    """Clipped-window cube averages of arr for each radius (in cells)."""
-    out = []
-    ones = np.ones_like(arr)
-    for r in radii_cells:
-        size = 2 * r + 1
-        s = ndimage.uniform_filter(arr, size=size, mode="constant", cval=0.0)
-        w = ndimage.uniform_filter(ones, size=size, mode="constant", cval=0.0)
-        out.append(s / np.maximum(w, 1e-300))
-    return out
-
-
 def _taylor_terms(k, n):
     """Multi-indices of order <= k in n variables with 1/alpha! weights."""
     terms = []
@@ -124,47 +113,54 @@ def whitney_cubes(bad, h):
     Accept an all-bad dyadic cube when its distance to the good set is at
     least side/2; otherwise subdivide.  Single cells are accepted when bad.
     Yields cubes whose side stays within the standard factor-4 window of the
-    distance to the good set.
+    distance to the good set, in depth-first order of the subdivision.
     """
     if not np.any(~bad):
         raise ValueError("trivial truncation: no good points to extend from")
-    dist = ndimage.distance_transform_edt(bad) * h
-    shape = bad.shape
-    top = 1 << (max(shape) - 1).bit_length()
-    cubes = []
-
-    def visit(start, side):
-        sl = tuple(slice(s, min(s + side, dim)) for s, dim in zip(start, shape))
-        block = bad[sl]
-        if block.size == 0 or not np.any(block):
-            return
-        full = all(min(s + side, dim) - s == side for s, dim in zip(start, shape))
-        if full and np.all(block):
-            dmin = float(np.min(dist[sl]))
-            if side == 1 or dmin >= 0.5 * side * h:
-                cubes.append((start, side, dmin))
-                return
-        if side == 1:
-            if bad[start]:
-                cubes.append((start, 1, float(dist[start])))
-            return
-        half = side // 2
-        for offs in itertools.product((0, half), repeat=len(shape)):
-            child = tuple(s + o for s, o in zip(start, offs))
-            if all(c < dim for c, dim in zip(child, shape)):
-                visit(child, half)
-
-    for corner in itertools.product(*[range(0, dim, top) for dim in shape]):
-        visit(corner, top)
+    dist, inds = ndimage.distance_transform_edt(bad, return_indices=True)
+    n = bad.ndim
+    top = 1 << (max(bad.shape) - 1).bit_length()
+    # any/all/min pyramids over 2^n blocks, finest first; a block that
+    # overhangs the box holds padded good cells, so it is never all bad
+    pad = tuple((0, top - dim) for dim in bad.shape)
+    anys = [np.pad(bad, pad)]
+    alls = [anys[0]]
+    mins = [np.pad(dist * h, pad, constant_values=np.inf)]
+    odd = tuple(range(1, 2 * n, 2))
+    while anys[-1].shape[0] > 1:
+        blocks = (anys[-1].shape[0] // 2, 2) * n
+        anys.append(anys[-1].reshape(blocks).any(axis=odd))
+        alls.append(alls[-1].reshape(blocks).all(axis=odd))
+        mins.append(mins[-1].reshape(blocks).min(axis=odd))
+    starts, sides, dmins = [], [], []
+    active = anys[-1]
+    for level in reversed(range(len(anys))):
+        side = 1 << level
+        accept = active & alls[level] & (
+            (side == 1) | (mins[level] >= 0.5 * side * h))
+        found = np.nonzero(accept)
+        starts.append(np.transpose(found) * side)
+        sides.append(np.full(len(found[0]), side))
+        dmins.append(mins[level][found])
+        if level:  # visit the children of every block not accepted
+            active = np.kron(active & ~accept, np.ones((2,) * n, dtype=bool))
+            active &= anys[level - 1]
+    starts, sides, dmins = (np.concatenate(a) for a in (starts, sides, dmins))
+    # depth-first order of disjoint dyadic cubes is the Morton order of their
+    # corners, with axis 0 the more significant bit
+    key = np.zeros(len(sides), dtype=np.int64)
+    for bit in reversed(range(top.bit_length())):
+        for ax in range(n):
+            key = (key << 1) | ((starts[:, ax] >> bit) & 1)
+    order = np.argsort(key)
+    starts, sides, dmins = starts[order], sides[order], dmins[order]
     # nearest good point per cube (from the EDT index map at the cube center)
-    _, inds = ndimage.distance_transform_edt(bad, return_indices=True)
-    out = []
-    for start, side, dmin in cubes:
-        center = tuple(min(s + side // 2, dim - 1) for s, dim in zip(start, shape))
-        nearest = tuple(int(ix[center]) for ix in inds)
-        out.append(WhitneyCube(start=tuple(int(s) for s in start), side=int(side),
-                               dist_to_good=dmin, nearest_good=nearest))
-    return out
+    center = starts + (sides // 2)[:, None]
+    nearest = inds[(slice(None),) + tuple(center.T)].T
+    return [WhitneyCube(start=tuple(s), side=d, dist_to_good=g,
+                        nearest_good=tuple(q))
+            for s, d, g, q in zip(starts.tolist(), sides.tolist(),
+                                  dmins.tolist(), nearest.tolist())]
 
 
 def _pou_bump(t):
@@ -190,101 +186,104 @@ def whitney_extend(good_mask, values, levels, k, h, cubes=None):
     cubes = cubes if cubes is not None else whitney_cubes(bad, h)
     shape = values.shape
     n = values.ndim
-    terms = _taylor_terms(k, n)
-    num = np.zeros(shape)
-    den = np.zeros(shape)
-    axes_coords = [np.arange(dim) * h for dim in shape]
-    for cube in cubes:
-        side_len = cube.side * h
-        center = [(s + (cube.side - 1) / 2.0) * h for s in cube.start]
-        radius = (9.0 / 16.0) * side_len
-        # bounding box of the dilated cube support
-        box = []
-        for ax in range(n):
-            lo = int(math.floor((center[ax] - radius) / h)) - 1
-            hi = int(math.ceil((center[ax] + radius) / h)) + 1
-            box.append(slice(max(lo, 0), min(hi + 1, shape[ax])))
-        box = tuple(box)
-        w = np.ones([b.stop - b.start for b in box])
-        local_coords = []
-        for ax in range(n):
-            x = axes_coords[ax][box[ax]]
-            shp = [1] * n
-            shp[ax] = x.size
-            local_coords.append(x.reshape(shp))
-            w = w * _pou_bump((x.reshape(shp) - center[ax]) / radius)
-        q = cube.nearest_good
-        xq = [q[ax] * h for ax in range(n)]
-        P = np.zeros_like(w)
-        for alpha, coef in terms:
-            dval = _partial_derivative(levels, alpha)[q]
-            mono = coef * dval
-            for ax, a in enumerate(alpha):
-                if a:
-                    mono = mono * (local_coords[ax] - xq[ax]) ** a
-            P = P + mono
-        num[box] += w * P
-        den[box] += w
+    start = np.array([c.start for c in cubes], dtype=np.int64).reshape(-1, n)
+    side = np.array([c.side for c in cubes], dtype=np.int64)
+    q = np.array([c.nearest_good for c in cubes], dtype=np.int64).reshape(-1, n)
+    center = (start + (side[:, None] - 1) / 2.0) * h
+    radius = (9.0 / 16.0) * (side * h)
+    # bounding box of each dilated cube support, clipped to the grid
+    reach = radius[:, None]
+    lo = np.maximum(np.floor((center - reach) / h) - 1, 0).astype(np.int64)
+    hi = np.minimum(np.ceil((center + reach) / h) + 2, shape).astype(np.int64)
+    # every box's cells in one list, cube by cube, each box in C order
+    extent = hi - lo
+    sizes = np.prod(extent, axis=1)
+    owner = np.repeat(np.arange(len(cubes)), sizes)
+    rest = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cells = [None] * n
+    for ax in reversed(range(n)):
+        cells[ax] = lo[owner, ax] + rest % extent[owner, ax]
+        rest = rest // extent[owner, ax]
+    coords = [(np.arange(dim) * h)[ix] for dim, ix in zip(shape, cells)]
+    w = np.ones(owner.size)
+    for ax in range(n):
+        w = w * _pou_bump((coords[ax] - center[owner, ax]) / radius[owner])
+    P = np.zeros_like(w)
+    for alpha, coef in _taylor_terms(k, n):
+        mono = (coef * _partial_derivative(levels, alpha)[tuple(q.T)])[owner]
+        for ax, a in enumerate(alpha):
+            if a:
+                mono = mono * (coords[ax] - q[owner, ax] * h) ** a
+        P = P + mono
+    # bincount adds in list order from 0.0: each cell sums its cubes in order
+    flat = np.ravel_multi_index(tuple(cells), shape)
+    num = np.bincount(flat, weights=w * P, minlength=values.size).reshape(shape)
+    den = np.bincount(flat, weights=w, minlength=values.size).reshape(shape)
     u = values.copy()
-    pou_min = float(np.min(den[bad])) if np.any(bad) else 1.0
+    pou_min = float(np.min(den[bad]))
     if pou_min <= 0.0:
         raise RuntimeError("partition of unity failed to cover the bad set")
     u[bad] = num[bad] / den[bad]
     return u, tuple(cubes), pou_min
 
 
-def lipschitz_truncate(v, lam, k=1, p=2):
-    """Prop-style truncation: returns u with u = v off the bad set exactly,
-    measured sup-derivative constant and level-set volume constant.
+def lipschitz_truncations(v, lams, k=1, p=2):
+    """Prop-style truncation at each level of lams, in order: u = v off the
+    bad set exactly, measured sup-derivative and level-set volume constants.
 
-    v must be scalar (dimV = 1); k in {1, 2}; n in {1, 2}.
+    f and its maximal function are built once; a bad level raises when the
+    sweep reaches it.  v must be scalar (dimV = 1); k in {1, 2}; n in {1, 2}.
     """
     if v.dimV != 1:
         raise ValueError("truncation operates on scalar fields")
     if k not in (1, 2) or v.n not in (1, 2):
         raise ValueError("supported surface: k in {1,2}, n in {1,2}")
-    if lam <= 0:
-        raise ValueError("lambda must be positive")
     h = _spacing(v)
     arr = v.values[..., 0]
     levels = _derivative_stack(arr, h, k)
-    f = sum(_level_magnitude(lv) for lv in levels)
-    # dyadic radii from one cell up to half the box
-    radii = []
+    mags = [_level_magnitude(lv) for lv in levels]
+    f = sum(mags)
+    energy = sum(m ** p for m in mags)
+    top_bound = float(np.max(mags[k]))
+    # clipped-window cube averages over dyadic radii, one cell to half the box
+    maximal = f.copy()
+    ones = np.ones_like(f)
     r = 1
     while r * h <= max(v.period) / 2:
-        radii.append(r)
+        s = ndimage.uniform_filter(f, size=2 * r + 1, mode="constant")
+        w = ndimage.uniform_filter(ones, size=2 * r + 1, mode="constant")
+        maximal = np.maximum(maximal, s / np.maximum(w, 1e-300))
         r *= 2
-    maximal = f.copy()
-    for avg in _cube_average_stack(f, radii):
-        maximal = np.maximum(maximal, avg)
-    exceed = maximal >= 2.0 * lam
-    bad = ndimage.binary_dilation(exceed, iterations=1)
-    if np.all(bad):
-        raise ValueError("trivial truncation: bad set covers the whole box")
-    if not np.any(bad):
-        return TruncationResult(truncated=v, badSet=bad, lam=lam,
-                                measuredDerivBound=_max_deriv(arr, h, k) / lam,
-                                measuredVolumeConstant=0.0, cubes=tuple(),
-                                derivative_orders=k)
-    u, cubes, _ = whitney_extend(~bad, arr, levels, k, h)
-    deriv_bound = _max_deriv(u, h, k) / lam
     cell_vol = v.cell_volume
-    changed_measure = float(np.sum(bad)) * cell_vol
-    over = f > lam
-    denom = float(np.sum(sum(_level_magnitude(lv) ** p for lv in levels)[over])
-                  * cell_vol)
-    volume_const = changed_measure * lam**p / denom if denom > 0 else math.inf
-    return TruncationResult(truncated=GridField(u[..., None], v.period),
-                            badSet=bad, lam=lam,
-                            measuredDerivBound=float(deriv_bound),
-                            measuredVolumeConstant=float(volume_const),
-                            cubes=cubes, derivative_orders=k)
+    for lam in lams:
+        if lam <= 0:
+            raise ValueError("lambda must be positive")
+        bad = ndimage.binary_dilation(maximal >= 2.0 * lam, iterations=1)
+        if np.all(bad):
+            raise ValueError("trivial truncation: bad set covers the whole box")
+        if not np.any(bad):
+            yield TruncationResult(truncated=v, badSet=bad, lam=lam,
+                                   measuredDerivBound=top_bound / lam,
+                                   measuredVolumeConstant=0.0, cubes=tuple(),
+                                   derivative_orders=k)
+            continue
+        u, cubes, _ = whitney_extend(~bad, arr, levels, k, h)
+        deriv_bound = float(np.max(_level_magnitude(
+            _derivative_stack(u, h, k)[k]))) / lam
+        changed_measure = float(np.sum(bad)) * cell_vol
+        denom = float(np.sum(energy[f > lam]) * cell_vol)
+        volume_const = (changed_measure * lam**p / denom if denom > 0
+                        else math.inf)
+        yield TruncationResult(truncated=GridField(u[..., None], v.period),
+                               badSet=bad, lam=lam,
+                               measuredDerivBound=deriv_bound,
+                               measuredVolumeConstant=float(volume_const),
+                               cubes=cubes, derivative_orders=k)
 
 
-def _max_deriv(arr, h, k):
-    levels = _derivative_stack(arr, h, k)
-    return float(np.max(_level_magnitude(levels[k])))
+def lipschitz_truncate(v, lam, k=1, p=2):
+    """The truncation of v at the one level lam (see lipschitz_truncations)."""
+    return next(lipschitz_truncations(v, (lam,), k, p))
 
 
 def chain_mask_inclusion(v, result, tol=1e-10):

@@ -20,7 +20,7 @@ def test_bench_defaults_writes_one_column(tmp_path):
     out.write_text(json.dumps({"columns": {"parent": {"kept": True}}}))
     env, names = script.environment(SRC)
     assert "check-rank" in names and "counterexample" in names
-    results = {"check-rank": script.measure(SRC, "check-rank", {})}
+    results = {"check-rank": script.measure([SRC], "check-rank", {})[0]}
     script.write_column(out, "change", env, results)
     doc = json.loads(out.read_text())
     assert doc["columns"]["parent"] == {"kept": True}
@@ -34,3 +34,34 @@ def test_bench_defaults_writes_one_column(tmp_path):
     assert list(col["experiments"]) == ["check-rank"]
     assert run["verdict"] == "pass" and len(run["walls_s"]) == 3
     assert 0 < run["wall_s"] <= col["total_wall_s"] and run["maxrss_mb"] > 0
+
+
+def test_bench_defaults_parent_src_takes_turns(tmp_path, monkeypatch):
+    script = _script()
+    runs = []
+
+    def fake_python(src, code, *args):
+        if code == script.ENV:
+            found = ["a", "b"] if src == "new" else ["b", "c"]
+            return {"python": "3", "numpy": "2", "scipy": "1",
+                    "experiments": found}
+        runs.append((src, args[0]))
+        return {"wall_s": 2.0 if src == "old" else 1.0, "maxrss_mb": 10.0,
+                "verdict": "pass"}
+
+    monkeypatch.setattr(script, "_python", fake_python)
+    out = tmp_path / "bench.json"
+    assert script.main(["--src", "new", "--parent-src", "old",
+                        "--json", str(out)]) == 0
+    # only the experiment both checkouts have, then jac_case3; the side that
+    # runs first alternates
+    turns = [("old", "b"), ("new", "b"), ("new", "b"), ("old", "b"),
+             ("old", "b"), ("new", "b")]
+    assert runs == turns + [(src, "counterexample") for src, _ in turns]
+    columns = json.loads(out.read_text())["columns"]
+    assert set(columns) == {"parent", "change"}
+    for name, wall in (("parent", 2.0), ("change", 1.0)):
+        col = columns[name]
+        assert set(col["experiments"]) == {"b", "counterexample:jac_case3"}
+        assert col["experiments"]["b"]["walls_s"] == [wall] * 3
+        assert col["total_wall_s"] == 2 * wall

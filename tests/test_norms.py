@@ -80,20 +80,21 @@ def test_young_conjugate_of_square():
 
 # -- the bisections' fixed-point exit -------------------------------------------
 # Reference copies of the solvers as they were before they stopped at their
-# fixed point: every bisection ran all of its 200 steps.
+# fixed point: every bisection ran all of its steps.  The inverse took 400
+# doublings and 200 halvings at most until its caps were raised to 2,100.
 
-def _inverse_200(young, y, hi0=1.0):
+def _inverse_all_steps(young, y, hi0=1.0, doublings=2100, halvings=2100):
     y = float(y)
     if y <= 0:
         return 0.0
     lo, hi = 0.0, hi0
-    for _ in range(400):
+    for _ in range(doublings):
         if float(young.phi(hi)) >= y:
             break
         hi *= 2.0
     else:
         raise ValueError("could not bracket phi inverse")
-    for _ in range(200):
+    for _ in range(halvings):
         mid = 0.5 * (lo + hi)
         if float(young.phi(mid)) < y:
             lo = mid
@@ -156,7 +157,7 @@ _VALUES = (st.floats(allow_nan=True, allow_infinity=True)
 @settings(max_examples=300)
 @given(name=st.sampled_from(sorted(_YOUNG)), y=_VALUES,
        hi0=st.sampled_from([1.0, 1e-300, 0.5, 1e300, 1.7e308]))
-@example(name="t2", y=1e300, hi0=1e300)  # the 200-step cap still binds
+@example(name="t2", y=1e300, hi0=1e300)  # past the old 200-step cap
 @example(name="t", y=1.7e308, hi0=1.79e308)  # lo + hi overflows to inf
 @example(name="log1p", y=1e3, hi0=1e300)  # the bracket doubles to inf
 @example(name="inf-jump", y=1e300, hi0=1.0)
@@ -164,7 +165,18 @@ _VALUES = (st.floats(allow_nan=True, allow_infinity=True)
 def test_inverse_exit_keeps_bits(name, y, hi0):
     young = _YOUNG[name]
     assert (_bits(young.inverse, y, hi0)
-            == _bits(_inverse_200, young, y, hi0))
+            == _bits(_inverse_all_steps, young, y, hi0))
+
+
+@settings(max_examples=200)
+@given(name=st.sampled_from(["t2", "t3/3", "t", "tlogt", "t2log", "exp"]),
+       y=st.floats(1e-20, 1e20), hi0=st.sampled_from([1.0, 0.5]))
+def test_inverse_keeps_bits_within_old_caps(name, y, hi0):
+    # where 400 doublings and 200 halvings reached the root, the raised caps
+    # change nothing
+    young = _YOUNG[name]
+    assert (_bits(young.inverse, y, hi0)
+            == _bits(_inverse_all_steps, young, y, hi0, 400, 200))
 
 
 @settings(max_examples=300)
@@ -178,14 +190,29 @@ def test_conjugate_argmax_exit_keeps_bits(name, t):
             == _bits(_conjugate_argmax_200, phi, t))
 
 
-def test_inverse_cap_binds():
-    # from [0, 1e300] to sqrt(1e300) takes more than 200 halvings, so the
-    # result is the 200-step midpoint, not the root
-    young = YoungFunction.power(2)
+@settings(max_examples=300)
+@given(name=st.sampled_from(["t2", "tlogt"]), y=st.floats(1e-300, 1e300),
+       hi0=st.sampled_from([1.0, 1e-300, 1e300]))
+@example(name="t2", y=1e-300, hi0=1.0)  # 200 halvings stopped at 3.1e-61
+@example(name="t2", y=1e300, hi0=1.0)  # 400 doublings stopped at 2.6e120
+@example(name="t2", y=1e300, hi0=1e300)  # 200 halvings stopped short
+def test_inverse_round_trip(name, y, hi0):
+    young = _YOUNG[name]
     with np.errstate(over="ignore"):
-        got = young.inverse(1e300, hi0=1e300)
-        assert got == _inverse_200(young, 1e300, hi0=1e300)
-    assert got != young.inverse(1e300, hi0=1e150)
+        t = young.inverse(y, hi0)
+    assert abs(float(young.phi(t)) - y) <= 1e-12 * y
+
+
+@settings(max_examples=200)
+@given(y=st.floats(1e-300, 1e300))
+def test_inverse_of_square_ignores_the_bracket(y):
+    # the bisection stops at the one pair of adjacent floats around the root
+    # of a monotone phi, so no bracket a caller passes moves a bit
+    young = _YOUNG["t2"]
+    with np.errstate(over="ignore"):
+        roots = {young.inverse(y, hi0) for hi0 in
+                 (1.0, 1e-300, max(1.0, y), max(1.0, math.sqrt(y)))}
+    assert len(roots) == 1
 
 
 def test_young_conjugate_of_square_keeps_bits():
