@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-from cclab.cli import item_rng, _truncate_case
-from cclab.truncate import lipschitz_truncate
+from cclab.cli import item_rng
+from cclab.truncate import lipschitz_truncations, truncation_case
 
 
 def main():
@@ -27,21 +27,23 @@ def main():
                         default=(0.5, 1.0, 2.0, 5.0, 10.0, 50.0))
     args = parser.parse_args()
 
-    print(f"{'lambda':>8} {'bad frac':>9} {'deriv bound':>12} "
-          f"{'volume const':>13}")
-    for lam in args.lambdas:
-        fracs, bounds, vols = [], [], []
-        for i in range(args.cases):
-            rng = item_rng(args.seed, f"truncate-sweep-{args.n}d", i)
-            v = _truncate_case(rng, args.shape, args.n)
-            try:
-                res = lipschitz_truncate(v, lam, k=1)
-            except ValueError:
+    # one sweep per case: each field's maximal function is built once
+    by_lam = [([], [], []) for _ in args.lambdas]  # fracs, bounds, vols
+    for i in range(args.cases):
+        rng = item_rng(args.seed, f"truncate-sweep-{args.n}d", i)
+        v = truncation_case(rng, args.shape, args.n)
+        sweep = lipschitz_truncations(v, args.lambdas, k=1)
+        for (fracs, bounds, vols), res in zip(by_lam, sweep):
+            if res.truncated is None:
                 continue  # bad set covered the box at this level
             fracs.append(float(np.mean(res.badSet)))
             bounds.append(res.measuredDerivBound)
             if math.isfinite(res.measuredVolumeConstant):
                 vols.append(res.measuredVolumeConstant)
+
+    print(f"{'lambda':>8} {'bad frac':>9} {'deriv bound':>12} "
+          f"{'volume const':>13}")
+    for lam, (fracs, bounds, vols) in zip(args.lambdas, by_lam):
         if not bounds:
             print(f"{lam:>8.2f}   (trivial at this level for all cases)")
             continue

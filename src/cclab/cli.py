@@ -1,8 +1,9 @@
 """Experiment runner: config parsing, dispatch, JSON/CSV reports.
 
-Each registered experiment maps a validated config to a verdict plus tables.
-Exit codes: 0 = all gated checks pass, 2 = inconclusive, 1 = failure or
-config error.  Reports are deterministic for a fixed (config, seed): CSV
+Each registered experiment maps validated params to checks, results and
+tables; `verdict_of` derives the verdict from the checks.  Exit codes: 0 =
+every check passes, 2 = inconclusive (nothing checked), 1 = a check fails or
+the config is bad.  Reports are deterministic for a fixed (config, seed): CSV
 bodies are byte-identical across runs (timestamps live only in report.json).
 """
 
@@ -13,6 +14,7 @@ import difflib
 import hashlib
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -30,11 +32,12 @@ from .quasiaffine import (INTEGRANDS, FAMILIES, quasiaffine_mean_test,
 from .norms import (YoungFunction, MaximalConfig, delta2_check,
                     hardy_bracket_check, luxemburg_norm, lebesgue_norm,
                     local_hardy_norm, young_conjugate)
-from .truncate import lipschitz_truncations, chain_mask_inclusion
+from .truncate import (C_IMPL, lipschitz_truncations, chain_mask_inclusion,
+                       truncation_case)
 from .extension import pairing_identity, thmD_ensemble, interpolation_ensemble
 
-__all__ = ["ExperimentConfig", "RunReport", "run", "main", "describe",
-           "registry_listing", "item_rng"]
+__all__ = ["Check", "ExperimentConfig", "RunReport", "run", "main", "describe",
+           "registry_listing", "item_rng", "verdict_of"]
 
 SCHEMA_VERSION = 1
 
@@ -65,10 +68,47 @@ class ExperimentConfig:
                                 params=dict(doc.get("params", {})))
 
 
+_RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate: `measured relation bound`, over `items` rows, fields, trials
+    or cases (1 for a single value; 0 when there was nothing to check)."""
+    name: str
+    measured: object
+    bound: object
+    relation: str = "<="
+    items: int = 1
+
+    @property
+    def ok(self):
+        return bool(_RELATIONS[self.relation](self.measured, self.bound))
+
+    @property
+    def margin(self):
+        if self.relation == "<=":
+            return self.bound - self.measured
+        if self.relation == ">=":
+            return self.measured - self.bound
+        return None
+
+
+def verdict_of(checks):
+    """fail if any check fails; else inconclusive if nothing was checked (no
+    checks, or a check over zero items); else pass."""
+    if not all(c.ok for c in checks):
+        return "fail"
+    if not checks or any(c.items == 0 for c in checks):
+        return "inconclusive"
+    return "pass"
+
+
 @dataclass(frozen=True)
 class RunReport:
     config: dict
     verdict: str
+    checks: tuple
     results: dict
     wall_clock: float
     version: str
@@ -109,101 +149,116 @@ def _merge_params(defaults, params, experiment):
     return out
 
 
-def _exp_check_rank(cfg):
-    p = _merge_params({"operator": "divcurl2", "samples": 400}, cfg.params,
-                      "check-rank")
+REGISTRY = {}
+
+
+def _experiment(name, summary, anchor, **defaults):
+    """Register runner(p, seed) -> (checks, results, tables) and its params."""
+    def register(runner):
+        REGISTRY[name] = {"runner": runner, "summary": summary,
+                          "anchor": anchor, "defaults": defaults}
+        return runner
+    return register
+
+
+@_experiment("check-rank", "certify constant rank of a named operator symbol",
+             "rank A(xi) constant on the unit sphere",
+             operator="divcurl2", samples=400)
+def _exp_check_rank(p, seed):
     sym = sym_mod.make_operator(p["operator"])
     report = sym_mod.constant_rank_check(sym, samples=int(p["samples"]))
-    verdict = "pass" if report.is_constant else "fail"
+    checks = [Check("constant_rank", report.is_constant, True, "==",
+                    report.samples)]
     rows = [[p["operator"], report.rank, report.is_constant]]
-    return verdict, {"rank": report.rank, "is_constant": report.is_constant}, {
+    return checks, {"rank": report.rank, "is_constant": report.is_constant}, {
         "rank": {"columns": [("operator", "exact"), ("rank", "measured"),
                              ("constant", "measured")], "rows": rows}}
 
 
-def _exp_decompose(cfg):
-    p = _merge_params({"operator": "divcurl2", "fields": 50, "shape": 64,
-                       "tol_recon": 1e-10, "tol_ortho": 1e-9}, cfg.params,
-                      "decompose")
+@_experiment("decompose",
+             "frequency-space splitting v = b + A* w with residuals",
+             "bPart^ = P(xi) v^, w^ = (A A^T)^+ i^l A v^", operator="divcurl2",
+             fields=50, shape=64, tol_recon=1e-10, tol_ortho=1e-9)
+def _exp_decompose(p, seed):
     if int(p["fields"]) < 1:
         raise ConfigError(f"decompose needs fields >= 1, got {p['fields']!r}")
     sym = sym_mod.make_operator(p["operator"])
     report = sym_mod.constant_rank_check(sym, samples=200)
-    rows, worst = [], {"recon": 0.0, "constraint": 0.0, "ortho": 0.0,
-                       "potential": 0.0}
+    rows = []
     shape = (int(p["shape"]),) * sym.n
     for i in range(int(p["fields"])):
-        rng = item_rng(cfg.seed, "decompose", i)
+        rng = item_rng(seed, "decompose", i)
         v = random_bandlimited(rng, shape, sym.dimV)
         res = helmholtz(v, sym, rank_report=report)
-        worst["recon"] = max(worst["recon"], res.reconstructionError)
-        worst["constraint"] = max(worst["constraint"], res.constraintResidual)
-        worst["ortho"] = max(worst["ortho"], res.orthogonalityResidual)
-        worst["potential"] = max(worst["potential"], res.potentialResidual)
         rows.append([i, res.reconstructionError, res.constraintResidual,
                      res.orthogonalityResidual, res.potentialResidual])
-    ok = (worst["recon"] <= p["tol_recon"]
-          and worst["constraint"] <= p["tol_recon"]
-          and worst["ortho"] <= p["tol_ortho"]
-          and worst["potential"] <= p["tol_ortho"])
+    tols = {"recon": p["tol_recon"], "constraint": p["tol_recon"],
+            "ortho": p["tol_ortho"], "potential": p["tol_ortho"]}
+    worst = {key: max([0.0] + [row[j] for row in rows])
+             for j, key in enumerate(tols, 1)}
+    checks = [Check(key, worst[key], tol, "<=", len(rows))
+              for key, tol in tols.items()]
     cols = [("item", "exact"), ("reconstruction", "measured"),
             ("constraint", "measured"), ("orthogonality", "measured"),
             ("potential", "measured")]
-    return ("pass" if ok else "fail"), {"worst": worst}, {
+    return checks, {"worst": worst}, {
         "residuals": {"columns": cols, "rows": rows}}
 
 
-def _exp_pairing(cfg):
-    p = _merge_params({"seq": "ex61", "indices": None, "tol": 1e-12,
-                       "integrand": "divcurl_dot", "test": "bump"},
-                      cfg.params, "pairing")
-    seq = p["seq"]
-    if seq == "ex61":
+@_experiment("pairing",
+             "sequence pairings against a test function, fitted decay",
+             "int F(v_j, vt_j) phi dx", seq="ex61", indices=None, tol=1e-12,
+             integrand="divcurl_dot", test="bump")
+def _exp_pairing(p, seed):
+    seq, cols = p["seq"], [("j", "exact"), ("pairing", "measured")]
+    if seq in ("ex61", "ex62"):
         spec = cex.make_spec(seq)
         indices = tuple(p["indices"] or (2, 4, 8, 16, 32, 64))
+    if seq == "ex61":
         pairings = [float(cex.make_sequence(spec, j)["F"].integral()[0])
                     for j in indices]
         devs = [abs(v - 1.0) for v in pairings]
-        ok = max(devs) <= p["tol"]
+        checks = [Check("deviation", max(devs), p["tol"], "<=", len(devs))]
+        results = {"pairings": pairings, "limit": 1.0}
         rows = [[j, v, d] for j, v, d in zip(indices, pairings, devs)]
-        cols = [("j", "exact"), ("pairing", "measured"),
-                ("deviation", "measured")]
-        return ("pass" if ok else "fail"), {"pairings": pairings,
-                                            "limit": 1.0}, {
-            "pairing": {"columns": cols, "rows": rows}}
-    if seq == "ex62":
-        spec = cex.make_spec(seq)
-        indices = tuple(p["indices"] or (2, 4, 8, 16, 32, 64))
+        cols.append(("deviation", "measured"))
+    elif seq == "ex62":
         rep = cex.run_case(spec, indices)
         verdict_m = cex.sequence_verdict(rep["M"], 0.0)["verdict"]
+        checks = [Check("M_verdict", verdict_m, "converges", "==",
+                        len(indices))]
+        results = {"pairings": rep["M"], "verdict": verdict_m}
         rows = [[j, v] for j, v in zip(indices, rep["M"])]
-        cols = [("j", "exact"), ("pairing", "measured")]
-        return ("pass" if verdict_m == "converges" else "fail"), {
-            "pairings": rep["M"], "verdict": verdict_m}, {
-            "pairing": {"columns": cols, "rows": rows}}
-    if seq in FAMILIES:
+    elif seq in FAMILIES:
         indices = tuple(p["indices"] or (8, 16, 32, 64, 128))
         phi = make_test_function(p["test"])
         rep = pairing_experiment(seq, p["integrand"], phi, indices,
                                  test_id=p["test"])
-        ok = -1.2 <= rep.exponent <= -0.8
+        checks = [Check("exponent_low", rep.exponent, -1.2, ">=",
+                        len(rep.values)),
+                  Check("exponent_high", rep.exponent, -0.8, "<=",
+                        len(rep.values))]
+        results = {"exponent": rep.exponent}
         rows = [[j, v] for j, v in zip(rep.indices, rep.values)]
-        return ("pass" if ok else "fail"), {"exponent": rep.exponent}, {
-            "pairing": {"columns": [("j", "exact"), ("pairing", "measured")],
-                        "rows": rows}}
-    raise ConfigError(f"unknown sequence {seq!r}")
+    else:
+        raise ConfigError(f"unknown sequence {seq!r}")
+    return checks, results, {"pairing": {"columns": cols, "rows": rows}}
 
 
-def _exp_quasiaffine(cfg):
-    p = _merge_params({"operator": "divcurl2", "integrand": "divcurl_dot",
-                       "trials": 100, "tol": 1e-8}, cfg.params, "quasiaffine")
+@_experiment("quasiaffine",
+             "exact mean identity over random constraint-free fields",
+             "mean of F(v0 + pert) equals F(v0)", operator="divcurl2",
+             integrand="divcurl_dot", trials=100, tol=1e-8)
+def _exp_quasiaffine(p, seed):
     sym = sym_mod.make_operator(p["operator"])
     F = INTEGRANDS[p["integrand"]]
     rep = quasiaffine_mean_test(F, sym, trials=int(p["trials"]),
-                                seed=cfg.seed, tol=p["tol"])
-    ok = rep["verdict"] == "quasiaffine-consistent"
+                                seed=seed, tol=p["tol"])
+    checks = [Check("worst_relative_deviation",
+                    rep["worst_relative_deviation"], p["tol"], "<=",
+                    len(rep["records"]))]
     rows = [[i, r["deviation"]] for i, r in enumerate(rep["records"])]
-    return ("pass" if ok else "fail"), {
+    return checks, {
         "verdict": rep["verdict"],
         "worst": rep["worst_relative_deviation"]}, {
         "trials": {"columns": [("trial", "exact"), ("deviation", "measured")],
@@ -216,53 +271,60 @@ _EXPECTED_TABLE1 = (("(i)", ("fail", "fail", "fail")),
                     ("(iv)", ("pass", "pass", "fail")))
 
 
-def _exp_table1(cfg):
-    p = _merge_params({}, cfg.params, "table1")
-    del p
+@_experiment("table1", "four-scenario verdict matrix (measures / L1 / hardy)",
+             "check/cross matrix of the failure modes")
+def _exp_table1(p, seed):
     rows_out = cex.table1()
     got = tuple((r.scenario, r.pattern) for r in rows_out)
-    ok = got == _EXPECTED_TABLE1
+    checks = [Check("pattern", got, _EXPECTED_TABLE1, "==", len(got))]
     rows = [[r.scenario, *r.pattern] for r in rows_out]
     cols = [("scenario", "exact"), ("measures", "measured"),
             ("L1", "measured"), ("hardy", "measured")]
-    return ("pass" if ok else "fail"), {"pattern": [list(g) for _, g in got]}, {
+    return checks, {"pattern": [list(g) for _, g in got]}, {
         "table1": {"columns": cols, "rows": rows}}
 
 
-def _exp_counterexample(cfg):
-    p = _merge_params({"case": "ex63", "indices": None, "overrides": {}},
-                      cfg.params, "counterexample")
+@_experiment("counterexample",
+             "named witness families and their measured verdicts",
+             "see describe(<case>) for the per-case formula", case="ex63",
+             indices=None, overrides={})
+def _exp_counterexample(p, seed):
     spec = cex.make_spec(p["case"], **p["overrides"])
     rep = cex.run_case(spec, p["indices"])
-    verdict, rows, cols = "pass", [], []
-    if p["case"] == "ex63":
-        verdict = "pass" if (rep["divergent"]
-                             and math.isfinite(rep["constraint_mass"])) else "fail"
+    checks = []  # ex61, ex62 and jac_case1 have no gate: inconclusive
+    if p["case"] in ("ex63", "appendixOrlicz"):
+        checks = [Check("divergent", rep["divergent"], True, "==",
+                        len(rep["llogl_masses"]))]
+        if p["case"] == "ex63":
+            checks.append(Check("constraint_mass_finite",
+                                math.isfinite(rep["constraint_mass"]), True,
+                                "=="))
+        levels = rep.get("levels", (10.0, 1e2, 1e3, 1e4, 1e5, 1e6))
         cols = [("level", "exact"), ("llogl_mass", "measured")]
-        rows = [[lv, m] for lv, m in zip(rep["levels"], rep["llogl_masses"])]
-    elif p["case"] == "appendixOrlicz":
-        verdict = "pass" if rep["divergent"] else "fail"
-        cols = [("level", "exact"), ("llogl_mass", "measured")]
-        rows = [[lv, m] for lv, m in
-                zip((10.0, 1e2, 1e3, 1e4, 1e5, 1e6), rep["llogl_masses"])]
+        rows = [[lv, m] for lv, m in zip(levels, rep["llogl_masses"])]
     elif p["case"] == "jac_case2":
         if "max_rel_err" in rep:
-            verdict = "pass" if rep["max_rel_err"] <= 1e-12 else "fail"
+            checks = [Check("max_rel_err", rep["max_rel_err"], 1e-12, "<=",
+                            len(rep["k"]))]
             cols = [("k", "exact"), ("pairing", "measured"),
                     ("closed_form", "reference")]
             rows = [[k, v, c] for k, v, c in
                     zip(rep["k"], rep["pairings"], rep["closed_form"])]
         else:
             rel = abs(rep["fitted_exponent"] - rep["expected_exponent"])
-            verdict = ("pass" if rel <= 0.15 * abs(rep["expected_exponent"])
-                       else "fail")
+            checks = [Check("exponent_error", rel,
+                            0.15 * abs(rep["expected_exponent"]), "<=",
+                            len(rep["k"]))]
             cols = [("k", "exact"), ("pairing", "measured")]
             rows = [[k, v] for k, v in zip(rep["k"], rep["pairings"])]
     elif p["case"] == "jac_case3":
-        pi_n = math.pi ** spec.params["n"]
-        in_band = all(0.5 * pi_n <= r <= 2.0 * pi_n for r in rep["log_ratios"])
-        verdict = ("pass" if rep["max_rel_err"] <= 1e-12 and in_band
-                   else "fail")
+        pi_n, ratios = math.pi ** spec.params["n"], rep["log_ratios"]
+        checks = [Check("max_rel_err", rep["max_rel_err"], 1e-12, "<=",
+                        len(rep["k"])),
+                  Check("log_ratio_low", min(ratios), 0.5 * pi_n, ">=",
+                        len(ratios)),
+                  Check("log_ratio_high", max(ratios), 2.0 * pi_n, "<=",
+                        len(ratios))]
         cols = [("k", "exact"), ("pairing", "measured"), ("exact", "reference")]
         rows = [[k, v, e] for k, v, e in
                 zip(rep["k"], rep["pairings"], rep["exact"])]
@@ -270,115 +332,110 @@ def _exp_counterexample(cfg):
         cols = [("key", "exact"), ("value", "measured")]
         rows = [[k, v] for k, v in sorted(rep.items())
                 if isinstance(v, (int, float, str))]
-    return verdict, {k: v for k, v in rep.items()
-                     if isinstance(v, (int, float, str, bool, list))}, {
+    return checks, {k: v for k, v in rep.items()
+                    if isinstance(v, (int, float, str, bool, list))}, {
         p["case"]: {"columns": cols, "rows": rows}}
 
 
-def _truncate_case(rng, shape1d, n):
-    period = 2 * math.pi
-    shape = (shape1d,) * n
-    axes = [np.arange(s) * period / s for s in shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    vals = np.zeros(shape)
-    for _ in range(4):
-        c = rng.uniform(0.5, period - 0.5, size=n)
-        w = rng.uniform(0.2, 0.8)
-        amp = rng.uniform(-3.0, 3.0)
-        r2 = sum((g - ci) ** 2 for g, ci in zip(grids, c))
-        vals += amp * np.exp(-r2 / (2 * w * w))
-    # one sharp spike to force a nonempty bad set at moderate lambda
-    c = rng.uniform(1.0, period - 1.0, size=n)
-    r2 = sum((g - ci) ** 2 for g, ci in zip(grids, c))
-    vals += rng.uniform(4.0, 8.0) * np.exp(-r2 / (2 * 0.05**2))
-    return GridField(vals[..., None], (period,) * n)
-
-
-def _exp_truncate(cfg):
-    p = _merge_params({"cases": 10, "n": 2, "k": 1, "shape": 128,
-                       "lambdas": (0.5, 1.0, 2.0, 5.0, 10.0, 50.0)},
-                      cfg.params, "truncate")
-    rows, worst_bound = [], 0.0
+@_experiment("truncate",
+             "Lipschitz truncation ensemble: derivative + volume gates",
+             "||D^k u||_inf <= C lambda, u = v off the bad set", cases=10, n=2,
+             k=1, shape=128, lambdas=(0.5, 1.0, 2.0, 5.0, 10.0, 50.0))
+def _exp_truncate(p, seed):
+    rows, checked, worst_bound, chain_fails = [], 0, 0.0, 0
     vol_by_lam = {lam: [] for lam in p["lambdas"]}
-    chain_ok = True
     for i in range(int(p["cases"])):
-        rng = item_rng(cfg.seed, "truncate", i)
-        v = _truncate_case(rng, int(p["shape"]), int(p["n"]))
+        rng = item_rng(seed, "truncate", i)
+        v = truncation_case(rng, int(p["shape"]), int(p["n"]))
         for res in lipschitz_truncations(v, p["lambdas"], k=int(p["k"])):
-            lam = res.lam
+            # a level whose bad set covers the box reads nan, unchecked
+            rows.append([i, res.lam, res.measuredDerivBound,
+                         res.measuredVolumeConstant, int(np.sum(res.badSet))])
+            if res.truncated is None:
+                continue
+            checked += 1
             worst_bound = max(worst_bound, res.measuredDerivBound)
             if math.isfinite(res.measuredVolumeConstant):
-                vol_by_lam[lam].append(res.measuredVolumeConstant)
-            chain_ok = chain_ok and chain_mask_inclusion(v, res)
-            rows.append([i, lam, res.measuredDerivBound,
-                         res.measuredVolumeConstant, int(np.sum(res.badSet))])
+                vol_by_lam[res.lam].append(res.measuredVolumeConstant)
+            chain_fails += not chain_mask_inclusion(v, res)
     # lambdas whose bad sets were empty throughout contribute no ratio
     maxima = [max(vs) for vs in vol_by_lam.values() if vs and max(vs) > 0]
     vol_ratio = max(maxima) / min(maxima) if maxima else 1.0
-    ok = worst_bound <= 64.0 and vol_ratio <= 8.0 and chain_ok
+    checks = [Check("deriv_bound", worst_bound, C_IMPL, "<=", checked),
+              Check("volume_ratio", vol_ratio, 8.0, "<=", len(maxima)),
+              Check("chain_mask_failures", chain_fails, 0, "<=", checked)]
     cols = [("case", "exact"), ("lambda", "exact"),
             ("deriv_bound", "measured"), ("volume_const", "measured"),
             ("bad_cells", "measured")]
-    return ("pass" if ok else "fail"), {
-        "worst_deriv_bound": worst_bound, "volume_ratio": vol_ratio,
-        "chain_ok": chain_ok}, {"truncate": {"columns": cols, "rows": rows}}
+    results = {"worst_deriv_bound": worst_bound, "volume_ratio": vol_ratio,
+               "chain_ok": chain_fails == 0}
+    return checks, results, {"truncate": {"columns": cols, "rows": rows}}
 
 
-def _exp_hardy(cfg):
-    p = _merge_params({"test": "bump", "R": 1.0, "shape": 256},
-                      cfg.params, "hardy")
+@_experiment("hardy", "local Hardy norm of a registered test function",
+             "int_{B_R} sup_t |f * rho_t| dx", test="bump", R=1.0, shape=256)
+def _exp_hardy(p, seed):
     f = make_test_function(p["test"], shape=(int(p["shape"]),) * 2)
     val = local_hardy_norm(f, p["R"], MaximalConfig())
-    ok = math.isfinite(val)
-    return ("pass" if ok else "fail"), {"hardy_norm": val}, {
+    checks = [Check("norm_finite", math.isfinite(val), True, "==")]
+    return checks, {"hardy_norm": val}, {
         "hardy": {"columns": [("test", "exact"), ("R", "exact"),
                               ("norm", "measured")],
                   "rows": [[p["test"], p["R"], val]]}}
 
 
-def _exp_extension_identity(cfg):
-    p = _merge_params({"cases": 5, "T": 8.0,
-                       "levels": ((64, 16), (128, 32), (256, 64)),
-                       "tol": 1e-3}, cfg.params, "extension-identity")
-    rows, ok = [], True
+@_experiment("extension-identity",
+             "surface Jacobian pairing as a half-space bulk integral",
+             "int det(Du) phi = -int_0^T int det D_{t,x}(Phi,U1,U2)", cases=5,
+             T=8.0, levels=((64, 16), (128, 32), (256, 64)), tol=1e-3)
+def _exp_extension_identity(p, seed):
+    rows, finals, unmonotone = [], [], 0
     for i in range(int(p["cases"])):
         errs = []
         for N, L in p["levels"]:
-            rng = item_rng(cfg.seed, "extension-identity", f"{i}:{N}")
+            rng = item_rng(seed, "extension-identity", f"{i}:{N}")
             u = random_bandlimited(rng, (int(N),) * 2, 2, cutoff=True)
             phi = random_bandlimited(rng, (int(N),) * 2, 1, cutoff=True)
             rep = pairing_identity(u, phi, T=p["T"], tLevels=int(L))
             errs.append(rep["relError"])
             rows.append([i, N, L, rep["lhs"], rep["rhs"], rep["relError"]])
-        monotone = all(a >= b for a, b in zip(errs, errs[1:]))
-        ok = ok and monotone and errs[-1] <= p["tol"]
+        unmonotone += not all(a >= b for a, b in zip(errs, errs[1:]))
+        finals.append(errs[-1])
+    worst = max(finals, default=0.0)
+    checks = [Check("final_rel_error", worst, p["tol"], "<=", len(finals)),
+              Check("non_monotone_cases", unmonotone, 0, "<=", len(finals))]
     cols = [("case", "exact"), ("grid", "exact"), ("t_levels", "exact"),
             ("lhs", "measured"), ("rhs", "measured"), ("rel_error", "measured")]
-    return ("pass" if ok else "fail"), {"final_ok": ok}, {
+    # a NumPy bool when the error is measured, as report.json has always had it
+    return checks, {"final_ok": not unmonotone and worst <= p["tol"]}, {
         "identity": {"columns": cols, "rows": rows}}
 
 
-def _exp_thmD(cfg):
-    p = _merge_params({"alpha": 0.5, "s": 2, "max_spread": 4.0},
-                      cfg.params, "thmD")
+@_experiment("thmD", "ratio stability of the fractional determinant estimate",
+             "|<F(u)-F(v),phi>| vs [phi]_alpha [u-v] ([u]+[v])^{s-1}",
+             alpha=0.5, s=2, max_spread=4.0)
+def _exp_thmD(p, seed):
     ens = thmD_ensemble(alpha=p["alpha"], s=int(p["s"]))
     cor = interpolation_ensemble(alpha=p["alpha"])
-    ok = ens["spread"] <= p["max_spread"] and cor["spread"] <= p["max_spread"]
+    checks = [Check(name, e["spread"], p["max_spread"], "<=",
+                    len(e["records"]))
+              for name, e in (("spread", ens), ("interpolation_spread", cor))]
     rows = [[r["m"], r["amplitude"], r["ratio"]] for r in ens["records"]]
     cols = [("m", "exact"), ("amplitude", "exact"), ("ratio", "measured")]
-    return ("pass" if ok else "fail"), {
+    return checks, {
         "spread": ens["spread"], "interpolation_spread": cor["spread"]}, {
         "ratios": {"columns": cols, "rows": rows}}
 
 
-def _exp_orlicz(cfg):
-    p = _merge_params({"p": 2.0, "tol_lux": 1e-8}, cfg.params, "orlicz")
-    rng = item_rng(cfg.seed, "orlicz", 0)
+@_experiment("orlicz", "Young-function toolbox self-consistency checks",
+             "Luxemburg, conjugate round trip, Delta_2, t^s bracket", p=2.0,
+             tol_lux=1e-8)
+def _exp_orlicz(p, seed):
+    rng = item_rng(seed, "orlicz", 0)
     f = GridField(rng.normal(size=(64, 64, 1)), (2 * math.pi, 2 * math.pi))
     pw = p["p"]
     lux = luxemburg_norm(f, YoungFunction.power(pw))
     leb = lebesgue_norm(f, pw)
-    lux_ok = abs(lux - leb) <= p["tol_lux"] * max(1.0, leb)
     with np.errstate(over="ignore"):
         d2a = delta2_check(YoungFunction.zygmund(pw, 1.0))
         d2b = delta2_check(YoungFunction.exp_minus_one())
@@ -390,70 +447,22 @@ def _exp_orlicz(cfg):
                               / np.maximum(cubic(ts), 1e-300)))
     good = hardy_bracket_check(YoungFunction.zygmund(2, 0.5), 2.0)
     bad = hardy_bracket_check(YoungFunction.zygmund(2, 2.0), 2.0)
-    ok = (lux_ok and d2a["delta2"] and not d2b["delta2"]
-          and round_trip <= 1e-5 and good["ok"] and not bad["ok"])
-    rows = [["luxemburg_vs_lebesgue", abs(lux - leb), lux_ok],
-            ["delta2_zygmund", d2a["k"], d2a["delta2"]],
-            ["delta2_exp", d2b["k"], d2b["delta2"]],
-            ["conjugate_round_trip", round_trip, round_trip <= 1e-5],
-            ["bracket_accepts_log_half", 0.0, good["ok"]],
-            ["bracket_rejects_log_two", 0.0, not bad["ok"]]]
+    checks = [Check("luxemburg_vs_lebesgue", abs(lux - leb),
+                    p["tol_lux"] * max(1.0, leb)),
+              Check("delta2_zygmund", d2a["delta2"], True, "=="),
+              Check("delta2_exp", d2b["delta2"], False, "=="),
+              Check("conjugate_round_trip", round_trip, 1e-5),
+              Check("bracket_accepts_log_half", good["ok"], True, "=="),
+              Check("bracket_rejects_log_two", not bad["ok"], True, "==")]
+    # the ok column of a flag check holds the flag itself
+    values = (abs(lux - leb), d2a["k"], d2b["k"], round_trip, 0.0, 0.0)
+    rows = [[c.name, value, c.measured if c.relation == "==" else c.ok]
+            for c, value in zip(checks, values)]
     cols = [("check", "exact"), ("value", "measured"), ("ok", "measured")]
-    return ("pass" if ok else "fail"), {"luxemburg_gap": abs(lux - leb),
-                                        "round_trip": round_trip}, {
+    return checks, {"luxemburg_gap": abs(lux - leb),
+                    "round_trip": round_trip}, {
         "orlicz": {"columns": cols, "rows": rows}}
 
-
-# ---------------------------------------------------------------------------
-# registry
-# ---------------------------------------------------------------------------
-
-REGISTRY = {
-    "check-rank": {
-        "runner": _exp_check_rank,
-        "summary": "certify constant rank of a named operator symbol",
-        "anchor": "rank A(xi) constant on the unit sphere"},
-    "decompose": {
-        "runner": _exp_decompose,
-        "summary": "frequency-space splitting v = b + A* w with residuals",
-        "anchor": "bPart^ = P(xi) v^, w^ = (A A^T)^+ i^l A v^"},
-    "pairing": {
-        "runner": _exp_pairing,
-        "summary": "sequence pairings against a test function, fitted decay",
-        "anchor": "int F(v_j, vt_j) phi dx"},
-    "quasiaffine": {
-        "runner": _exp_quasiaffine,
-        "summary": "exact mean identity over random constraint-free fields",
-        "anchor": "mean of F(v0 + pert) equals F(v0)"},
-    "table1": {
-        "runner": _exp_table1,
-        "summary": "four-scenario verdict matrix (measures / L1 / hardy)",
-        "anchor": "check/cross matrix of the failure modes"},
-    "counterexample": {
-        "runner": _exp_counterexample,
-        "summary": "named witness families and their measured verdicts",
-        "anchor": "see describe(<case>) for the per-case formula"},
-    "truncate": {
-        "runner": _exp_truncate,
-        "summary": "Lipschitz truncation ensemble: derivative + volume gates",
-        "anchor": "||D^k u||_inf <= C lambda, u = v off the bad set"},
-    "hardy": {
-        "runner": _exp_hardy,
-        "summary": "local Hardy norm of a registered test function",
-        "anchor": "int_{B_R} sup_t |f * rho_t| dx"},
-    "extension-identity": {
-        "runner": _exp_extension_identity,
-        "summary": "surface Jacobian pairing as a half-space bulk integral",
-        "anchor": "int det(Du) phi = -int_0^T int det D_{t,x}(Phi,U1,U2)"},
-    "thmD": {
-        "runner": _exp_thmD,
-        "summary": "ratio stability of the fractional determinant estimate",
-        "anchor": "|<F(u)-F(v),phi>| vs [phi]_alpha [u-v] ([u]+[v])^{s-1}"},
-    "orlicz": {
-        "runner": _exp_orlicz,
-        "summary": "Young-function toolbox self-consistency checks",
-        "anchor": "Luxemburg, conjugate round trip, Delta_2, t^s bracket"},
-}
 
 _CASE_ANCHORS = {
     "ex61": "v_j = j 1_{(0,1/j)^2} e, pairing = 1 for all j",
@@ -468,9 +477,8 @@ _CASE_ANCHORS = {
 
 
 def registry_listing():
-    ops = sorted(sym_mod.NAMED_OPERATORS)
     return {"experiments": sorted(REGISTRY),
-            "operators": ops,
+            "operators": sorted(sym_mod.NAMED_OPERATORS),
             "integrands": sorted(INTEGRANDS),
             "sequences": sorted(cex.CASES) + sorted(FAMILIES),
             "norm_variants": ["lebesgue", "zygmund", "orlicz", "negsob",
@@ -517,17 +525,20 @@ def run(config):
         close = difflib.get_close_matches(config.experiment, REGISTRY, n=1)
         hint = f" (did you mean {close[0]!r}?)" if close else ""
         raise ConfigError(f"unknown experiment {config.experiment!r}{hint}")
+    entry = REGISTRY[config.experiment]
+    p = _merge_params(entry["defaults"], config.params, config.experiment)
     t0 = time.time()
-    verdict, results, tables = REGISTRY[config.experiment]["runner"](config)
+    checks, results, tables = entry["runner"](p, config.seed)
     wall = time.time() - t0
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, table in tables.items():
         write_csv(out / f"{name}.csv", table, config.seed)
-    report = RunReport(config=asdict(config), verdict=verdict,
-                       results=results, wall_clock=wall,
+    report = RunReport(config=asdict(config), verdict=verdict_of(checks),
+                       checks=tuple(checks), results=results, wall_clock=wall,
                        version=__version__, seed=config.seed)
     doc = asdict(report)
+    doc["checks"] = [dict(asdict(c), ok=c.ok, margin=c.margin) for c in checks]
     doc["schema_version"] = SCHEMA_VERSION
     doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
     (out / "report.json").write_text(json.dumps(doc, indent=2, default=str))
@@ -537,10 +548,6 @@ def run(config):
 # ---------------------------------------------------------------------------
 # argparse front end
 # ---------------------------------------------------------------------------
-
-def _error_object(msg):
-    return json.dumps({"error": True, "message": str(msg)})
-
 
 _EXIT = {"pass": 0, "inconclusive": 2, "fail": 1}
 
@@ -559,12 +566,9 @@ def main(argv=None):
         sp.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="experiment parameter override (JSON value)")
-        if name == "pairing":
-            sp.add_argument("--seq", default=None)
-        if name == "counterexample":
-            sp.add_argument("--case", default=None)
-    lp = sub.add_parser("list", help="registry contents")
-    del lp
+        for key in {"seq", "case"} & set(REGISTRY[name]["defaults"]):
+            sp.add_argument(f"--{key}", default=None)
+    sub.add_parser("list", help="registry contents")
     dp = sub.add_parser("describe", help="describe a registered id")
     dp.add_argument("id")
 
@@ -575,14 +579,10 @@ def main(argv=None):
     if args.command == "list":
         print(json.dumps(registry_listing(), indent=2))
         return 0
-    if args.command == "describe":
-        try:
+    try:
+        if args.command == "describe":
             print(describe(args.id))
             return 0
-        except KeyError as e:
-            print(_error_object(e), file=sys.stderr)
-            return 1
-    try:
         if args.config:
             config = ExperimentConfig.from_json(args.config)
             if config.experiment != args.command:
@@ -599,20 +599,19 @@ def main(argv=None):
                     params[key] = json.loads(raw)
                 except json.JSONDecodeError:
                     params[key] = raw
-            if getattr(args, "seq", None):
-                params["seq"] = args.seq
-            if getattr(args, "case", None):
-                params["case"] = args.case
+            for key in ("seq", "case"):
+                if getattr(args, key, None):
+                    params[key] = getattr(args, key)
             config = ExperimentConfig(experiment=args.command, seed=args.seed,
                                       out=args.out, params=params)
         report = run(config)
     except Exception as e:  # any failure ends in the JSON error object
-        print(_error_object(e), file=sys.stderr)
+        print(json.dumps({"error": True, "message": str(e)}), file=sys.stderr)
         return 1
     print(json.dumps({"experiment": config.experiment,
                       "verdict": report.verdict,
                       "results": report.results}, indent=2, default=str))
-    return _EXIT.get(report.verdict, 1)
+    return _EXIT[report.verdict]
 
 
 if __name__ == "__main__":

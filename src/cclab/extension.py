@@ -16,7 +16,8 @@ import math
 
 import numpy as np
 
-from .field import GridField, Spectrum, TrigPoly, gradient, jacobian
+from .field import (GridField, Spectrum, TrigPoly, gradient, jacobian,
+                    trig_pair, trig_product)
 from .norms import besov_sup, lebesgue_norm
 
 __all__ = ["pairing_identity", "theoremD_ratio", "thmD_ensemble",
@@ -130,8 +131,6 @@ def theoremD_ratio(u, v, phi, alpha, s=2, pairing=None):
     """Measured ratio |<F(u)-F(v), phi>| / ([phi]_alpha [u-v]_{-1+beta,s}
     ([u]+[v])^{s-1}) with beta = 1 - alpha/s, for the div-curl integrand on
     4-component sparse fields (components (v1, v2, w1, w2): F = v.w)."""
-    from .field import trig_pair, trig_product
-
     beta = 1.0 - alpha / s
     if s != 2:
         raise ValueError("the Fourier-route seminorm is implemented for s=2")
@@ -174,7 +173,6 @@ def thmD_ensemble(alpha=0.5, s=2, m_list=(4, 8, 16, 32, 64),
     records = []
     for m in m_list:
         phi = TrigPoly.wave(2, (0, m), "sin", float(m) ** -alpha)
-        from .field import trig_product
         phi = trig_product(phi, TrigPoly.wave(2, (m, 0), "cos"))
         for a in amplitudes:
             u = _divcurl_pair(m, a, beta1=beta)
@@ -205,7 +203,6 @@ def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
                              axis=-1)
             u = GridField(uvals, (period, period))
             phi_tp = TrigPoly.wave(2, (m, 0), "cos", float(m) ** -alpha)
-            from .field import trig_product
             phi_tp = trig_product(phi_tp, TrigPoly.wave(2, (0, m), "sin"))
             phiv = phi_tp.render((shape, shape))
             u1x, u1y = gradient(u.component(0))

@@ -22,15 +22,12 @@ from . import symbol as sym_mod
 __all__ = [
     "GridField",
     "TrigPoly",
-    "MultiplierSpec",
     "Spectrum",
     "fft",
     "ifft",
     "apply_symbol",
     "gradient",
     "jacobian",
-    "apply_multiplier",
-    "riesz_potential",
     "trig_product",
     "trig_integral",
     "trig_pair",
@@ -235,39 +232,6 @@ def apply_symbol(sym, f):
                 mono = mono * xi**a
         out += (il * mono)[..., None] * (rec.hat @ mat.T)
     return ifft(out, f.period)
-
-
-@dataclass(frozen=True)
-class MultiplierSpec:
-    """Scalar frequency multiplier m(xi).
-
-    func: callable(list of xi meshgrids) -> real/complex array.
-    zero_value: explicit value at xi = 0.
-    """
-
-    func: object
-    zero_value: object = 0.0
-
-
-def apply_multiplier(mult, f):
-    """Frequency-wise multiplication with the declared zero-frequency value."""
-    rec = Spectrum(f)
-    xis = [np.broadcast_to(x, f.shape) for x in rec.xi]
-    vals = np.array(mult.func(xis), dtype=complex, copy=True)
-    vals[(0,) * f.n] = mult.zero_value
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("multiplier is non-finite at a needed frequency")
-    return ifft(vals[..., None] * rec.hat, f.period)
-
-
-def riesz_potential(order):
-    """MultiplierSpec for |xi|^{-order} (zero mode mapped to 0)."""
-    def func(xis):
-        mag = np.sqrt(sum(x**2 for x in xis))
-        with np.errstate(divide="ignore"):
-            out = np.where(mag > 0, mag ** (-float(order)), 0.0)
-        return out
-    return MultiplierSpec(func=func, zero_value=0.0)
 
 
 def random_bandlimited(rng, shape, dimV, bandlimit=6, cutoff=False):

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (GridField, Spectrum, TrigPoly, apply_multiplier, fft,
-                    mollified, riesz_potential, standard_bump)
+from .field import (GridField, Spectrum, TrigPoly, fft, mollified,
+                    standard_bump)
 
 __all__ = [
     "YoungFunction",
@@ -394,7 +394,10 @@ def neg_sobolev_norm(f, l, inner, strict=True):
         if strict:
             raise ValueError("neg_sobolev_norm (strict): field has nonzero mean")
         f = GridField(f.values - mean, f.period)
-    lifted = apply_multiplier(riesz_potential(l), f)
+    rec = Spectrum(f)
+    with np.errstate(divide="ignore"):
+        lift = np.where(rec.mag > 0, rec.mag ** -l, 0.0)
+    lifted = GridField(rec.inverse(lift), f.period)
     if callable(inner) and not isinstance(inner, NormTag):
         return inner(lifted)
     return evaluate_norm(lifted, inner)

@@ -27,7 +27,7 @@ from .field import GridField
 
 __all__ = ["TruncationResult", "WhitneyCube", "lipschitz_truncate",
            "lipschitz_truncations", "whitney_extend", "whitney_cubes",
-           "finite_difference_gradient"]
+           "finite_difference_gradient", "truncation_case"]
 
 C_IMPL = 64.0  # documented implementation constant for ||D^k u||_inf <= C lambda
 
@@ -42,13 +42,33 @@ class WhitneyCube:
 
 @dataclass(frozen=True)
 class TruncationResult:
-    truncated: GridField
+    truncated: GridField  # None when the bad set covers the box
     badSet: np.ndarray
     lam: float
     measuredDerivBound: float
     measuredVolumeConstant: float
     cubes: tuple
     derivative_orders: int
+
+
+def truncation_case(rng, shape1d, n):
+    """A test field on [0, 2 pi)^n: four random Gaussian bumps plus one sharp
+    spike, which forces a nonempty bad set at moderate lambda."""
+    period = 2 * math.pi
+    shape = (shape1d,) * n
+    axes = [np.arange(s) * period / s for s in shape]
+    grids = np.meshgrid(*axes, indexing="ij")
+    vals = np.zeros(shape)
+    for _ in range(4):
+        c = rng.uniform(0.5, period - 0.5, size=n)
+        w = rng.uniform(0.2, 0.8)
+        amp = rng.uniform(-3.0, 3.0)
+        r2 = sum((g - ci) ** 2 for g, ci in zip(grids, c))
+        vals += amp * np.exp(-r2 / (2 * w * w))
+    c = rng.uniform(1.0, period - 1.0, size=n)
+    r2 = sum((g - ci) ** 2 for g, ci in zip(grids, c))
+    vals += rng.uniform(4.0, 8.0) * np.exp(-r2 / (2 * 0.05**2))
+    return GridField(vals[..., None], (period,) * n)
 
 
 def _spacing(f):
@@ -232,7 +252,9 @@ def lipschitz_truncations(v, lams, k=1, p=2):
     bad set exactly, measured sup-derivative and level-set volume constants.
 
     f and its maximal function are built once; a bad level raises when the
-    sweep reaches it.  v must be scalar (dimV = 1); k in {1, 2}; n in {1, 2}.
+    sweep reaches it.  A level whose bad set covers the box is not applicable:
+    its result has truncated=None and nan constants, and the sweep goes on.
+    v must be scalar (dimV = 1); k in {1, 2}; n in {1, 2}.
     """
     if v.dimV != 1:
         raise ValueError("truncation operates on scalar fields")
@@ -260,7 +282,11 @@ def lipschitz_truncations(v, lams, k=1, p=2):
             raise ValueError("lambda must be positive")
         bad = ndimage.binary_dilation(maximal >= 2.0 * lam, iterations=1)
         if np.all(bad):
-            raise ValueError("trivial truncation: bad set covers the whole box")
+            yield TruncationResult(truncated=None, badSet=bad, lam=lam,
+                                   measuredDerivBound=math.nan,
+                                   measuredVolumeConstant=math.nan,
+                                   cubes=tuple(), derivative_orders=k)
+            continue
         if not np.any(bad):
             yield TruncationResult(truncated=v, badSet=bad, lam=lam,
                                    measuredDerivBound=top_bound / lam,
@@ -282,8 +308,12 @@ def lipschitz_truncations(v, lams, k=1, p=2):
 
 
 def lipschitz_truncate(v, lam, k=1, p=2):
-    """The truncation of v at the one level lam (see lipschitz_truncations)."""
-    return next(lipschitz_truncations(v, (lam,), k, p))
+    """The truncation of v at the one level lam (see lipschitz_truncations);
+    a lam whose bad set covers the box raises ValueError."""
+    res = next(lipschitz_truncations(v, (lam,), k, p))
+    if res.truncated is None:
+        raise ValueError("trivial truncation: bad set covers the whole box")
+    return res
 
 
 def chain_mask_inclusion(v, result, tol=1e-10):

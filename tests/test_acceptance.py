@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from cclab import counterexamples as cex
-from cclab.cli import item_rng, _truncate_case
+from cclab.cli import item_rng
 from cclab.decompose import helmholtz
 from cclab.extension import (pairing_identity, thmD_ensemble, interpolation_ensemble)
 from cclab.field import GridField, random_bandlimited
@@ -22,7 +22,7 @@ from cclab.norms import (YoungFunction, delta2_check, hardy_bracket_check,
 from cclab.quasiaffine import (INTEGRANDS, make_test_function,
                                pairing_experiment, quasiaffine_mean_test)
 from cclab.symbol import make_operator
-from cclab.truncate import lipschitz_truncate
+from cclab.truncate import lipschitz_truncate, truncation_case
 
 
 def test_01_indicator_pairing_exact():
@@ -106,7 +106,7 @@ def test_07_lipschitz_truncation_ensemble():
         saw_bad = False
         for i in range(10):
             rng = item_rng(0, f"acceptance-truncate-{n}d", i)
-            v = _truncate_case(rng, shape, n)
+            v = truncation_case(rng, shape, n)
             for lam in lambdas:
                 res = lipschitz_truncate(v, lam, k=1)
                 assert res.measuredDerivBound <= 64.0

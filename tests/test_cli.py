@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cclab import cli
-from cclab.cli import (ExperimentConfig, ConfigError, item_rng, describe,
-                       registry_listing, run, main, write_csv, _EXIT)
+from cclab.cli import (Check, ExperimentConfig, ConfigError, item_rng,
+                       describe, registry_listing, run, main, verdict_of,
+                       write_csv, _EXIT)
 
 
 # -- config parsing -----------------------------------------------------------
@@ -240,3 +244,112 @@ def test_main_decompose_on_a_3d_grid(tmp_path, operator):
                  "--out", str(tmp_path)])
     assert code == 0
     assert (tmp_path / "residuals.csv").exists()
+
+
+# -- verdicts from checks -----------------------------------------------------
+
+@pytest.mark.parametrize("checks, verdict", [
+    ([Check("a", 1e-12, 1e-10), Check("b", -1.0, -1.2, ">=", 5)], "pass"),
+    ([Check("a", 1e-9, 1e-10), Check("b", "x", "x", "==")], "fail"),
+    ([], "inconclusive"),
+    ([Check("a", 0.0, 1e-10, "<=", 0), Check("b", 1, 1, "==")],
+     "inconclusive"),
+    ([Check("a", 0.0, 1e-10, "<=", 0), Check("b", -2.0, -1.2, ">=")], "fail"),
+    ([Check("a", float("nan"), 1.0)], "fail"),
+])
+def test_verdict_of(checks, verdict):
+    assert verdict_of(checks) == verdict
+
+
+def test_check_margin_and_ok():
+    assert Check("a", 3.0, 64.0).margin == 61.0
+    assert Check("a", -1.0, -1.2, ">=").margin == pytest.approx(0.2)
+    assert Check("a", 70.0, 64.0).margin == -6.0
+    assert not Check("a", 70.0, 64.0).ok
+    assert Check("a", True, True, "==").margin is None
+
+
+def test_report_json_reads_back_each_check(tmp_path):
+    rep = run(ExperimentConfig(experiment="quasiaffine", out=str(tmp_path),
+                               params={"trials": 5}))
+    doc = json.loads((tmp_path / "report.json").read_text())
+    [check] = doc["checks"]
+    assert check["name"] == "worst_relative_deviation"
+    assert check["relation"] == "<=" and check["items"] == 5
+    assert check["ok"] is True and rep.verdict == doc["verdict"] == "pass"
+    assert check["margin"] == check["bound"] - check["measured"] > 0
+    assert rep.checks[0].margin == check["margin"]
+
+
+# each of these ran to "pass" although it gated nothing
+NOTHING_CHECKED = [
+    ["counterexample", "--case", "ex61"],
+    ["counterexample", "--case", "ex62"],
+    ["counterexample", "--case", "jac_case1"],
+    ["quasiaffine", "--param", "trials=0"],
+    ["extension-identity", "--param", "cases=0"],
+    ["truncate", "--param", "cases=0"],
+    ["truncate", "--param", "lambdas=[1000.0]", "--param", "cases=2"],
+]
+
+
+@pytest.mark.parametrize("argv", NOTHING_CHECKED, ids=" ".join)
+def test_main_nothing_checked_is_inconclusive(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
+
+
+def test_main_truncate_box_covering_level_is_not_applicable(tmp_path, capsys):
+    # seed 6: lambda = 0.5 makes case 2's bad set cover the box
+    code = main(["truncate", "--seed", "6", "--param", "cases=3",
+                 "--out", str(tmp_path)])
+    assert code == 0 and json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    rows = (tmp_path / "truncate.csv").read_text().splitlines()[-18:]
+    assert [r for r in rows if "nan" in r] == ["2,0.5,nan,nan,16384"]
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert [c["items"] for c in checks if c["name"] != "volume_ratio"] == [17, 17]
+
+
+# -- bad params end in the JSON error contract --------------------------------
+
+def _kind(value):
+    """JSON type of a value; int and float are one kind, as for params."""
+    for kind, types in (("bool", bool), ("number", (int, float)),
+                        ("list", (list, tuple)), ("str", str), ("dict", dict)):
+        if isinstance(value, types):
+            return kind
+    return "null"
+
+
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=6),
+    st.lists(st.integers(0, 9), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2))
+
+
+@pytest.mark.parametrize("name", sorted(cli.REGISTRY))
+@settings(max_examples=15)
+@given(data=st.data())
+def test_main_bad_params_end_in_error_object(name, data, tmp_path_factory):
+    """Unknown keys and wrongly typed values never reach a runner, so no
+    valid (possibly large) size is ever drawn."""
+    defaults = cli.REGISTRY[name]["defaults"]
+    unknown = st.dictionaries(
+        st.from_regex(r"[a-z_]{1,10}", fullmatch=True).filter(
+            lambda key: key not in defaults), JSON_VALUES, max_size=2)
+    wrong = st.fixed_dictionaries({}, optional={
+        key: JSON_VALUES.filter(lambda v, d=default: _kind(v) != _kind(d))
+        for key, default in defaults.items() if default is not None})
+    params = data.draw(st.tuples(unknown, wrong).map(
+        lambda pair: {**pair[0], **pair[1]}).filter(bool))
+    out = tmp_path_factory.mktemp("bad")
+    argv = [name, "--out", str(out)]
+    for key, value in params.items():
+        argv += ["--param", f"{key}={json.dumps(value)}"]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code == 1 and stdout.getvalue() == ""
+    assert json.loads(stderr.getvalue())["error"] is True
+    assert list(out.iterdir()) == []

@@ -43,3 +43,21 @@ def test_inverse_transforms_run_in_place(name):
              and node.func.attr == "ifftn"
              and "out" not in {k.arg for k in node.keywords}]
     assert fresh == []
+
+
+def _imports_cclab(node):
+    if isinstance(node, ast.ImportFrom):
+        return node.level > 0 or (node.module or "").split(".")[0] == "cclab"
+    return isinstance(node, ast.Import) and any(
+        alias.name.split(".")[0] == "cclab" for alias in node.names)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_function_local_cclab_imports(name):
+    """cclab modules import each other at module level, where the
+    unused-import check above can see the names."""
+    tree = ast.parse((Path(cclab.__file__).parent / f"{name}.py").read_text())
+    local = sorted({node.lineno for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(fn) if _imports_cclab(node)})
+    assert local == []

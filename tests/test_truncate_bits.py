@@ -14,11 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
-from cclab.cli import _truncate_case, item_rng
+from cclab.cli import item_rng
 from cclab.truncate import (WhitneyCube, _derivative_stack,
                             _partial_derivative, _pou_bump, _taylor_terms,
                             lipschitz_truncate, lipschitz_truncations,
-                            whitney_cubes, whitney_extend)
+                            truncation_case, whitney_cubes, whitney_extend)
 
 
 def _old_whitney_cubes(bad, h):
@@ -142,34 +142,44 @@ def test_whitney_step_keeps_bits(case, k):
     assert pou_min == pou_min_old
 
 
-# (seed, case, shape, n, k) of _truncate_case; seed 6 case 2 covers the box
+# (seed, case, shape, n, k) of truncation_case; seed 6 case 2 covers the box
 # at lambda = 0.5, and seed 4 case 5 has the worst derivative constant.
 SWEEP_CASES = [(0, 0, 64, 2, 2), (1, 3, 100, 1, 1), (2, 1, 31, 2, 2),
                (4, 5, 128, 2, 1), (6, 2, 128, 2, 1)]
 LAMBDAS = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
 
 
-def _outcomes(results):
-    """(truncated bytes, bad-set bytes, cubes, constants) per level, then
-    the message of the ValueError that ended the sweep, if one did."""
-    out = []
+COVERS_BOX = "trivial truncation: bad set covers the whole box"
+
+
+def _outcome(res):
+    """(level, truncated bytes, bad-set bytes, cubes, constants); a level
+    whose bad set covers the box reads as the error lipschitz_truncate
+    raises there."""
+    if res.truncated is None:
+        assert res.badSet.all() and res.cubes == ()
+        assert math.isnan(res.measuredDerivBound)
+        assert math.isnan(res.measuredVolumeConstant)
+        return COVERS_BOX
+    return (res.lam, res.truncated.values.tobytes(), res.badSet.tobytes(),
+            res.cubes, res.measuredDerivBound, res.measuredVolumeConstant)
+
+
+def _single(v, lam, k):
     try:
-        for res in results:
-            out.append((res.lam, res.truncated.values.tobytes(),
-                        res.badSet.tobytes(), res.cubes,
-                        res.measuredDerivBound, res.measuredVolumeConstant))
+        return _outcome(lipschitz_truncate(v, lam, k=k))
     except ValueError as e:
-        out.append(str(e))
-    return out
+        return str(e)
 
 
 @pytest.mark.parametrize("lams", [LAMBDAS, LAMBDAS[::-1]])
 @pytest.mark.parametrize("seed,case,shape,n,k", SWEEP_CASES)
 def test_sweep_matches_single_levels(seed, case, shape, n, k, lams):
-    v = _truncate_case(item_rng(seed, "truncate", case), shape, n)
-    swept = _outcomes(lipschitz_truncations(v, lams, k=k))
-    single = _outcomes(lipschitz_truncate(v, lam, k=k) for lam in lams)
-    assert swept == single
+    """The sweep yields every level, each equal to its single-level run;
+    a box-covering level is marked not applicable and the sweep goes on."""
+    v = truncation_case(item_rng(seed, "truncate", case), shape, n)
+    swept = [_outcome(res) for res in lipschitz_truncations(v, lams, k=k)]
+    assert swept == [_single(v, lam, k) for lam in lams]
     if seed == 6:
-        assert swept[-1] == "trivial truncation: bad set covers the whole box"
-        assert len(swept) == lams.index(0.5) + 1
+        assert swept[lams.index(0.5)] == COVERS_BOX
+        assert swept.count(COVERS_BOX) == 1
