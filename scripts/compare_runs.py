@@ -6,7 +6,9 @@ changed column, the max relative difference |a-b|/max(|a|,|b|) (inf where
 text cells differ).  Each report.json is compared the same way, leaf by
 leaf, after dropping `timestamp`, `wall_clock` and `config.out`, which
 differ between any two runs.  Exits 1 when a file is missing from one side
-or any difference exceeds 1e-12.
+or any difference exceeds 1e-12, and also when either argument is not a
+directory or the two trees hold no file to compare: a comparison of
+nothing proves nothing.
 
 Usage:
     python3 scripts/compare_runs.py results_before results_after
@@ -103,10 +105,17 @@ def main(argv=None):
     parser.add_argument("b", type=Path)
     args = parser.parse_args(argv)
 
+    for root in (args.a, args.b):
+        if not root.is_dir():
+            print(f"{root}: not a directory")
+            return 1
     names = sorted({p.relative_to(root).as_posix()
                     for root in (args.a, args.b)
                     for pattern in ("*.csv", "report.json")
                     for p in root.rglob(pattern)})
+    if not names:
+        print(f"no CSV or report.json under {args.a} or {args.b}")
+        return 1
     worst = 0.0
     for name in names:
         pa, pb = args.a / name, args.b / name

@@ -406,7 +406,6 @@ def _exp_extension_identity(p, seed):
               Check("non_monotone_cases", unmonotone, 0, "<=", len(finals))]
     cols = [("case", "exact"), ("grid", "exact"), ("t_levels", "exact"),
             ("lhs", "measured"), ("rhs", "measured"), ("rel_error", "measured")]
-    # a NumPy bool when the error is measured, as report.json has always had it
     return checks, {"final_ok": not unmonotone and worst <= p["tol"]}, {
         "identity": {"columns": cols, "rows": rows}}
 
@@ -509,6 +508,14 @@ def _fmt(x):
     return str(x)
 
 
+def _json_leaf(x):
+    """json.dumps default: a NumPy scalar becomes its Python value; any other
+    type json does not know raises TypeError."""
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"{type(x).__name__} is not JSON serializable")
+
+
 def write_csv(path, table, seed):
     lines = [f"# schema_version={SCHEMA_VERSION}", f"# seed={seed}"]
     for name, tag in table["columns"]:
@@ -541,7 +548,8 @@ def run(config):
     doc["checks"] = [dict(asdict(c), ok=c.ok, margin=c.margin) for c in checks]
     doc["schema_version"] = SCHEMA_VERSION
     doc["timestamp"] = time.strftime("%Y-%m-%dT%H:%M:%S")
-    (out / "report.json").write_text(json.dumps(doc, indent=2, default=str))
+    (out / "report.json").write_text(
+        json.dumps(doc, indent=2, default=_json_leaf))
     return report
 
 
@@ -610,7 +618,8 @@ def main(argv=None):
         return 1
     print(json.dumps({"experiment": config.experiment,
                       "verdict": report.verdict,
-                      "results": report.results}, indent=2, default=str))
+                      "results": report.results},
+                     indent=2, default=_json_leaf))
     return _EXIT[report.verdict]
 
 

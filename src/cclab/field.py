@@ -148,10 +148,12 @@ class Spectrum:
     hat is fft(field); xi[i] holds the axis-i frequencies 2 pi m_i / p_i
     (m_i in numpy fft order), shaped to broadcast over the grid; mag is |xi|;
     radius is each grid point's periodic distance |x| from the origin.  Each
-    is built on first use and then kept.  mollify, mollified and the slab
-    functions of extension take a Spectrum in place of a GridField, so a
-    caller that transforms one field many times (a sweep of scales or slab
-    heights) pays for each piece once.
+    is built on first use and then kept.  The slab functions of extension
+    take a Spectrum in place of a GridField, so a caller that transforms one
+    field many times (a sweep of slab heights) pays for each piece once.
+    mollify and mollified take one too, but read only its radius: their
+    kernels are real and radial, so they work on real half-spectra (rfftn)
+    of their own, never on the full complex hat.
     """
 
     def __init__(self, field):
@@ -534,16 +536,20 @@ def mollified(f, ts, kernel=standard_bump):
     kernel_t(x) = t^{-n} kernel(|x|/t) and the convolution is periodic.
 
     The sampled kernel is renormalized to exact unit discrete integral, so
-    mass is preserved to round-off.  f may be a Spectrum, whose transform
-    and radius grid are then reused.  One kernel-transform buffer and one
-    product buffer serve every scale: each yielded array (shape
-    shape + (dimV,)) is a view of the product buffer, which the next scale
-    overwrites.  A bad scale raises when the sweep reaches it.
+    mass is preserved to round-off.  f may be a Spectrum, whose radius grid
+    is then reused.  f and the kernel are real, so every product lives on
+    the real half-spectrum (rfftn, last space axis cut to N/2 + 1): f is
+    transformed once, and one kernel-transform buffer, one product buffer
+    and one output array serve every scale.  Each yielded array (shape
+    shape + (dimV,)) is that output array, which the next scale overwrites.
+    A bad scale raises when the sweep reaches it.
     """
     rec = Spectrum.of(f)
     f = rec.field
-    kbuf = np.empty(f.shape, dtype=complex)
-    buf = np.empty(f.values.shape, dtype=complex)
+    fhat = np.fft.rfftn(f.values, axes=rec.axes)
+    kbuf = np.empty(fhat.shape[:-1], dtype=complex)
+    buf = np.empty_like(fhat)
+    vals = np.empty(f.values.shape)
     for t in ts:
         if t <= 0 or t > min(f.period) / 2:
             raise ValueError("scale t must lie in (0, min period / 2]")
@@ -551,10 +557,10 @@ def mollified(f, ts, kernel=standard_bump):
         total = ker.sum() * f.cell_volume
         if total <= 0:
             raise ValueError("kernel support is below grid resolution")
-        np.fft.fftn(ker / total, out=kbuf)
-        np.multiply(kbuf[..., None], rec.hat, out=buf)
+        np.fft.rfftn(ker / total, out=kbuf)
+        np.multiply(kbuf[..., None], fhat, out=buf)
         buf *= f.cell_volume
-        vals = np.fft.ifftn(buf, axes=rec.axes, out=buf).real
+        np.fft.irfftn(buf, s=f.shape, axes=rec.axes, out=vals)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         yield vals

@@ -540,10 +540,10 @@ def local_maximal(f, cfg=MaximalConfig()):
     """M_loc f = sup over the scale grid of |f * kernel_t| (pointwise)."""
     if f.dimV != 1:
         raise ValueError("local maximal function acts on scalar fields")
-    # the one transform and radius grid that every scale reads, built before
-    # the accumulator is allocated (1 MB less peak RSS at 256^2)
+    # the radius grid that every scale reads, built before the accumulator
+    # is allocated, so that its meshgrid temporaries are gone by then
     rec = Spectrum(f)
-    _hat, _radius = rec.hat, rec.radius
+    _radius = rec.radius
     out = np.abs(f.values[..., 0]) if cfg.include_pointwise else np.zeros(f.shape)
     for sm in mollified(rec, cfg.t_grid(f), cfg.kernel):
         np.maximum(out, np.abs(sm[..., 0]), out=out)

@@ -353,3 +353,24 @@ def test_main_bad_params_end_in_error_object(name, data, tmp_path_factory):
     assert code == 1 and stdout.getvalue() == ""
     assert json.loads(stderr.getvalue())["error"] is True
     assert list(out.iterdir()) == []
+
+
+# -- report.json holds JSON values, not strings of NumPy scalars -------------
+
+def test_report_json_reads_final_ok_back_as_a_boolean(tmp_path, capsys):
+    argv = ["extension-identity", "--param", "cases=1",
+            "--param", "levels=[[16, 4], [32, 8]]", "--param", "tol=1.0",
+            "--out", str(tmp_path)]
+    assert main(argv) == 0
+    printed = json.loads(capsys.readouterr().out)["results"]["final_ok"]
+    written = json.loads((tmp_path / "report.json").read_text())
+    assert printed is True and written["results"]["final_ok"] is True
+
+
+def test_json_leaf_converts_numpy_scalars_and_rejects_the_rest():
+    doc = {"b": np.bool_(False), "i": np.int64(3), "f": np.float32(0.5)}
+    assert json.dumps(doc, default=cli._json_leaf) == \
+        '{"b": false, "i": 3, "f": 0.5}'
+    for value in (object(), np.zeros(2), {1.5}):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            json.dumps({"x": value}, default=cli._json_leaf)

@@ -40,6 +40,21 @@ def test_compare_runs_missing_file(tmp_path, capsys):
     assert f"exp/t.csv: only in {tmp_path / 'a'}" in capsys.readouterr().out
 
 
+def test_compare_runs_compared_nothing(tmp_path, capsys):
+    """A missing tree or two trees without outputs compare nothing: exit 1."""
+    tree, missing = tmp_path / "a", tmp_path / "nosuchdir"
+    _tree(tree, "0.5", "t", 1.0)
+    for argv in ([missing, tree], [tree, missing]):
+        assert compare_runs.main([str(a) for a in argv]) == 1
+        assert capsys.readouterr().out == f"{missing}: not a directory\n"
+    empty, empty2 = tmp_path / "empty", tmp_path / "empty2"
+    empty.mkdir()
+    empty2.mkdir()
+    assert compare_runs.main([str(empty), str(empty2)]) == 1
+    assert capsys.readouterr().out == (
+        f"no CSV or report.json under {empty} or {empty2}\n")
+
+
 def test_rel_diff_text_and_nan():
     assert compare_runs.rel_diff("x", "y") == float("inf")
     assert compare_runs.rel_diff("nan", "nan") == 0.0

@@ -3,9 +3,11 @@ synthesiser against the transform-per-call code they replaced.
 
 Each `_old_*` function below is a verbatim copy of the earlier code (only
 renamed, and pointed at the copies of its helpers).  Every comparison is
-exact: np.array_equal on arrays, float.hex on scalars.  The grids mix even
-and odd sizes and the periods are unequal, so that a frequency formula that
-rounds differently (say m * (2 pi / p) instead of m * 2 pi / p) shows.
+exact (np.array_equal on arrays, float.hex on scalars) except the
+mollifier's, which moved to real half-spectra and is compared to round-off
+(see its section).  The grids mix even and odd sizes and the periods are
+unequal, so that a frequency formula that rounds differently (say
+m * (2 pi / p) instead of m * 2 pi / p) shows.
 """
 
 import math
@@ -61,12 +63,29 @@ def _outcome(fn, *args, **kwargs):
         return "raised", str(exc)
 
 
-def _assert_same_outcome(old, new):
+def _assert_same_outcome(old, new, same=_same):
+    """The same error (kind and message), or values equal under same."""
     assert old[0] == new[0]
     if old[0] == "raised":
         assert old[1] == new[1]
     else:
-        assert _same(old[1], new[1])
+        assert same(old[1], new[1])
+
+
+# relative to max|old|: 10x the worst change measured for the half-spectrum
+# mollifier (9.2e-16), far inside the 1e-12 allowed for a moved output
+ROUND_OFF = 1e-14
+
+
+def _close(old, new):
+    """max|new - old| <= ROUND_OFF * max|old|, for arrays or GridFields."""
+    if isinstance(old, GridField):
+        if old.period != new.period:
+            return False
+        old, new = old.values, new.values
+    old, new = np.asarray(old), np.asarray(new)
+    return (old.shape == new.shape and np.max(np.abs(new - old))
+            <= ROUND_OFF * np.max(np.abs(old)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,6 +566,10 @@ def test_jacobian_case_pairings_keep_repr():
 
 # ---------------------------------------------------------------------------
 # mollify and the local maximal function
+#
+# The mollifier multiplies real half-spectra (rfftn / irfftn) where the old
+# code multiplied full complex ones, so its values agree with the verbatim
+# old code to round-off (_close), not to the bit.  Errors stay exact.
 # ---------------------------------------------------------------------------
 
 @given(shapes, periods, seeds, st.floats(0.01, 1.0))
@@ -554,17 +577,17 @@ def test_mollify_bits(shape, period, seed, frac):
     f = _noise(seed, shape, 2, period)
     t = frac * min(period) / 2
     old = _outcome(_old_mollify, f, t)
-    _assert_same_outcome(old, _outcome(mollify, f, t))
+    _assert_same_outcome(old, _outcome(mollify, f, t), _close)
     rec = Spectrum(f)
     for _ in range(2):  # a record reused across scales
-        _assert_same_outcome(old, _outcome(mollify, rec, t))
+        _assert_same_outcome(old, _outcome(mollify, rec, t), _close)
 
 
 @given(shapes, periods, seeds, st.booleans())
 def test_local_maximal_bits(shape, period, seed, pointwise):
     f = _noise(seed, shape, 1, period)
     cfg = MaximalConfig(include_pointwise=pointwise)
-    assert _same(local_maximal(f, cfg), _old_local_maximal(f, cfg))
+    assert _close(_old_local_maximal(f, cfg), local_maximal(f, cfg))
 
 
 class _KernelFailingAt:
@@ -588,8 +611,9 @@ class _KernelFailingAt:
        st.booleans())
 def test_mollified_matches_mollify_per_scale(shape, period, seed, fracs, at,
                                              fault, record):
-    """Each yielded scale has the bytes of the old mollify at that t, and a
-    bad scale raises the old error when the sweep reaches it."""
+    """Each yielded scale has the values of the old mollify at that t, to
+    round-off, and a bad scale raises the old error when the sweep reaches
+    it."""
     f = _noise(seed, shape, 2, period)
     ts = [frac * min(period) / 2 for frac in fracs]
     if fault == "scale" and at < len(ts):
@@ -610,7 +634,7 @@ def test_mollified_matches_mollify_per_scale(shape, period, seed, fracs, at,
 
     assert [o[0] for o in new] == [o[0] for o in old]
     for (kind, a), (_, b) in zip(old, new):
-        assert a == b if kind == "raised" else a.values.tobytes() == b.tobytes()
+        assert a == b if kind == "raised" else _close(a.values, b)
     if fault != "none" and at < len(ts):
         assert old[-1][0] == "raised" and len(old) == at + 1
 
