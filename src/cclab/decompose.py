@@ -30,43 +30,9 @@ class HelmholtzResult:
     potentialResidual: float
 
 
-def _symbol_stack(sym, rec):
-    """A(xi) for every frequency of a Spectrum, shape (nfreq, dimW, dimV)."""
-    flat = np.stack([np.broadcast_to(x, rec.field.shape).ravel()
-                     for x in rec.xi], axis=-1)  # (nfreq, n)
-    A = np.zeros((flat.shape[0], sym.dimW, sym.dimV))
-    for alpha, mat in sym.coeffs.items():
-        mono = np.ones(flat.shape[0])
-        for a, col in zip(alpha, flat.T):
-            if a:
-                mono = mono * col**a
-        A += mono[:, None, None] * mat[None, :, :]
-    return A, flat
-
-
 def _operator_key(sym):
     return (sym.n, sym.l, sym.dimV, sym.dimW,
             tuple((alpha, mat.tobytes()) for alpha, mat in sym.coeffs.items()))
-
-
-# (operator, samples, tolSV) -> (rank, witness, samples, tolSV): the fields
-# of a sampled constant-rank certificate, which depend on nothing else
-_CERTIFICATES = {}
-_CERTIFICATE_SAMPLES = 200
-
-
-def _rank_certificate(sym, tolSV):
-    """A new RankReport for sym on every call, built from the certificate
-    remembered per operator and tolSV: the report's solve_cache belongs to
-    this one call, so no Helmholtz solve outlives it."""
-    key = (_operator_key(sym), _CERTIFICATE_SAMPLES, tolSV)
-    fields = _CERTIFICATES.get(key)
-    if fields is None:
-        rep = sym_mod.constant_rank_check(sym, samples=_CERTIFICATE_SAMPLES,
-                                          tolSV=tolSV)
-        fields = _CERTIFICATES[key] = (rep.rank, rep.witness, rep.samples,
-                                       rep.tolSV)
-    return sym_mod.RankReport(*fields)
 
 
 def _frequency_solve(sym, rec, tolSV, cache):
@@ -76,7 +42,9 @@ def _frequency_solve(sym, rec, tolSV, cache):
     key = (_operator_key(sym), rec.field.shape, rec.field.period, tolSV)
     solve = cache.get(key)
     if solve is None:
-        A, flat_xi = _symbol_stack(sym, rec)
+        flat_xi = np.stack(np.broadcast_arrays(*rec.xi),
+                           axis=-1).reshape(-1, sym.n)
+        A = sym_mod.evaluate(sym, flat_xi)
         mag = np.sqrt(np.sum(flat_xi**2, axis=-1))
         nz = mag > 0
         # normalize frequencies (P and the pinv computations are 0-homogeneous
@@ -99,12 +67,14 @@ def _frequency_solve(sym, rec, tolSV, cache):
 def helmholtz(v, sym, tolSV=sym_mod.DEFAULT_TOL_SV, rank_report=None):
     """Split v into the frequency-kernel part and the A*-range part.
 
-    Requires a certified constant-rank operator (a report may be passed in;
-    otherwise a sampling check is run here, once per operator and tolSV).
+    Requires a certified constant-rank operator: pass a report to share its
+    check and its projectors across calls; without one, each call runs the
+    sampled check (200 points) and solves afresh.
     """
     if v.dimV != sym.dimV:
         raise ValueError("field/operator dimension mismatch")
-    report = rank_report or _rank_certificate(sym, tolSV)
+    report = rank_report or sym_mod.constant_rank_check(sym, samples=200,
+                                                         tolSV=tolSV)
     if not report.is_constant:
         raise ValueError("helmholtz requires a constant-rank operator "
                          f"(witness {report.witness})")

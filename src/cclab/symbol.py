@@ -2,9 +2,11 @@
 
 An operator A = sum_{|alpha|=l} A_alpha d^alpha is represented by its
 coefficient matrices.  The symbol A(xi) = sum A_alpha xi^alpha is an exact
-polynomial; its rank structure (constant rank) is certified by sampling the
-unit sphere, and the frequency-wise projection P(xi) onto ker A(xi) is
-what the Helmholtz decomposition consumes.
+polynomial, evaluated by `evaluate` on frequencies of shape (..., n) into
+matrices of shape (..., dimW, dimV); every other module goes through it.
+Its rank structure (constant rank) is certified by sampling the unit
+sphere, and the frequency-wise projection P(xi) onto ker A(xi) is what the
+Helmholtz decomposition consumes.
 """
 
 from __future__ import annotations
@@ -92,23 +94,30 @@ class RankReport:
 def evaluate(sym, xi):
     """Exact polynomial evaluation A(xi) = sum A_alpha xi^alpha.
 
-    Accepts real or complex xi of length sym.n.
+    xi has shape (..., n), one frequency per trailing row, real or complex;
+    the result has shape (..., dimW, dimV), complex for complex xi.  Only
+    the nonzero coefficient entries are added (for finite xi, the bits of
+    the full sum), so the inner loops run over the frequency stack.
     """
     xi = np.asarray(xi)
-    if xi.shape != (sym.n,):
-        raise ValueError(f"frequency has shape {xi.shape}, expected ({sym.n},)")
-    out = np.zeros((sym.dimW, sym.dimV), dtype=xi.dtype if xi.dtype.kind == "c" else float)
+    if xi.shape[-1:] != (sym.n,):
+        raise ValueError(f"frequency has shape {xi.shape}, expected (..., {sym.n})")
+    out = np.zeros(xi.shape[:-1] + (sym.dimW, sym.dimV),
+                   dtype=xi.dtype if xi.dtype.kind == "c" else float)
     for alpha, mat in sym.coeffs.items():
         mono = 1.0
-        for a, x in zip(alpha, xi):
+        for i, a in enumerate(alpha):
             if a:
-                mono = mono * x**a
-        out = out + mono * mat
+                mono = mono * xi[..., i] ** a
+        for (r, c), m in np.ndenumerate(mat):
+            if m:
+                out[..., r, c] += mono * m
     return out
 
 
 def unit_sphere_points(n, count):
-    """Deterministic low-discrepancy points on the unit sphere in R^n.
+    """Deterministic low-discrepancy points on the unit sphere in R^n, as one
+    (count, n) array (fewer rows where the design has fewer points).
 
     n=1: the two signs; n=2: golden-angle sequence on the circle;
     n=3: Fibonacci sphere lattice; n>=4: tensorized angle grid.
@@ -116,13 +125,13 @@ def unit_sphere_points(n, count):
     if count < 1:
         raise ValueError("need at least one sample point")
     if n == 1:
-        return [np.array([1.0]), np.array([-1.0])][: max(count, 1)] if count >= 2 else [np.array([1.0])]
+        return np.array([[1.0], [-1.0]])[: min(count, 2)]
     if n == 2:
         golden = (1.0 + math.sqrt(5.0)) / 2.0
-        return [
-            np.array([math.cos(2 * math.pi * k * golden), math.sin(2 * math.pi * k * golden)])
+        return np.array([
+            [math.cos(2 * math.pi * k * golden), math.sin(2 * math.pi * k * golden)]
             for k in range(count)
-        ]
+        ])
     if n == 3:
         golden = (1.0 + math.sqrt(5.0)) / 2.0
         pts = []
@@ -130,8 +139,8 @@ def unit_sphere_points(n, count):
             z = 1.0 - 2.0 * (k + 0.5) / count
             r = math.sqrt(max(0.0, 1.0 - z * z))
             th = 2 * math.pi * k / golden
-            pts.append(np.array([r * math.cos(th), r * math.sin(th), z]))
-        return pts
+            pts.append([r * math.cos(th), r * math.sin(th), z])
+        return np.array(pts)
     # tensorized angles for n >= 4
     per_axis = max(2, int(round(count ** (1.0 / (n - 1)))))
     grids = np.meshgrid(*[np.linspace(0.1, math.pi - 0.1, per_axis) for _ in range(n - 2)]
@@ -145,30 +154,26 @@ def unit_sphere_points(n, count):
             x[i + 1 :] *= math.sin(th)
         x /= np.linalg.norm(x)
         pts.append(x)
-    return pts[:count] if count < len(pts) else pts
-
-
-def _numerical_rank(mat, tolSV):
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > tolSV * sv[0]))
+    return np.array(pts[:count])
 
 
 def constant_rank_check(sym, samples=1000, tolSV=DEFAULT_TOL_SV):
     """Numerical rank of A(xi) over a deterministic sphere sample.
 
-    Certified only up to sampling (the report records the sample count).
+    The rank at a point counts the singular values above tolSV times the
+    largest; the witness is the first point whose rank differs from the
+    first point's.  Certified only up to sampling (the report records the
+    sample count).
     """
     pts = unit_sphere_points(sym.n, samples)
-    rank0 = None
-    for xi in pts:
-        r = _numerical_rank(evaluate(sym, xi), tolSV)
-        if rank0 is None:
-            rank0 = r
-        elif r != rank0:
-            return RankReport(rank="non-constant", witness=xi, samples=len(pts), tolSV=tolSV)
-    return RankReport(rank=rank0, witness=None, samples=len(pts), tolSV=tolSV)
+    sv = np.linalg.svd(evaluate(sym, pts), compute_uv=False)
+    ranks = np.sum(sv > tolSV * sv[:, :1], axis=-1)
+    [off] = np.nonzero(ranks != ranks[0])
+    if off.size:
+        return RankReport(rank="non-constant", witness=pts[off[0]],
+                          samples=len(pts), tolSV=tolSV)
+    return RankReport(rank=int(ranks[0]), witness=None, samples=len(pts),
+                      tolSV=tolSV)
 
 
 def kernel_projection(sym, xi, tolSV=DEFAULT_TOL_SV):
@@ -191,9 +196,9 @@ def kernel_projection(sym, xi, tolSV=DEFAULT_TOL_SV):
 def adjoint_symbol(sym):
     """Formal adjoint A* = sum (-1)^l A_alpha^T d^alpha.
 
-    With the i^l factor kept inside frequency-side evaluation (see
-    field.apply_symbol), the composed frequency-side identity
-    A(xi) A*(xi) = A(xi) A(xi)^T holds.
+    evaluate gives the bare polynomial; field.apply_symbol applies the i^l
+    factor.  With it, A A* acts at frequency xi as
+    i^l A(xi) i^l (-1)^l A(xi)^T = A(xi) A(xi)^T.
     """
     sign = (-1.0) ** sym.l
     coeffs = {alpha: sign * mat.T for alpha, mat in sym.coeffs.items()}

@@ -61,3 +61,22 @@ def test_no_function_local_cclab_imports(name):
                     if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
                     for node in ast.walk(fn) if _imports_cclab(node)})
     assert local == []
+
+
+def _iterates_coeffs(node):
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "items"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "coeffs")
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "symbol"])
+def test_symbol_loops_over_coefficients_only_in_symbol(name):
+    """The monomial sum A(xi) = sum A_alpha xi^alpha is written once, in
+    symbol.evaluate, which takes any stack of frequencies: no other module
+    runs a for loop over an operator's coefficients."""
+    tree = ast.parse((Path(cclab.__file__).parent / f"{name}.py").read_text())
+    loops = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.For, ast.AsyncFor))
+             and _iterates_coeffs(node.iter)]
+    assert loops == []
