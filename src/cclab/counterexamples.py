@@ -14,11 +14,10 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import integrate
 
 from .field import (GridField, TrigPoly, jacobian, mollify, standard_bump,
                     trig_pair, trig_product)
-from .norms import (YoungFunction, local_hardy_norm, besov_block_sums,
+from .norms import (YoungFunction, local_hardy_norms, besov_block_sums,
                     besov_sup, dominates)
 from .quasiaffine import fit_exponent
 
@@ -161,15 +160,26 @@ def _ex62_radial_F(j):
     return F
 
 
+def _ex62_polar(spec):
+    """Z = X + iY about the box midpoint, and r = |Z|, on the ex62 grid."""
+    p = spec.params
+    X, Y = _centered_axes(p["shape"], p["period"])
+    Z = X + 1j * Y
+    return Z, np.abs(Z)
+
+
+def _ex62_F(spec, j, r):
+    """The ex62 density F = v . vtilde sampled on the radius grid r."""
+    period = spec.params["period"]
+    return GridField(_ex62_radial_F(j)(r)[..., None], (period, period))
+
+
 def _ex62_fields(spec, j):
     """Glued harmonic pair: v is exactly divergence-free, vtilde exactly
     curl-free, and F = v . vtilde carries cancelling +/- masses of size pi
     concentrating on the circle r = 1/2."""
-    p = spec.params
-    N, period = p["shape"], p["period"]
-    X, Y = _centered_axes(N, period)
-    Z = X + 1j * Y
-    r = np.abs(Z)
+    period = spec.params["period"]
+    Z, r = _ex62_polar(spec)
     inner = r < 0.5
     c = j ** -0.5 * 2.0**j
     grad_in = np.zeros(Z.shape + (2,))
@@ -183,10 +193,9 @@ def _ex62_fields(spec, j):
     grad_out[..., 1] = np.where(inner, 0.0, np.real(Wout))
     v = np.where(inner[..., None], grad_in, grad_out)          # sign-flipped
     vtilde = np.where(inner[..., None], grad_in, -grad_out)    # gradient
-    Fgrid = _ex62_radial_F(j)(r)
     return {"v": GridField(v, (period, period)),
             "vtilde": GridField(vtilde, (period, period)),
-            "F": GridField(Fgrid[..., None], (period, period)),
+            "F": _ex62_F(spec, j, r),
             "F_radial": _ex62_radial_F(j)}
 
 
@@ -419,6 +428,7 @@ def bounded_verdict(values, tol_pass=0.05):
 def _log_substituted_quad(fn, s_max=700.0):
     """Integral over (0,1) of fn(t) dt via t = e^{-s} (handles the t->0
     borderline singularities of the profile family)."""
+    from scipy import integrate
     val, _ = integrate.quad(lambda s: fn(np.exp(-s)) * np.exp(-s), 0.0, s_max,
                             limit=400)
     return val
@@ -459,6 +469,7 @@ def harmonic_tail_sum(k):
 
 def _ex62_pairing(j, test):
     """2 pi int F_j(r) test(r) r dr by adaptive radial quadrature."""
+    from scipy import integrate
     F = _ex62_radial_F(j)
 
     def fn(r):
@@ -474,23 +485,25 @@ def _ex62_pairing(j, test):
 def _scenario_concentration(spec, j_list):
     """All three modes fail: unit masses concentrate at a point."""
     rows = {"j": list(j_list), "M": [], "L1": [], "H1": []}
-    period = spec.params["period"]
-    N = spec.params["shape"]
-    X, Y = _centered_axes(N, period)
-    test = standard_bump((np.hypot(X, Y) - 0.0) / 0.75)
-    ball = (np.hypot(X, Y) <= 0.75).astype(float)
-    for j in j_list:
-        fields = make_sequence(spec, j)
-        F = fields["F"]
-        cell = F.cell_volume
-        rows["M"].append(float(np.sum(F.values[..., 0] * test) * cell))
-        rows["L1"].append(float(np.sum(F.values[..., 0] * ball) * cell))
-        rows["H1"].append(local_hardy_norm(F, R=1.0))
+    r = np.hypot(*_centered_axes(spec.params["shape"], spec.params["period"]))
+    test, ball = standard_bump(r / 0.75), (r <= 0.75).astype(float)
+    del r  # the sweeps below hold only test and ball
+
+    def densities():  # one F alive at a time, each measured as it comes
+        for j in j_list:
+            F = make_sequence(spec, j)["F"]
+            cell = F.cell_volume
+            rows["M"].append(float(np.sum(F.values[..., 0] * test) * cell))
+            rows["L1"].append(float(np.sum(F.values[..., 0] * ball) * cell))
+            yield F
+
+    rows["H1"] = local_hardy_norms(densities(), R=1.0)
     return rows
 
 
 def _scenario_oscillation(spec, j_list, hardy_j=None):
     """Cancelling oscillation: measures pass, L1 fails, Hardy stays bounded."""
+    from scipy import integrate
     rows = {"j": list(j_list), "M": [], "M_flat": [], "L1": [], "H1": [],
             "hardy_j": []}
     for j in j_list:
@@ -503,10 +516,10 @@ def _scenario_oscillation(spec, j_list, hardy_j=None):
             lambda r: F(np.array([r]))[0] * 2 * math.pi * r, 0.0, 0.5,
             limit=300, points=[0.5 - 1.0 / (2 * j)])
         rows["L1"].append(val)
-    for j in (hardy_j if hardy_j is not None else j_list):
-        fields = make_sequence(spec, j)
-        rows["hardy_j"].append(j)
-        rows["H1"].append(local_hardy_norm(fields["F"], R=0.9))
+    rows["hardy_j"] = list(hardy_j if hardy_j is not None else j_list)
+    r = _ex62_polar(spec)[1]
+    rows["H1"] = local_hardy_norms((_ex62_F(spec, j, r)
+                                    for j in rows["hardy_j"]), R=0.9)
     return rows
 
 

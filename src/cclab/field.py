@@ -153,7 +153,10 @@ class Spectrum:
     field many times (a sweep of slab heights) pays for each piece once.
     mollify and mollified take one too, but read only its radius: their
     kernels are real and radial, so they work on real half-spectra (rfftn)
-    of their own, never on the full complex hat.
+    of their own, never on the full complex hat.  Fields on one grid can
+    share one set of kernel half-spectra (mollified's kernel_hats, which
+    norms.local_hardy_norms fills for a sequence); then only the first
+    field's radius is read, while the set is built.
     """
 
     def __init__(self, field):
@@ -511,7 +514,7 @@ def standard_bump(r):
     return out
 
 
-def mollified(f, ts, kernel=standard_bump):
+def mollified(f, ts, kernel=standard_bump, kernel_hats=None):
     """Yield f * kernel_t for each scale t of ts, in order, where
     kernel_t(x) = t^{-n} kernel(|x|/t) and the convolution is periodic.
 
@@ -520,9 +523,16 @@ def mollified(f, ts, kernel=standard_bump):
     is then reused.  f and the kernel are real, so every product lives on
     the real half-spectrum (rfftn, last space axis cut to N/2 + 1): f is
     transformed once, and one kernel-transform buffer, one product buffer
-    and one output array serve every scale.  Each yielded array (shape
-    shape + (dimV,)) is that output array, which the next scale overwrites.
-    A bad scale raises when the sweep reaches it.
+    and one output array serve every scale.  A radial kernel is even on the
+    periodic grid, so its transform is real and only its real part is used.
+    Each yielded array (shape shape + (dimV,)) is that output array, which
+    the next scale overwrites.  A bad scale raises when the sweep reaches it.
+
+    kernel_hats, a list, is a kernel set shared by a sequence of fields on
+    one grid with the same ts and kernel: scale i reads entry i when the
+    list has it, and otherwise builds it from f's radius grid and appends
+    it, so the first field's sweep fills the set and later fields only read
+    it.  The caller owns the list and so decides how long the set lives.
     """
     rec = Spectrum.of(f)
     f = rec.field
@@ -530,17 +540,27 @@ def mollified(f, ts, kernel=standard_bump):
     kbuf = np.empty(fhat.shape[:-1], dtype=complex)
     buf = np.empty_like(fhat)
     vals = np.empty(f.values.shape)
-    for t in ts:
-        if t <= 0 or t > min(f.period) / 2:
-            raise ValueError("scale t must lie in (0, min period / 2]")
-        ker = kernel(rec.radius / t)
-        total = ker.sum() * f.cell_volume
-        if total <= 0:
-            raise ValueError("kernel support is below grid resolution")
-        np.fft.rfftn(ker / total, out=kbuf)
-        np.multiply(kbuf[..., None], fhat, out=buf)
+    for i, t in enumerate(ts):
+        if kernel_hats is not None and i < len(kernel_hats):
+            khat = kernel_hats[i]
+        else:
+            if t <= 0 or t > min(f.period) / 2:
+                raise ValueError("scale t must lie in (0, min period / 2]")
+            ker = kernel(rec.radius / t)
+            total = ker.sum() * f.cell_volume
+            if total <= 0:
+                raise ValueError("kernel support is below grid resolution")
+            khat = np.fft.rfftn(ker / total, out=kbuf).real
+            if kernel_hats is not None:
+                khat = khat.copy()
+                kernel_hats.append(khat)
+        np.multiply(khat[..., None], fhat, out=buf)
         buf *= f.cell_volume
-        np.fft.irfftn(buf, s=f.shape, axes=rec.axes, out=vals)
+        # irfftn's steps, each in place: its leading-axis inverses would
+        # allocate a fresh half-spectrum per scale
+        for ax in rec.axes[:-1]:
+            np.fft.ifft(buf, axis=ax, out=buf)
+        np.fft.irfft(buf, n=f.shape[-1], axis=rec.axes[-1], out=vals)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         yield vals

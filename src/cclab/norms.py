@@ -38,6 +38,7 @@ __all__ = [
     "besov_sup",
     "local_maximal",
     "local_hardy_norm",
+    "local_hardy_norms",
     "parse_norm_tag",
     "evaluate_norm",
 ]
@@ -536,23 +537,28 @@ class MaximalConfig:
         return np.geomspace(t_lo, t_hi, self.tLevels)
 
 
-def local_maximal(f, cfg=MaximalConfig()):
-    """M_loc f = sup over the scale grid of |f * kernel_t| (pointwise)."""
+def local_maximal(f, cfg=MaximalConfig(), kernel_hats=None):
+    """M_loc f = sup over the scale grid of |f * kernel_t| (pointwise).
+
+    kernel_hats: a kernel set shared across fields on one grid (see
+    field.mollified)."""
     if f.dimV != 1:
         raise ValueError("local maximal function acts on scalar fields")
-    # the radius grid that every scale reads, built before the accumulator
-    # is allocated, so that its meshgrid temporaries are gone by then
     rec = Spectrum(f)
-    _radius = rec.radius
+    if not kernel_hats:
+        # the radius grid that the kernels read, built before the
+        # accumulator is allocated, so that its meshgrid temporaries are
+        # gone by then
+        _radius = rec.radius
     out = np.abs(f.values[..., 0]) if cfg.include_pointwise else np.zeros(f.shape)
-    for sm in mollified(rec, cfg.t_grid(f), cfg.kernel):
+    for sm in mollified(rec, cfg.t_grid(f), cfg.kernel, kernel_hats):
         np.maximum(out, np.abs(sm[..., 0]), out=out)
     return GridField(out[..., None], f.period)
 
 
-def local_hardy_norm(f, R, cfg=MaximalConfig(), center=None):
-    """∫_{B_R(center)} M_loc f dx (center defaults to the box midpoint)."""
-    mf = local_maximal(f, cfg)
+def _ball_mask(f, R, center):
+    """The grid points within periodic distance R of center (default: the
+    box midpoint)."""
     grids = f.meshgrid()
     center = center if center is not None else [p / 2 for p in f.period]
     d2 = 0.0
@@ -560,8 +566,33 @@ def local_hardy_norm(f, R, cfg=MaximalConfig(), center=None):
         d = np.abs(g - c)
         d = np.minimum(d, p - d)
         d2 = d2 + d**2
-    mask = d2 <= R * R
-    return float(np.sum(mf.values[..., 0][mask]) * f.cell_volume)
+    return d2 <= R * R
+
+
+def local_hardy_norms(fields, R, cfg=MaximalConfig(), center=None):
+    """[local_hardy_norm(f, R, cfg, center) for f in fields], taking the
+    fields one at a time from any iterable.
+
+    Consecutive fields on one grid share the ball and the set of
+    cfg.tLevels kernel half-spectra: the first field's sweep builds the
+    set, and the next fields only read it.  A field on another grid starts
+    a new set (the old one is dropped first), and the set is freed on
+    return, so no kernel outlives the call.
+    """
+    norms, grid = [], None
+    for f in fields:
+        if (f.shape, f.period) != grid:
+            grid, kernel_hats = (f.shape, f.period), []
+            mask = _ball_mask(f, R, center)
+        mf = local_maximal(f, cfg, kernel_hats).values[..., 0]
+        norms.append(float(np.sum(mf[mask]) * f.cell_volume))
+        del mf  # not held through the next field's sweep
+    return norms
+
+
+def local_hardy_norm(f, R, cfg=MaximalConfig(), center=None):
+    """∫_{B_R(center)} M_loc f dx (center defaults to the box midpoint)."""
+    return local_hardy_norms([f], R, cfg, center)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .field import GridField
 
@@ -135,6 +134,7 @@ def whitney_cubes(bad, h):
     Yields cubes whose side stays within the standard factor-4 window of the
     distance to the good set, in depth-first order of the subdivision.
     """
+    from scipy import ndimage
     if not np.any(~bad):
         raise ValueError("trivial truncation: no good points to extend from")
     dist, inds = ndimage.distance_transform_edt(bad, return_indices=True)
@@ -256,6 +256,7 @@ def lipschitz_truncations(v, lams, k=1, p=2):
     its result has truncated=None and nan constants, and the sweep goes on.
     v must be scalar (dimV = 1); k in {1, 2}; n in {1, 2}.
     """
+    from scipy import ndimage
     if v.dimV != 1:
         raise ValueError("truncation operates on scalar fields")
     if k not in (1, 2) or v.n not in (1, 2):
@@ -322,6 +323,7 @@ def chain_mask_inclusion(v, result, tol=1e-10):
     The dilation radius is 2: interior central differences reach 1 cell, but
     the second-order one-sided stencils at the box edges reach 2.
     """
+    from scipy import ndimage
     h = _spacing(v)
     dv = _level_magnitude(finite_difference_gradient(v.values[..., 0], h))
     du = _level_magnitude(finite_difference_gradient(

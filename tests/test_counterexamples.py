@@ -6,6 +6,7 @@ import pytest
 
 from cclab import counterexamples as cex
 from cclab.field import TrigPoly, trig_integral, trig_product
+from cclab.norms import local_hardy_norm
 
 
 # -- spec construction ------------------------------------------------------
@@ -55,6 +56,31 @@ def test_oscillation_smooth_pairings_decay():
     rep = cex.run_case(cex.make_spec("ex62"), (2, 4, 8))
     m = [abs(v) for v in rep["M"]]
     assert m[0] > m[1] > m[2]
+
+
+def test_scenario_hardy_rows_equal_per_field_norms():
+    """The scenarios stream their densities through one kernel set; each H1
+    entry keeps the bits of local_hardy_norm on make_sequence's F."""
+    spec = cex.make_spec("ex61", shape=64)
+    rep = cex.run_case(spec, (2, 4, 8))
+    assert [x.hex() for x in rep["H1"]] == [
+        local_hardy_norm(cex.make_sequence(spec, j)["F"], R=1.0).hex()
+        for j in (2, 4, 8)]
+    X, Y = cex._centered_axes(64, 4.0)  # the weights as first written
+    test = cex.standard_bump((np.hypot(X, Y) - 0.0) / 0.75)
+    ball = (np.hypot(X, Y) <= 0.75).astype(float)
+    for j, m, l1 in zip((2, 4, 8), rep["M"], rep["L1"]):
+        F = cex.make_sequence(spec, j)["F"]
+        assert m.hex() == float(np.sum(F.values[..., 0] * test)
+                                * F.cell_volume).hex()
+        assert l1.hex() == float(np.sum(F.values[..., 0] * ball)
+                                 * F.cell_volume).hex()
+    spec = cex.make_spec("ex62", shape=64)
+    rep = cex.run_case(spec, (2, 4), hardy_j=(2, 3, 5))
+    assert rep["hardy_j"] == [2, 3, 5]
+    assert [x.hex() for x in rep["H1"]] == [
+        local_hardy_norm(cex.make_sequence(spec, j)["F"], R=0.9).hex()
+        for j in (2, 3, 5)]
 
 
 def test_oscillation_constraints_exact():

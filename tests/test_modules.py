@@ -34,13 +34,14 @@ def test_no_unused_module_imports(name):
 
 @pytest.mark.parametrize("name", MODULES)
 def test_inverse_transforms_run_in_place(name):
-    """Every ifftn and irfftn call passes out=: at 256^2 a fresh output
-    array per transform costs more than the transform itself."""
+    """Every inverse transform (ifftn, irfftn and the one-axis ifft and
+    irfft) passes out=: at 256^2 a fresh output array per transform costs
+    more than the transform itself."""
     tree = ast.parse((Path(cclab.__file__).parent / f"{name}.py").read_text())
     fresh = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Call)
              and isinstance(node.func, ast.Attribute)
-             and node.func.attr in {"ifftn", "irfftn"}
+             and node.func.attr in {"ifftn", "irfftn", "ifft", "irfft"}
              and "out" not in {k.arg for k in node.keywords}]
     assert fresh == []
 

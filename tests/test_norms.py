@@ -1,15 +1,18 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cclab.field import GridField, TrigPoly, random_bandlimited
+from cclab import norms
+from cclab.field import GridField, TrigPoly, random_bandlimited, standard_bump
 from cclab.norms import (YoungFunction, _conjugate_argmax, lebesgue_norm, zygmund_norm,
                          luxemburg_norm, young_conjugate, delta2_check,
                          dominates, hardy_bracket_check, neg_sobolev_norm,
                          gagliardo_seminorm, holder_seminorm,
                          besov_block_sums, local_maximal, local_hardy_norm,
+                         local_hardy_norms,
                          MaximalConfig, parse_norm_tag, evaluate_norm)
 
 
@@ -297,6 +300,72 @@ def test_local_hardy_norm_constant():
     f = GridField(np.full((64, 64, 1), 2.0), (2 * math.pi, 2 * math.pi))
     val = local_hardy_norm(f, R=1.0)
     assert abs(val - 2.0 * math.pi) < 0.02 * 2.0 * math.pi
+
+
+class _CountingBump:
+    """standard_bump that counts its evaluations."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, r):
+        self.calls += 1
+        return standard_bump(r)
+
+
+def _hardy_fields(rng, shape, k, period=2 * math.pi):
+    return [GridField(rng.normal(size=shape + (1,)), (period, period))
+            for _ in range(k)]
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (33, 27)])
+def test_local_hardy_norms_match_separate_calls_bitwise(rng, shape):
+    fields = _hardy_fields(rng, shape, 4)
+    cfg = MaximalConfig()
+    separate = [local_hardy_norm(f, 1.0, cfg) for f in fields]
+    shared = local_hardy_norms(iter(fields), 1.0, cfg)
+    assert [x.hex() for x in shared] == [x.hex() for x in separate]
+    assert local_hardy_norms([], 1.0) == []
+
+
+def test_local_hardy_norms_build_each_kernel_once_per_grid(rng):
+    kernel = _CountingBump()
+    cfg = MaximalConfig(kernel=kernel)
+    local_hardy_norms(_hardy_fields(rng, (32, 32), 5), 1.0, cfg)
+    assert kernel.calls == cfg.tLevels  # not 5 * tLevels
+    # a new grid (shape or period) starts a new set
+    kernel.calls = 0
+    a, b = _hardy_fields(rng, (32, 32), 2), _hardy_fields(rng, (24, 24), 2)
+    c = _hardy_fields(rng, (32, 32), 1, period=5.0)
+    fields = [a[0], a[1], b[0], b[1], c[0], a[0]]
+    vals = local_hardy_norms(fields, 1.0, cfg)
+    assert kernel.calls == 4 * cfg.tLevels
+    assert [x.hex() for x in vals] == [
+        local_hardy_norm(f, 1.0).hex() for f in fields]
+
+
+def test_local_hardy_norms_keep_no_kernel_after_return(rng, monkeypatch):
+    """Every kernel half-spectrum of the set dies with the call."""
+    refs, original = [], norms.local_maximal
+
+    def spy(f, cfg, kernel_hats=None):
+        out = original(f, cfg, kernel_hats)
+        refs.extend(weakref.ref(k) for k in kernel_hats)
+        return out
+
+    monkeypatch.setattr(norms, "local_maximal", spy)
+    cfg = MaximalConfig()
+    local_hardy_norms(_hardy_fields(rng, (32, 32), 3), 1.0, cfg)
+    assert len(refs) == 3 * cfg.tLevels
+    assert all(ref() is None for ref in refs)
+
+
+def test_local_hardy_norms_raise_where_the_sweep_does():
+    """A scale below grid resolution raises on the first field's sweep."""
+    f = GridField(np.ones((8, 8, 1)), (2 * math.pi, 2 * math.pi))
+    cfg = MaximalConfig(kernel=lambda r: np.zeros_like(r))
+    with pytest.raises(ValueError, match="below grid resolution"):
+        local_hardy_norms([f, f], 1.0, cfg)
 
 
 def test_norm_tag_round_trip():

@@ -471,6 +471,17 @@ def test_pairing_identity_bits_on_experiment_inputs():
                  _old_pairing_identity(u, phi, T=8.0, tLevels=16))
 
 
+@pytest.mark.parametrize("shape", [(65, 65), (48, 33)])
+def test_pairing_identity_bits_on_odd_and_unequal_grids(shape):
+    """The scalar-plane slab sweep against the old route on band-limited
+    inputs at an odd and an unequal grid size."""
+    rng = np.random.default_rng(11)
+    u = random_bandlimited(rng, shape, 2, cutoff=True)
+    phi = random_bandlimited(rng, shape, 1, cutoff=True)
+    assert _same(pairing_identity(u, phi, T=8.0, tLevels=8),
+                 _old_pairing_identity(u, phi, T=8.0, tLevels=8))
+
+
 def _old_interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
                    amplitudes=(0.5, 1.0, 2.0), shape=256, beta1=0.75):
     n = 2
@@ -588,6 +599,50 @@ def test_local_maximal_bits(shape, period, seed, pointwise):
     f = _noise(seed, shape, 1, period)
     cfg = MaximalConfig(include_pointwise=pointwise)
     assert _close(_old_local_maximal(f, cfg), local_maximal(f, cfg))
+
+
+def _irfftn_mollified(f, ts, kernel=standard_bump):
+    """mollified's arithmetic with one library irfftn per scale in place
+    of its in-place leading-axis ifft and last-axis irfft."""
+    rec = Spectrum(f)
+    fhat = np.fft.rfftn(f.values, axes=rec.axes)
+    for t in ts:
+        ker = kernel(rec.radius / t)
+        khat = np.fft.rfftn(ker / (ker.sum() * f.cell_volume)).real
+        buf = khat[..., None] * fhat
+        buf *= f.cell_volume
+        yield np.fft.irfftn(buf, s=f.shape, axes=rec.axes, out=np.empty(
+            f.values.shape))
+
+
+MOLLIFIER_SHAPES = SHAPES + [(6, 5, 4), (3, 4, 7), (8, 6, 2)]
+
+
+@given(st.sampled_from(MOLLIFIER_SHAPES), seeds, st.integers(1, 3),
+       st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+def test_mollified_inverse_matches_irfftn_bits(shape, seed, dimV, fracs):
+    """The in-place split of the inverse (ifft over the leading axes into
+    the product buffer, then irfft into the output) keeps irfftn's bits,
+    on even, odd and 3-D grids with unequal periods."""
+    period = tuple(1.0 + 0.5 * i for i in range(len(shape)))
+    f = _noise(seed, shape, dimV, period)
+    ts = [frac * min(period) / 2 for frac in fracs]
+    new = [vals.copy() for vals in mollified(f, ts)]
+    assert _same(new, list(_irfftn_mollified(f, ts)))
+
+
+@given(shapes, periods, seeds, st.integers(1, 3),
+       st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
+def test_mollified_shared_kernels_keep_bits(shape, period, seed, k, fracs):
+    """Fields that share a kernel set (the first fills it, the rest read
+    it) get the bits of fields that each build their own."""
+    ts = [frac * min(period) / 2 for frac in fracs]
+    fields = [_noise(seed + i, shape, 1, period) for i in range(k)]
+    kernel_hats = []
+    for f in fields:
+        shared = [v.copy() for v in mollified(f, ts, kernel_hats=kernel_hats)]
+        assert len(kernel_hats) == len(ts)
+        assert _same(shared, [v.copy() for v in mollified(f, ts)])
 
 
 class _KernelFailingAt:
