@@ -447,7 +447,7 @@ def trig_product(a, b, cap=TRIG_TERM_CAP):
         raise ValueError("dimension mismatch")
     if a.dimV != 1 or b.dimV != 1:
         raise ValueError("trig_product multiplies scalar polynomials; "
-                         "use .component() / dot helpers for vectors")
+                         "use .component() for vectors")
     if len(a.terms) * len(b.terms) > cap:
         raise OverflowError(
             f"product would touch {len(a.terms) * len(b.terms)} terms (cap {cap})")
@@ -460,16 +460,6 @@ def trig_product(a, b, cap=TRIG_TERM_CAP):
             terms[m] = terms.get(m, 0.0) + c1 * c2
     # the constructor drops the modes that cancel exactly
     return TrigPoly(n=a.n, dimV=1, terms=terms, period=a.period)
-
-
-def trig_dot(a, b, cap=TRIG_TERM_CAP):
-    """Exact pointwise dot product of two vector TrigPolys (scalar result)."""
-    if a.dimV != b.dimV:
-        raise ValueError("dimension mismatch")
-    out = TrigPoly.zero(a.n, 1, a.period)
-    for i in range(a.dimV):
-        out = out + trig_product(a.component(i), b.component(i), cap)
-    return out
 
 
 def trig_integral(a):

@@ -1,11 +1,12 @@
 """Quasiaffine integrands, the mean test and the pairing bank.
 
 An integrand F is quasiaffine for the operator A when its torus average over
-any A-free mean-zero perturbation equals its value at the mean.  The mean
-test draws random band-limited A-free trig polynomials (amplitudes projected
-frequency-wise onto ker A(xi)) and evaluates the average exactly by sparse
-trig arithmetic, so the verdict is a genuine identity check, not a quadrature
-one.
+any A-free mean-zero perturbation equals its value at the mean.  Every
+integrand here is a quadratic form F(v) = sum c v_i v_j, stored as its list
+of (i, j, c).  The mean test draws random band-limited A-free trig
+polynomials (amplitudes projected frequency-wise onto ker A(xi)) and takes
+the average of F exactly from the amplitudes (Parseval), building no product
+polynomial, so the verdict is a genuine identity check, not a quadrature one.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbol as sym_mod
-from .field import (GridField, TrigPoly, standard_bump, trig_dot,
-                    trig_integral, trig_product)
+from .field import GridField, TrigPoly, standard_bump
 
 __all__ = [
     "Integrand",
@@ -38,74 +38,55 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Integrand:
-    """Polynomial integrand F: R^dimV -> R with homogeneity degree s.
+    """Quadratic integrand F(v) = sum over form of c v_i v_j on R^dimV.
 
-    grid_eval acts on value arrays (..., dimV); trig_eval (optional) maps a
-    vector TrigPoly to the exact scalar TrigPoly F(v).
+    form = ((i, j, c), ...) gives both routes: F on value arrays (..., dimV)
+    sums the terms in form order, and mean(v) is the exact torus mean of F(v)
+    for a vector TrigPoly v, read from its amplitudes with no product built.
     """
 
     name: str
-    s: int
     dimV: int
-    grid_eval: object
-    trig_eval: object = None
+    form: tuple
 
-    def __call__(self, v):
-        return evaluate_F(self, v)
+    def __call__(self, vals):
+        (i, j, c), *rest = self.form
+        out = c * vals[..., i] * vals[..., j]
+        for i, j, c in rest:
+            out = out + c * vals[..., i] * vals[..., j]
+        return out
 
-
-def _det2_grid(vals):
-    return vals[..., 0] * vals[..., 3] - vals[..., 1] * vals[..., 2]
-
-
-def _det2_trig(v):
-    return (trig_product(v.component(0), v.component(3))
-            - trig_product(v.component(1), v.component(2)))
-
-
-def _dot_grid(vals):
-    return vals[..., 0] * vals[..., 2] + vals[..., 1] * vals[..., 3]
-
-
-def _dot_trig(v):
-    return (trig_product(v.component(0), v.component(2))
-            + trig_product(v.component(1), v.component(3)))
-
-
-def _sq_grid(vals):
-    return np.sum(vals**2, axis=-1)
-
-
-def _sq_trig(v):
-    return trig_dot(v, v)
+    def mean(self, v):
+        """Exact mean of F(v): sum over form of c sum_m a_m[i] a_{-m}[j]."""
+        acc = 0
+        for i, j, c in self.form:
+            z = 0
+            for m, a in v.terms.items():
+                b = v.terms.get(tuple(-x for x in m))
+                if b is not None:
+                    z += a[i] * b[j]
+            acc += c * z
+        # integral over the box, then divided by its volume: the rounding of
+        # trig_integral(F(v)) / vol, so seed-0 outputs keep their bits
+        vol = v.period**v.n
+        return float(np.real(acc) * vol) / vol
 
 
 INTEGRANDS = {
     # det of a 2x2 matrix field, row-major components (v11, v12, v21, v22)
-    "det2": Integrand(name="det2", s=2, dimV=4, grid_eval=_det2_grid,
-                      trig_eval=_det2_trig),
+    "det2": Integrand("det2", 4, ((0, 3, 1), (1, 2, -1))),
     # v . vt on R^4 = (v1, v2, vt1, vt2)
-    "divcurl_dot": Integrand(name="divcurl_dot", s=2, dimV=4,
-                             grid_eval=_dot_grid, trig_eval=_dot_trig),
+    "divcurl_dot": Integrand("divcurl_dot", 4, ((0, 2, 1), (1, 3, 1))),
     # |v|^2: the classical non-quasiaffine control
-    "sqnorm4": Integrand(name="sqnorm4", s=2, dimV=4, grid_eval=_sq_grid,
-                         trig_eval=_sq_trig),
+    "sqnorm4": Integrand("sqnorm4", 4, tuple((i, i, 1) for i in range(4))),
 }
 
 
 def evaluate_F(F, v):
-    """F(v): pointwise on grids, exact sparse arithmetic on TrigPoly."""
-    if isinstance(v, GridField):
-        if v.dimV != F.dimV:
-            raise ValueError("integrand/field dimension mismatch")
-        return GridField(F.grid_eval(v.values)[..., None], v.period)
-    if isinstance(v, TrigPoly):
-        if F.trig_eval is None:
-            raise TypeError(f"integrand {F.name} has no exact trig route")
-        if v.dimV != F.dimV:
-            raise ValueError("integrand/field dimension mismatch")
-        return F.trig_eval(v)
-    raise TypeError("expected GridField or TrigPoly")
+    """F(v) pointwise on a grid field, as a scalar GridField."""
+    if v.dimV != F.dimV:
+        raise ValueError("integrand/field dimension mismatch")
+    return GridField(F(v.values)[..., None], v.period)
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +120,9 @@ def quasiaffine_mean_test(F, sym, trials=100, bandlimit=3, seed=0, tol=1e-8):
     over volume) so callers can also verify that non-quasiaffine integrands
     are rejected with the predicted margin.
     """
+    if F.dimV != sym.dimV:
+        raise ValueError(f"integrand {F.name} acts on R^{F.dimV} but operator "
+                         f"{sym.name} on R^{sym.dimV}")
     report = sym_mod.constant_rank_check(sym, samples=100)
     if not report.is_constant:
         raise ValueError("mean test requires a constant-rank operator")
@@ -149,9 +133,8 @@ def quasiaffine_mean_test(F, sym, trials=100, bandlimit=3, seed=0, tol=1e-8):
         v0 = rng.standard_normal(sym.dimV)
         pert = _random_afree_trig(sym, rng, bandlimit=bandlimit)
         total = pert + TrigPoly.constant(sym.n, v0, dimV=sym.dimV)
-        vol = total.period**sym.n
-        mean_F = float(trig_integral(evaluate_F(F, total))[0]) / vol
-        F0 = float(np.asarray(F.grid_eval(v0[None, :]))[0])
+        mean_F = F.mean(total)
+        F0 = float(F(v0[None, :])[0])
         # Parseval: mean of |pert|^2 over the box
         mass = sum(float(np.sum(np.abs(a) ** 2)) for a in pert.terms.values())
         scale = max(1.0, abs(F0), mass)
@@ -254,8 +237,8 @@ def pairing_experiment(family, F, phi, j_list, limit=0.0, test_id="",
                        **family_kwargs):
     """Per-index pairings ∫ F(v_j) phi dx with a fitted decay exponent.
 
-    family: registered name or callable j -> field (GridField or TrigPoly);
-    phi: scalar GridField (rendered on the same grid) or TrigPoly.
+    family: registered name or callable j -> GridField; phi: scalar
+    GridField on the same grid.
     """
     if isinstance(family, str):
         family = FAMILIES[family]
@@ -263,21 +246,11 @@ def pairing_experiment(family, F, phi, j_list, limit=0.0, test_id="",
         F = INTEGRANDS[F]
     values = []
     for j in j_list:
-        vj = family(j, **family_kwargs)
-        Fv = evaluate_F(F, vj)
-        if isinstance(Fv, TrigPoly):
-            if not isinstance(phi, TrigPoly):
-                raise TypeError("TrigPoly family needs a TrigPoly test function")
-            values.append(float(trig_integral(trig_product(Fv, phi))[0]))
-        else:
-            if isinstance(phi, TrigPoly):
-                phi_g = phi.render(Fv.shape)
-            else:
-                phi_g = phi
-            if phi_g.shape != Fv.shape:
-                raise ValueError("test function grid does not match the family grid")
-            values.append(float(np.sum(Fv.values[..., 0] * phi_g.values[..., 0])
-                                * Fv.cell_volume))
+        Fv = evaluate_F(F, family(j, **family_kwargs))
+        if phi.shape != Fv.shape:
+            raise ValueError("test function grid does not match the family grid")
+        values.append(float(np.sum(Fv.values[..., 0] * phi.values[..., 0])
+                            * Fv.cell_volume))
     devs = [abs(v - limit) for v in values]
     expo, resid = fit_exponent(j_list, devs)
     return PairingReport(indices=tuple(j_list), values=tuple(values),

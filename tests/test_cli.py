@@ -237,6 +237,21 @@ def test_main_decompose_rejects_no_fields(tmp_path, capsys, fields):
     assert not (tmp_path / "residuals.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["quasiaffine", "--param", "operator=div2"],
+    ["quasiaffine", "--param", "operator=div2", "--param", "trials=0"]],
+    ids=" ".join)
+def test_main_quasiaffine_rejects_integrand_operator_mismatch(tmp_path,
+                                                              capsys, argv):
+    # divcurl_dot acts on R^4 and div2 on R^2: an error before any trial,
+    # not a raise inside trial 1 or an inconclusive run over zero trials
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "R^4" in json.loads(captured.err)["message"]
+    assert not (tmp_path / "trials.csv").exists()
+
+
 @pytest.mark.parametrize("operator", ["grad:n=3", "div2:n=3"])
 def test_main_decompose_on_a_3d_grid(tmp_path, operator):
     code = main(["decompose", "--param", f"operator={operator}",

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cclab.field import (GridField, TrigPoly, fft, ifft, apply_symbol,
-                         random_bandlimited, trig_product, trig_dot,
+                         random_bandlimited, trig_product,
                          trig_integral, trig_pair, mollified, mollify,
                          standard_bump)
 from cclab.norms import neg_sobolev_norm
@@ -87,17 +87,6 @@ def test_term_cap_enforced():
 def test_hermitian_symmetry_enforced():
     with pytest.raises(ValueError):
         TrigPoly(n=1, dimV=1, terms={(1,): [1.0 + 0j]})
-
-
-def test_trig_dot_matches_grid(rng):
-    comps = [TrigPoly.wave(2, (1, 2), "cos", 0.7),
-             TrigPoly.wave(2, (2, -1), "sin", 1.3)]
-    v = TrigPoly.stack(comps)
-    dot = trig_dot(v, v)
-    grid = dot.render((32, 32))
-    vg = v.render((32, 32))
-    assert np.max(np.abs(grid.values[..., 0]
-                         - np.sum(vg.values**2, axis=-1))) < 1e-12
 
 
 @given(m1=st.integers(-5, 5), m2=st.integers(-5, 5),
