@@ -6,8 +6,11 @@ counterexample case=jac_case3 at k = 8, 16, 32, 64, 128 (the default
 counterexample run does not reach it).  Each run is one new python process
 that imports cclab from --src, calls cclab.cli.run once and reports the
 wall time of that call, its peak resident memory (ru_maxrss) and the
-verdict.  Each experiment runs three times; the median wall time and the
-largest ru_maxrss are kept.  The BLAS runs on one thread, as in bench/run.py.
+verdict; the parent also times the process from spawn to exit (process_s:
+start-up and imports included, so an import moved into an experiment
+shows in both figures).  Each experiment runs three times; the median wall
+and process times and the largest ru_maxrss are kept.  The BLAS runs on
+one thread, as in bench/run.py.
 
 The figures go into one column of a JSON file, next to the versions of
 python, numpy and scipy the runs used.  Other columns of the file are kept.
@@ -26,6 +29,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 REPEATS = 3
@@ -71,7 +75,9 @@ def measure(srcs, experiment, params):
     for i in range(REPEATS):
         turns = list(zip(srcs, runs))
         for src, done in turns if i % 2 == 0 else turns[::-1]:
-            done.append(_python(src, CHILD, experiment, json.dumps(params)))
+            start = time.perf_counter()
+            run = _python(src, CHILD, experiment, json.dumps(params))
+            done.append(dict(run, process_s=time.perf_counter() - start))
     return [_summary(r) for r in runs]
 
 
@@ -79,6 +85,7 @@ def _summary(runs):
     verdicts = sorted({r["verdict"] for r in runs})
     return {"wall_s": statistics.median(r["wall_s"] for r in runs),
             "walls_s": [r["wall_s"] for r in runs],
+            "process_s": statistics.median(r["process_s"] for r in runs),
             "maxrss_mb": max(r["maxrss_mb"] for r in runs),
             "verdict": verdicts[0] if len(verdicts) == 1 else verdicts}
 
@@ -131,7 +138,8 @@ def main(argv=None):
                                               experiment, params)):
             results[column][name] = r
             print(f"{name:26s} {column:8s} {str(r['verdict']):8s} "
-                  f"{r['wall_s']:8.3f} s {r['maxrss_mb']:8.1f} MB", flush=True)
+                  f"{r['wall_s']:8.3f} s {r['process_s']:8.3f} s "
+                  f"{r['maxrss_mb']:8.1f} MB", flush=True)
 
     for column in columns:
         total = write_column(args.json, column, envs[column],

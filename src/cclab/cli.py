@@ -26,7 +26,7 @@ from . import __version__
 from . import symbol as sym_mod
 from . import counterexamples as cex
 from .field import GridField, random_bandlimited
-from .decompose import helmholtz
+from .decompose import helmholtz_splits
 from .quasiaffine import (INTEGRANDS, FAMILIES, quasiaffine_mean_test,
                           pairing_experiment, make_test_function)
 from .norms import (YoungFunction, MaximalConfig, delta2_check,
@@ -183,15 +183,12 @@ def _exp_decompose(p, seed):
     if int(p["fields"]) < 1:
         raise ConfigError(f"decompose needs fields >= 1, got {p['fields']!r}")
     sym = sym_mod.make_operator(p["operator"])
-    report = sym_mod.constant_rank_check(sym, samples=200)
-    rows = []
     shape = (int(p["shape"]),) * sym.n
-    for i in range(int(p["fields"])):
-        rng = item_rng(seed, "decompose", i)
-        v = random_bandlimited(rng, shape, sym.dimV)
-        res = helmholtz(v, sym, rank_report=report)
-        rows.append([i, res.reconstructionError, res.constraintResidual,
-                     res.orthogonalityResidual, res.potentialResidual])
+    fields = (random_bandlimited(item_rng(seed, "decompose", i), shape,
+                                 sym.dimV) for i in range(int(p["fields"])))
+    rows = [[i, res.reconstructionError, res.constraintResidual,
+             res.orthogonalityResidual, res.potentialResidual]
+            for i, res in enumerate(helmholtz_splits(fields, sym))]
     tols = {"recon": p["tol_recon"], "constraint": p["tol_recon"],
             "ortho": p["tol_ortho"], "potential": p["tol_ortho"]}
     worst = {key: max([0.0] + [row[j] for row in rows])
@@ -212,9 +209,9 @@ def _exp_decompose(p, seed):
 def _exp_pairing(p, seed):
     seq, cols = p["seq"], [("j", "exact"), ("pairing", "measured")]
     if seq in ("ex61", "ex62"):
-        spec = cex.make_spec(seq)
         indices = tuple(p["indices"] or (2, 4, 8, 16, 32, 64))
     if seq == "ex61":
+        spec = cex.make_spec(seq)
         pairings = [float(cex.make_sequence(spec, j)["F"].integral()[0])
                     for j in indices]
         devs = [abs(v - 1.0) for v in pairings]
@@ -223,12 +220,12 @@ def _exp_pairing(p, seed):
         rows = [[j, v, d] for j, v, d in zip(indices, pairings, devs)]
         cols.append(("deviation", "measured"))
     elif seq == "ex62":
-        rep = cex.run_case(spec, indices)
-        verdict_m = cex.sequence_verdict(rep["M"], 0.0)["verdict"]
+        pairings = cex._ex62_masses(indices)
+        verdict_m = cex.sequence_verdict(pairings, 0.0)["verdict"]
         checks = [Check("M_verdict", verdict_m, "converges", "==",
                         len(indices))]
-        results = {"pairings": rep["M"], "verdict": verdict_m}
-        rows = [[j, v] for j, v in zip(indices, rep["M"])]
+        results = {"pairings": pairings, "verdict": verdict_m}
+        rows = [[j, v] for j, v in zip(indices, pairings)]
     elif seq in FAMILIES:
         indices = tuple(p["indices"] or (8, 16, 32, 64, 128))
         phi = make_test_function(p["test"])

@@ -482,6 +482,12 @@ def _ex62_pairing(j, test):
     return inner + outer
 
 
+def _ex62_masses(j_list):
+    """ex62's M_j: F_j against the annular bump, one quadrature per j."""
+    return [_ex62_pairing(j, lambda r: standard_bump((r - 0.5) / 0.3))
+            for j in j_list]
+
+
 def _scenario_concentration(spec, j_list):
     """All three modes fail: unit masses concentrate at a point."""
     rows = {"j": list(j_list), "M": [], "L1": [], "H1": []}
@@ -504,11 +510,9 @@ def _scenario_concentration(spec, j_list):
 def _scenario_oscillation(spec, j_list, hardy_j=None):
     """Cancelling oscillation: measures pass, L1 fails, Hardy stays bounded."""
     from scipy import integrate
-    rows = {"j": list(j_list), "M": [], "M_flat": [], "L1": [], "H1": [],
-            "hardy_j": []}
+    rows = {"j": list(j_list), "M": _ex62_masses(j_list), "M_flat": [],
+            "L1": [], "H1": [], "hardy_j": []}
     for j in j_list:
-        rows["M"].append(_ex62_pairing(
-            j, lambda r: standard_bump((r - 0.5) / 0.3)))
         rows["M_flat"].append(_ex62_pairing(j, lambda r: 1.0))
         # indicator of the ball r <= 1/2 captures only the + mass
         F = _ex62_radial_F(j)

@@ -4,6 +4,8 @@ Per nonzero frequency, bPart^ = P(xi) v^ with P the orthogonal projection
 onto ker A(xi), aStarPart^ = (I - P) v^, and w^ = (A A^T)^+ (i^l A) v^ is the
 minimal-norm potential (gauge fixed by the pseudoinverse).  The zero mode is
 assigned to the kernel part (P(0) := identity convention).
+`helmholtz_splits` streams fields through one operator, one rank check per
+stream and one frequency solve per run of fields on one grid.
 """
 
 from __future__ import annotations
@@ -13,10 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbol as sym_mod
-from .field import GridField, Spectrum, ifft, apply_symbol
+from .field import GridField, Spectrum, _apply_stack, _check_operator, fft, ifft
 from .norms import lebesgue_norm
 
-__all__ = ["HelmholtzResult", "helmholtz"]
+__all__ = ["HelmholtzResult", "helmholtz", "helmholtz_splits"]
 
 
 @dataclass(frozen=True)
@@ -30,60 +32,60 @@ class HelmholtzResult:
     potentialResidual: float
 
 
-def _operator_key(sym):
-    return (sym.n, sym.l, sym.dimV, sym.dimW,
-            tuple((alpha, mat.tobytes()) for alpha, mat in sym.coeffs.items()))
-
-
-def _frequency_solve(sym, rec, tolSV, cache):
+def _frequency_solve(sym, rec, tolSV):
     """(nz, A[nz], P, (A A^T)^+) on the nonzero frequencies of rec's grid,
-    read-only.  cache (a RankReport's solve_cache) keeps the last one, so
-    the calls that share a report, operator, grid and tolSV reuse it."""
-    key = (_operator_key(sym), rec.field.shape, rec.field.period, tolSV)
-    solve = cache.get(key)
-    if solve is None:
-        flat_xi = np.stack(np.broadcast_arrays(*rec.xi),
-                           axis=-1).reshape(-1, sym.n)
-        A = sym_mod.evaluate(sym, flat_xi)
-        mag = np.sqrt(np.sum(flat_xi**2, axis=-1))
-        nz = mag > 0
-        # normalize frequencies (P and the pinv computations are 0-homogeneous
-        # in exact arithmetic; normalizing keeps conditioning uniform)
-        An = np.array(A)
-        An[nz] /= mag[nz, None, None] ** sym.l
-        Adag = np.linalg.pinv(An[nz], rcond=tolSV)
-        P = np.eye(sym.dimV)[None, :, :] - Adag @ An[nz]
-        A_nz = A[nz]
-        AATdag = np.linalg.pinv(A_nz @ np.transpose(A_nz, (0, 2, 1)),
-                                rcond=tolSV)
-        solve = (nz, A_nz, P, AATdag)
-        for arr in solve:
-            arr.setflags(write=False)
-        cache.clear()
-        cache[key] = solve
-    return solve
+    then A and A* = (-1)^l A^T as complex grid stacks in evaluate's layout."""
+    flat_xi = np.stack(np.broadcast_arrays(*rec.xi),
+                       axis=-1).reshape(-1, sym.n)
+    A = sym_mod.evaluate(sym, flat_xi)
+    mag = np.sqrt(np.sum(flat_xi**2, axis=-1))
+    nz = mag > 0
+    # normalize frequencies (P and the pinv computations are 0-homogeneous
+    # in exact arithmetic; normalizing keeps conditioning uniform)
+    An = np.array(A)
+    An[nz] /= mag[nz, None, None] ** sym.l
+    Adag = np.linalg.pinv(An[nz], rcond=tolSV)
+    P = np.eye(sym.dimV)[None, :, :] - Adag @ An[nz]
+    A_nz = A[nz]
+    AATdag = np.linalg.pinv(A_nz @ np.transpose(A_nz, (0, 2, 1)),
+                            rcond=tolSV)
+    Astar = (-1.0) ** sym.l * np.transpose(A, (0, 2, 1))
+    return (nz, A_nz, P, AATdag) + tuple(
+        S.astype(complex, order="C").reshape(rec.field.shape + S.shape[1:])
+        for S in (A, Astar))
 
 
-def helmholtz(v, sym, tolSV=sym_mod.DEFAULT_TOL_SV, rank_report=None):
-    """Split v into the frequency-kernel part and the A*-range part.
+def helmholtz_splits(fields, sym, tolSV=sym_mod.DEFAULT_TOL_SV):
+    """helmholtz(v, sym, tolSV) for each v of fields, taken one at a time.
 
-    Requires a certified constant-rank operator: pass a report to share its
-    check and its projectors across calls; without one, each call runs the
-    sampled check (200 points) and solves afresh.
-    """
-    if v.dimV != sym.dimV:
-        raise ValueError("field/operator dimension mismatch")
-    report = rank_report or sym_mod.constant_rank_check(sym, samples=200,
-                                                         tolSV=tolSV)
-    if not report.is_constant:
-        raise ValueError("helmholtz requires a constant-rank operator "
-                         f"(witness {report.witness})")
-    rec = Spectrum(v)
-    vhat = rec.hat
+    The sampled constant-rank check (200 points) runs once, at the first
+    field, after its dimension checks.  Consecutive fields on one grid
+    share one frequency solve; another grid starts a new one (the old one
+    is dropped first), and nothing outlives the generator."""
+    report = grid = None
+    for v in fields:
+        _check_operator(sym, v)
+        if report is None:
+            report = sym_mod.constant_rank_check(sym, 200, tolSV)
+            if not report.is_constant:
+                raise ValueError("helmholtz requires a constant-rank operator "
+                                 f"(witness {report.witness})")
+        rec = Spectrum(v)
+        if (v.shape, v.period) != grid:
+            grid, solve = (v.shape, v.period), None
+            solve = _frequency_solve(sym, rec, tolSV)
+        yield _split(v, sym, rec.hat, solve)
+
+
+def helmholtz(v, sym, tolSV=sym_mod.DEFAULT_TOL_SV):
+    """Split v into the frequency-kernel part and the A*-range part."""
+    return next(helmholtz_splits([v], sym, tolSV))
+
+
+def _split(v, sym, vhat, solve):
+    nz, A_nz, P, AATdag, A, Astar = solve
     nfreq = int(np.prod(v.shape))
     vflat = vhat.reshape(nfreq, v.dimV)
-    nz, A_nz, P, AATdag = _frequency_solve(sym, rec, tolSV,
-                                           report.solve_cache)
     b_flat = np.array(vflat)
     b_flat[nz] = np.einsum("kij,kj->ki", P, vflat[nz])
     a_flat = vflat - b_flat
@@ -91,24 +93,19 @@ def helmholtz(v, sym, tolSV=sym_mod.DEFAULT_TOL_SV, rank_report=None):
     il = 1j**sym.l
     w_flat = np.zeros((nfreq, sym.dimW), dtype=complex)
     w_flat[nz] = np.einsum("kij,kj->ki", AATdag, il * np.einsum("kij,kj->ki", A_nz, vflat[nz]))
-    bPart = ifft(b_flat.reshape(vhat.shape), v.period)
-    aStarPart = ifft(a_flat.reshape(v.shape + (v.dimV,)), v.period)
-    w = ifft(w_flat.reshape(v.shape + (sym.dimW,)), v.period)
+    bPart, aStarPart, w = (ifft(x.reshape(v.shape + x.shape[1:]), v.period)
+                           for x in (b_flat, a_flat, w_flat))
 
     scale = lebesgue_norm(v, 2) + 1e-300
     recon = np.sqrt(np.sum((bPart.values + aStarPart.values - v.values) ** 2)
                     * v.cell_volume) / scale
-    Ab = apply_symbol(sym, bPart)
+    Ab = _apply_stack(A, fft(bPart), sym.l, v.period)
     sym_scale = max(float(np.max(np.abs(m))) for m in sym.coeffs.values())
     kmax = max(np.pi * s / p for s, p in zip(v.shape, v.period))
     constraint = lebesgue_norm(Ab, 2) / (sym_scale * kmax**sym.l * scale)
-    Astar_w = apply_symbol(sym_mod.adjoint_symbol(sym), w)
+    Astar_w = _apply_stack(Astar, fft(w), sym.l, v.period)
     potential = np.sqrt(np.sum((Astar_w.values - aStarPart.values) ** 2)
                         * v.cell_volume) / scale
     ortho = abs(float(np.sum(bPart.values * aStarPart.values) * v.cell_volume)) / scale**2
-    return HelmholtzResult(bPart=bPart, aStarPart=aStarPart, w=w,
-                           reconstructionError=float(recon),
-                           constraintResidual=float(constraint),
-                           orthogonalityResidual=float(ortho),
-                           potentialResidual=float(potential))
-
+    return HelmholtzResult(bPart, aStarPart, w, float(recon),
+                           float(constraint), float(ortho), float(potential))

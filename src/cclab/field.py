@@ -221,17 +221,26 @@ def jacobian(u):
     return u1x * u2y - u1y * u2x
 
 
-def apply_symbol(sym, f):
-    """A f computed spectrally: (Af)^(m) = A(i xi_m) fhat(m) = i^l A(xi_m) fhat(m)."""
+def _check_operator(sym, f):
     if f.dimV != sym.dimV:
         raise ValueError(f"field has dimV={f.dimV}, operator expects {sym.dimV}")
     if f.n != sym.n:
         raise ValueError(f"field dimension {f.n} != operator dimension {sym.n}")
+
+
+def _apply_stack(A, fhat, l, period):
+    """The field with transform i^l A fhat, inverted in place; A is complex
+    (it keeps einsum off its mixed-dtype path, at half the cost)."""
+    Af = np.einsum("...ij,...j->...i", A, fhat)
+    return ifft(1j**l * Af, period)
+
+
+def apply_symbol(sym, f):
+    """A f computed spectrally: (Af)^(m) = A(i xi_m) fhat(m) = i^l A(xi_m) fhat(m)."""
+    _check_operator(sym, f)
     rec = Spectrum(f)
     A = sym_mod.evaluate(sym, np.stack(np.broadcast_arrays(*rec.xi), axis=-1))
-    # a complex A keeps einsum off its mixed-dtype path, at half the cost
-    Af = np.einsum("...ij,...j->...i", A.astype(complex), rec.hat)
-    return ifft(1j**sym.l * Af, f.period)
+    return _apply_stack(A.astype(complex), rec.hat, sym.l, f.period)
 
 
 def random_bandlimited(rng, shape, dimV, bandlimit=6, cutoff=False):

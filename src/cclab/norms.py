@@ -528,7 +528,6 @@ class MaximalConfig:
     kernel: object = standard_bump
     tLevels: int = 24
     tMax: float = 1.0
-    include_pointwise: bool = True  # the t -> 0 member of the sup
 
     def t_grid(self, f):
         h = max(p / s for p, s in zip(f.period, f.shape))
@@ -550,27 +549,24 @@ def local_maximal(f, cfg=MaximalConfig(), kernel_hats=None):
         # accumulator is allocated, so that its meshgrid temporaries are
         # gone by then
         _radius = rec.radius
-    out = np.abs(f.values[..., 0]) if cfg.include_pointwise else np.zeros(f.shape)
+    out = np.abs(f.values[..., 0])  # the t -> 0 member of the sup
     for sm in mollified(rec, cfg.t_grid(f), cfg.kernel, kernel_hats):
         np.maximum(out, np.abs(sm[..., 0]), out=out)
     return GridField(out[..., None], f.period)
 
 
-def _ball_mask(f, R, center):
-    """The grid points within periodic distance R of center (default: the
-    box midpoint)."""
-    grids = f.meshgrid()
-    center = center if center is not None else [p / 2 for p in f.period]
+def _ball_mask(f, R):
+    """The grid points within periodic distance R of the box midpoint."""
     d2 = 0.0
-    for g, c, p in zip(grids, center, f.period):
-        d = np.abs(g - c)
+    for g, p in zip(f.meshgrid(), f.period):
+        d = np.abs(g - p / 2)
         d = np.minimum(d, p - d)
         d2 = d2 + d**2
     return d2 <= R * R
 
 
-def local_hardy_norms(fields, R, cfg=MaximalConfig(), center=None):
-    """[local_hardy_norm(f, R, cfg, center) for f in fields], taking the
+def local_hardy_norms(fields, R, cfg=MaximalConfig()):
+    """[local_hardy_norm(f, R, cfg) for f in fields], taking the
     fields one at a time from any iterable.
 
     Consecutive fields on one grid share the ball and the set of
@@ -583,16 +579,16 @@ def local_hardy_norms(fields, R, cfg=MaximalConfig(), center=None):
     for f in fields:
         if (f.shape, f.period) != grid:
             grid, kernel_hats = (f.shape, f.period), []
-            mask = _ball_mask(f, R, center)
+            mask = _ball_mask(f, R)
         mf = local_maximal(f, cfg, kernel_hats).values[..., 0]
         norms.append(float(np.sum(mf[mask]) * f.cell_volume))
         del mf  # not held through the next field's sweep
     return norms
 
 
-def local_hardy_norm(f, R, cfg=MaximalConfig(), center=None):
-    """∫_{B_R(center)} M_loc f dx (center defaults to the box midpoint)."""
-    return local_hardy_norms([f], R, cfg, center)[0]
+def local_hardy_norm(f, R, cfg=MaximalConfig()):
+    """∫_{B_R(c)} M_loc f dx, c the box midpoint."""
+    return local_hardy_norms([f], R, cfg)[0]
 
 
 # ---------------------------------------------------------------------------

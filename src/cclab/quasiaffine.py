@@ -173,17 +173,15 @@ FAMILIES = {
 
 
 def make_test_function(name, shape=(256, 256), period=(2 * math.pi, 2 * math.pi),
-                       center=None, radius=1.0, alpha=0.5, corner=(0.0, 0.0),
-                       side=1.0):
+                       radius=1.0, alpha=0.5, corner=(0.0, 0.0), side=1.0):
     """Registered test-function bank: smooth bumps, grid-aligned indicators,
-    Holder cusps, and the constant 1."""
+    Holder cusps, and the constant 1; the radial ones are box-centred."""
     period = tuple(period)
-    center = center if center is not None else [p / 2 for p in period]
 
     def dist2(grids):
         d2 = 0.0
-        for g, c, p in zip(grids, center, period):
-            d = np.abs(g - c)
+        for g, p in zip(grids, period):
+            d = np.abs(g - p / 2)
             d = np.minimum(d, p - d)
             d2 = d2 + d**2
         return d2

@@ -82,9 +82,6 @@ class RankReport:
     witness: object  # unit frequency where the rank deviates, or None
     samples: int
     tolSV: float
-    # decompose.helmholtz's projectors, shared by calls passing this report
-    solve_cache: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
 
     @property
     def is_constant(self):

@@ -30,10 +30,12 @@ def test_bench_defaults_writes_one_column(tmp_path):
             "repeats"} <= set(col["env"])
     assert col["env"]["repeats"] == 3
     run = col["experiments"]["check-rank"]
-    assert set(run) == {"wall_s", "walls_s", "maxrss_mb", "verdict"}
+    assert set(run) == {"wall_s", "walls_s", "process_s", "maxrss_mb",
+                        "verdict"}
     assert list(col["experiments"]) == ["check-rank"]
     assert run["verdict"] == "pass" and len(run["walls_s"]) == 3
     assert 0 < run["wall_s"] <= col["total_wall_s"] and run["maxrss_mb"] > 0
+    assert run["process_s"] > run["wall_s"]
 
 
 def test_bench_defaults_parent_src_takes_turns(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cclab import cli
+from cclab import counterexamples as cex
 from cclab.cli import (Check, ExperimentConfig, ConfigError, item_rng,
                        describe, registry_listing, run, main, verdict_of,
                        write_csv, _EXIT)
@@ -389,3 +390,23 @@ def test_json_leaf_converts_numpy_scalars_and_rejects_the_rest():
     for value in (object(), np.zeros(2), {1.5}):
         with pytest.raises(TypeError, match="not JSON serializable"):
             json.dumps({"x": value}, default=cli._json_leaf)
+
+
+def test_pairing_ex62_takes_only_the_masses(tmp_path, capsys, monkeypatch):
+    """pairing --seq ex62 reports the oscillation scenario's M pairings
+    without building the scenario's Hardy norms."""
+    expected = cex.run_case(cex.make_spec("ex62"), (2, 8))["M"]
+
+    def no_hardy(*args, **kwargs):
+        raise AssertionError("pairing --seq ex62 built a local Hardy norm")
+
+    monkeypatch.setattr(cex, "local_hardy_norms", no_hardy)
+    assert main(["pairing", "--seq", "ex62", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    # two indices are too few for a verdict; the pairings are still the
+    # scenario's
+    main(["pairing", "--seq", "ex62", "--param", "indices=[2, 8]",
+          "--out", str(tmp_path / "two")])
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert [float(v).hex() for v in results["pairings"]] == \
+        [v.hex() for v in expected]

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cclab import symbol as sym_mod
 from cclab.field import GridField, apply_symbol, random_bandlimited
 from cclab.symbol import make_operator, adjoint_symbol
 from cclab.decompose import helmholtz
@@ -80,3 +81,16 @@ def test_dimension_mismatch_raises(divcurl, rng):
     v = random_bandlimited(rng, (16, 16), 3, bandlimit=4)
     with pytest.raises(ValueError):
         helmholtz(v, divcurl)
+
+
+@pytest.mark.parametrize("shape", [(8, 8, 8), (8,)])
+def test_wrong_space_dimension_raises_before_any_transform(shape, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before the dimension check")
+
+    monkeypatch.setattr(np.fft, "fftn", forbidden)
+    monkeypatch.setattr(sym_mod, "constant_rank_check", forbidden)
+    v = GridField(np.zeros(shape + (2,)), 1.0)
+    with pytest.raises(ValueError, match=f"field dimension {len(shape)} "
+                                         "!= operator dimension 2"):
+        helmholtz(v, make_operator("div2"))

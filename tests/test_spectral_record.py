@@ -10,6 +10,7 @@ unequal, so that a frequency formula that rounds differently (say
 m * (2 pi / p) instead of m * 2 pi / p) shows.
 """
 
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -177,7 +178,7 @@ def _old_local_maximal(f, cfg=MaximalConfig()):
     """M_loc f = sup over the scale grid of |f * kernel_t| (pointwise)."""
     if f.dimV != 1:
         raise ValueError("local maximal function acts on scalar fields")
-    out = np.abs(f.values[..., 0]) if cfg.include_pointwise else np.zeros(f.shape)
+    out = np.abs(f.values[..., 0])
     for t in cfg.t_grid(f):
         sm = _old_mollify(f, t, cfg.kernel)
         out = np.maximum(out, np.abs(sm.values[..., 0]))
@@ -594,11 +595,10 @@ def test_mollify_bits(shape, period, seed, frac):
         _assert_same_outcome(old, _outcome(mollify, rec, t), _close)
 
 
-@given(shapes, periods, seeds, st.booleans())
-def test_local_maximal_bits(shape, period, seed, pointwise):
+@given(shapes, periods, seeds)
+def test_local_maximal_bits(shape, period, seed):
     f = _noise(seed, shape, 1, period)
-    cfg = MaximalConfig(include_pointwise=pointwise)
-    assert _close(_old_local_maximal(f, cfg), local_maximal(f, cfg))
+    assert _close(_old_local_maximal(f), local_maximal(f))
 
 
 def _irfftn_mollified(f, ts, kernel=standard_bump):
@@ -741,45 +741,91 @@ def test_symbol_stack_bits(shape, period, seed, name):
                  list(_old_symbol_stack(sym, f)))
 
 
-def _split(v, sym, report):
-    res = helmholtz(v, sym, rank_report=report)
+def _parts(res):
     return [res.bPart, res.aStarPart, res.w, res.reconstructionError,
             res.constraintResidual, res.orthogonalityResidual,
             res.potentialResidual]
 
 
-@given(shapes, periods, st.lists(seeds, min_size=4, max_size=4),
-       st.sampled_from([("divcurl2", "div2"), ("div2", "curl_matrix_n"),
-                        ("curl_matrix_n", "divcurl2")]))
-def test_helmholtz_bits_first_reused_and_after_other_operator(
-        shape, period, keys, names):
-    sym, other = (sym_mod.make_operator(n) for n in names)
-    v = [_noise(k, shape, sym.dimV, period) for k in keys[:3]]
-    w = _noise(keys[3], shape, other.dimV, period)
-    # one report per operator, as the decompose experiment passes it, and
-    # one report shared by both, whose single entry the other operator evicts
-    for shared in (None, sym_mod.constant_rank_check(sym, samples=200)):
-        report = shared or sym_mod.constant_rank_check(sym, samples=200)
-        report_w = shared or sym_mod.constant_rank_check(other, samples=200)
-        assert _same(_split(v[0], sym, report), _old_helmholtz(v[0], sym))
-        assert _same(_split(v[1], sym, report), _old_helmholtz(v[1], sym))
-        assert _same(_split(w, other, report_w), _old_helmholtz(w, other))
-        assert _same(_split(v[2], sym, report), _old_helmholtz(v[2], sym))
-        assert len(report.solve_cache) == 1
+# per space dimension, grids A A B A' A C: A' has A's shape on other
+# periods (A's reversed where n > 1), so A' and the A after it are new grids
+STREAM_GRIDS = {
+    1: [((16,), (1.0,)), ((16,), (1.0,)), ((9,), (3.0,)), ((16,), (0.7,)),
+        ((16,), (1.0,)), ((8,), (2 * math.pi,))],
+    2: [((9, 8), (1.0, 3.0)), ((9, 8), (1.0, 3.0)),
+        ((8, 8), (2 * math.pi, 2 * math.pi)), ((9, 8), (3.0, 1.0)),
+        ((9, 8), (1.0, 3.0)), ((12, 7), (5.5, 2 * math.pi))],
+    3: [((4, 5, 6), (1.0, 2.0, 3.0)), ((4, 5, 6), (1.0, 2.0, 3.0)),
+        ((6, 6, 6), (2 * math.pi,) * 3), ((4, 5, 6), (3.0, 2.0, 1.0)),
+        ((4, 5, 6), (1.0, 2.0, 3.0)), ((5, 4, 3), (0.7, 0.7, 5.5))],
+}
 
 
-def test_helmholtz_solve_keyed_by_grid_and_tolerance():
+def _stream_fields(sym):
+    return [_noise(k, shape, sym.dimV, period)
+            for k, (shape, period) in enumerate(STREAM_GRIDS[sym.n])]
+
+
+@pytest.mark.parametrize("name", OPERATORS + ["grad:n=1", "div2:n=3",
+                                              "curl_matrix_n:n=3"])
+@pytest.mark.parametrize("tol", [sym_mod.DEFAULT_TOL_SV, 0.5])
+def test_helmholtz_splits_keep_bits_across_grids(name, tol):
+    sym = sym_mod.make_operator(name)
+    fields = _stream_fields(sym)
+    splits = list(decompose.helmholtz_splits(fields, sym, tol))
+    assert len(splits) == len(fields)
+    for v, res in zip(fields, splits):
+        assert _same(_parts(res), _old_helmholtz(v, sym, tolSV=tol))
+
+
+def test_helmholtz_splits_check_once_and_solve_once_per_grid_run(
+        monkeypatch):
+    calls = {"rank": 0, "pinv": 0}
+    rank_check, pinv = sym_mod.constant_rank_check, np.linalg.pinv
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(sym_mod, "constant_rank_check",
+                        counted("rank", rank_check))
+    monkeypatch.setattr(np.linalg, "pinv", counted("pinv", pinv))
     sym = sym_mod.make_operator("divcurl2")
-    report = sym_mod.constant_rank_check(sym, samples=200)
-    v = _noise(3, (9, 8), sym.dimV, (1.0, 3.0))
-    for period, tol in (((1.0, 3.0), 1e-8), ((3.0, 1.0), 1e-8),
-                        ((1.0, 3.0), 0.5), ((1.0, 3.0), 1e-8)):
-        f = GridField(v.values, period)
-        res = helmholtz(f, sym, tolSV=tol, rank_report=report)
-        old = _old_helmholtz(f, sym, tolSV=tol)
-        assert _same([res.bPart, res.aStarPart, res.w], old[:3])
-        [key] = report.solve_cache
-        assert key[-2:] == (period, tol)
+    fields = _stream_fields(sym)
+    for _ in decompose.helmholtz_splits(fields, sym):
+        pass
+    # runs A A | B | A' | A | C: five solves of two pinv each
+    assert calls == {"rank": 1, "pinv": 2 * 5}
+    for v in fields[:2]:
+        helmholtz(v, sym)
+    assert calls == {"rank": 3, "pinv": 2 * 7}
+
+
+def test_helmholtz_splits_reject_non_constant_rank_at_the_first_field():
+    sym = sym_mod.OperatorSymbol(
+        n=2, l=1, dimV=2, dimW=2,
+        coeffs={(1, 0): np.array([[1.0, 0.0], [0.0, 0.0]]),
+                (0, 1): np.array([[0.0, 0.0], [0.0, 1.0]])})
+    taken = []
+
+    def fields():
+        for k in range(3):
+            taken.append(k)
+            yield _noise(k, (8, 8), 2, (1.0, 1.0))
+
+    with pytest.raises(ValueError, match="constant-rank operator"):
+        next(decompose.helmholtz_splits(fields(), sym))
+    assert taken == [0]
+
+
+def test_rank_report_holds_no_solve():
+    report = sym_mod.constant_rank_check(sym_mod.make_operator("div2"))
+    assert "solve_cache" not in {f.name for f in
+                                 dataclasses.fields(sym_mod.RankReport)}
+    assert not hasattr(report, "solve_cache")
+    assert not hasattr(decompose, "_operator_key")
 
 
 def test_helmholtz_without_report_keeps_bits():
@@ -803,18 +849,6 @@ def test_helmholtz_rejects_non_constant_rank_every_call():
         assert _outcome(helmholtz, v, sym) == (
             "raised", f"helmholtz requires a constant-rank operator "
                       f"(witness {witness})")
-
-
-def test_helmholtz_solve_is_read_only_and_kept_on_the_report():
-    sym = sym_mod.make_operator("div2")
-    report = sym_mod.constant_rank_check(sym, samples=200)
-    helmholtz(_noise(1, (8, 8), sym.dimV, (1.0, 1.0)), sym,
-              rank_report=report)
-    assert not hasattr(decompose, "_last_solve")
-    [solve] = report.solve_cache.values()
-    for arr in solve:
-        with pytest.raises(ValueError):
-            arr[...] = 0
 
 
 # ---------------------------------------------------------------------------
