@@ -3,7 +3,11 @@
 Per nonzero frequency, bPart^ = P(xi) v^ with P the orthogonal projection
 onto ker A(xi), aStarPart^ = (I - P) v^, and w^ = (A A^T)^+ (i^l A) v^ is the
 minimal-norm potential (gauge fixed by the pseudoinverse).  The zero mode is
-assigned to the kernel part (P(0) := identity convention).
+assigned to the kernel part (P(0) := identity convention).  The
+frequencies are field.Spectrum's xi, whose entry -N/2 is 0 on an even axis
+(the Nyquist convention), so A, P and the potential are Hermitian on every
+grid and the split of a real field is real; on an even grid a frequency
+whose xi is 0 after that (say (N/2, N/2)) counts as a zero mode.
 `helmholtz_splits` streams fields through one operator, one rank check per
 stream and one frequency solve per run of fields on one grid.
 """

@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .field import (GridField, Spectrum, TrigPoly, gradient, jacobian,
+from .field import (GridField, Spectrum, TrigPoly, _half_inverse, gradient,
                     trig_pair, trig_product)
 from .norms import besov_sup, lebesgue_norm
 
@@ -51,14 +51,16 @@ def slab_derivatives(f, t):
     by -|xi|, d_xj by i xi_j.
     """
     rec = Spectrum.of(f)
-    return [rec.inverse(factor) for factor in _slab_factors(rec, t)]
+    return [rec.inverse(factor)
+            for factor in _slab_factors(rec.mag, rec.xi, t)]
 
 
-def _slab_factors(rec, t):
-    """The multipliers of (d_t, d_x1, ..., d_xn) at height t on rec's grid:
+def _slab_factors(mag, xi, t):
+    """The multipliers of (d_t, d_x1, ..., d_xn) at height t, given |xi| and
+    the per-axis xi of a Spectrum (or their half-spectrum slices):
     -|xi| e^{-t|xi|}, then i xi_j e^{-t|xi|}."""
-    decay = np.exp(-t * rec.mag)
-    return [-rec.mag * decay] + [1j * xi * decay for xi in rec.xi]
+    decay = np.exp(-t * mag)
+    return [-mag * decay] + [1j * x * decay for x in xi]
 
 
 # ---------------------------------------------------------------------------
@@ -83,37 +85,52 @@ def pairing_identity(u, phi, T=8.0, tLevels=64, tail_tol=1e-6):
     if u.n != 2 or u.dimV != 2 or phi.dimV != 1:
         raise ValueError("the identity is implemented for 2D, u in R^2")
     cell = u.cell_volume
+
+    # phi, u1 and u2 as scalar planes, each transformed once to its real
+    # half-spectrum (rfftn; at 256^2 a plane stays in cache where an
+    # (N, N, 2) array does not).  Every factor is Hermitian (Spectrum's
+    # Nyquist convention), so each derivative plane is the irfftn of a
+    # product on the N x (N/2 + 1) half grid.  At each height the three
+    # factors are built once and serve all three planes, and the nine
+    # planes are inverted in place, through one product buffer, into
+    # arrays kept across heights.
+    rec = Spectrum(phi)
+    half = phi.shape[-1] // 2 + 1
+    mag, xi = rec.mag[:, :half], [x[:, :half] for x in rec.xi]
+    hats = [np.fft.rfftn(g.values[..., i])
+            for g, i in ((phi, 0), (u, 0), (u, 1))]
+    buf = np.empty_like(hats[0])
+    planes = [[np.empty(u.shape) for _ in range(3)] for _ in hats]
+
+    def slab(t):
+        """The nine planes (d_t, d_x1, d_x2) of (Phi, U1, U2) at height t."""
+        factors = _slab_factors(mag, xi, t)
+        for hat, row in zip(hats, planes):
+            for factor, plane in zip(factors, row):
+                _half_inverse(np.multiply(hat, factor, out=buf), plane, (0, 1))
+        return planes
+
+    def surface_det(rows):
+        """det D_x (U1, U2) from the x-derivative planes of u."""
+        (_, u1x, u1y), (_, u2x, u2y) = rows
+        return u1x * u2y - u1y * u2x
+
+    det_surface = surface_det(slab(0.0)[1:])
     phi0 = phi.values[..., 0]
-    det_surface = jacobian(u)
     lhs = float(np.sum(det_surface * phi0) * cell)
     scale = float(np.sum(np.abs(det_surface * phi0)) * cell)
 
-    # phi, u1 and u2 as scalar planes, each transformed once: at 256^2 a
-    # plane stays in cache where an (N, N, 2) array does not.  At each Gauss
-    # level the three factors are built once and serve all three planes,
-    # and the nine derivative planes are transformed in place in buffers
-    # kept across levels.
-    recs = [Spectrum(phi), Spectrum(u.component(0)), Spectrum(u.component(1))]
-    hats = [rec.hat[..., 0] for rec in recs]
-    planes = [[np.empty_like(hat) for _ in range(3)] for hat in hats]
     nodes, weights = np.polynomial.legendre.leggauss(tLevels)
     ts = 0.5 * T * (nodes + 1.0)
     ws = 0.5 * T * weights
-
-    def bulk(t):
-        factors = _slab_factors(recs[0], t)
-        for hat, row in zip(hats, planes):
-            for factor, plane in zip(factors, row):
-                np.fft.ifftn(np.multiply(hat, factor, out=plane), out=plane)
-        rows = [[plane.real for plane in row] for row in planes]
-        return float(np.sum(_det3(*rows)) * cell)
-
-    rhs = -sum(w * bulk(t) for t, w in zip(ts, ws))
+    rhs = -sum(w * float(np.sum(_det3(*slab(t))) * cell)
+               for t, w in zip(ts, ws))
 
     # boundary determinant mass at height T (truncation error witness)
-    phiT, u1T, u2T = (poisson_slab(rec, T).values for rec in recs)
-    uT = GridField(np.concatenate([u1T, u2T], axis=-1), u.period)
-    tail = abs(float(np.sum(phiT[..., 0] * jacobian(uT)) * cell))
+    det_T = surface_det(slab(T)[1:])
+    phiT = _half_inverse(np.multiply(hats[0], np.exp(-T * mag), out=buf),
+                         planes[0][0], (0, 1))
+    tail = abs(float(np.sum(phiT * det_T) * cell))
     denom = max(abs(lhs), scale, 1e-300)
     if tail > tail_tol * denom:
         raise ValueError(f"tail bound violated at T={T}: boundary mass "

@@ -128,6 +128,17 @@ class GridField:
         return GridField(vals, tuple(period))
 
 
+def _midpoint_dist2(grids, period):
+    """Squared periodic distance of each point of the coordinate grids
+    (meshgrid arrays) from the box midpoint."""
+    d2 = 0.0
+    for g, p in zip(grids, period):
+        d = np.abs(g - p / 2)
+        d = np.minimum(d, p - d)
+        d2 = d2 + d**2
+    return d2
+
+
 def fft(f):
     """Forward FFT over the space axes; returns complex array, same layout."""
     return np.fft.fftn(f.values, axes=tuple(range(f.n)))
@@ -142,21 +153,46 @@ def ifft(fhat, period=()):
     return GridField(np.real(vals), period)
 
 
+def _half_inverse(buf, out, axes):
+    """irfftn of the half-spectrum buf over axes, written into the real
+    array out (the grid's shape along axes), and returned.
+
+    irfftn's steps, each in place: the leading axes' inverses overwrite buf
+    (irfftn itself would allocate a fresh half-spectrum per call), then the
+    last axis's irfft fills out.  buf must be the half-spectrum of a real
+    field, that is, of a Hermitian full spectrum."""
+    for ax in axes[:-1]:
+        np.fft.ifft(buf, axis=ax, out=buf)
+    return np.fft.irfft(buf, n=out.shape[axes[-1]], axis=axes[-1], out=out)
+
+
 class Spectrum:
     """One field's spectral record: its transform and frequency grids.
 
     hat is fft(field); xi[i] holds the axis-i frequencies 2 pi m_i / p_i
     (m_i in numpy fft order), shaped to broadcast over the grid; mag is |xi|;
     radius is each grid point's periodic distance |x| from the origin.  Each
-    is built on first use and then kept.  The slab functions of extension
-    take a Spectrum in place of a GridField, so a caller that transforms one
-    field many times (a sweep of slab heights) pays for each piece once.
-    mollify and mollified take one too, but read only its radius: their
-    kernels are real and radial, so they work on real half-spectra (rfftn)
-    of their own, never on the full complex hat.  Fields on one grid can
-    share one set of kernel half-spectra (mollified's kernel_hats, which
-    norms.local_hardy_norms fills for a sequence); then only the first
-    field's radius is read, while the set is built.
+    is built on first use and then kept.
+
+    The Nyquist convention: on an even axis the entry m_i = -N_i/2 of xi[i]
+    is 0, while mag keeps the full |xi| there.  That index is its own
+    conjugate (-m = m mod N), so an odd-order factor such as i xi_j or a
+    symbol A(xi) of odd order is Hermitian, M(-m) = conj M(m), only if it
+    vanishes there; then every multiplier of a real field gives a real
+    field, and a half-spectrum (rfftn) route gives the full route's values.
+    Even factors (e^{-t|xi|}, -|xi|, |xi|^{-l}) read mag and do not move
+    (S. G. Johnson, "Notes on FFT-based differentiation", MIT 2011).
+
+    The slab functions of extension take a Spectrum in place of a
+    GridField, so a caller that transforms one field many times (a sweep of
+    slab heights) pays for each piece once; pairing_identity reads only mag
+    and xi, cut to the rfftn half grid.  mollify and mollified take one too,
+    but read only its radius: their kernels are real and radial, so they
+    work on real half-spectra (rfftn) of their own, never on the full
+    complex hat.  Fields on one grid can share one set of kernel
+    half-spectra (mollified's kernel_hats, which norms.local_hardy_norms
+    fills for a sequence); then only the first field's radius is read,
+    while the set is built.
     """
 
     def __init__(self, field):
@@ -171,20 +207,25 @@ class Spectrum:
     def hat(self):
         return fft(self.field)
 
-    @functools.cached_property
-    def xi(self):
+    def _frequencies(self, nyquist):
         f = self.field
         out = []
         for ax, (s, p) in enumerate(zip(f.shape, f.period)):
             shape = [1] * f.n
             shape[ax] = s
             m = np.fft.fftfreq(s, d=1.0 / s)
+            if not nyquist and s % 2 == 0:
+                m[s // 2] = 0.0
             out.append(m.reshape(shape) * 2 * math.pi / p)
         return out
 
     @functools.cached_property
+    def xi(self):
+        return self._frequencies(nyquist=False)
+
+    @functools.cached_property
     def mag(self):
-        return np.sqrt(sum(x**2 for x in self.xi))
+        return np.sqrt(sum(x**2 for x in self._frequencies(nyquist=True)))
 
     @functools.cached_property
     def radius(self):
@@ -243,6 +284,16 @@ def apply_symbol(sym, f):
     return _apply_stack(A.astype(complex), rec.hat, sym.l, f.period)
 
 
+def _band_coefficients(rng, dimV, bandlimit):
+    """random_bandlimited's modes, in draw order, as an (M, 2) integer
+    array, and its normals (a_m, b_m) / (1 + |m|^2), shape (dimV, M, 2)."""
+    modes = np.array([(m1, m2) for m1 in range(0, bandlimit + 1)
+                      for m2 in range(-bandlimit, bandlimit + 1)
+                      if m1 > 0 or m2 > 0])
+    weights = 1.0 + np.sum(modes**2, axis=1)
+    return modes, rng.normal(size=(dimV, len(modes), 2)) / weights[:, None]
+
+
 def random_bandlimited(rng, shape, dimV, bandlimit=6, cutoff=False):
     """Smooth random field on the torus [0, 2 pi)^n, n = len(shape) >= 2.
 
@@ -253,29 +304,38 @@ def random_bandlimited(rng, shape, dimV, bandlimit=6, cutoff=False):
     mode.  cutoff (2D shapes only) multiplies each component by a C^infty
     bump of radius pi/2 about the box centre (peak 1), which makes the field
     compactly supported inside the box.
+
+    The sum is synthesised with one inverse transform: (a_m - i b_m)/2 goes
+    to frequency m and its conjugate to -m of one (N1, N2, dimV) spectrum,
+    where modes that alias on a coarse grid add up as the cos/sin terms do,
+    and its half-spectrum is inverted over the first two axes.  The plane is
+    then copied along any further axes, and the cut-off applied last.
     """
     shape = tuple(shape)
     if cutoff and len(shape) != 2:
         raise ValueError("the cut-off is defined on 2D grids only")
     period = 2 * math.pi
-    axes = [np.arange(s) * period / s for s in shape]
-    grids = np.meshgrid(*axes, indexing="ij")
-    modes = [(m1, m2) for m1 in range(0, bandlimit + 1)
-             for m2 in range(-bandlimit, bandlimit + 1) if m1 > 0 or m2 > 0]
-    weights = np.array([1.0 + m1 * m1 + m2 * m2 for m1, m2 in modes])
-    coef = rng.normal(size=(dimV, len(modes), 2)) / weights[:, None]
-    comps = np.zeros((dimV,) + shape)
-    for k, (m1, m2) in enumerate(modes):
-        phase = m1 * grids[0] + m2 * grids[1]
-        cos, sin = np.cos(phase), np.sin(phase)
-        for vals, (a, b) in zip(comps, coef[:, k]):
-            vals += a * cos + b * sin
+    modes, coef = _band_coefficients(rng, dimV, bandlimit)
+    N1, N2 = shape[:2]
+    # scaled by N1 N2 against the inverse transform's 1 / (N1 N2)
+    amp = (coef[..., 0] - 1j * coef[..., 1]).T * (N1 * N2 / 2)
+    spec = np.zeros((N1, N2, dimV), dtype=complex)
+    np.add.at(spec, (modes[:, 0] % N1, modes[:, 1] % N2), amp)
+    np.add.at(spec, (-modes[:, 0] % N1, -modes[:, 1] % N2), amp.conj())
+    values = _half_inverse(spec[:, : N2 // 2 + 1].copy(),
+                           np.empty((N1, N2, dimV)), (0, 1))
+    if len(shape) > 2:
+        values = np.broadcast_to(
+            values.reshape((N1, N2) + (1,) * (len(shape) - 2) + (dimV,)),
+            shape + (dimV,)).copy()
     if cutoff:
         c = period / 2
-        r = np.hypot(grids[0] - c, grids[1] - c)
-        comps = comps * (standard_bump(r / (period / 4))
-                         / standard_bump(np.zeros(1))[0])
-    return GridField(np.stack(list(comps), axis=-1), (period,) * len(shape))
+        X, Y = np.meshgrid(*(np.arange(s) * period / s for s in shape),
+                           indexing="ij")
+        r = np.hypot(X - c, Y - c)
+        values *= (standard_bump(r / (period / 4))
+                   / standard_bump(np.zeros(1))[0])[..., None]
+    return GridField(values, (period,) * len(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -555,11 +615,7 @@ def mollified(f, ts, kernel=standard_bump, kernel_hats=None):
                 kernel_hats.append(khat)
         np.multiply(khat[..., None], fhat, out=buf)
         buf *= f.cell_volume
-        # irfftn's steps, each in place: its leading-axis inverses would
-        # allocate a fresh half-spectrum per scale
-        for ax in rec.axes[:-1]:
-            np.fft.ifft(buf, axis=ax, out=buf)
-        np.fft.irfft(buf, n=f.shape[-1], axis=rec.axes[-1], out=vals)
+        _half_inverse(buf, vals, rec.axes)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         yield vals

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (GridField, Spectrum, TrigPoly, fft, mollified,
-                    standard_bump)
+from .field import (GridField, Spectrum, TrigPoly, _midpoint_dist2, fft,
+                    mollified, standard_bump)
 
 __all__ = [
     "YoungFunction",
@@ -474,8 +474,7 @@ def _gagliardo_fourier(f, beta, p):
         total = f.period[0] * np.sum(kernel[:, None] * np.abs(fhat) ** 2)
         return float(math.sqrt(total))
     # higher dimensions: asymptotic weight c(n,beta)|xi|^{2 beta}
-    mag2 = sum(x**2 for x in Spectrum(f).xi)
-    weight = mag2**beta
+    weight = Spectrum(f).mag ** (2 * beta)
     total = f.volume * np.sum(weight[..., None] * np.abs(fhat) ** 2)
     return float(math.sqrt(total))
 
@@ -557,12 +556,7 @@ def local_maximal(f, cfg=MaximalConfig(), kernel_hats=None):
 
 def _ball_mask(f, R):
     """The grid points within periodic distance R of the box midpoint."""
-    d2 = 0.0
-    for g, p in zip(f.meshgrid(), f.period):
-        d = np.abs(g - p / 2)
-        d = np.minimum(d, p - d)
-        d2 = d2 + d**2
-    return d2 <= R * R
+    return _midpoint_dist2(f.meshgrid(), f.period) <= R * R
 
 
 def local_hardy_norms(fields, R, cfg=MaximalConfig()):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbol as sym_mod
-from .field import GridField, TrigPoly, standard_bump
+from .field import GridField, TrigPoly, _midpoint_dist2, standard_bump
 
 __all__ = [
     "Integrand",
@@ -178,21 +178,13 @@ def make_test_function(name, shape=(256, 256), period=(2 * math.pi, 2 * math.pi)
     Holder cusps, and the constant 1; the radial ones are box-centred."""
     period = tuple(period)
 
-    def dist2(grids):
-        d2 = 0.0
-        for g, p in zip(grids, period):
-            d = np.abs(g - p / 2)
-            d = np.minimum(d, p - d)
-            d2 = d2 + d**2
-        return d2
-
     if name == "bump":
         def fn(*grids):
-            r = np.sqrt(dist2(grids)) / radius
+            r = np.sqrt(_midpoint_dist2(grids, period)) / radius
             return standard_bump(r) / standard_bump(np.array(0.0))
     elif name == "indicator_ball":
         def fn(*grids):
-            return (dist2(grids) <= radius**2).astype(float)
+            return (_midpoint_dist2(grids, period) <= radius**2).astype(float)
     elif name == "indicator_square":
         def fn(*grids):
             m = np.ones_like(grids[0], dtype=bool)
@@ -201,7 +193,7 @@ def make_test_function(name, shape=(256, 256), period=(2 * math.pi, 2 * math.pi)
             return m.astype(float)
     elif name == "cusp":
         def fn(*grids):
-            r = np.sqrt(dist2(grids))
+            r = np.sqrt(_midpoint_dist2(grids, period))
             return np.maximum(0.0, 1.0 - (r / radius) ** alpha)
     elif name == "one":
         def fn(*grids):
