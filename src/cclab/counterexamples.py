@@ -443,12 +443,12 @@ def truncated_llogl_masses(F, levels=(10.0, 1e2, 1e3, 1e4, 1e5, 1e6)):
     for M in levels:
         def fn(t, M=M):
             key = float(t)
-            with np.errstate(over="ignore"):
-                if key not in seen:
-                    seen[key] = F(t)
-                val = np.minimum(seen[key], M)
+            if key not in seen:
+                seen[key] = F(t)
+            val = np.minimum(seen[key], M)
             return val * np.log1p(val)
-        out.append(_log_substituted_quad(fn))
+        with np.errstate(over="ignore"):
+            out.append(_log_substituted_quad(fn))
     return out
 
 

@@ -217,30 +217,36 @@ def thmD_ensemble(alpha=0.5, s=2, m_list=(4, 8, 16, 32, 64),
 def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
                    amplitudes=(0.5, 1.0, 2.0), shape=256, beta1=0.75):
     """Jacobian variant: |int det(Du) phi| / ([phi]_alpha ||u||_q^alpha
-    ||Du||_p^{n-alpha}) with alpha/q + (n-alpha)/p = 1 (n=2)."""
+    ||Du||_p^{n-alpha}) with alpha/q + (n-alpha)/p = 1 (n=2).
+
+    u = amp (sin(m x), -cos(m y)) and phi = m^{-alpha} cos(m x) sin(m y).
+    Built once per frequency m: phi, its grid values and [phi]_alpha, and
+    the oscillations sin(m x) and cos(m y) as 1-D arrays.  Each amplitude
+    scales them and still takes its own gradient transforms: the transform
+    of amp * sin is not bit for bit amp times the transform of sin."""
     n = 2
     if abs(alpha / q + (n - alpha) / p - 1.0) > 1e-12:
         raise ValueError("exponents must satisfy alpha/q + (n-alpha)/p = 1")
     period = 2 * math.pi
     x = np.arange(shape) * (period / shape)
-    X, Y = np.meshgrid(x, x, indexing="ij")
     records = []
     for m in m_list:
+        phi_tp = TrigPoly.wave(2, (m, 0), "cos", float(m) ** -alpha)
+        phi_tp = trig_product(phi_tp, TrigPoly.wave(2, (0, m), "sin"))
+        phiv = phi_tp.render((shape, shape)).values[..., 0]
+        holder = besov_sup(phi_tp, alpha)
+        s, c = np.sin(m * x)[:, None], np.cos(m * x)[None, :]
         for a in amplitudes:
             amp = a * float(m) ** -beta1
-            uvals = np.stack([amp * np.sin(m * X), -amp * np.cos(m * Y)],
-                             axis=-1)
+            uvals = np.stack(np.broadcast_arrays(amp * s, -amp * c), axis=-1)
             u = GridField(uvals, (period, period))
-            phi_tp = TrigPoly.wave(2, (m, 0), "cos", float(m) ** -alpha)
-            phi_tp = trig_product(phi_tp, TrigPoly.wave(2, (0, m), "sin"))
-            phiv = phi_tp.render((shape, shape))
             u1x, u1y = gradient(u.component(0))
             u2x, u2y = gradient(u.component(1))
             det = u1x * u2y - u1y * u2x
-            pairing = float(np.sum(det * phiv.values[..., 0]) * u.cell_volume)
+            pairing = float(np.sum(det * phiv) * u.cell_volume)
             du = GridField(np.stack([u1x, u1y, u2x, u2y], axis=-1),
                            (period, period))
-            denom = (besov_sup(phi_tp, alpha)
+            denom = (holder
                      * lebesgue_norm(u, q) ** alpha
                      * lebesgue_norm(du, p) ** (n - alpha))
             records.append({"m": m, "amplitude": a,

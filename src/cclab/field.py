@@ -498,15 +498,34 @@ class TrigPoly:
         return TrigPoly(n=self.n, dimV=self.dimV, terms=terms, period=self.period)
 
     def render(self, shape):
-        """Sample on a grid (exact when frequencies are grid-resolvable)."""
+        """Sample on a grid (exact when frequencies are grid-resolvable).
+
+        Conjugate pairs share one exponential: the phase of -m is exactly
+        minus that of m, so conj(e^{i m.x}) equals a fresh e^{-i m.x} to the
+        last bit (a zero imaginary part may differ in sign, which the real
+        part kept here never shows).  The first key of a pair keeps its e
+        until its mirror's turn, which conjugates it in place.  The terms
+        are summed one at a time in the dict's key order (summing a pair
+        first would move the last bits)."""
         shape = tuple(int(s) for s in shape)
         axes = [np.arange(s) * (self.period / s) for s in shape]
-        grids = np.meshgrid(*axes, indexing="ij")
+        grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         scale = 2 * math.pi / self.period
         out = np.zeros(shape + (self.dimV,), dtype=complex)
+        waiting = {}  # mirror key -> the exponential it will conjugate
         for m, a in self.terms.items():
-            phase = sum(mi * g for mi, g in zip(m, grids)) * scale
-            out += np.exp(1j * phase)[..., None] * a
+            e = waiting.pop(m, None)
+            if e is None:
+                phase = sum(mi * g for mi, g in zip(m, grids)) * scale
+                e = np.multiply(1j, phase, dtype=complex)
+                del phase
+                np.exp(e, out=e)
+                mirror = tuple(-mi for mi in m)
+                if mirror != m and mirror in self.terms:
+                    waiting[mirror] = e
+            else:
+                np.conjugate(e, out=e)
+            out += e[..., None] * a
         return GridField(np.real(out), (self.period,) * self.n)
 
 

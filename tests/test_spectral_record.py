@@ -527,6 +527,53 @@ def test_pairing_identity_bits_on_odd_and_unequal_grids(shape):
         pairing_identity(u, phi, T=8.0, tLevels=8))
 
 
+def _old_render(tp, shape):
+    """TrigPoly.render as a term-by-term loop: one exponential per key."""
+    shape = tuple(int(s) for s in shape)
+    axes = [np.arange(s) * (tp.period / s) for s in shape]
+    grids = np.meshgrid(*axes, indexing="ij")
+    scale = 2 * math.pi / tp.period
+    out = np.zeros(shape + (tp.dimV,), dtype=complex)
+    for m, a in tp.terms.items():
+        phase = sum(mi * g for mi, g in zip(m, grids)) * scale
+        out += np.exp(1j * phase)[..., None] * a
+    return GridField(np.real(out), (tp.period,) * tp.n)
+
+
+RENDER_SHAPES = {2: [(8, 10), (9, 7), (16, 16), (11, 11)],
+                 3: [(6, 4, 8), (5, 7, 3), (4, 5, 6)]}
+
+
+@given(seeds, st.sampled_from([2, 3]), st.integers(1, 3), st.booleans(),
+       st.sampled_from([2 * math.pi, 1.0, 5.5, 0.7]))
+def test_render_bits(seed, n, dimV, zero_mode, period):
+    """Conjugate pairs that share one exponential against the loop that
+    takes one per key: random Hermitian polynomials, keys shuffled (so a
+    mirror may come before, after or right next to its key), frequencies
+    past the grid's Nyquist (aliasing) included."""
+    rng = np.random.default_rng(seed)
+    keys = {tuple(int(k) for k in rng.integers(-9, 10, size=n))
+            for _ in range(int(rng.integers(1, 8)))}
+    terms = {}
+    for m in keys - {(0,) * n}:
+        a = rng.normal(size=dimV) + 1j * rng.normal(size=dimV)
+        terms[m] = a
+        terms[tuple(-k for k in m)] = np.conj(a)
+    if zero_mode:
+        terms[(0,) * n] = rng.normal(size=dimV) + 0j
+    order = list(terms)
+    rng.shuffle(order)
+    tp = TrigPoly(n=n, dimV=dimV, terms={m: terms[m] for m in order},
+                  period=period)
+    assert list(tp.terms) == order
+    for shape in RENDER_SHAPES[n]:
+        new, old = tp.render(shape), _old_render(tp, shape)
+        assert new.period == old.period
+        # bit patterns, so that a zero's sign counts too
+        assert np.array_equal(new.values.view(np.int64),
+                              old.values.view(np.int64))
+
+
 def _old_interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
                    amplitudes=(0.5, 1.0, 2.0), shape=256, beta1=0.75):
     n = 2
@@ -544,7 +591,7 @@ def _old_interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 6
             u = GridField(uvals, (period, period))
             phi_tp = TrigPoly.wave(2, (m, 0), "cos", float(m) ** -alpha)
             phi_tp = trig_product(phi_tp, TrigPoly.wave(2, (0, m), "sin"))
-            phiv = phi_tp.render((shape, shape))
+            phiv = _old_render(phi_tp, (shape, shape))
             u1x, u1y = _old_grad2(uvals[..., 0], (period, period))
             u2x, u2y = _old_grad2(uvals[..., 1], (period, period))
             det = u1x * u2y - u1y * u2x
@@ -565,10 +612,29 @@ def _old_interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 6
 
 
 def test_interpolation_ensemble_bits():
-    """The thmD interpolation ratios, built on per-component records."""
-    kw = dict(m_list=(4, 8), amplitudes=(0.5, 2.0), shape=32)
-    assert _same(interpolation_ensemble(**kw),
-                 _old_interpolation_ensemble(**kw))
+    """The thmD interpolation ratios, with phi and the oscillations built
+    once per frequency, against the loop that builds them per amplitude:
+    an even and an odd grid, and an amplitude that is not a power of 2."""
+    for kw in (dict(m_list=(4, 8), amplitudes=(0.5, 2.0), shape=32),
+               dict(alpha=0.25, q=2.0, p=2.0, m_list=(3, 8),
+                    amplitudes=(0.3, 1.0, 2.0), shape=33)):
+        assert _same(interpolation_ensemble(**kw),
+                     _old_interpolation_ensemble(**kw))
+
+
+def test_interpolation_ensemble_renders_once_per_frequency(monkeypatch):
+    calls = []
+    render = TrigPoly.render
+
+    def counted(self, shape):
+        calls.append(tuple(shape))
+        return render(self, shape)
+
+    monkeypatch.setattr(TrigPoly, "render", counted)
+    m_list = (3, 4, 8)
+    interpolation_ensemble(m_list=m_list, amplitudes=(0.5, 1.0, 2.0),
+                           shape=32)
+    assert calls == [(32, 32)] * len(m_list)
 
 
 @given(shapes, periods, seeds)
