@@ -532,10 +532,14 @@ def _scenario_borderline(spec, levels=(10.0, 1e2, 1e3, 1e4, 1e5, 1e6)):
     prof = ex63_profile(spec)
     masses = truncated_llogl_masses(prof["F"], levels)
     r, beta = prof["r"], prof["beta"]
+    w = prof["w"]
+
+    def zyg_density(t):
+        wt = w(t)  # once per node
+        return np.power(wt, r) * np.power(np.log1p(wt), beta)
+
     # finite constraint budget: the lifted constraint is the profile itself
-    zyg_mass = _log_substituted_quad(
-        lambda t: np.power(prof["w"](t), r)
-        * np.power(np.log1p(prof["w"](t)), beta))
+    zyg_mass = _log_substituted_quad(zyg_density)
     l1_mass = _log_substituted_quad(prof["F"])
     return {"llogl_masses": masses, "levels": list(levels),
             "constraint_mass": zyg_mass, "l1_mass": l1_mass,

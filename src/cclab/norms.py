@@ -14,6 +14,7 @@ sample ranges, since any finite range alone cannot decide them.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -73,35 +74,32 @@ class YoungFunction:
             h + np.minimum(s, h))
 
     def inverse(self, y, hi0=1.0):
-        """phi^{-1}(y) by doubling bracket + bisection (phi increasing)."""
+        """phi^{-1}(y): a doubling bracket from hi0, then the bisection's
+        root on it for phi(s) >= y, reached in a few evaluations of phi
+        (_first_crossing; phi increasing)."""
         y = float(y)
         if y <= 0:
             return 0.0
-        lo, hi = 0.0, hi0
+        # phi(0) = 0 places the first secant point; 0 is never evaluated
+        below, hi = (0.0, 0.0), hi0
         # 2,100 doublings or halvings span every float (2^-1074 to 2^1024)
         for _ in range(2100):
-            if float(self.phi(hi)) >= y:
+            f_hi = float(self.phi(hi))
+            if f_hi >= y:
                 break
+            below = (hi, f_hi)
             hi *= 2.0
         else:
             raise ValueError("could not bracket phi inverse")
-        for _ in range(2100):
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break  # no later step changes (lo+hi)/2, the result
-            if float(self.phi(mid)) < y:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+        return _first_crossing(self.phi, y, 0.0, hi, f_hi, below, 2100)
 
     def is_convex(self, grid=None, tol=1e-9):
         """Midpoint convexity test on a log grid (numerical certificate)."""
         grid = grid if grid is not None else np.geomspace(1e-6, 1e6, 200)
-        a, b = grid[:-1], grid[1:]
-        mid = 0.5 * (a + b)
-        lhs = self(mid)
-        rhs = 0.5 * (self(a) + self(b))
+        # phi once on the grid and once on the midpoints
+        values = self(grid)
+        lhs = self(0.5 * (grid[:-1] + grid[1:]))
+        rhs = 0.5 * (values[:-1] + values[1:])
         scale = np.maximum(np.abs(rhs), 1e-300)
         return bool(np.all(lhs <= rhs * (1 + tol) + tol * scale))
 
@@ -160,30 +158,164 @@ class YoungFunction:
         return table[name]()
 
 
-def _conjugate_argmax(phi, t, s_floor=1e-14):
-    """s*(t) maximizing t*s - phi(s): solves phi'(s) = t (phi convex)."""
-    t = float(t)
-    if t <= 0:
-        return 0.0
-    if float(phi.derivative(s_floor)) >= t:
-        return 0.0
-    hi = 1.0
-    for _ in range(300):
-        if float(phi.derivative(hi)) >= t:
+# -- the bisection's root in few evaluations ---------------------------------
+
+_DOUBLE, _INT64 = struct.Struct("<d"), struct.Struct("<q")
+# Floats on each side of the secant steps' crossing at whose midpoints the
+# bisection still evaluates f: there a rounded formula for f, such as
+# log1p(s) + s/(1 + s), can step back by an ulp and make the bisection pick
+# another crossing.
+_NEAR = 4
+# Steps the secant phase may take beyond a bisection of the float ordinals.
+_SLACK = 5
+
+
+def _ordinal(x):
+    """Index of a float x >= 0 in the ordered floats: 0.0 is 0 and
+    adjacent floats differ by 1 (the bit pattern read as an integer)."""
+    return _INT64.unpack(_DOUBLE.pack(x))[0]
+
+
+def _from_ordinal(i):
+    return _DOUBLE.unpack(_INT64.pack(i))[0]
+
+
+_INF_ORDINAL = _ordinal(math.inf)
+
+
+def _secant_point(lo, f_lo, hi, f_hi, y, w_lo, w_hi):
+    """Where the secant through (lo, w_lo (f_lo - y)) and (hi, w_hi (f_hi -
+    y)) meets 0: on log-log axes where the logs exist (exact for powers
+    t^p), else on linear axes; nan where neither applies (f_hi infinite or
+    nan).  Needs f_lo < y <= f_hi and positive weights."""
+    if not f_hi < math.inf:
+        return math.nan
+    if lo > 0 and f_lo > 0:
+        ratio, r_lo = hi / lo, f_lo / y
+        if ratio < math.inf and r_lo > 0:
+            g_lo, g_hi = w_lo * math.log(r_lo), w_hi * math.log(f_hi / y)
+            return lo * ratio ** (g_lo / (g_lo - g_hi))
+    g_lo, g_hi = w_lo * (f_lo - y), w_hi * (f_hi - y)
+    d = g_hi - g_lo  # 0 where a weighted residual underflows
+    return lo - g_lo * ((hi - lo) / d) if d > 0 else math.nan
+
+
+def _secant_crossing(f, y, lo, f_lo, hi, f_hi, seen):
+    """Adjacent floats lo < hi with f(lo) < y <= f(hi), from a bracket
+    [lo, hi] of floats >= 0 with f(lo) = f_lo < y <= f(hi) = f_hi.
+
+    Each step evaluates the secant point of the bracket (_secant_point) with
+    the Illinois weights (the residual of an end kept twice in a row is
+    halved), moved one float inside the bracket if it falls on an end.  The
+    point is then held within a radius of the middle of the bracket's float
+    ordinals that shrinks as ITP's projection does (Oliveira & Takahashi,
+    ACM TOMS 2020), so that the bracket is never wider than a bisection of
+    the ordinals leaves it after _SLACK fewer steps: at most 63 + _SLACK
+    evaluations, whatever f does.  Each evaluation goes into seen.
+    """
+    a, b = _ordinal(lo), _ordinal(hi)
+    steps = (b - a - 1).bit_length() + _SLACK
+    w_lo = w_hi = 1.0  # Illinois weights of f_lo - y and f_hi - y
+    kept = 0  # +1 after a step that moved lo, -1 after one that moved hi
+    for n in range(steps):
+        if b - a <= 1:
             break
-        hi *= 2.0
-    else:
-        raise OverflowError("phi' stays below t; conjugate is infinite there")
-    lo = s_floor
-    for _ in range(200):
+        x = _secant_point(lo, f_lo, hi, f_hi, y, w_lo, w_hi)
+        if math.isnan(x):
+            i = (a + b) // 2
+        elif x <= lo:
+            i = a + 1
+        elif x >= hi:
+            i = b - 1
+        else:
+            i = _ordinal(x)
+        # twice the radius: the width after this step is at most
+        # 2^(steps - n - 1), which reaches 1 by the last step
+        r2 = (1 << (steps - n)) - (b - a)
+        i = min(max(i, (a + b - r2 + 1) // 2), (a + b + r2) // 2)
+        x = _from_ordinal(i)
+        fx = seen[x] = float(f(x))
+        if fx < y:
+            lo, a, f_lo, w_lo = x, i, fx, 1.0
+            if kept == 1:
+                w_hi *= 0.5
+            kept = 1
+        else:
+            hi, b, f_hi, w_hi = x, i, fx, 1.0
+            if kept == -1:
+                w_lo *= 0.5
+            kept = -1
+    return lo, hi
+
+
+def _first_crossing(f, y, lo, hi, f_hi, below, steps, secant=True):
+    """The root that bisection of [lo, hi] for f(s) >= y returns.
+
+    The bisection: mid = 0.5 * (lo + hi) replaces lo if f(mid) < y and hi
+    otherwise, until mid equals lo or hi (adjacent floats, or an overflowed
+    mid) or for at most `steps` steps; it returns 0.5 * (lo + hi).  f(lo)
+    is never evaluated; f_hi = f(hi) >= y.
+
+    With secant=True, secant steps (_secant_crossing) first find the
+    crossing: adjacent floats c0 < c1 with f(c0) < y <= f(c1), starting
+    from below = (s, f(s)), a point of [lo, hi) with f(s) < y.  The
+    bisection then evaluates f only at midpoints within _NEAR floats of the
+    crossing; a midpoint farther off lies below y iff it is below c0, and
+    a midpoint the secant steps evaluated is not evaluated again.
+
+    Contract: the returned bits are the bisection's own whenever f(s) < y
+    holds on the floats of (lo, hi] up to some point and fails after it,
+    except within _NEAR floats of c0 and c1 (f non-decreasing on floats,
+    give or take a few ulp-sized steps back).  Such a crossing is unique,
+    so every path to it ends on the same pair of floats.  Use secant=False
+    for an f with larger steps back, such as a finite-difference
+    derivative: then every midpoint is evaluated, as by plain bisection.
+    """
+    near_lo, near_hi, seen = -math.inf, math.inf, {}
+    # below[0] and hi non-negative (not -0.0), in order, and hi finite
+    if secant and 0 <= _ordinal(below[0]) < _ordinal(hi) < _INF_ORDINAL:
+        c0, c1 = _secant_crossing(f, y, *below, hi, f_hi, seen)
+        near_lo = _from_ordinal(max(_ordinal(c0) - _NEAR, 0))
+        near_hi = _from_ordinal(min(_ordinal(c1) + _NEAR, _INF_ORDINAL))
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break  # no later step changes (lo+hi)/2, the result
-        if float(phi.derivative(mid)) < t:
+        if mid < near_lo:
             lo = mid
-        else:
+        elif mid > near_hi:
             hi = mid
+        else:
+            f_mid = seen.get(mid)
+            if (float(f(mid)) if f_mid is None else f_mid) < y:
+                lo = mid
+            else:
+                hi = mid
     return 0.5 * (lo + hi)
+
+
+def _conjugate_argmax(phi, t, s_floor=1e-14):
+    """s*(t) maximizing t*s - phi(s): the bisection's root of phi'(s) >= t
+    on a doubling bracket (phi convex), reached in a few evaluations of
+    phi' (_first_crossing); a phi' by finite differences is bisected
+    plainly."""
+    t = float(t)
+    if t <= 0:
+        return 0.0
+    below = (s_floor, float(phi.derivative(s_floor)))
+    if below[1] >= t:
+        return 0.0
+    hi = 1.0
+    for _ in range(300):
+        f_hi = float(phi.derivative(hi))
+        if f_hi >= t:
+            break
+        below = (hi, f_hi)
+        hi *= 2.0
+    else:
+        raise OverflowError("phi' stays below t; conjugate is infinite there")
+    return _first_crossing(phi.derivative, t, s_floor, hi, f_hi, below, 200,
+                           secant=phi.dphi is not None)
 
 
 def young_conjugate(phi, check_convex=True, check_young=True):

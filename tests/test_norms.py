@@ -165,6 +165,7 @@ _VALUES = (st.floats(allow_nan=True, allow_infinity=True)
 @example(name="log1p", y=1e3, hi0=1e300)  # the bracket doubles to inf
 @example(name="inf-jump", y=1e300, hi0=1.0)
 @example(name="nan-jump", y=2e6, hi0=1.0)
+@example(name="t", y=1e-300, hi0=1.7e308)  # a secant fraction underflows
 def test_inverse_exit_keeps_bits(name, y, hi0):
     young = _YOUNG[name]
     assert (_bits(young.inverse, y, hi0)
@@ -187,6 +188,8 @@ def test_inverse_keeps_bits_within_old_caps(name, y, hi0):
 @example(name="t2", t=1e-300)
 @example(name="exp", t=1e300)
 @example(name="inf-jump", t=5.0)
+@example(name="exp", t=1.8858053666315656e+185)  # slow for unguarded Illinois
+@example(name="tlogt", t=3.0618515360839478)  # phi' steps back an ulp near s*
 def test_conjugate_argmax_exit_keeps_bits(name, t):
     phi = _YOUNG[name]
     assert (_bits(_conjugate_argmax, phi, t)
@@ -216,6 +219,41 @@ def test_inverse_of_square_ignores_the_bracket(y):
         roots = {young.inverse(y, hi0) for hi0 in
                  (1.0, 1e-300, max(1.0, y), max(1.0, math.sqrt(y)))}
     assert len(roots) == 1
+
+
+def _counted(young, attr):
+    """young with its phi or dphi wrapped to count calls, and the count."""
+    calls = [0]
+    inner = getattr(young, attr)
+
+    def counting(t):
+        calls[0] += 1
+        return inner(t)
+
+    kwargs = {"phi": young.phi, "dphi": young.dphi, attr: counting}
+    return YoungFunction(label=young.label, **kwargs), calls
+
+
+# plain bisection takes 54 (inverse) and 58 (argmax) calls per solve here
+def test_inverse_takes_few_evaluations():
+    psi = YoungFunction.zygmund(2, 1)
+    t2, calls = _counted(YoungFunction.power(2), "phi")
+    # appendixOrlicz's inverses: y = psi(f(t)), f(t) = t^-1/2 log(1 + 1/t)^-c
+    ts = np.geomspace(1e-300, 0.99, 400)
+    ys = psi(ts ** -0.5 * np.log1p(1.0 / ts) ** (-9.0 / 8.0))
+    with np.errstate(over="ignore"):
+        for y in ys.tolist():
+            t2.inverse(y, hi0=max(1.0, math.sqrt(y)))
+    assert calls[0] / ys.size <= 16
+
+
+def test_conjugate_argmax_takes_few_evaluations():
+    cubic, calls = _counted(YoungFunction(phi=lambda t: t**3 / 3.0,
+                                          dphi=lambda t: t**2), "dphi")
+    ts = np.geomspace(1e-4, 1e4, 400)
+    for t in ts:
+        _conjugate_argmax(cubic, t)
+    assert calls[0] / ts.size <= 16
 
 
 def test_young_conjugate_of_square_keeps_bits():
