@@ -6,8 +6,8 @@ The package bundles:
   (kernel projections, constant-rank checks),
 * periodic grid fields and sparse trigonometric polynomials with exact
   product/integral arithmetic,
-* a function-space toolbox (Zygmund / Orlicz / negative Sobolev / fractional
-  and local Hardy norms),
+* a function-space toolbox (Young functions on the Zygmund scale, Orlicz
+  and Lebesgue norms, Besov-block Holder surrogates, local Hardy norms),
 * Helmholtz-type decompositions relative to an operator,
 * quasiaffinity tests and weak-continuity pairing experiments,
 * Lipschitz truncation via Whitney extension,

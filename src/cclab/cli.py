@@ -476,9 +476,7 @@ def registry_listing():
     return {"experiments": sorted(REGISTRY),
             "operators": sorted(sym_mod.NAMED_OPERATORS),
             "integrands": sorted(INTEGRANDS),
-            "sequences": sorted(cex.CASES) + sorted(FAMILIES),
-            "norm_variants": ["lebesgue", "zygmund", "orlicz", "negsob",
-                              "gagliardo", "holder", "hardy"]}
+            "sequences": sorted(cex.CASES) + sorted(FAMILIES)}
 
 
 def describe(name):

@@ -90,10 +90,6 @@ class GridField:
     def cell_volume(self):
         return float(np.prod([p / s for p, s in zip(self.period, self.shape)]))
 
-    @property
-    def volume(self):
-        return float(np.prod(self.period))
-
     def axes(self):
         """Per-axis coordinate arrays (grid points, left endpoints)."""
         return [np.arange(s) * (p / s) for s, p in zip(self.shape, self.period)]
@@ -128,12 +124,12 @@ class GridField:
         return GridField(vals, tuple(period))
 
 
-def _midpoint_dist2(grids, period):
+def _periodic_dist2(grids, period, centre):
     """Squared periodic distance of each point of the coordinate grids
-    (meshgrid arrays) from the box midpoint."""
+    (meshgrid arrays, sparse or not) from the point centre."""
     d2 = 0.0
-    for g, p in zip(grids, period):
-        d = np.abs(g - p / 2)
+    for g, p, c in zip(grids, period, centre):
+        d = np.abs(g - c)
         d = np.minimum(d, p - d)
         d2 = d2 + d**2
     return d2
@@ -180,14 +176,14 @@ class Spectrum:
     symbol A(xi) of odd order is Hermitian, M(-m) = conj M(m), only if it
     vanishes there; then every multiplier of a real field gives a real
     field, and a half-spectrum (rfftn) route gives the full route's values.
-    Even factors (e^{-t|xi|}, -|xi|, |xi|^{-l}) read mag and do not move
-    (S. G. Johnson, "Notes on FFT-based differentiation", MIT 2011).
+    Even factors (e^{-t|xi|}, -|xi|) read mag and do not move (S. G.
+    Johnson, "Notes on FFT-based differentiation", MIT 2011).
 
-    The slab functions of extension take a Spectrum in place of a
-    GridField, so a caller that transforms one field many times (a sweep of
-    slab heights) pays for each piece once; pairing_identity reads only mag
-    and xi, cut to the rfftn half grid.  mollify and mollified take one too,
-    but read only its radius: their kernels are real and radial, so they
+    extension.poisson_slab and extension.slab_derivatives take a Spectrum
+    in place of a GridField; they are kept as the reference slab routes
+    that the tests and bench/tracing.py use.  pairing_identity reads only
+    mag and xi, cut to the rfftn half grid.  mollify and mollified take one
+    too, but read only its radius: their kernels are real and radial, so they
     work on real half-spectra (rfftn) of their own, never on the full
     complex hat.  Fields on one grid can share one set of kernel
     half-spectra (mollified's kernel_hats, which norms.local_hardy_norms
@@ -229,12 +225,9 @@ class Spectrum:
 
     @functools.cached_property
     def radius(self):
-        disp = []
-        for s, p in zip(self.field.shape, self.field.period):
-            x = np.arange(s) * (p / s)
-            disp.append(np.where(x > p / 2, x - p, x))  # periodic displacement
-        grids = np.meshgrid(*disp, indexing="ij")
-        return np.sqrt(sum(g**2 for g in grids))
+        f = self.field
+        grids = np.meshgrid(*f.axes(), indexing="ij", sparse=True)
+        return np.sqrt(_periodic_dist2(grids, f.period, (0.0,) * f.n))
 
     def inverse(self, multiplier):
         """Real part of the inverse transform of hat * multiplier, the
@@ -472,20 +465,6 @@ class TrigPoly:
         return TrigPoly(n=self.n, dimV=1,
                         terms={m: a[i : i + 1] for m, a in self.terms.items()},
                         period=self.period)
-
-    @staticmethod
-    def stack(components):
-        """Combine scalar TrigPolys into one vector-valued TrigPoly."""
-        n, period = components[0].n, components[0].period
-        dimV = len(components)
-        terms = {}
-        for i, c in enumerate(components):
-            if c.dimV != 1:
-                raise ValueError("stack expects scalar components")
-            for m, a in c.terms.items():
-                vec = terms.setdefault(m, np.zeros(dimV, dtype=complex))
-                vec[i] += a[0]
-        return TrigPoly(n=n, dimV=dimV, terms=terms, period=period)
 
     def derivative(self, axis, order=1):
         """d^order / dx_axis^order, exact per mode."""

@@ -1,10 +1,10 @@
 """Norms and the Orlicz-function toolbox.
 
-Covers Lebesgue, Zygmund L^p log^a L, general Orlicz (Luxemburg), negative
-Sobolev via Riesz multipliers, Gagliardo fractional seminorms, Holder/Besov
-seminorms, the local maximal function and the local Hardy norm, plus Young
-conjugation, the Delta_2 doubling check, and domination between Young
-functions.
+Covers Young functions (the Zygmund scale t^p log^alpha(1+t) among them)
+with their inverses and conjugates, the Delta_2 doubling check and
+domination between Young functions; Lebesgue and Orlicz (Luxemburg) norms
+of grid fields; the Besov-block Holder surrogate of a TrigPoly; and the
+local maximal function with the local Hardy norm.
 
 Desk-scale caveat recorded once here: asymptotic properties (Delta_2 failure,
 non-domination) are certified by monotone-trend diagnostics over declared
@@ -15,33 +15,25 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (GridField, Spectrum, TrigPoly, _midpoint_dist2, fft,
-                    mollified, standard_bump)
+from .field import GridField, Spectrum, _periodic_dist2, mollified, standard_bump
 
 __all__ = [
     "YoungFunction",
-    "NormTag",
     "MaximalConfig",
     "lebesgue_norm",
-    "zygmund_norm",
     "luxemburg_norm",
     "young_conjugate",
     "delta2_check",
     "dominates",
     "hardy_bracket_check",
-    "neg_sobolev_norm",
-    "gagliardo_seminorm",
-    "holder_seminorm",
     "besov_sup",
     "local_maximal",
     "local_hardy_norm",
     "local_hardy_norms",
-    "parse_norm_tag",
-    "evaluate_norm",
 ]
 
 
@@ -448,26 +440,6 @@ def lebesgue_norm(f, p):
     return float((np.sum(mag**p) * cv) ** (1.0 / p))
 
 
-def zygmund_norm(f, p, alpha):
-    """(∫ |f|^p log^alpha(1 + |f|/||f||_p))^{1/p} by grid quadrature.
-
-    alpha = 0 collapses bit-for-bit to lebesgue_norm (log^0 = 1.0 exactly).
-    """
-    if p < 1:
-        raise ValueError("p must be >= 1")
-    if p == 1 and alpha < 0:
-        raise ValueError("p = 1 requires alpha >= 0")
-    mag, cv = _magnitude(f)
-    base = float((np.sum(mag**p) * cv) ** (1.0 / p))
-    if base == 0.0:
-        return 0.0
-    weight = np.log1p(mag / base) ** alpha if alpha != 0 else 1.0
-    with np.errstate(invalid="ignore"):
-        integrand = mag**p * weight
-    integrand = np.where(mag > 0, integrand, 0.0)
-    return float((np.sum(integrand) * cv) ** (1.0 / p))
-
-
 def luxemburg_norm(f, phi, tol=1e-8):
     """Smallest lam with ∫ phi(|f|/lam) <= 1, by bracketing + bisection.
 
@@ -512,105 +484,6 @@ def luxemburg_norm(f, phi, tol=1e-8):
     return 0.5 * (lo + hi)
 
 
-# ---------------------------------------------------------------------------
-# negative Sobolev / fractional / Holder
-# ---------------------------------------------------------------------------
-
-def neg_sobolev_norm(f, l, inner, strict=True):
-    """|xi|^{-l} multiplier then the inner norm (NormTag or callable).
-
-    strict: error on non-mean-zero input; lenient subtracts the mean.
-    """
-    mean = f.integral() / f.volume
-    scale = lebesgue_norm(f, 2) / math.sqrt(f.volume) + 1e-300
-    if np.max(np.abs(mean)) > 1e-10 * scale:
-        if strict:
-            raise ValueError("neg_sobolev_norm (strict): field has nonzero mean")
-        f = GridField(f.values - mean, f.period)
-    rec = Spectrum(f)
-    with np.errstate(divide="ignore"):
-        lift = np.where(rec.mag > 0, rec.mag ** -l, 0.0)
-    lifted = GridField(rec.inverse(lift), f.period)
-    if callable(inner) and not isinstance(inner, NormTag):
-        return inner(lifted)
-    return evaluate_norm(lifted, inner)
-
-
-def _flat_points(f):
-    grids = f.meshgrid()
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    vals = f.values.reshape(-1, f.dimV)
-    return pts, vals
-
-
-def _periodic_dist2(px, py, period):
-    d = np.abs(px[:, None, :] - py[None, :, :])
-    for i, p in enumerate(period):
-        d[:, :, i] = np.minimum(d[:, :, i], p - d[:, :, i])
-    return np.sum(d**2, axis=-1)
-
-
-def gagliardo_seminorm(f, beta, p, method="double-sum", tile=2048):
-    """Fractional seminorm (∬ |f(x)-f(y)|^p / d(x,y)^{n+beta p})^{1/p}.
-
-    double-sum: tiled O(N^2) over grid pairs with the periodic distance,
-    coincident points excluded.  fourier (p=2 only): exact per-mode periodic
-    kernel in 1D, asymptotic |xi|^{2 beta} weight in higher dimensions
-    (equivalent seminorm; used where the double sum is infeasible).
-    """
-    if not (0 < beta < 1):
-        raise ValueError("beta must lie in (0,1)")
-    if method == "fourier":
-        return _gagliardo_fourier(f, beta, p)
-    pts, vals = _flat_points(f)
-    n = f.n
-    cv = f.cell_volume
-    npts = pts.shape[0]
-    total = 0.0
-    expo = n + beta * p
-    for i0 in range(0, npts, tile):
-        px = pts[i0 : i0 + tile]
-        vx = vals[i0 : i0 + tile]
-        for j0 in range(0, npts, tile):
-            py = pts[j0 : j0 + tile]
-            vy = vals[j0 : j0 + tile]
-            d2 = _periodic_dist2(px, py, f.period)
-            diff = np.sqrt(np.sum((vx[:, None, :] - vy[None, :, :]) ** 2, axis=-1))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                contrib = diff**p / d2 ** (expo / 2.0)
-            contrib[d2 == 0.0] = 0.0
-            total += float(np.sum(contrib))
-    return (total * cv * cv) ** (1.0 / p)
-
-
-def _periodic_frac_kernel(m, beta, period):
-    """K(m) = ∫_{-P/2}^{P/2} |e^{i 2pi m h/P} - 1|^2 / |h|^{1+2 beta} dh."""
-    from scipy.integrate import quad
-    w = 2 * math.pi * m / period
-
-    def integrand(h):
-        return (2.0 - 2.0 * math.cos(w * h)) / h ** (1.0 + 2.0 * beta)
-
-    val, _ = quad(integrand, 0.0, period / 2.0, limit=200)
-    return 2.0 * val
-
-
-def _gagliardo_fourier(f, beta, p):
-    if p != 2:
-        raise ValueError("fourier method requires p = 2")
-    fhat = fft(f) / np.prod(f.shape)
-    if f.n == 1:
-        ms = np.fft.fftfreq(f.shape[0], d=1.0 / f.shape[0]).astype(int)
-        kernel = np.array([0.0 if m == 0 else _periodic_frac_kernel(abs(m), beta, f.period[0])
-                           for m in ms])
-        total = f.period[0] * np.sum(kernel[:, None] * np.abs(fhat) ** 2)
-        return float(math.sqrt(total))
-    # higher dimensions: asymptotic weight c(n,beta)|xi|^{2 beta}
-    weight = Spectrum(f).mag ** (2 * beta)
-    total = f.volume * np.sum(weight[..., None] * np.abs(fhat) ** 2)
-    return float(math.sqrt(total))
-
-
 def _annulus_index(m):
     """Dyadic annulus j with 2^{j-1} < |m|_inf <= 2^j (exact on big ints)."""
     mag = max(abs(int(x)) for x in m)
@@ -637,17 +510,6 @@ def besov_sup(f, alpha):
     if not blocks:
         return 0.0
     return max(2.0 ** (alpha * j) * s for j, s in blocks.items())
-
-
-def holder_seminorm(f, alpha):
-    """C^{0,alpha} seminorm of a TrigPoly by the Besov-block surrogate
-    (besov_sup); exact on single-product blocks, an upper bound in general.
-    alpha lies in (0,1): the dyadic-block route does not see alpha = 1."""
-    if not (0 < alpha < 1):
-        raise ValueError("alpha must lie in (0,1)")
-    if not isinstance(f, TrigPoly):
-        raise TypeError("holder_seminorm expects a TrigPoly")
-    return besov_sup(f, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +550,8 @@ def local_maximal(f, cfg=MaximalConfig(), kernel_hats=None):
 
 def _ball_mask(f, R):
     """The grid points within periodic distance R of the box midpoint."""
-    return _midpoint_dist2(f.meshgrid(), f.period) <= R * R
+    midpoint = tuple(p / 2 for p in f.period)
+    return _periodic_dist2(f.meshgrid(), f.period, midpoint) <= R * R
 
 
 def local_hardy_norms(fields, R, cfg=MaximalConfig()):
@@ -715,76 +578,3 @@ def local_hardy_norms(fields, R, cfg=MaximalConfig()):
 def local_hardy_norm(f, R, cfg=MaximalConfig()):
     """∫_{B_R(c)} M_loc f dx, c the box midpoint."""
     return local_hardy_norms([f], R, cfg)[0]
-
-
-# ---------------------------------------------------------------------------
-# NormTag parsing / evaluation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormTag:
-    variant: str
-    params: dict = dc_field(default_factory=dict)
-    inner: object = None  # nested NormTag for negsob
-
-    def __str__(self):
-        parts = [f"{k}={v:g}" if isinstance(v, float) else f"{k}={v}"
-                 for k, v in self.params.items()]
-        if self.inner is not None:
-            parts.append(f"inner={self.inner}")
-        return self.variant + (":" + ",".join(parts) if parts else "")
-
-
-_PARAM_KEYS = {"p": "p", "a": "alpha", "b": "beta", "l": "l", "R": "R"}
-
-
-def parse_norm_tag(text):
-    """Parse CLI norm strings like 'zygmund:p=2,a=2' or
-    'negsob:l=1,inner=zygmund:p=2,a=2'."""
-    text = text.strip()
-    variant, _, rest = text.partition(":")
-    variant = variant.lower()
-    params, inner = {}, None
-    if rest:
-        if "inner=" in rest:
-            head, _, inner_text = rest.partition("inner=")
-            inner = parse_norm_tag(inner_text)
-            rest = head.rstrip(",")
-        for part in filter(None, rest.split(",")):
-            k, _, v = part.partition("=")
-            k = _PARAM_KEYS.get(k.strip(), k.strip())
-            try:
-                params[k] = float(v)
-            except ValueError:
-                params[k] = v.strip()
-    known = {"lebesgue", "zygmund", "orlicz", "negsob", "gagliardo", "holder", "hardy"}
-    if variant not in known:
-        raise ValueError(f"unknown norm variant {variant!r}")
-    if variant == "negsob" and inner is None:
-        raise ValueError("negsob requires inner=<tag>")
-    return NormTag(variant=variant, params=params, inner=inner)
-
-
-def evaluate_norm(f, tag):
-    if isinstance(tag, str):
-        tag = parse_norm_tag(tag)
-    v, p = tag.variant, tag.params
-    if v == "lebesgue":
-        return lebesgue_norm(f, p.get("p", 2))
-    if v == "zygmund":
-        return zygmund_norm(f, p.get("p", 2), p.get("alpha", 0))
-    if v == "orlicz":
-        phi = p.get("phi")
-        phi = YoungFunction.named(phi) if isinstance(phi, str) else phi
-        return luxemburg_norm(f, phi)
-    if v == "negsob":
-        return neg_sobolev_norm(f, int(p.get("l", 1)), tag.inner,
-                                strict=bool(p.get("strict", 0)))
-    if v == "gagliardo":
-        return gagliardo_seminorm(f, p.get("beta", 0.5), p.get("p", 2),
-                                  method=p.get("method", "double-sum"))
-    if v == "holder":
-        return holder_seminorm(f, p.get("alpha", 0.5))
-    if v == "hardy":
-        return local_hardy_norm(f, p.get("R", 1.0))
-    raise ValueError(f"unknown norm variant {v!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import symbol as sym_mod
-from .field import GridField, TrigPoly, _midpoint_dist2, standard_bump
+from .field import GridField, TrigPoly, _periodic_dist2, standard_bump
 
 __all__ = [
     "Integrand",
@@ -177,14 +177,15 @@ def make_test_function(name, shape=(256, 256), period=(2 * math.pi, 2 * math.pi)
     """Registered test-function bank: smooth bumps, grid-aligned indicators,
     Holder cusps, and the constant 1; the radial ones are box-centred."""
     period = tuple(period)
+    midpoint = tuple(p / 2 for p in period)
 
     if name == "bump":
         def fn(*grids):
-            r = np.sqrt(_midpoint_dist2(grids, period)) / radius
+            r = np.sqrt(_periodic_dist2(grids, period, midpoint)) / radius
             return standard_bump(r) / standard_bump(np.array(0.0))
     elif name == "indicator_ball":
         def fn(*grids):
-            return (_midpoint_dist2(grids, period) <= radius**2).astype(float)
+            return (_periodic_dist2(grids, period, midpoint) <= radius**2).astype(float)
     elif name == "indicator_square":
         def fn(*grids):
             m = np.ones_like(grids[0], dtype=bool)
@@ -193,7 +194,7 @@ def make_test_function(name, shape=(256, 256), period=(2 * math.pi, 2 * math.pi)
             return m.astype(float)
     elif name == "cusp":
         def fn(*grids):
-            r = np.sqrt(_midpoint_dist2(grids, period))
+            r = np.sqrt(_periodic_dist2(grids, period, midpoint))
             return np.maximum(0.0, 1.0 - (r / radius) ** alpha)
     elif name == "one":
         def fn(*grids):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "MultiIndex",
     "OperatorSymbol",
     "RankReport",
     "evaluate",
@@ -30,9 +29,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL_SV = 1e-8
-
-MultiIndex = tuple  # tuple of n nonnegative ints; order = sum(entries)
-
 
 def _check_multi_index(alpha, n, l):
     alpha = tuple(int(a) for a in alpha)
@@ -53,7 +49,8 @@ class OperatorSymbol:
     l: int
     dimV: int
     dimW: int
-    coeffs: dict = field(default_factory=dict)  # MultiIndex -> (dimW, dimV) array
+    # multi-index alpha (tuple of n ints >= 0, sum l) -> (dimW, dimV) array
+    coeffs: dict = field(default_factory=dict)
     name: str = ""
 
     def __post_init__(self):

@@ -41,11 +41,12 @@ def test_sqnorm_rejected_with_margin():
 def test_evaluate_F_trig_grid_agree():
     # the exact mean equals the grid mean of F on the rendered field, which
     # is exact here because every product frequency is resolved on 32^2
-    v = TrigPoly.stack([TrigPoly.wave(2, (1, 0), "cos"),
-                        TrigPoly.wave(2, (0, 1), "sin"),
-                        TrigPoly.wave(2, (1, 1), "cos"),
-                        TrigPoly.wave(2, (2, 0), "sin")])
-    v = v + TrigPoly.constant(2, [0.3, -1.2, 0.7, 2.0])
+    e = np.eye(4)
+    v = (TrigPoly.wave(2, (1, 0), "cos", phase_vector=e[0])
+         + TrigPoly.wave(2, (0, 1), "sin", phase_vector=e[1])
+         + TrigPoly.wave(2, (1, 1), "cos", phase_vector=e[2])
+         + TrigPoly.wave(2, (2, 0), "sin", phase_vector=e[3])
+         + TrigPoly.constant(2, [0.3, -1.2, 0.7, 2.0]))
     for F in INTEGRANDS.values():
         grid = evaluate_F(F, v.render((32, 32)))
         assert abs(F.mean(v) - float(np.mean(grid.values))) < 1e-12

@@ -17,7 +17,6 @@ differently (say m * (2 pi / p) instead of m * 2 pi / p) shows.
 
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from cclab.field import (GridField, Spectrum, TrigPoly, _band_coefficients,
                          apply_symbol, fft, ifft, jacobian, mollified, mollify,
                          random_bandlimited, standard_bump, trig_product)
 from cclab.norms import (MaximalConfig, besov_block_sums, lebesgue_norm,
-                         local_maximal, neg_sobolev_norm)
+                         local_maximal)
 from cclab import symbol as sym_mod
 
 SHAPES = [(8, 8), (9, 9), (8, 11), (12, 7), (16, 10)]
@@ -105,16 +104,15 @@ def _nyquist_zeroed(m):
     return m
 
 
-def _old_freq_indices(shape, zero_nyquist=True):
+def _old_freq_indices(shape):
     """Integer frequency index arrays m_i (numpy fft layout) for each axis,
-    Nyquist entries zeroed unless zero_nyquist is False (even factors)."""
-    ms = [np.fft.fftfreq(s, d=1.0 / s) for s in shape]
-    return [_nyquist_zeroed(m) for m in ms] if zero_nyquist else ms
+    Nyquist entries zeroed."""
+    return [_nyquist_zeroed(np.fft.fftfreq(s, d=1.0 / s)) for s in shape]
 
 
-def _old_xi_grids(f, zero_nyquist=True):
+def _old_xi_grids(f):
     """Real frequency arrays xi_i = 2 pi m_i / period_i, meshgridded."""
-    ms = _old_freq_indices(f.shape, zero_nyquist)
+    ms = _old_freq_indices(f.shape)
     xs = [2 * math.pi * m / p for m, p in zip(ms, f.period)]
     return np.meshgrid(*xs, indexing="ij")
 
@@ -135,30 +133,6 @@ def _old_apply_symbol(sym, f):
             if a:
                 mono = mono * xi**a
         out += (il * mono)[..., None] * (fhat @ mat.T)
-    return ifft(out, f.period)
-
-
-def _old_riesz_potential(order):
-    """MultiplierSpec for |xi|^{-order} (zero mode mapped to 0)."""
-    def func(xis):
-        mag = np.sqrt(sum(x**2 for x in xis))
-        with np.errstate(divide="ignore"):
-            out = np.where(mag > 0, mag ** (-float(order)), 0.0)
-        return out
-    return SimpleNamespace(func=func, zero_value=0.0)
-
-
-def _old_apply_multiplier_scalar(mult, f):
-    """Frequency-wise multiplication with the declared zero-frequency value."""
-    fhat = fft(f)
-    xis = _old_xi_grids(f, zero_nyquist=False)  # an even factor: full |xi|
-    zero_idx = (0,) * f.n
-    vals = np.asarray(mult.func(xis))
-    vals = np.array(vals, dtype=complex, copy=True)
-    vals[zero_idx] = mult.zero_value
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("multiplier is non-finite at a needed frequency")
-    out = vals[..., None] * fhat
     return ifft(out, f.period)
 
 
@@ -831,16 +805,6 @@ def test_apply_symbol_bits(shape, period, seed, name):
     sym = sym_mod.make_operator(name)
     f = _noise(seed, shape, sym.dimV, period)
     assert _same(apply_symbol(sym, f), _old_apply_symbol(sym, f))
-
-
-@given(shapes, periods, seeds, st.sampled_from([1, 2, 0.5]))
-def test_apply_multiplier_bits(shape, period, seed, order):
-    """The |xi|^-l lift of neg_sobolev_norm, on a field made mean-zero."""
-    f = _noise(seed, shape, 2, period)
-    f = GridField(f.values - f.integral() / f.volume, period)
-    lifted = neg_sobolev_norm(f, order, inner=lambda g: g)
-    assert _same(lifted, _old_apply_multiplier_scalar(
-        _old_riesz_potential(order), f))
 
 
 @given(shapes, periods, seeds, st.sampled_from(OPERATORS))
