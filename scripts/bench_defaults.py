@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Time every experiment at its defaults, each run in a fresh interpreter.
 
-Every registered experiment runs at its defaults, and so does
-counterexample case=jac_case3 at k = 8, 16, 32, 64, 128 (the default
-counterexample run does not reach it).  Each run is one new python process
-that imports cclab from --src, calls cclab.cli.run once and reports the
-wall time of that call, its peak resident memory (ru_maxrss) and the
-verdict; the parent also times the process from spawn to exit (process_s:
-start-up and imports included, so an import moved into an experiment
-shows in both figures).  Each experiment runs three times; the median wall
-and process times and the largest ru_maxrss are kept.  The BLAS runs on
-one thread, as in bench/run.py.
+Every registered experiment runs at its defaults, and so do
+counterexample case=jac_case3 at k = 8, 16, 32, 64, 128 and counterexample
+case=appendixOrlicz (the default counterexample run reaches neither).  Each
+run is one new python process that imports cclab from --src, calls
+cclab.cli.run once and reports the wall time of that call, its peak
+resident memory (ru_maxrss) and the verdict; the parent also times the
+process from spawn to exit (process_s: start-up and imports included, so
+an import moved into an experiment shows in both figures).  Each
+experiment runs three times; the median wall and process times and the
+largest ru_maxrss are kept.  The BLAS runs on one thread, as in
+bench/run.py.
 
 The figures go into one column of a JSON file, next to the versions of
 python, numpy and scipy the runs used.  Other columns of the file are kept.
@@ -35,6 +36,8 @@ from pathlib import Path
 REPEATS = 3
 JAC_CASE3 = ("counterexample:jac_case3", "counterexample",
              {"case": "jac_case3", "indices": [8, 16, 32, 64, 128]})
+ORLICZ_CASE = ("counterexample:appendixOrlicz", "counterexample",
+               {"case": "appendixOrlicz"})
 
 # One run: the child prints a JSON line {wall_s, maxrss_mb, verdict}.
 CHILD = r"""
@@ -133,11 +136,12 @@ def main(argv=None):
         # an experiment that one checkout lacks is not timed
         names = found if names is None else [n for n in names if n in found]
     results = {column: {} for column in columns}
-    for name, experiment, params in [(n, n, {}) for n in names] + [JAC_CASE3]:
+    runs = [(n, n, {}) for n in names] + [JAC_CASE3, ORLICZ_CASE]
+    for name, experiment, params in runs:
         for column, r in zip(columns, measure(list(columns.values()),
                                               experiment, params)):
             results[column][name] = r
-            print(f"{name:26s} {column:8s} {str(r['verdict']):8s} "
+            print(f"{name:30s} {column:8s} {str(r['verdict']):8s} "
                   f"{r['wall_s']:8.3f} s {r['process_s']:8.3f} s "
                   f"{r['maxrss_mb']:8.1f} MB", flush=True)
 

@@ -200,21 +200,23 @@ def _ex62_fields(spec, j):
 
 
 def ex63_profile(spec):
-    """1D profile w(t) = t^{-1/r} log(1+1/t)^{-(beta+1+gamma)/r} on (0,1)."""
+    """1D profile w(t) = t^{-1/r} log(1+1/t)^{-(beta+1+gamma)/r} on (0,1).
+
+    w and F take one float in and are 0 off (0,1); NumPy's ufuncs, unlike
+    math's, give them the bits of NumPy's array loops."""
     p = spec.params
     r, beta, gamma = p["r"], p["beta"], p["gamma"]
     ex = (beta + 1.0 + gamma) / r
 
     def w(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            out = np.where((t > 0) & (t < 1),
-                           np.power(t, -1.0 / r)
-                           * np.power(np.log1p(1.0 / np.maximum(t, 1e-300)), -ex),
-                           0.0)
-        return out
+        if not 0 < t < 1:
+            return 0.0
+        return (np.power(t, -1.0 / r)
+                * np.power(np.log1p(1.0 / max(t, 1e-300)), -ex))
 
     def F(t):
+        if not 0 < t < 1:
+            return 0.0
         wt = w(t)
         psi = np.power(wt, r) * np.power(np.log1p(wt), beta)
         return wt * np.sqrt(psi)
@@ -332,6 +334,8 @@ def _case3_trigs(spec, k):
 
 
 def _orlicz_fields(spec):
+    """The appendix pair g(t) t = phi^{-1}(psi(t)), phi = t^2 and psi =
+    t^2 log(1+t): f, ftilde and F take one float in and are 0 off (0,1)."""
     p = spec.params
     if p["s"] != 2:
         raise ValueError("the registered pair is for homogeneity 2")
@@ -340,23 +344,21 @@ def _orlicz_fields(spec):
     psi = YoungFunction.zygmund(2, 1)
 
     def f(t):
-        t = np.asarray(t, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where((t > 0) & (t < 1),
-                            np.power(t, -0.5)
-                            * np.power(np.log1p(1.0 / np.maximum(t, 1e-300)), -c),
-                            0.0)
+        if not 0 < t < 1:
+            return 0.0
+        return (np.power(t, -0.5)
+                * np.power(np.log1p(1.0 / max(t, 1e-300)), -c))
 
     def ftilde_of(ft):
-        out = np.zeros_like(ft)
-        nz = ft > 0
+        if not ft > 0:
+            return 0.0
         # g(t) t = phi^{-1}(psi(t)), bracketed from sqrt(y) since phi = t^2
-        with np.errstate(over="ignore"):
-            out[nz] = np.array([phi.inverse(y, hi0=max(1.0, math.sqrt(y)))
-                                for y in psi(ft[nz]).tolist()])
-        return out
+        y = float(psi(ft))
+        return phi.inverse(y, hi0=max(1.0, math.sqrt(y)))
 
     def F(t):
+        if not 0 < t < 1:
+            return 0.0
         ft = f(t)
         return ft * ftilde_of(ft)
 
@@ -429,9 +431,11 @@ def _log_substituted_quad(fn, s_max=700.0):
     """Integral over (0,1) of fn(t) dt via t = e^{-s} (handles the t->0
     borderline singularities of the profile family)."""
     from scipy import integrate
-    val, _ = integrate.quad(lambda s: fn(np.exp(-s)) * np.exp(-s), 0.0, s_max,
-                            limit=400)
-    return val
+
+    def integrand(s):
+        t = np.exp(-s)
+        return fn(t) * t
+    return integrate.quad(integrand, 0.0, s_max, limit=400)[0]
 
 
 def truncated_llogl_masses(F, levels=(10.0, 1e2, 1e3, 1e4, 1e5, 1e6)):
@@ -468,7 +472,7 @@ def harmonic_tail_sum(k):
 # ---------------------------------------------------------------------------
 
 def _ex62_pairing(j, test):
-    """2 pi int F_j(r) test(r) r dr by adaptive radial quadrature."""
+    """Halves r < 1/2, r > 1/2 of 2 pi int F_j(r) test(r) r dr (quadrature)."""
     from scipy import integrate
     F = _ex62_radial_F(j)
 
@@ -479,13 +483,14 @@ def _ex62_pairing(j, test):
                               points=[0.5 - 1.0 / (2 * j)])
     outer, _ = integrate.quad(fn, 0.5, 1.0, limit=300,
                               points=[0.5 + 1.0 / (2 * j)])
-    return inner + outer
+    return inner, outer
 
 
 def _ex62_masses(j_list):
     """ex62's M_j: F_j against the annular bump, one quadrature per j."""
-    return [_ex62_pairing(j, lambda r: standard_bump((r - 0.5) / 0.3))
-            for j in j_list]
+    halves = (_ex62_pairing(j, lambda r: standard_bump((r - 0.5) / 0.3))
+              for j in j_list)
+    return [inner + outer for inner, outer in halves]
 
 
 def _scenario_concentration(spec, j_list):
@@ -509,17 +514,13 @@ def _scenario_concentration(spec, j_list):
 
 def _scenario_oscillation(spec, j_list, hardy_j=None):
     """Cancelling oscillation: measures pass, L1 fails, Hardy stays bounded."""
-    from scipy import integrate
     rows = {"j": list(j_list), "M": _ex62_masses(j_list), "M_flat": [],
             "L1": [], "H1": [], "hardy_j": []}
     for j in j_list:
-        rows["M_flat"].append(_ex62_pairing(j, lambda r: 1.0))
+        inner, outer = _ex62_pairing(j, lambda r: 1.0)
+        rows["M_flat"].append(inner + outer)
         # indicator of the ball r <= 1/2 captures only the + mass
-        F = _ex62_radial_F(j)
-        val, _ = integrate.quad(
-            lambda r: F(np.array([r]))[0] * 2 * math.pi * r, 0.0, 0.5,
-            limit=300, points=[0.5 - 1.0 / (2 * j)])
-        rows["L1"].append(val)
+        rows["L1"].append(inner)
     rows["hardy_j"] = list(hardy_j if hardy_j is not None else j_list)
     r = _ex62_polar(spec)[1]
     rows["H1"] = local_hardy_norms((_ex62_F(spec, j, r)
@@ -531,8 +532,7 @@ def _scenario_borderline(spec, levels=(10.0, 1e2, 1e3, 1e4, 1e5, 1e6)):
     """Constant sequence whose density is integrable but not L log L."""
     prof = ex63_profile(spec)
     masses = truncated_llogl_masses(prof["F"], levels)
-    r, beta = prof["r"], prof["beta"]
-    w = prof["w"]
+    r, beta, w = prof["r"], prof["beta"], prof["w"]
 
     def zyg_density(t):
         wt = w(t)  # once per node

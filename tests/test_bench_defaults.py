@@ -55,15 +55,16 @@ def test_bench_defaults_parent_src_takes_turns(tmp_path, monkeypatch):
     out = tmp_path / "bench.json"
     assert script.main(["--src", "new", "--parent-src", "old",
                         "--json", str(out)]) == 0
-    # only the experiment both checkouts have, then jac_case3; the side that
-    # runs first alternates
+    # only the experiment both checkouts have, then jac_case3 and
+    # appendixOrlicz; the side that runs first alternates
     turns = [("old", "b"), ("new", "b"), ("new", "b"), ("old", "b"),
              ("old", "b"), ("new", "b")]
-    assert runs == turns + [(src, "counterexample") for src, _ in turns]
+    assert runs == turns + [(src, "counterexample") for src, _ in turns] * 2
     columns = json.loads(out.read_text())["columns"]
     assert set(columns) == {"parent", "change"}
     for name, wall in (("parent", 2.0), ("change", 1.0)):
         col = columns[name]
-        assert set(col["experiments"]) == {"b", "counterexample:jac_case3"}
+        assert set(col["experiments"]) == {"b", "counterexample:jac_case3",
+                                           "counterexample:appendixOrlicz"}
         assert col["experiments"]["b"]["walls_s"] == [wall] * 3
-        assert col["total_wall_s"] == 2 * wall
+        assert col["total_wall_s"] == 3 * wall

@@ -6,7 +6,7 @@ import pytest
 
 from cclab import counterexamples as cex
 from cclab.field import TrigPoly, trig_integral, trig_product
-from cclab.norms import local_hardy_norm
+from cclab.norms import YoungFunction, local_hardy_norm
 
 
 # -- spec construction ------------------------------------------------------
@@ -153,12 +153,125 @@ def test_orlicz_F_is_f_times_ftilde_bitwise():
     fields = cex.make_sequence(cex.make_spec("appendixOrlicz"), 1)
     t = np.concatenate([np.geomspace(1e-300, 0.5, 60),
                         np.linspace(0.01, 0.99, 60)])
-    with np.errstate(over="ignore"):
-        assert (fields["F"](t).tobytes()
-                == (fields["f"](t) * fields["ftilde"](t)).tobytes())
-        for x in (1e-12, 0.3, 0.999):
-            assert (fields["F"](x).tobytes()
-                    == (fields["f"](x) * fields["ftilde"](x)).tobytes())
+    for x in t.tolist() + [1e-12, 0.3, 0.999]:
+        assert (float(fields["F"](x)).hex()
+                == float(fields["f"](x) * fields["ftilde"](x)).hex())
+
+
+# The array bodies that the one-float integrands replaced (reference copies).
+
+def _old_ex63_profile(spec):
+    p = spec.params
+    r, beta, gamma = p["r"], p["beta"], p["gamma"]
+    ex = (beta + 1.0 + gamma) / r
+
+    def w(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            out = np.where((t > 0) & (t < 1),
+                           np.power(t, -1.0 / r)
+                           * np.power(np.log1p(1.0 / np.maximum(t, 1e-300)), -ex),
+                           0.0)
+        return out
+
+    def F(t):
+        wt = w(t)
+        psi = np.power(wt, r) * np.power(np.log1p(wt), beta)
+        return wt * np.sqrt(psi)
+
+    return {"w": w, "F": F}
+
+
+def _old_orlicz_fields(spec):
+    c = spec.params["c"]
+    phi = YoungFunction.named("t2")
+    psi = YoungFunction.zygmund(2, 1)
+
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where((t > 0) & (t < 1),
+                            np.power(t, -0.5)
+                            * np.power(np.log1p(1.0 / np.maximum(t, 1e-300)), -c),
+                            0.0)
+
+    def ftilde_of(ft):
+        out = np.zeros_like(ft)
+        nz = ft > 0
+        with np.errstate(over="ignore"):
+            out[nz] = np.array([phi.inverse(y, hi0=max(1.0, math.sqrt(y)))
+                                for y in psi(ft[nz]).tolist()])
+        return out
+
+    def F(t):
+        ft = f(t)
+        return ft * ftilde_of(ft)
+
+    return {"f": f, "ftilde": lambda t: ftilde_of(f(t)), "F": F}
+
+
+def test_quadrature_integrands_keep_bits():
+    """Each one-float integrand, at every node, against the array body it
+    replaced run on all nodes at once.  The nodes are the log-substituted
+    quadrature's t = e^{-s} on a dense grid of s in [0, 700], floats below
+    the 1e-300 clamp down to the smallest subnormal, and points off (0,1)."""
+    s = np.linspace(0.0, 700.0, 7001)
+    nodes = np.array([np.exp(-x) for x in s.tolist()]
+                     + [1e-301, 1e-305, 1e-310, 5e-324,
+                        0.0, 1.0, 1.5, math.nan])
+    spec = cex.make_spec("ex63")
+    new, old = cex.ex63_profile(spec), _old_ex63_profile(spec)
+    pairs = [(new[k], old[k]) for k in ("w", "F")]
+    spec = cex.make_spec("appendixOrlicz")
+    new, old = cex.make_sequence(spec, 1), _old_orlicz_fields(spec)
+    pairs += [(new[k], old[k]) for k in ("f", "ftilde", "F")]
+    for new_fn, old_fn in pairs:
+        # squares overflow to inf at subnormal t, on both sides alike
+        with np.errstate(over="ignore"):
+            want = [x.hex() for x in old_fn(nodes).tolist()]
+            got = [float(new_fn(t)).hex() for t in nodes]
+        assert got == want
+
+
+# run_case's outputs at the commit before the one-float integrands
+_BORDERLINE_HEX = {
+    "ex63": {
+        "llogl_masses": ["0x1.841e10bab8cf6p+1", "0x1.0eabcebf154d1p+2",
+                         "0x1.54347c9af25f4p+2", "0x1.9668310b887e4p+2",
+                         "0x1.d660d6855b8ccp+2", "0x1.0a50b06ee2161p+3"],
+        "constraint_mass": "0x1.0a9b03bb9f2c6p+2",
+        "l1_mass": "0x1.0a9b03bb9f2c6p+2"},
+    "appendixOrlicz": {
+        "llogl_masses": ["0x1.a0ab7ff4ad0e6p+0", "0x1.c34d3676056a8p+0",
+                         "0x1.e3d6425d23b7fp+0", "0x1.0169f57754a3ep+1",
+                         "0x1.102e84edfb04ap+1", "0x1.1e42c96a78cdcp+1"],
+        "psi_mass_of_f": "0x1.0fe8b13303a01p+1"},
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BORDERLINE_HEX))
+def test_borderline_run_case_keeps_bits(case):
+    rep = cex.run_case(cex.make_spec(case))
+    for key, want in _BORDERLINE_HEX[case].items():
+        got = rep[key]
+        got = [v.hex() for v in got] if isinstance(got, list) else got.hex()
+        assert got == want, key
+
+
+def test_borderline_integrand_enters_no_errstate_per_node(monkeypatch):
+    """ex63's eight quadratures enter np.errstate at most once each, not
+    once per integrand call."""
+    import scipy.integrate  # noqa: F401  (its import enters errstate too)
+    entries = []
+    real = np.errstate
+
+    def counted(*args, **kwargs):
+        entries.append(kwargs)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    cex.run_case(cex.make_spec("ex63"))
+    assert len(entries) <= 8
 
 
 def test_borderline_l1_finite():
