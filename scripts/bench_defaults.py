@@ -2,8 +2,10 @@
 """Time every experiment at its defaults, each run in a fresh interpreter.
 
 Every registered experiment runs at its defaults, and so do
-counterexample case=jac_case3 at k = 8, 16, 32, 64, 128 and counterexample
-case=appendixOrlicz (the default counterexample run reaches neither).  Each
+counterexample case=jac_case3 at k = 8, 16, 32, 64, 128, counterexample
+case=appendixOrlicz and pairing seq=ex62 (the default counterexample run
+reaches neither case, and the default pairing run, ex61, never reaches
+ex62's radial quadratures).  Each
 run is one new python process that imports cclab from --src, calls
 cclab.cli.run once and reports the wall time of that call, its peak
 resident memory (ru_maxrss) and the verdict; the parent also times the
@@ -38,6 +40,7 @@ JAC_CASE3 = ("counterexample:jac_case3", "counterexample",
              {"case": "jac_case3", "indices": [8, 16, 32, 64, 128]})
 ORLICZ_CASE = ("counterexample:appendixOrlicz", "counterexample",
                {"case": "appendixOrlicz"})
+PAIRING_EX62 = ("pairing:ex62", "pairing", {"seq": "ex62"})
 
 # One run: the child prints a JSON line {wall_s, maxrss_mb, verdict}.
 CHILD = r"""
@@ -136,7 +139,8 @@ def main(argv=None):
         # an experiment that one checkout lacks is not timed
         names = found if names is None else [n for n in names if n in found]
     results = {column: {} for column in columns}
-    runs = [(n, n, {}) for n in names] + [JAC_CASE3, ORLICZ_CASE]
+    runs = [(n, n, {}) for n in names] + [JAC_CASE3, ORLICZ_CASE,
+                                          PAIRING_EX62]
     for name, experiment, params in runs:
         for column, r in zip(columns, measure(list(columns.values()),
                                               experiment, params)):

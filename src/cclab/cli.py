@@ -202,14 +202,26 @@ def _exp_decompose(p, seed):
         "residuals": {"columns": cols, "rows": rows}}
 
 
+def _indices(p, experiment):
+    """p["indices"] as a tuple, or None (the default indices); an empty
+    list would run nothing that was asked for, so it is a ConfigError."""
+    if p["indices"] is None:
+        return None
+    if not p["indices"]:
+        raise ConfigError(f"{experiment} needs a non-empty indices list, "
+                          f"got {p['indices']!r}")
+    return tuple(p["indices"])
+
+
 @_experiment("pairing",
              "sequence pairings against a test function, fitted decay",
              "int F(v_j, vt_j) phi dx", seq="ex61", indices=None, tol=1e-12,
              integrand="divcurl_dot", test="bump")
 def _exp_pairing(p, seed):
     seq, cols = p["seq"], [("j", "exact"), ("pairing", "measured")]
+    indices = _indices(p, "pairing")
     if seq in ("ex61", "ex62"):
-        indices = tuple(p["indices"] or (2, 4, 8, 16, 32, 64))
+        indices = indices or (2, 4, 8, 16, 32, 64)
     if seq == "ex61":
         spec = cex.make_spec(seq)
         pairings = [float(cex.make_sequence(spec, j)["F"].integral()[0])
@@ -227,7 +239,7 @@ def _exp_pairing(p, seed):
         results = {"pairings": pairings, "verdict": verdict_m}
         rows = [[j, v] for j, v in zip(indices, pairings)]
     elif seq in FAMILIES:
-        indices = tuple(p["indices"] or (8, 16, 32, 64, 128))
+        indices = indices or (8, 16, 32, 64, 128)
         phi = make_test_function(p["test"])
         rep = pairing_experiment(seq, p["integrand"], phi, indices,
                                  test_id=p["test"])
@@ -287,7 +299,7 @@ def _exp_table1(p, seed):
              indices=None, overrides={})
 def _exp_counterexample(p, seed):
     spec = cex.make_spec(p["case"], **p["overrides"])
-    rep = cex.run_case(spec, p["indices"])
+    rep = cex.run_case(spec, _indices(p, "counterexample"))
     checks = []  # ex61, ex62 and jac_case1 have no gate: inconclusive
     if p["case"] in ("ex63", "appendixOrlicz"):
         checks = [Check("divergent", rep["divergent"], True, "==",
@@ -373,7 +385,10 @@ def _exp_truncate(p, seed):
              "int_{B_R} sup_t |f * rho_t| dx", test="bump", R=1.0, shape=256)
 def _exp_hardy(p, seed):
     f = make_test_function(p["test"], shape=(int(p["shape"]),) * 2)
-    val = local_hardy_norm(f, p["R"], MaximalConfig())
+    try:
+        val = local_hardy_norm(f, p["R"], MaximalConfig())
+    except ValueError as e:  # a radius or grid the sweep cannot take
+        raise ConfigError(f"hardy: {e}") from e
     checks = [Check("norm_finite", math.isfinite(val), True, "==")]
     return checks, {"hardy_norm": val}, {
         "hardy": {"columns": [("test", "exact"), ("R", "exact"),

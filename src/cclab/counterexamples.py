@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .field import (GridField, TrigPoly, jacobian, mollify, standard_bump,
-                    trig_pair, trig_product)
+from .field import (GridField, TrigPoly, bump_at, jacobian, mollify,
+                    standard_bump, trig_pair, trig_product)
 from .norms import (YoungFunction, local_hardy_norms, besov_block_sums,
                     besov_sup, dominates)
 from .quasiaffine import fit_exponent
@@ -103,6 +103,8 @@ def _validate(case, p):
         if not 0 < p["alpha"] < 1:
             raise ValueError("alpha must lie in (0,1)")
     elif case == "ex63":
+        if not p["r"] > 0:
+            raise ValueError(f"ex63 needs r > 0, got r={p['r']!r}")
         if p["gamma"] <= 0:
             raise ValueError("gamma must be positive")
 
@@ -146,18 +148,31 @@ def _ex61_fields(spec, j):
                                                 (period, period))}
 
 
-def _ex62_radial_F(j):
-    """Signed radial profile of the dot product: + inside r=1/2, - outside."""
-    def F(r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        inner = (r > 0) & (r <= 0.5)
-        outer = r > 0.5
-        with np.errstate(divide="ignore"):
-            out[inner] = j * np.exp(2 * j * np.log(2 * r[inner])) / r[inner] ** 2
-            out[outer] = -j * np.exp(-2 * j * np.log(2 * r[outer])) / r[outer] ** 2
-        return out
-    return F
+def _ex62_side(j, r, e):
+    """One side of ex62's signed radial profile, e j (2r)^{2ej} / r^2, with
+    e = 1 inside r = 1/2 and e = -1 outside; r is an array or one float."""
+    return e * j * np.exp(e * 2 * j * np.log(2 * r)) / (r * r)
+
+
+def _ex62_radial_F(j, r):
+    """Signed radial profile of the dot product on the radius array r:
+    + inside r=1/2, - outside, 0 at r = 0."""
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    inner = (r > 0) & (r <= 0.5)
+    outer = r > 0.5
+    with np.errstate(divide="ignore"):
+        out[inner] = _ex62_side(j, r[inner], 1)
+        out[outer] = _ex62_side(j, r[outer], -1)
+    return out
+
+
+def _ex62_radial_F_at(j, r):
+    """_ex62_radial_F at one float r, with its bits, picking the side by a
+    plain if (the quadratures call it once per node)."""
+    if r > 0.5:
+        return _ex62_side(j, r, -1)
+    return _ex62_side(j, r, 1) if r > 0 else 0.0
 
 
 def _ex62_polar(spec):
@@ -171,7 +186,7 @@ def _ex62_polar(spec):
 def _ex62_F(spec, j, r):
     """The ex62 density F = v . vtilde sampled on the radius grid r."""
     period = spec.params["period"]
-    return GridField(_ex62_radial_F(j)(r)[..., None], (period, period))
+    return GridField(_ex62_radial_F(j, r)[..., None], (period, period))
 
 
 def _ex62_fields(spec, j):
@@ -195,8 +210,7 @@ def _ex62_fields(spec, j):
     vtilde = np.where(inner[..., None], grad_in, -grad_out)    # gradient
     return {"v": GridField(v, (period, period)),
             "vtilde": GridField(vtilde, (period, period)),
-            "F": _ex62_F(spec, j, r),
-            "F_radial": _ex62_radial_F(j)}
+            "F": _ex62_F(spec, j, r)}
 
 
 def ex63_profile(spec):
@@ -472,12 +486,12 @@ def harmonic_tail_sum(k):
 # ---------------------------------------------------------------------------
 
 def _ex62_pairing(j, test):
-    """Halves r < 1/2, r > 1/2 of 2 pi int F_j(r) test(r) r dr (quadrature)."""
+    """Halves r < 1/2, r > 1/2 of 2 pi int F_j(r) test(r) r dr (quadrature);
+    test takes one float."""
     from scipy import integrate
-    F = _ex62_radial_F(j)
 
     def fn(r):
-        return F(np.array([r]))[0] * test(r) * 2.0 * math.pi * r
+        return _ex62_radial_F_at(j, r) * test(r) * 2.0 * math.pi * r
 
     inner, _ = integrate.quad(fn, 0.0, 0.5, limit=300,
                               points=[0.5 - 1.0 / (2 * j)])
@@ -488,7 +502,7 @@ def _ex62_pairing(j, test):
 
 def _ex62_masses(j_list):
     """ex62's M_j: F_j against the annular bump, one quadrature per j."""
-    halves = (_ex62_pairing(j, lambda r: standard_bump((r - 0.5) / 0.3))
+    halves = (_ex62_pairing(j, lambda r: bump_at((r - 0.5) / 0.3))
               for j in j_list)
     return [inner + outer for inner, outer in halves]
 

@@ -34,6 +34,7 @@ __all__ = [
     "mollify",
     "mollified",
     "standard_bump",
+    "bump_at",
     "random_bandlimited",
 ]
 
@@ -94,9 +95,6 @@ class GridField:
         """Per-axis coordinate arrays (grid points, left endpoints)."""
         return [np.arange(s) * (p / s) for s, p in zip(self.shape, self.period)]
 
-    def meshgrid(self):
-        return np.meshgrid(*self.axes(), indexing="ij")
-
     def component(self, i):
         return GridField(self.values[..., i : i + 1], self.period)
 
@@ -149,15 +147,22 @@ def ifft(fhat, period=()):
     return GridField(np.real(vals), period)
 
 
-def _half_inverse(buf, out, axes):
-    """irfftn of the half-spectrum buf over axes, written into the real
-    array out (the grid's shape along axes), and returned.
+def _half_inverse(buf, out, axes, rows=slice(None)):
+    """irfftn of the half-spectrum buf over axes, cut to the first axis's
+    rows `rows`, written into the real array out (the grid's shape along
+    axes, with only those rows), and returned.
 
     irfftn's steps, each in place: the leading axes' inverses overwrite buf
     (irfftn itself would allocate a fresh half-spectrum per call), then the
-    last axis's irfft fills out.  buf must be the half-spectrum of a real
-    field, that is, of a Hermitian full spectrum."""
-    for ax in axes[:-1]:
+    last axis's irfft fills out.  The first axis's inverse mixes the rows,
+    so it runs on all of buf; the other steps run on buf[rows] only.  Every
+    1-D lane is transformed on its own, so each row keeps the bits of the
+    whole inverse.  rows needs two or more axes.  buf must be the
+    half-spectrum of a real field, that is, of a Hermitian full spectrum."""
+    if len(axes) > 1:
+        np.fft.ifft(buf, axis=axes[0], out=buf)
+        buf = buf[rows]
+    for ax in axes[1:-1]:
         np.fft.ifft(buf, axis=ax, out=buf)
     return np.fft.irfft(buf, n=out.shape[axes[-1]], axis=axes[-1], out=out)
 
@@ -188,7 +193,9 @@ class Spectrum:
     complex hat.  Fields on one grid can share one set of kernel
     half-spectra (mollified's kernel_hats, which norms.local_hardy_norms
     fills for a sequence); then only the first field's radius is read,
-    while the set is built.
+    while the set is built.  The radius and the kernels always cover the
+    whole grid, also where mollified's rows cut its outputs to a band of
+    first-axis rows (local_hardy_norms' ball).
     """
 
     def __init__(self, field):
@@ -561,17 +568,35 @@ def trig_pair(a, b):
 # mollification
 # ---------------------------------------------------------------------------
 
+def _bump_of_square(s):
+    """exp(-1/(1-s)), the bump at s = r^2 < 1, for an array or one float.
+    Each step rebinds s, so an array argument (the only reference to it)
+    is freed as the next one is made: one temporary at a time, as in one
+    expression."""
+    s = 1.0 - s
+    s = -1.0 / s
+    return np.exp(s)
+
+
 def standard_bump(r):
-    """C^infty bump exp(-1/(1-r^2)) on r < 1, vectorized; not normalized."""
+    """C^infty bump exp(-1/(1-r^2)) on r < 1, vectorized; not normalized.
+    bump_at is its route for one float."""
     r = np.asarray(r)
     out = np.zeros_like(r, dtype=float)
     inside = np.abs(r) < 1.0
     with np.errstate(divide="ignore", over="ignore"):
-        out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
+        out[inside] = _bump_of_square(r[inside] ** 2)
     return out
 
 
-def mollified(f, ts, kernel=standard_bump, kernel_hats=None):
+def bump_at(r):
+    """standard_bump([r])[0] for one float r, bit for bit, with no array
+    (quadrature integrands call it once per node)."""
+    return _bump_of_square(r * r) if abs(r) < 1.0 else 0.0
+
+
+def mollified(f, ts, kernel=standard_bump, kernel_hats=None,
+              rows=slice(None)):
     """Yield f * kernel_t for each scale t of ts, in order, where
     kernel_t(x) = t^{-n} kernel(|x|/t) and the convolution is periodic.
 
@@ -585,6 +610,10 @@ def mollified(f, ts, kernel=standard_bump, kernel_hats=None):
     Each yielded array (shape shape + (dimV,)) is that output array, which
     the next scale overwrites.  A bad scale raises when the sweep reaches it.
 
+    rows, a slice of the first axis (of two or more), cuts each yielded
+    array and its finiteness check to those rows, which keep the bits of
+    the whole grid's array (see _half_inverse).
+
     kernel_hats, a list, is a kernel set shared by a sequence of fields on
     one grid with the same ts and kernel: scale i reads entry i when the
     list has it, and otherwise builds it from f's radius grid and appends
@@ -596,7 +625,7 @@ def mollified(f, ts, kernel=standard_bump, kernel_hats=None):
     fhat = np.fft.rfftn(f.values, axes=rec.axes)
     kbuf = np.empty(fhat.shape[:-1], dtype=complex)
     buf = np.empty_like(fhat)
-    vals = np.empty(f.values.shape)
+    vals = np.empty(f.values[rows].shape)
     for i, t in enumerate(ts):
         if kernel_hats is not None and i < len(kernel_hats):
             khat = kernel_hats[i]
@@ -613,7 +642,7 @@ def mollified(f, ts, kernel=standard_bump, kernel_hats=None):
                 kernel_hats.append(khat)
         np.multiply(khat[..., None], fhat, out=buf)
         buf *= f.cell_volume
-        _half_inverse(buf, vals, rec.axes)
+        _half_inverse(buf, vals, rec.axes, rows)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         yield vals

@@ -529,11 +529,14 @@ class MaximalConfig:
         return np.geomspace(t_lo, t_hi, self.tLevels)
 
 
-def local_maximal(f, cfg=MaximalConfig(), kernel_hats=None):
-    """M_loc f = sup over the scale grid of |f * kernel_t| (pointwise).
+def local_maximal(f, cfg=MaximalConfig(), kernel_hats=None, rows=None):
+    """M_loc f = sup over the scale grid of |f * kernel_t| (pointwise), as
+    a GridField.
 
     kernel_hats: a kernel set shared across fields on one grid (see
-    field.mollified)."""
+    field.mollified).  rows, a slice of the first axis (two or more axes),
+    computes M_loc f on those rows alone and returns it as an array of
+    the rows' shape; each value keeps the bits of the whole grid's."""
     if f.dimV != 1:
         raise ValueError("local maximal function acts on scalar fields")
     rec = Spectrum(f)
@@ -542,21 +545,40 @@ def local_maximal(f, cfg=MaximalConfig(), kernel_hats=None):
         # accumulator is allocated, so that its meshgrid temporaries are
         # gone by then
         _radius = rec.radius
-    out = np.abs(f.values[..., 0])  # the t -> 0 member of the sup
-    for sm in mollified(rec, cfg.t_grid(f), cfg.kernel, kernel_hats):
+    band = slice(None) if rows is None else rows
+    out = np.abs(f.values[band, ..., 0])  # the t -> 0 member of the sup
+    for sm in mollified(rec, cfg.t_grid(f), cfg.kernel, kernel_hats, band):
         np.maximum(out, np.abs(sm[..., 0]), out=out)
-    return GridField(out[..., None], f.period)
+    return GridField(out[..., None], f.period) if rows is None else out
 
 
 def _ball_mask(f, R):
     """The grid points within periodic distance R of the box midpoint."""
     midpoint = tuple(p / 2 for p in f.period)
-    return _periodic_dist2(f.meshgrid(), f.period, midpoint) <= R * R
+    grids = np.meshgrid(*f.axes(), indexing="ij", sparse=True)
+    return _periodic_dist2(grids, f.period, midpoint) <= R * R
+
+
+def _ball_band(f, R):
+    """The first-axis rows that meet _ball_mask(f, R), as a slice (every
+    row of a 1-D grid, whose one transform cannot be cut), and the mask
+    cut to them: it holds the ball's points in the mask's order."""
+    mask = _ball_mask(f, R)
+    if f.n == 1:
+        return slice(None), mask
+    hit = np.flatnonzero(mask.any(axis=tuple(range(1, f.n))))
+    band = slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0)
+    return band, mask[band]
 
 
 def local_hardy_norms(fields, R, cfg=MaximalConfig()):
     """[local_hardy_norm(f, R, cfg) for f in fields], taking the
     fields one at a time from any iterable.
+
+    R must be positive and finite.  Each sweep runs on the band of
+    first-axis rows that meets the ball (local_maximal's rows), whose ball
+    points are the whole grid's in the same order: every norm keeps its
+    bits.
 
     Consecutive fields on one grid share the ball and the set of
     cfg.tLevels kernel half-spectra: the first field's sweep builds the
@@ -564,12 +586,15 @@ def local_hardy_norms(fields, R, cfg=MaximalConfig()):
     a new set (the old one is dropped first), and the set is freed on
     return, so no kernel outlives the call.
     """
+    if not (R > 0 and math.isfinite(R)):
+        raise ValueError("ball radius R must be positive and finite, "
+                         f"got {R!r}")
     norms, grid = [], None
     for f in fields:
         if (f.shape, f.period) != grid:
             grid, kernel_hats = (f.shape, f.period), []
-            mask = _ball_mask(f, R)
-        mf = local_maximal(f, cfg, kernel_hats).values[..., 0]
+            band, mask = _ball_band(f, R)
+        mf = local_maximal(f, cfg, kernel_hats, band)
         norms.append(float(np.sum(mf[mask]) * f.cell_volume))
         del mf  # not held through the next field's sweep
     return norms

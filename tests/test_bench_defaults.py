@@ -40,7 +40,7 @@ def test_bench_defaults_writes_one_column(tmp_path):
 
 def test_bench_defaults_parent_src_takes_turns(tmp_path, monkeypatch):
     script = _script()
-    runs = []
+    runs, params = [], []
 
     def fake_python(src, code, *args):
         if code == script.ENV:
@@ -48,6 +48,7 @@ def test_bench_defaults_parent_src_takes_turns(tmp_path, monkeypatch):
             return {"python": "3", "numpy": "2", "scipy": "1",
                     "experiments": found}
         runs.append((src, args[0]))
+        params.append(json.loads(args[1]))
         return {"wall_s": 2.0 if src == "old" else 1.0, "maxrss_mb": 10.0,
                 "verdict": "pass"}
 
@@ -55,16 +56,20 @@ def test_bench_defaults_parent_src_takes_turns(tmp_path, monkeypatch):
     out = tmp_path / "bench.json"
     assert script.main(["--src", "new", "--parent-src", "old",
                         "--json", str(out)]) == 0
-    # only the experiment both checkouts have, then jac_case3 and
-    # appendixOrlicz; the side that runs first alternates
+    # only the experiment both checkouts have, then jac_case3,
+    # appendixOrlicz and pairing seq=ex62; the side that runs first
+    # alternates
     turns = [("old", "b"), ("new", "b"), ("new", "b"), ("old", "b"),
              ("old", "b"), ("new", "b")]
-    assert runs == turns + [(src, "counterexample") for src, _ in turns] * 2
+    assert runs == (turns + [(src, "counterexample") for src, _ in turns] * 2
+                    + [(src, "pairing") for src, _ in turns])
+    assert params[-6:] == [{"seq": "ex62"}] * 6
     columns = json.loads(out.read_text())["columns"]
     assert set(columns) == {"parent", "change"}
     for name, wall in (("parent", 2.0), ("change", 1.0)):
         col = columns[name]
         assert set(col["experiments"]) == {"b", "counterexample:jac_case3",
-                                           "counterexample:appendixOrlicz"}
+                                           "counterexample:appendixOrlicz",
+                                           "pairing:ex62"}
         assert col["experiments"]["b"]["walls_s"] == [wall] * 3
-        assert col["total_wall_s"] == 3 * wall
+        assert col["total_wall_s"] == 4 * wall

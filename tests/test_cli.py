@@ -410,3 +410,58 @@ def test_pairing_ex62_takes_only_the_masses(tmp_path, capsys, monkeypatch):
     results = json.loads(capsys.readouterr().out)["results"]
     assert [float(v).hex() for v in results["pairings"]] == \
         [v.hex() for v in expected]
+
+
+# -- radii, index lists and spec parameters that cannot run ------------------
+
+def _error_message(argv, tmp_path, capsys):
+    """main(argv)'s JSON error message; the run must end in exit code 1,
+    print nothing on stdout and write nothing under --out."""
+    out = tmp_path / "out"
+    code = main(argv + ["--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert not out.exists() or list(out.iterdir()) == []
+    err = json.loads(captured.err)
+    assert err["error"] is True
+    return err["message"]
+
+
+@pytest.mark.parametrize("radius", ["-1.0", "0.0", "-0.0", "NaN",
+                                    "Infinity", "-Infinity"])
+def test_main_hardy_rejects_a_ball_that_is_not_one(tmp_path, capsys,
+                                                    radius):
+    message = _error_message(["hardy", "--param", f"R={radius}"], tmp_path,
+                             capsys)
+    assert "radius R must be positive and finite" in message
+    with pytest.raises(ConfigError, match="radius R"):
+        cli.run(ExperimentConfig("hardy", out=str(tmp_path / "run"),
+                                 params={"R": json.loads(radius)}))
+
+
+def test_main_hardy_takes_a_ball_of_one_cell(tmp_path, capsys):
+    """The smallest ball that holds a grid point still runs and passes."""
+    assert main(["hardy", "--param", "R=0.01", "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["hardy_norm"] > 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["pairing", "--seq", "ex61"], ["pairing", "--seq", "ex62"],
+    ["pairing", "--seq", "oscillation_pure"],
+    ["counterexample", "--case", "ex62"], ["counterexample", "--case", "ex63"],
+    ["counterexample", "--case", "jac_case3"]])
+def test_main_empty_indices_are_a_config_error(tmp_path, capsys, argv):
+    """An empty index list no longer runs the default indices."""
+    message = _error_message(argv + ["--param", "indices=[]"], tmp_path,
+                             capsys)
+    assert "non-empty indices" in message
+    with pytest.raises(ConfigError, match="non-empty indices"):
+        cli.run(ExperimentConfig(argv[0], out=str(tmp_path / "run"),
+                                 params={argv[1][2:]: argv[2], "indices": []}))
+
+
+@pytest.mark.parametrize("r", ["0.0", "-2.0"])
+def test_main_ex63_names_a_bad_r(tmp_path, capsys, r):
+    message = _error_message(["counterexample", "--case", "ex63", "--param",
+                              f'overrides={{"r": {r}}}'], tmp_path, capsys)
+    assert message == f"ex63 needs r > 0, got r={float(r)!r}"

@@ -3,6 +3,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cclab import counterexamples as cex
 from cclab.field import TrigPoly, trig_integral, trig_product
@@ -231,6 +232,128 @@ def test_quadrature_integrands_keep_bits():
             want = [x.hex() for x in old_fn(nodes).tolist()]
             got = [float(new_fn(t)).hex() for t in nodes]
         assert got == want
+
+
+# ex62's radial profile and the bump as they were before their one-float
+# routes (reference copies): the quadratures ran them on one-element arrays
+
+def _old_ex62_radial_F(j):
+    def F(r):
+        r = np.asarray(r, dtype=float)
+        out = np.zeros_like(r)
+        inner = (r > 0) & (r <= 0.5)
+        outer = r > 0.5
+        with np.errstate(divide="ignore"):
+            out[inner] = j * np.exp(2 * j * np.log(2 * r[inner])) / r[inner] ** 2
+            out[outer] = -j * np.exp(-2 * j * np.log(2 * r[outer])) / r[outer] ** 2
+        return out
+    return F
+
+
+def _old_standard_bump(r):
+    r = np.asarray(r)
+    out = np.zeros_like(r, dtype=float)
+    inside = np.abs(r) < 1.0
+    with np.errstate(divide="ignore", over="ignore"):
+        out[inside] = np.exp(-1.0 / (1.0 - r[inside] ** 2))
+    return out
+
+
+def _old_ex62_pairing(j, test):
+    from scipy import integrate
+    F = _old_ex62_radial_F(j)
+
+    def fn(r):
+        return F(np.array([r]))[0] * test(r) * 2.0 * math.pi * r
+
+    inner, _ = integrate.quad(fn, 0.0, 0.5, limit=300,
+                              points=[0.5 - 1.0 / (2 * j)])
+    outer, _ = integrate.quad(fn, 0.5, 1.0, limit=300,
+                              points=[0.5 + 1.0 / (2 * j)])
+    return inner, outer
+
+
+EX62_J = (2, 3, 4, 8, 16, 24, 32, 64)
+
+
+def _check_ex62_point(r):
+    """The one-float profile and bump at r against the array routes (the
+    current and the old), on the profile's side points and the bump's
+    arguments of the mass quadrature."""
+    # r * r underflows below 1e-154: 0/0 is nan on every route alike
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for j in EX62_J:
+            want = _old_ex62_radial_F(j)(np.array([r]))[0].hex()
+            assert float(cex._ex62_radial_F_at(j, r)).hex() == want, (j, r)
+            assert cex._ex62_radial_F(j, np.array([r]))[0].hex() == want
+    for x in (r, -r, (r - 0.5) / 0.3):
+        want = _old_standard_bump(np.array([x]))[0].hex()
+        assert float(cex.bump_at(x)).hex() == want, x
+        assert cex.standard_bump(np.array([x]))[0].hex() == want
+
+
+EX62_POINTS = sorted({0.0, 0.5, 1.0, 1.5, 0.2, 0.8, 5e-324, 1e-160,
+                      *(0.5 + d / (2 * j) for j in EX62_J for d in (-1, 1))})
+
+
+@pytest.mark.parametrize("r", EX62_POINTS + [np.nextafter(0.5, 1.0),
+                                             np.nextafter(1.0, 0.0)])
+def test_ex62_one_float_routes_keep_bits_at_the_break_points(r):
+    _check_ex62_point(float(r))
+
+
+@settings(max_examples=300)
+@given(st.floats(0.0, 1.5))
+def test_ex62_one_float_routes_keep_bits(r):
+    _check_ex62_point(r)
+
+
+def test_ex62_grid_routes_keep_bits():
+    """The grid profile and the bump on the ex62 and ex61 radius grids."""
+    spec = cex.make_spec("ex62", shape=128)
+    r = cex._ex62_polar(spec)[1]
+    for j in EX62_J:
+        assert np.array_equal(cex._ex62_radial_F(j, r),
+                              _old_ex62_radial_F(j)(r))
+    for x in (r / 0.75, (r - 0.5) / 0.3, r):
+        assert np.array_equal(cex.standard_bump(x), _old_standard_bump(x))
+
+
+def test_ex62_quadratures_keep_bits():
+    """_ex62_masses and _ex62_pairing against the array-route quadratures
+    they replaced."""
+    want = [sum(_old_ex62_pairing(
+        j, lambda r: _old_standard_bump((r - 0.5) / 0.3))) for j in EX62_J]
+    assert [x.hex() for x in cex._ex62_masses(EX62_J)] == [
+        x.hex() for x in want]
+    for j in EX62_J:
+        got, old = cex._ex62_pairing(j, lambda r: 1.0), _old_ex62_pairing(
+            j, lambda r: 1.0)
+        assert [x.hex() for x in got] == [x.hex() for x in old]
+
+
+def test_ex62_quadratures_run_no_array_route(monkeypatch):
+    """The pairing quadratures call neither the grid profile nor the
+    array bump, and allocate no array per node."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    from scipy import integrate  # noqa: F401  (imported before counting)
+    monkeypatch.setattr(cex, "_ex62_radial_F",
+                        counted("profile", cex._ex62_radial_F))
+    monkeypatch.setattr(cex, "standard_bump",
+                        counted("bump", cex.standard_bump))
+    monkeypatch.setattr(np, "zeros_like", counted("zeros_like", np.zeros_like))
+    monkeypatch.setattr(np, "errstate", counted("errstate", np.errstate))
+    masses = cex._ex62_masses((2, 8))
+    halves = cex._ex62_pairing(4, lambda r: 1.0)
+    assert calls == Counter()
+    assert all(math.isfinite(x) for x in masses + list(halves))
 
 
 # run_case's outputs at the commit before the one-float integrands

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cclab import norms
-from cclab.field import GridField, TrigPoly, random_bandlimited, standard_bump
+from cclab.field import (GridField, Spectrum, TrigPoly, random_bandlimited,
+                         standard_bump)
 from cclab.norms import (YoungFunction, _conjugate_argmax, lebesgue_norm,
                          luxemburg_norm, young_conjugate, delta2_check,
                          dominates, hardy_bracket_check, besov_sup,
@@ -344,8 +345,8 @@ def test_local_hardy_norms_keep_no_kernel_after_return(rng, monkeypatch):
     """Every kernel half-spectrum of the set dies with the call."""
     refs, original = [], norms.local_maximal
 
-    def spy(f, cfg, kernel_hats=None):
-        out = original(f, cfg, kernel_hats)
+    def spy(f, cfg, kernel_hats=None, rows=None):
+        out = original(f, cfg, kernel_hats, rows)
         refs.extend(weakref.ref(k) for k in kernel_hats)
         return out
 
@@ -362,3 +363,89 @@ def test_local_hardy_norms_raise_where_the_sweep_does():
     cfg = MaximalConfig(kernel=lambda r: np.zeros_like(r))
     with pytest.raises(ValueError, match="below grid resolution"):
         local_hardy_norms([f, f], 1.0, cfg)
+
+
+def _full_grid_maximal(f, cfg=MaximalConfig()):
+    """M_loc f on every grid point, as it was before the ball's band: each
+    scale by one library irfftn of the whole half-spectrum (kept
+    reference)."""
+    rec = Spectrum(f)
+    fhat = np.fft.rfftn(f.values, axes=rec.axes)
+    out = np.abs(f.values[..., 0])
+    for t in cfg.t_grid(f):
+        ker = cfg.kernel(rec.radius / t)
+        khat = np.fft.rfftn(ker / (ker.sum() * f.cell_volume)).real
+        buf = khat[..., None] * fhat
+        buf *= f.cell_volume
+        sm = np.fft.irfftn(buf, s=f.shape, axes=rec.axes)
+        out = np.maximum(out, np.abs(sm[..., 0]))
+    return out
+
+
+def _full_grid_hardy_norm(f, R):
+    """∫_{B_R(c)} M_loc f dx summed over the whole grid's ball, the ball
+    from dense coordinate grids (kept reference)."""
+    d2 = 0.0
+    for g, p in zip(np.meshgrid(*f.axes(), indexing="ij"), f.period):
+        d = np.abs(g - p / 2)
+        d2 = d2 + np.minimum(d, p - d) ** 2
+    mask = d2 <= R * R
+    assert np.array_equal(norms._ball_mask(f, R), mask)
+    return float(np.sum(_full_grid_maximal(f)[mask]) * f.cell_volume)
+
+
+# even, odd, unequal (shape and period), 3-D and 1-D grids
+BAND_GRIDS = [((32, 32), (2 * math.pi,) * 2), ((33, 27), (2 * math.pi,) * 2),
+              ((40, 24), (3.0, 5.0)), ((25, 32), (4.0, 2.0)),
+              ((12, 10, 9), (2.0, 3.0, 2.5)), ((48,), (2 * math.pi,))]
+# R as a fraction of the first period: below one cell (an odd grid's ball
+# may hold no point), one cell, a quarter and a half period, and more than
+# half a period (the band is then every row)
+BAND_RADII = [0.25, 1.0, 8.0, 0.25, 0.5, 0.6, 2.0]
+
+
+@pytest.mark.parametrize("shape, period", BAND_GRIDS)
+def test_band_hardy_norms_keep_full_grid_bits(shape, period):
+    rng = np.random.default_rng(len(shape) * 100 + shape[0])
+    fields = [GridField(rng.normal(size=shape + (1,)), period)
+              for _ in range(2)]
+    h = period[0] / shape[0]
+    radii = [frac * h for frac in BAND_RADII[:3]]
+    radii += [frac * period[0] for frac in BAND_RADII[3:]]
+    for R in radii:
+        want = [_full_grid_hardy_norm(f, R).hex() for f in fields]
+        assert [x.hex() for x in local_hardy_norms(fields, R)] == want, R
+    band, mask = norms._ball_band(fields[0], radii[-1])
+    assert np.all(mask) and band.indices(shape[0])[:2] == (0, shape[0])
+
+
+@pytest.mark.parametrize("shape, period", BAND_GRIDS)
+def test_local_maximal_default_keeps_full_grid_bits(shape, period):
+    f = GridField(np.random.default_rng(7).normal(size=shape + (1,)), period)
+    mf = local_maximal(f)
+    assert isinstance(mf, GridField) and mf.period == f.period
+    assert np.array_equal(mf.values[..., 0], _full_grid_maximal(f))
+    if len(shape) > 1:  # a band of rows holds the same values
+        rows = slice(shape[0] // 3, shape[0] // 3 + 2)
+        assert np.array_equal(local_maximal(f, rows=rows),
+                              mf.values[rows, ..., 0])
+
+
+def test_ball_band_holds_the_ball_rows_only():
+    """The hardy run's ball (R = 1 on a 256^2 grid of period 2 pi) meets 81
+    of the 256 first-axis rows, about the midpoint row 128."""
+    f = GridField(np.zeros((256, 256, 1)), (2 * math.pi,) * 2)
+    band, mask = norms._ball_band(f, 1.0)
+    assert band == slice(88, 169)
+    full = norms._ball_mask(f, 1.0)
+    assert not full[:88].any() and not full[169:].any()
+    assert np.array_equal(mask, full[band])
+
+
+@pytest.mark.parametrize("R", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_local_hardy_norms_reject_a_radius_that_is_no_ball(R):
+    f = GridField(np.ones((8, 8, 1)), (2 * math.pi, 2 * math.pi))
+    with pytest.raises(ValueError, match="radius R must be positive"):
+        local_hardy_norms([f], R)
+    with pytest.raises(ValueError, match="radius R must be positive"):
+        local_hardy_norms([], R)
