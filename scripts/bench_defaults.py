@@ -3,15 +3,16 @@
 
 Every registered experiment runs at its defaults, and so do
 counterexample case=jac_case3 at k = 8, 16, 32, 64, 128, counterexample
-case=appendixOrlicz and pairing seq=ex62 (the default counterexample run
-reaches neither case, and the default pairing run, ex61, never reaches
-ex62's radial quadratures).  Each
-run is one new python process that imports cclab from --src, calls
+case=appendixOrlicz, pairing seq=ex62 and quasiaffine operator=curl_matrix_n
+integrand=det2 (the default counterexample run reaches neither case, the
+default pairing run, ex61, never reaches ex62's radial quadratures, and the
+default quasiaffine run tests divcurl_dot on divcurl2 only).  Each run is
+one new python process that imports cclab from --src, calls
 cclab.cli.run once and reports the wall time of that call, its peak
 resident memory (ru_maxrss) and the verdict; the parent also times the
 process from spawn to exit (process_s: start-up and imports included, so
 an import moved into an experiment shows in both figures).  Each
-experiment runs three times; the median wall and process times and the
+experiment runs five times; the median wall and process times and the
 largest ru_maxrss are kept.  The BLAS runs on one thread, as in
 bench/run.py.
 
@@ -35,12 +36,14 @@ import sys
 import time
 from pathlib import Path
 
-REPEATS = 3
+REPEATS = 5
 JAC_CASE3 = ("counterexample:jac_case3", "counterexample",
              {"case": "jac_case3", "indices": [8, 16, 32, 64, 128]})
 ORLICZ_CASE = ("counterexample:appendixOrlicz", "counterexample",
                {"case": "appendixOrlicz"})
 PAIRING_EX62 = ("pairing:ex62", "pairing", {"seq": "ex62"})
+QUASIAFFINE_DET2 = ("quasiaffine:det2", "quasiaffine",
+                    {"operator": "curl_matrix_n", "integrand": "det2"})
 
 # One run: the child prints a JSON line {wall_s, maxrss_mb, verdict}.
 CHILD = r"""
@@ -140,7 +143,7 @@ def main(argv=None):
         names = found if names is None else [n for n in names if n in found]
     results = {column: {} for column in columns}
     runs = [(n, n, {}) for n in names] + [JAC_CASE3, ORLICZ_CASE,
-                                          PAIRING_EX62]
+                                          PAIRING_EX62, QUASIAFFINE_DET2]
     for name, experiment, params in runs:
         for column, r in zip(columns, measure(list(columns.values()),
                                               experiment, params)):

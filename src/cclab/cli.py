@@ -261,8 +261,11 @@ def _exp_pairing(p, seed):
 def _exp_quasiaffine(p, seed):
     sym = sym_mod.make_operator(p["operator"])
     F = INTEGRANDS[p["integrand"]]
-    rep = quasiaffine_mean_test(F, sym, trials=int(p["trials"]),
-                                seed=seed, tol=p["tol"])
+    try:
+        rep = quasiaffine_mean_test(F, sym, trials=int(p["trials"]),
+                                    seed=seed, tol=p["tol"])
+    except ValueError as e:  # a mismatched integrand or operator, no trials
+        raise ConfigError(f"quasiaffine: {e}") from e
     checks = [Check("worst_relative_deviation",
                     rep["worst_relative_deviation"], p["tol"], "<=",
                     len(rep["records"]))]
@@ -351,6 +354,8 @@ def _exp_counterexample(p, seed):
              "||D^k u||_inf <= C lambda, u = v off the bad set", cases=10, n=2,
              k=1, shape=128, lambdas=(0.5, 1.0, 2.0, 5.0, 10.0, 50.0))
 def _exp_truncate(p, seed):
+    if int(p["cases"]) < 1:
+        raise ConfigError(f"truncate needs cases >= 1, got {p['cases']!r}")
     rows, checked, worst_bound, chain_fails = [], 0, 0.0, 0
     vol_by_lam = {lam: [] for lam in p["lambdas"]}
     for i in range(int(p["cases"])):

@@ -4,9 +4,11 @@ An integrand F is quasiaffine for the operator A when its torus average over
 any A-free mean-zero perturbation equals its value at the mean.  Every
 integrand here is a quadratic form F(v) = sum c v_i v_j, stored as its list
 of (i, j, c).  The mean test draws random band-limited A-free trig
-polynomials (amplitudes projected frequency-wise onto ker A(xi)) and takes
-the average of F exactly from the amplitudes (Parseval), building no product
-polynomial, so the verdict is a genuine identity check, not a quadrature one.
+polynomials (amplitudes projected frequency-wise onto ker A(xi), each
+distinct frequency once per test through a table local to the call) and
+takes the average of F exactly from the amplitudes (Parseval), building no
+product polynomial, so the verdict is a genuine identity check, not a
+quadrature one.
 """
 
 from __future__ import annotations
@@ -93,15 +95,32 @@ def evaluate_F(F, v):
 # quasiaffinity mean test
 # ---------------------------------------------------------------------------
 
-def _random_afree_trig(sym, rng, bandlimit=3, modes=4):
-    """Mean-zero band-limited TrigPoly with every amplitude in ker A(xi)."""
+# the mean test's perturbations: MODES conjugate pairs per trial, each at a
+# frequency drawn from [-BANDLIMIT, BANDLIMIT]^n
+BANDLIMIT = 3
+MODES = 4
+
+
+def _random_afree_trig(sym, rng, v0, projections):
+    """v0 plus a mean-zero band-limited perturbation with every amplitude in
+    ker A(xi), built as one TrigPoly.
+
+    The terms are those of pert + TrigPoly.constant(v0): the perturbation's
+    modes in the order they were placed, then v0 as the zero mode.
+    projections maps a frequency m to kernel_projection(sym, m); the first
+    draw of m fills its entry and later draws read it.
+    """
     terms = {}
     placed = 0
-    while placed < modes:
-        m = tuple(int(x) for x in rng.integers(-bandlimit, bandlimit + 1, size=sym.n))
+    while placed < MODES:
+        m = tuple(int(x) for x in rng.integers(-BANDLIMIT, BANDLIMIT + 1,
+                                               size=sym.n))
         if all(x == 0 for x in m):
             continue
-        P = sym_mod.kernel_projection(sym, np.array(m, dtype=float))
+        P = projections.get(m)
+        if P is None:
+            P = projections[m] = sym_mod.kernel_projection(
+                sym, np.array(m, dtype=float))
         amp = rng.standard_normal(sym.dimV) + 1j * rng.standard_normal(sym.dimV)
         amp = P @ amp
         if np.max(np.abs(amp)) < 1e-12:
@@ -110,33 +129,45 @@ def _random_afree_trig(sym, rng, bandlimit=3, modes=4):
         terms[m] = terms.get(m, np.zeros(sym.dimV, complex)) + amp
         terms[neg] = terms.get(neg, np.zeros(sym.dimV, complex)) + np.conj(amp)
         placed += 1
+    terms[(0,) * sym.n] = np.asarray(v0, dtype=complex)
     return TrigPoly(n=sym.n, dimV=sym.dimV, terms=terms)
 
 
-def quasiaffine_mean_test(F, sym, trials=100, bandlimit=3, seed=0, tol=1e-8):
+def quasiaffine_mean_test(F, sym, trials=100, seed=0, tol=1e-8):
     """Exact mean-identity check over random A-free perturbations.
 
-    Returns a verdict plus per-trial records (deviation, perturbation L^2 mass
-    over volume) so callers can also verify that non-quasiaffine integrands
-    are rejected with the predicted margin.
+    Each trial draws v0, then a perturbation of MODES conjugate pairs (see
+    _random_afree_trig), and compares the exact mean of F(v0 + pert) with
+    F(v0).  A table local to this call maps each drawn frequency to its
+    kernel projection, so each distinct frequency is projected once per
+    test (at most (2 BANDLIMIT + 1)^n - 1 of them); no table outlives the
+    call.  Returns a verdict plus per-trial records (deviation, perturbation
+    L^2 mass over volume) so callers can also verify that non-quasiaffine
+    integrands are rejected with the predicted margin.  A mismatched
+    integrand, fewer than one trial or a non-constant-rank operator is a
+    ValueError.
     """
     if F.dimV != sym.dimV:
         raise ValueError(f"integrand {F.name} acts on R^{F.dimV} but operator "
                          f"{sym.name} on R^{sym.dimV}")
+    if trials < 1:
+        raise ValueError(f"mean test needs trials >= 1, got {trials!r}")
     report = sym_mod.constant_rank_check(sym, samples=100)
     if not report.is_constant:
         raise ValueError("mean test requires a constant-rank operator")
     rng = np.random.default_rng(seed)
+    projections = {}
+    zero = (0,) * sym.n
     records = []
     worst = 0.0
     for _ in range(trials):
         v0 = rng.standard_normal(sym.dimV)
-        pert = _random_afree_trig(sym, rng, bandlimit=bandlimit)
-        total = pert + TrigPoly.constant(sym.n, v0, dimV=sym.dimV)
+        total = _random_afree_trig(sym, rng, v0, projections)
         mean_F = F.mean(total)
         F0 = float(F(v0[None, :])[0])
         # Parseval: mean of |pert|^2 over the box
-        mass = sum(float(np.sum(np.abs(a) ** 2)) for a in pert.terms.values())
+        mass = sum(float(np.sum(np.abs(a) ** 2))
+                   for m, a in total.terms.items() if m != zero)
         scale = max(1.0, abs(F0), mass)
         dev = abs(mean_F - F0)
         worst = max(worst, dev / scale)

@@ -170,8 +170,10 @@ def constant_rank_check(sym, samples=1000, tolSV=DEFAULT_TOL_SV):
                       tolSV=tolSV)
 
 
-def kernel_projection(sym, xi, tolSV=DEFAULT_TOL_SV):
-    """Orthogonal projection P(xi) = I - pinv(A(xi)) A(xi) onto ker A(xi).
+def kernel_projection(sym, xi):
+    """Orthogonal projection P(xi) = I - pinv(A(xi)) A(xi) onto ker A(xi),
+    the pseudo-inverse cutting singular values below DEFAULT_TOL_SV times
+    the largest.
 
     Zero-homogeneous in xi; xi = 0 is an error (callers assign the zero mode
     to the kernel part by convention, i.e. P(0) := identity).
@@ -183,7 +185,7 @@ def kernel_projection(sym, xi, tolSV=DEFAULT_TOL_SV):
     sv_max = np.linalg.svd(A, compute_uv=False)[0] if min(A.shape) else 0.0
     if sv_max == 0.0:
         return np.eye(sym.dimV)
-    Adag = np.linalg.pinv(A, rcond=tolSV)
+    Adag = np.linalg.pinv(A, rcond=DEFAULT_TOL_SV)
     return np.eye(sym.dimV) - Adag @ A
 
 

@@ -28,12 +28,12 @@ def test_bench_defaults_writes_one_column(tmp_path):
     assert set(col) == {"env", "experiments", "total_wall_s"}
     assert {"python", "numpy", "scipy", "machine", "cpus", "blas_threads",
             "repeats"} <= set(col["env"])
-    assert col["env"]["repeats"] == 3
+    assert col["env"]["repeats"] == 5
     run = col["experiments"]["check-rank"]
     assert set(run) == {"wall_s", "walls_s", "process_s", "maxrss_mb",
                         "verdict"}
     assert list(col["experiments"]) == ["check-rank"]
-    assert run["verdict"] == "pass" and len(run["walls_s"]) == 3
+    assert run["verdict"] == "pass" and len(run["walls_s"]) == 5
     assert 0 < run["wall_s"] <= col["total_wall_s"] and run["maxrss_mb"] > 0
     assert run["process_s"] > run["wall_s"]
 
@@ -57,19 +57,24 @@ def test_bench_defaults_parent_src_takes_turns(tmp_path, monkeypatch):
     assert script.main(["--src", "new", "--parent-src", "old",
                         "--json", str(out)]) == 0
     # only the experiment both checkouts have, then jac_case3,
-    # appendixOrlicz and pairing seq=ex62; the side that runs first
-    # alternates
+    # appendixOrlicz, pairing seq=ex62 and quasiaffine on det2; the side
+    # that runs first alternates
     turns = [("old", "b"), ("new", "b"), ("new", "b"), ("old", "b"),
+             ("old", "b"), ("new", "b"), ("new", "b"), ("old", "b"),
              ("old", "b"), ("new", "b")]
     assert runs == (turns + [(src, "counterexample") for src, _ in turns] * 2
-                    + [(src, "pairing") for src, _ in turns])
-    assert params[-6:] == [{"seq": "ex62"}] * 6
+                    + [(src, "pairing") for src, _ in turns]
+                    + [(src, "quasiaffine") for src, _ in turns])
+    assert params[-20:] == ([{"seq": "ex62"}] * 10
+                            + [{"operator": "curl_matrix_n",
+                                "integrand": "det2"}] * 10)
     columns = json.loads(out.read_text())["columns"]
     assert set(columns) == {"parent", "change"}
     for name, wall in (("parent", 2.0), ("change", 1.0)):
         col = columns[name]
         assert set(col["experiments"]) == {"b", "counterexample:jac_case3",
                                            "counterexample:appendixOrlicz",
-                                           "pairing:ex62"}
-        assert col["experiments"]["b"]["walls_s"] == [wall] * 3
-        assert col["total_wall_s"] == 4 * wall
+                                           "pairing:ex62",
+                                           "quasiaffine:det2"}
+        assert col["experiments"]["b"]["walls_s"] == [wall] * 5
+        assert col["total_wall_s"] == 5 * wall

@@ -302,9 +302,7 @@ NOTHING_CHECKED = [
     ["counterexample", "--case", "ex61"],
     ["counterexample", "--case", "ex62"],
     ["counterexample", "--case", "jac_case1"],
-    ["quasiaffine", "--param", "trials=0"],
     ["extension-identity", "--param", "cases=0"],
-    ["truncate", "--param", "cases=0"],
     ["truncate", "--param", "lambdas=[1000.0]", "--param", "cases=2"],
 ]
 
@@ -313,6 +311,26 @@ NOTHING_CHECKED = [
 def test_main_nothing_checked_is_inconclusive(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
+
+
+# a run over zero trials or cases would check nothing, so it is refused
+# before it writes a table
+EMPTY_RUNS = {"quasiaffine": ("trials.csv", "trials >= 1"),
+              "truncate": ("truncate.csv", "cases >= 1")}
+
+
+@pytest.mark.parametrize("argv", [
+    ["quasiaffine", "--param", "trials=0"],
+    ["quasiaffine", "--param", "trials=-3"],
+    ["truncate", "--param", "cases=0"]], ids=" ".join)
+def test_main_empty_run_is_a_config_error(tmp_path, capsys, argv):
+    table, needs = EMPTY_RUNS[argv[0]]
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] is True and needs in err["message"]
+    assert not (tmp_path / table).exists()
 
 
 def test_main_truncate_box_covering_level_is_not_applicable(tmp_path, capsys):
