@@ -12,9 +12,10 @@ cclab.cli.run once and reports the wall time of that call, its peak
 resident memory (ru_maxrss) and the verdict; the parent also times the
 process from spawn to exit (process_s: start-up and imports included, so
 an import moved into an experiment shows in both figures).  Each
-experiment runs five times; the median wall and process times and the
-largest ru_maxrss are kept.  The BLAS runs on one thread, as in
-bench/run.py.
+experiment runs five times; the median wall and process times, the
+quartiles of the walls (so that a move can be read against the spread of
+its own runs) and the largest ru_maxrss are kept.  The BLAS runs on one
+thread, as in bench/run.py.
 
 The figures go into one column of a JSON file, next to the versions of
 python, numpy and scipy the runs used.  Other columns of the file are kept.
@@ -92,8 +93,10 @@ def measure(srcs, experiment, params):
 
 def _summary(runs):
     verdicts = sorted({r["verdict"] for r in runs})
-    return {"wall_s": statistics.median(r["wall_s"] for r in runs),
-            "walls_s": [r["wall_s"] for r in runs],
+    walls = [r["wall_s"] for r in runs]
+    q1, _, q3 = statistics.quantiles(walls, n=4, method="inclusive")
+    return {"wall_s": statistics.median(walls), "walls_s": walls,
+            "wall_q1_s": q1, "wall_q3_s": q3,
             "process_s": statistics.median(r["process_s"] for r in runs),
             "maxrss_mb": max(r["maxrss_mb"] for r in runs),
             "verdict": verdicts[0] if len(verdicts) == 1 else verdicts}
@@ -149,7 +152,8 @@ def main(argv=None):
                                               experiment, params)):
             results[column][name] = r
             print(f"{name:30s} {column:8s} {str(r['verdict']):8s} "
-                  f"{r['wall_s']:8.3f} s {r['process_s']:8.3f} s "
+                  f"{r['wall_s']:8.3f} s [{r['wall_q1_s']:.3f}, "
+                  f"{r['wall_q3_s']:.3f}] {r['process_s']:8.3f} s "
                   f"{r['maxrss_mb']:8.1f} MB", flush=True)
 
     for column in columns:

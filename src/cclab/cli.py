@@ -146,6 +146,10 @@ def _merge_params(defaults, params, experiment):
                               f"got {value!r}")
     out = dict(defaults)
     out.update(params)
+    for key in ("cases", "fields"):  # a run over none of them checks nothing
+        if key in out and int(out[key]) < 1:
+            raise ConfigError(
+                f"{experiment} needs {key} >= 1, got {out[key]!r}")
     return out
 
 
@@ -180,8 +184,6 @@ def _exp_check_rank(p, seed):
              "bPart^ = P(xi) v^, w^ = (A A^T)^+ i^l A v^", operator="divcurl2",
              fields=50, shape=64, tol_recon=1e-10, tol_ortho=1e-9)
 def _exp_decompose(p, seed):
-    if int(p["fields"]) < 1:
-        raise ConfigError(f"decompose needs fields >= 1, got {p['fields']!r}")
     sym = sym_mod.make_operator(p["operator"])
     shape = (int(p["shape"]),) * sym.n
     fields = (random_bandlimited(item_rng(seed, "decompose", i), shape,
@@ -354,8 +356,6 @@ def _exp_counterexample(p, seed):
              "||D^k u||_inf <= C lambda, u = v off the bad set", cases=10, n=2,
              k=1, shape=128, lambdas=(0.5, 1.0, 2.0, 5.0, 10.0, 50.0))
 def _exp_truncate(p, seed):
-    if int(p["cases"]) < 1:
-        raise ConfigError(f"truncate needs cases >= 1, got {p['cases']!r}")
     rows, checked, worst_bound, chain_fails = [], 0, 0.0, 0
     vol_by_lam = {lam: [] for lam in p["lambdas"]}
     for i in range(int(p["cases"])):
@@ -418,7 +418,7 @@ def _exp_extension_identity(p, seed):
             rows.append([i, N, L, rep["lhs"], rep["rhs"], rep["relError"]])
         unmonotone += not all(a >= b for a, b in zip(errs, errs[1:]))
         finals.append(errs[-1])
-    worst = max(finals, default=0.0)
+    worst = max(finals)
     checks = [Check("final_rel_error", worst, p["tol"], "<=", len(finals)),
               Check("non_monotone_cases", unmonotone, 0, "<=", len(finals))]
     cols = [("case", "exact"), ("grid", "exact"), ("t_levels", "exact"),

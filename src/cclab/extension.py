@@ -18,7 +18,7 @@ import numpy as np
 
 from .field import (GridField, Spectrum, TrigPoly, _half_inverse, gradient,
                     trig_pair, trig_product)
-from .norms import besov_sup, lebesgue_norm
+from .norms import _lp_norm, besov_sup
 
 __all__ = ["pairing_identity", "theoremD_ratio", "thmD_ensemble",
            "interpolation_ensemble", "poisson_slab", "slab_derivatives"]
@@ -156,7 +156,7 @@ def _trig_lifted_seminorm(f, order):
     return math.sqrt(total * vol)
 
 
-def theoremD_ratio(u, v, phi, alpha, s=2, pairing=None):
+def theoremD_ratio(u, v, phi, alpha, s=2):
     """Measured ratio |<F(u)-F(v), phi>| / ([phi]_alpha [u-v]_{-1+beta,s}
     ([u]+[v])^{s-1}) with beta = 1 - alpha/s, for the div-curl integrand on
     4-component sparse fields (components (v1, v2, w1, w2): F = v.w)."""
@@ -171,12 +171,9 @@ def theoremD_ratio(u, v, phi, alpha, s=2, pairing=None):
             tot = tot + trig_product(a.component(i), b.component(i + 2))
         return tot
 
-    if pairing is None:
-        diff_F = F_pair(u, u) - F_pair(v, v)
-        pairing = trig_pair(diff_F, phi)
+    pairing = trig_pair(F_pair(u, u) - F_pair(v, v), phi)
     holder = besov_sup(phi, alpha)
-    d = u - v
-    dn = _trig_lifted_seminorm(d, -1.0 + beta)
+    dn = _trig_lifted_seminorm(u - v, -1.0 + beta)
     un = _trig_lifted_seminorm(u, -1.0 + beta)
     vn = _trig_lifted_seminorm(v, -1.0 + beta)
     denom = holder * dn * (un + vn) ** (s - 1)
@@ -194,24 +191,25 @@ def _divcurl_pair(m, amplitude, beta1):
     return vpart + wpart
 
 
+def _spread(records):
+    ratios = [r["ratio"] for r in records]
+    return {"records": records, "max_ratio": max(ratios),
+            "min_ratio": min(ratios), "spread": max(ratios) / min(ratios)}
+
+
 def thmD_ensemble(alpha=0.5, s=2, m_list=(4, 8, 16, 32, 64),
                   amplitudes=(0.5, 1.0, 2.0)):
     """Ratio stability across frequencies and amplitude scalings; the
     comparison field v is 0 and phi oscillates in concert with u."""
-    beta = 1.0 - alpha / s
+    beta, zero = 1.0 - alpha / s, TrigPoly.zero(2, 4)
     records = []
     for m in m_list:
         phi = TrigPoly.wave(2, (0, m), "sin", float(m) ** -alpha)
         phi = trig_product(phi, TrigPoly.wave(2, (m, 0), "cos"))
         for a in amplitudes:
-            u = _divcurl_pair(m, a, beta1=beta)
-            zero = TrigPoly.zero(2, 4)
-            rep = theoremD_ratio(u, zero, phi, alpha, s)
+            rep = theoremD_ratio(_divcurl_pair(m, a, beta), zero, phi, alpha, s)
             records.append({"m": m, "amplitude": a, "ratio": rep["ratio"]})
-    ratios = [r["ratio"] for r in records]
-    return {"records": records, "max_ratio": max(ratios),
-            "min_ratio": min(ratios),
-            "spread": max(ratios) / min(ratios)}
+    return _spread(records)
 
 
 def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
@@ -221,36 +219,40 @@ def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
 
     u = amp (sin(m x), -cos(m y)) and phi = m^{-alpha} cos(m x) sin(m y).
     Built once per frequency m: phi, its grid values and [phi]_alpha, and
-    the oscillations sin(m x) and cos(m y) as 1-D arrays.  Each amplitude
-    scales them and still takes its own gradient transforms: the transform
-    of amp * sin is not bit for bit amp times the transform of sin."""
+    sin(m x) and cos(m y) as a column and a row.  Each amplitude scales them
+    and takes its own gradient transforms (the transform of amp * sin is not
+    bit for bit amp times that of sin).  A record allocates on the grid
+    gradient's two complex arrays per component (the partials view them),
+    det Du (then scratch for the squares), |Du|, |u|^2, |u| and a power per
+    norm.  |Du|^2 adds squares left to right, as np.sum does below 8 terms."""
     n = 2
     if abs(alpha / q + (n - alpha) / p - 1.0) > 1e-12:
         raise ValueError("exponents must satisfy alpha/q + (n-alpha)/p = 1")
-    period = 2 * math.pi
-    x = np.arange(shape) * (period / shape)
+    h = 2 * math.pi / shape
+    x, cell, grid = np.arange(shape) * h, h * h, (shape, shape)
     records = []
     for m in m_list:
         phi_tp = TrigPoly.wave(2, (m, 0), "cos", float(m) ** -alpha)
         phi_tp = trig_product(phi_tp, TrigPoly.wave(2, (0, m), "sin"))
-        phiv = phi_tp.render((shape, shape)).values[..., 0]
+        phiv = phi_tp.render(grid).values[..., 0]
         holder = besov_sup(phi_tp, alpha)
         s, c = np.sin(m * x)[:, None], np.cos(m * x)[None, :]
         for a in amplitudes:
             amp = a * float(m) ** -beta1
-            uvals = np.stack(np.broadcast_arrays(amp * s, -amp * c), axis=-1)
-            u = GridField(uvals, (period, period))
-            u1x, u1y = gradient(u.component(0))
-            u2x, u2y = gradient(u.component(1))
-            det = u1x * u2y - u1y * u2x
-            pairing = float(np.sum(det * phiv) * u.cell_volume)
-            du = GridField(np.stack([u1x, u1y, u2x, u2y], axis=-1),
-                           (period, period))
+            u1, u2 = amp * s, -amp * c
+            (u1x, u1y), (u2x, u2y) = (
+                gradient(GridField(np.broadcast_to(v, grid)[..., None]))
+                for v in (u1, u2))
+            det = u1x * u2y
+            det -= u1y * u2x
+            det *= phiv
+            pairing = float(np.sum(det) * cell)
+            mag = u1x * u1x
+            for d in (u1y, u2x, u2y):
+                mag += np.multiply(d, d, out=det)
             denom = (holder
-                     * lebesgue_norm(u, q) ** alpha
-                     * lebesgue_norm(du, p) ** (n - alpha))
+                     * _lp_norm(np.sqrt(u1 * u1 + u2 * u2), cell, q) ** alpha
+                     * _lp_norm(np.sqrt(mag, out=mag), cell, p) ** (n - alpha))
             records.append({"m": m, "amplitude": a,
                             "ratio": abs(pairing) / denom})
-    ratios = [r["ratio"] for r in records]
-    return {"records": records, "max_ratio": max(ratios),
-            "min_ratio": min(ratios), "spread": max(ratios) / min(ratios)}
+    return _spread(records)

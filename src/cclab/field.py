@@ -103,23 +103,19 @@ class GridField:
         return self.values.reshape(-1, self.dimV).sum(axis=0) * self.cell_volume
 
     @staticmethod
-    def from_function(fn, shape, period=None, dimV=None):
+    def from_function(fn, shape, period=None):
         """Sample fn(X1, ..., Xn) -> array broadcast over the grid.
 
         fn gets meshgrid coordinate arrays; result may have a trailing
         component axis or be scalar-shaped (then dimV=1).
         """
         shape = tuple(int(s) for s in shape)
-        n = len(shape)
-        period = period or (2 * math.pi,) * n
-        if np.isscalar(period):
-            period = (float(period),) * n
-        axes = [np.arange(s) * (p / s) for s, p in zip(shape, period)]
-        grids = np.meshgrid(*axes, indexing="ij")
+        period = tuple(period or (2 * math.pi,) * len(shape))
+        grids = np.meshgrid(*[np.arange(s) * (p / s)
+                              for s, p in zip(shape, period)], indexing="ij")
         vals = np.asarray(fn(*grids), dtype=float)
-        if vals.shape == shape:
-            vals = vals[..., None]
-        return GridField(vals, tuple(period))
+        return GridField(vals[..., None] if vals.shape == shape else vals,
+                         period)
 
 
 def _periodic_dist2(grids, period, centre):
@@ -134,8 +130,9 @@ def _periodic_dist2(grids, period, centre):
 
 
 def fft(f):
-    """Forward FFT over the space axes; returns complex array, same layout."""
-    return np.fft.fftn(f.values, axes=tuple(range(f.n)))
+    """Forward FFT over the space axes into one complex array, same layout."""
+    return np.fft.fftn(f.values, axes=tuple(range(f.n)),
+                       out=np.empty(f.values.shape, complex))
 
 
 def ifft(fhat, period=()):
@@ -236,24 +233,26 @@ class Spectrum:
         grids = np.meshgrid(*f.axes(), indexing="ij", sparse=True)
         return np.sqrt(_periodic_dist2(grids, f.period, (0.0,) * f.n))
 
-    def inverse(self, multiplier):
+    def inverse(self, multiplier, out=None):
         """Real part of the inverse transform of hat * multiplier, the
         multiplier (shape: the grid's) acting on every component.  The
-        product is transformed in place, so each call allocates one array."""
-        out = self.hat * multiplier[..., None]
+        product is transformed in place, in out or else in a fresh array."""
+        out = np.multiply(self.hat, multiplier[..., None], out=out)
         return np.real(np.fft.ifftn(out, axes=self.axes, out=out))
 
-    def derivative(self, axis):
-        """d/dx_axis of every component, an array of shape shape + (dimV,)."""
-        return self.inverse(1j * self.xi[axis])
+    def derivative(self, axis, out=None):
+        """d/dx_axis of every component (shape + (dimV,)); out as in inverse."""
+        return self.inverse(1j * self.xi[axis], out)
 
 
 def gradient(f):
     """[d_1 f, ..., d_n f] of a scalar field as arrays, spectrally.  Vector
     fields go one component at a time: at 256^2 two scalar transforms take
-    less than half the time of one two-component transform."""
+    less than half the time of one two-component transform.  The last
+    derivative overwrites the (local) transform: n complex arrays per call."""
     rec = Spectrum(f)
-    return [rec.derivative(axis)[..., 0] for axis in range(f.n)]
+    return [rec.derivative(axis, rec.hat if axis == f.n - 1 else None)[..., 0]
+            for axis in range(f.n)]
 
 
 def jacobian(u):

@@ -432,9 +432,13 @@ def _magnitude(f):
 
 
 def lebesgue_norm(f, p):
+    return _lp_norm(*_magnitude(f), p)
+
+
+def _lp_norm(mag, cv, p):
+    """L^p norm from the pointwise magnitude and the cell volume."""
     if p < 1:
         raise ValueError("p must be >= 1")
-    mag, cv = _magnitude(f)
     if np.isinf(p):
         return float(np.max(mag))
     return float((np.sum(mag**p) * cv) ** (1.0 / p))
@@ -506,10 +510,8 @@ def besov_block_sums(f):
 def besov_sup(f, alpha):
     """Besov-block Holder surrogate of a TrigPoly: max over dyadic annuli j
     of 2^{alpha j} times the block's amplitude sum (0.0 for a constant)."""
-    blocks = besov_block_sums(f)
-    if not blocks:
-        return 0.0
-    return max(2.0 ** (alpha * j) * s for j, s in blocks.items())
+    return max((2.0 ** (alpha * j) * s
+                for j, s in besov_block_sums(f).items()), default=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -173,7 +173,7 @@ def constant_rank_check(sym, samples=1000, tolSV=DEFAULT_TOL_SV):
 def kernel_projection(sym, xi):
     """Orthogonal projection P(xi) = I - pinv(A(xi)) A(xi) onto ker A(xi),
     the pseudo-inverse cutting singular values below DEFAULT_TOL_SV times
-    the largest.
+    the largest; where A(xi) = 0, pinv is 0 and P the identity to the bit.
 
     Zero-homogeneous in xi; xi = 0 is an error (callers assign the zero mode
     to the kernel part by convention, i.e. P(0) := identity).
@@ -182,9 +182,6 @@ def kernel_projection(sym, xi):
     if not np.any(xi):
         raise ValueError("kernel_projection is undefined at xi = 0; handle the mean separately")
     A = evaluate(sym, xi / np.linalg.norm(xi))
-    sv_max = np.linalg.svd(A, compute_uv=False)[0] if min(A.shape) else 0.0
-    if sv_max == 0.0:
-        return np.eye(sym.dimV)
     Adag = np.linalg.pinv(A, rcond=DEFAULT_TOL_SV)
     return np.eye(sym.dimV) - Adag @ A
 

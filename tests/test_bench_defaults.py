@@ -30,11 +30,14 @@ def test_bench_defaults_writes_one_column(tmp_path):
             "repeats"} <= set(col["env"])
     assert col["env"]["repeats"] == 5
     run = col["experiments"]["check-rank"]
-    assert set(run) == {"wall_s", "walls_s", "process_s", "maxrss_mb",
-                        "verdict"}
+    assert set(run) == {"wall_s", "walls_s", "wall_q1_s", "wall_q3_s",
+                        "process_s", "maxrss_mb", "verdict"}
     assert list(col["experiments"]) == ["check-rank"]
     assert run["verdict"] == "pass" and len(run["walls_s"]) == 5
     assert 0 < run["wall_s"] <= col["total_wall_s"] and run["maxrss_mb"] > 0
+    assert run["wall_q1_s"] <= run["wall_s"] <= run["wall_q3_s"]
+    walls = sorted(run["walls_s"])
+    assert (run["wall_q1_s"], run["wall_q3_s"]) == (walls[1], walls[3])
     assert run["process_s"] > run["wall_s"]
 
 
@@ -77,4 +80,21 @@ def test_bench_defaults_parent_src_takes_turns(tmp_path, monkeypatch):
                                            "pairing:ex62",
                                            "quasiaffine:det2"}
         assert col["experiments"]["b"]["walls_s"] == [wall] * 5
+        assert col["experiments"]["b"]["wall_q1_s"] == wall
+        assert col["experiments"]["b"]["wall_q3_s"] == wall
         assert col["total_wall_s"] == 5 * wall
+
+
+def test_bench_defaults_summary_keeps_the_wall_quartiles():
+    """Five walls: the median is the third, the quartiles the second and
+    the fourth (inclusive method), whatever order the runs came in."""
+    runs = [{"wall_s": w, "process_s": w + 1.0, "maxrss_mb": m,
+             "verdict": "pass"}
+            for w, m in ((5.0, 1.0), (1.0, 3.0), (4.0, 2.0), (2.0, 1.0),
+                         (3.0, 1.0))]
+    got = _script()._summary(runs)
+    assert got["walls_s"] == [5.0, 1.0, 4.0, 2.0, 3.0]
+    assert (got["wall_q1_s"], got["wall_s"], got["wall_q3_s"]) == (2.0, 3.0,
+                                                                   4.0)
+    assert got["process_s"] == 4.0 and got["maxrss_mb"] == 3.0
+    assert got["verdict"] == "pass"

@@ -302,7 +302,6 @@ NOTHING_CHECKED = [
     ["counterexample", "--case", "ex61"],
     ["counterexample", "--case", "ex62"],
     ["counterexample", "--case", "jac_case1"],
-    ["extension-identity", "--param", "cases=0"],
     ["truncate", "--param", "lambdas=[1000.0]", "--param", "cases=2"],
 ]
 
@@ -316,13 +315,16 @@ def test_main_nothing_checked_is_inconclusive(tmp_path, capsys, argv):
 # a run over zero trials or cases would check nothing, so it is refused
 # before it writes a table
 EMPTY_RUNS = {"quasiaffine": ("trials.csv", "trials >= 1"),
-              "truncate": ("truncate.csv", "cases >= 1")}
+              "truncate": ("truncate.csv", "cases >= 1"),
+              "extension-identity": ("identity.csv", "cases >= 1")}
 
 
 @pytest.mark.parametrize("argv", [
     ["quasiaffine", "--param", "trials=0"],
     ["quasiaffine", "--param", "trials=-3"],
-    ["truncate", "--param", "cases=0"]], ids=" ".join)
+    ["truncate", "--param", "cases=0"],
+    ["extension-identity", "--param", "cases=0"],
+    ["extension-identity", "--param", "cases=-2"]], ids=" ".join)
 def test_main_empty_run_is_a_config_error(tmp_path, capsys, argv):
     table, needs = EMPTY_RUNS[argv[0]]
     assert main(argv + ["--out", str(tmp_path)]) == 1

@@ -16,7 +16,9 @@ differently (say m * (2 pi / p) instead of m * 2 pi / p) shows.
 """
 
 import dataclasses
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from cclab.decompose import helmholtz
 from cclab.extension import (interpolation_ensemble, pairing_identity,
                              poisson_slab, slab_derivatives)
 from cclab.field import (GridField, Spectrum, TrigPoly, _band_coefficients,
-                         apply_symbol, fft, ifft, jacobian, mollified, mollify,
+                         apply_symbol, fft, gradient, ifft, jacobian,
+                         mollified, mollify,
                          random_bandlimited, standard_bump, trig_product)
 from cclab.norms import (MaximalConfig, besov_block_sums, lebesgue_norm,
                          local_maximal)
@@ -594,6 +597,66 @@ def test_interpolation_ensemble_bits():
                     amplitudes=(0.3, 1.0, 2.0), shape=33)):
         assert _same(interpolation_ensemble(**kw),
                      _old_interpolation_ensemble(**kw))
+
+
+# sha256 of each default record's ratio.hex(), then the spread's, as the
+# loop that stacked u and Du into GridFields and took lebesgue_norm of them
+# computed them
+DEFAULT_ENSEMBLE_DIGEST = (
+    "ec0cde62fe0f90e5a8ce0c810d6fe3aa0148b1ecb04c7f7d616396582e5ef52a")
+
+
+def _ensemble_digest(ens):
+    h = hashlib.sha256()
+    for r in ens["records"]:
+        h.update(r["ratio"].hex().encode())
+    h.update(ens["spread"].hex().encode())
+    return h.hexdigest()
+
+
+def test_interpolation_ensemble_default_grid_bits():
+    """The exact call that thmD and the benchmark make: 256^2, m = 4...64,
+    three amplitudes."""
+    ens = interpolation_ensemble()
+    assert [(r["m"], r["amplitude"]) for r in ens["records"]] == [
+        (m, a) for m in (4, 8, 16, 32, 64) for a in (0.5, 1.0, 2.0)]
+    assert _ensemble_digest(ens) == DEFAULT_ENSEMBLE_DIGEST
+
+
+def test_interpolation_ensemble_default_peak_memory():
+    """The default ensemble's traced peak stays at or below 12.53 MB, the
+    peak of the loop that stacked u and Du (13.3 MB where this bound was
+    set); the loop without the stacks peaks near 10.8 MB."""
+    interpolation_ensemble()  # first-call caches are not the loop's
+    tracemalloc.start()
+    try:
+        interpolation_ensemble()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12.53e6
+
+
+@pytest.mark.parametrize("shape", [(16, 12), (9, 7), (6, 5, 4), (8, 8, 8)])
+@pytest.mark.parametrize("dimV", [1, 3])
+def test_fft_into_one_array_keeps_library_bits(shape, dimV):
+    """field.fft transforms every axis into one complex array; the bits
+    are those of fftn allocating per axis, on 2-D and 3-D grids."""
+    f = _noise(7, shape, dimV, (1.0,) * len(shape))
+    got = fft(f)
+    want = np.fft.fftn(f.values, axes=tuple(range(len(shape))))
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@given(shapes, periods, seeds)
+def test_gradient_keeps_the_per_axis_inverse_bits(shape, period, seed):
+    """gradient's last derivative overwrites the record's transform; every
+    partial keeps the bits of a fresh product per axis."""
+    f = _noise(seed, shape, 1, period)
+    for axis, got in enumerate(gradient(f)):
+        old = _old_spectral_derivative(f, axis)
+        assert np.array_equal(got, old.values[..., 0])
 
 
 def test_interpolation_ensemble_renders_once_per_frequency(monkeypatch):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -158,6 +160,28 @@ def test_projection_annihilated_by_symbol(xi):
 def test_projection_rejects_zero_frequency():
     with pytest.raises(ValueError):
         kernel_projection(make_operator("divcurl2"), np.zeros(2))
+
+
+def _bits(a):
+    return a.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 3), (9, 9), (0, 3)])
+def test_zero_symbol_projects_to_the_identity(monkeypatch, shape):
+    """I - pinv(0) 0 is np.eye to the bit, also with no rows, so the
+    projection needs no branch of its own for a vanishing symbol."""
+    monkeypatch.setattr(sym_mod, "evaluate", lambda sym, xi: np.zeros(shape))
+    P = kernel_projection(SimpleNamespace(dimV=shape[1]), np.array([0.6, 0.8]))
+    assert _bits(P) == _bits(np.eye(shape[1]))
+
+
+@pytest.mark.parametrize("xi", [(0.0, 1.0), (0.0, -2.5), (-0.0, 3.0)])
+def test_vanishing_symbol_projects_to_the_identity(xi):
+    # A(xi) = xi_1 M is zero on the xi_2 axis
+    sym = OperatorSymbol(n=2, l=1, dimV=3, dimW=2,
+                         coeffs={(1, 0): np.arange(1.0, 7.0).reshape(2, 3)})
+    assert not np.any(evaluate(sym, np.array(xi)))
+    assert _bits(kernel_projection(sym, np.array(xi))) == _bits(np.eye(3))
 
 
 def test_curl_matrix_kernel_is_rank_one():
