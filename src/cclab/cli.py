@@ -220,40 +220,25 @@ def _indices(p, experiment):
              "int F(v_j, vt_j) phi dx", seq="ex61", indices=None, tol=1e-12,
              integrand="divcurl_dot", test="bump")
 def _exp_pairing(p, seed):
-    seq, cols = p["seq"], [("j", "exact"), ("pairing", "measured")]
-    indices = _indices(p, "pairing")
-    if seq in ("ex61", "ex62"):
-        indices = indices or (2, 4, 8, 16, 32, 64)
-    if seq == "ex61":
+    seq, indices = p["seq"], _indices(p, "pairing")
+    witness = cex.WITNESSES.get(seq)
+    if witness is not None and witness.pairings is not None:
         spec = cex.make_spec(seq)
-        pairings = [float(cex.make_sequence(spec, j)["F"].integral()[0])
-                    for j in indices]
-        devs = [abs(v - 1.0) for v in pairings]
-        checks = [Check("deviation", max(devs), p["tol"], "<=", len(devs))]
-        results = {"pairings": pairings, "limit": 1.0}
-        rows = [[j, v, d] for j, v, d in zip(indices, pairings, devs)]
-        cols.append(("deviation", "measured"))
-    elif seq == "ex62":
-        pairings = cex._ex62_masses(indices)
-        verdict_m = cex.sequence_verdict(pairings, 0.0)["verdict"]
-        checks = [Check("M_verdict", verdict_m, "converges", "==",
-                        len(indices))]
-        results = {"pairings": pairings, "verdict": verdict_m}
-        rows = [[j, v] for j, v in zip(indices, pairings)]
-    elif seq in FAMILIES:
-        indices = indices or (8, 16, 32, 64, 128)
-        phi = make_test_function(p["test"])
-        rep = pairing_experiment(seq, p["integrand"], phi, indices,
-                                 test_id=p["test"])
-        checks = [Check("exponent_low", rep.exponent, -1.2, ">=",
-                        len(rep.values)),
-                  Check("exponent_high", rep.exponent, -0.8, "<=",
-                        len(rep.values))]
-        results = {"exponent": rep.exponent}
-        rows = [[j, v] for j, v in zip(rep.indices, rep.values)]
-    else:
+        rep = witness.pairings(spec, indices or witness.indices)
+        checks, table = witness.gate(spec, rep, p["tol"])
+        return [Check(*c) for c in checks], {
+            k: v for k, v in rep.items() if k != "j"}, {"pairing": table}
+    if seq not in FAMILIES:
         raise ConfigError(f"unknown sequence {seq!r}")
-    return checks, results, {"pairing": {"columns": cols, "rows": rows}}
+    phi = make_test_function(p["test"])
+    rep = pairing_experiment(seq, p["integrand"], phi,
+                             indices or (8, 16, 32, 64, 128), test_id=p["test"])
+    items = len(rep.values)
+    checks = [Check("exponent_low", rep.exponent, -1.2, ">=", items),
+              Check("exponent_high", rep.exponent, -0.8, "<=", items)]
+    rows = [[j, v] for j, v in zip(rep.indices, rep.values)]
+    return checks, {"exponent": rep.exponent}, {"pairing": {
+        "columns": [("j", "exact"), ("pairing", "measured")], "rows": rows}}
 
 
 @_experiment("quasiaffine",
@@ -305,50 +290,10 @@ def _exp_table1(p, seed):
 def _exp_counterexample(p, seed):
     spec = cex.make_spec(p["case"], **p["overrides"])
     rep = cex.run_case(spec, _indices(p, "counterexample"))
-    checks = []  # ex61, ex62 and jac_case1 have no gate: inconclusive
-    if p["case"] in ("ex63", "appendixOrlicz"):
-        checks = [Check("divergent", rep["divergent"], True, "==",
-                        len(rep["llogl_masses"]))]
-        if p["case"] == "ex63":
-            checks.append(Check("constraint_mass_finite",
-                                math.isfinite(rep["constraint_mass"]), True,
-                                "=="))
-        levels = rep.get("levels", (10.0, 1e2, 1e3, 1e4, 1e5, 1e6))
-        cols = [("level", "exact"), ("llogl_mass", "measured")]
-        rows = [[lv, m] for lv, m in zip(levels, rep["llogl_masses"])]
-    elif p["case"] == "jac_case2":
-        if "max_rel_err" in rep:
-            checks = [Check("max_rel_err", rep["max_rel_err"], 1e-12, "<=",
-                            len(rep["k"]))]
-            cols = [("k", "exact"), ("pairing", "measured"),
-                    ("closed_form", "reference")]
-            rows = [[k, v, c] for k, v, c in
-                    zip(rep["k"], rep["pairings"], rep["closed_form"])]
-        else:
-            rel = abs(rep["fitted_exponent"] - rep["expected_exponent"])
-            checks = [Check("exponent_error", rel,
-                            0.15 * abs(rep["expected_exponent"]), "<=",
-                            len(rep["k"]))]
-            cols = [("k", "exact"), ("pairing", "measured")]
-            rows = [[k, v] for k, v in zip(rep["k"], rep["pairings"])]
-    elif p["case"] == "jac_case3":
-        pi_n, ratios = math.pi ** spec.params["n"], rep["log_ratios"]
-        checks = [Check("max_rel_err", rep["max_rel_err"], 1e-12, "<=",
-                        len(rep["k"])),
-                  Check("log_ratio_low", min(ratios), 0.5 * pi_n, ">=",
-                        len(ratios)),
-                  Check("log_ratio_high", max(ratios), 2.0 * pi_n, "<=",
-                        len(ratios))]
-        cols = [("k", "exact"), ("pairing", "measured"), ("exact", "reference")]
-        rows = [[k, v, e] for k, v, e in
-                zip(rep["k"], rep["pairings"], rep["exact"])]
-    else:
-        cols = [("key", "exact"), ("value", "measured")]
-        rows = [[k, v] for k, v in sorted(rep.items())
-                if isinstance(v, (int, float, str))]
-    return checks, {k: v for k, v in rep.items()
-                    if isinstance(v, (int, float, str, bool, list))}, {
-        p["case"]: {"columns": cols, "rows": rows}}
+    checks, table = cex.WITNESSES[spec.case].gate(spec, rep, cex.EXACT_TOL)
+    return [Check(*c) for c in checks], {
+        k: v for k, v in rep.items()
+        if isinstance(v, (int, float, str, bool, list))}, {spec.case: table}
 
 
 @_experiment("truncate",
@@ -480,32 +425,23 @@ def _exp_orlicz(p, seed):
         "orlicz": {"columns": cols, "rows": rows}}
 
 
-_CASE_ANCHORS = {
-    "ex61": "v_j = j 1_{(0,1/j)^2} e, pairing = 1 for all j",
-    "ex62": "glued harmonic gradients, masses +pi / -pi at r = 1/2",
-    "ex63": "w(t) = t^(-1/r) log(1+1/t)^(-(beta+1+gamma)/r), F = w^2",
-    "jac_case1": "u^(k) = k^((alpha-1)/n + gamma) g(k x), det moment a_1",
-    "jac_case2": "pairing = pi^n k^(n - alpha - n beta1)",
-    "jac_case3": "n_l = k^(n^2/alpha) * 8^l, pairing = pi^n sum 1/(l+1)",
-    "appendixOrlicz": "g(t) t = phi^{-1}(psi(t)), phi = t^2, "
-                      "psi = t^2 log(1+t)",
-}
-
-
 def registry_listing():
     return {"experiments": sorted(REGISTRY),
             "operators": sorted(sym_mod.NAMED_OPERATORS),
             "integrands": sorted(INTEGRANDS),
-            "sequences": sorted(cex.CASES) + sorted(FAMILIES)}
+            "sequences": sorted(name for name, w in cex.WITNESSES.items()
+                                if w.pairings) + sorted(FAMILIES),
+            "cases": sorted(cex.CASES)}
 
 
 def describe(name):
     if name in REGISTRY:
         entry = REGISTRY[name]
         return f"{name}: {entry['summary']}\n  anchor: {entry['anchor']}"
-    if name in _CASE_ANCHORS:
-        return f"{name}: witness family\n  anchor: {_CASE_ANCHORS[name]}"
-    pool = list(REGISTRY) + list(_CASE_ANCHORS)
+    if name in cex.WITNESSES:
+        return (f"{name}: witness family\n"
+                f"  anchor: {cex.WITNESSES[name].anchor}")
+    pool = list(REGISTRY) + list(cex.WITNESSES)
     close = difflib.get_close_matches(name, pool, n=1)
     hint = f" (did you mean {close[0]!r}?)" if close else ""
     raise KeyError(f"unknown id {name!r}{hint}")
@@ -629,7 +565,10 @@ def main(argv=None):
                                       out=args.out, params=params)
         report = run(config)
     except Exception as e:  # any failure ends in the JSON error object
-        print(json.dumps({"error": True, "message": str(e)}), file=sys.stderr)
+        # str() of a KeyError (an unknown case or id) is its quoted message
+        message = e.args[0] if isinstance(e, KeyError) and e.args else str(e)
+        print(json.dumps({"error": True, "message": str(message)}),
+              file=sys.stderr)
         return 1
     print(json.dumps({"experiment": config.experiment,
                       "verdict": report.verdict,

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 
@@ -110,7 +111,19 @@ def test_registry_listing_contents():
     assert "extension-identity" in listing["experiments"]
     assert "divcurl2" in listing["operators"]
     assert "det2" in listing["integrands"]
-    assert "ex63" in listing["sequences"]
+    # ex63 is a witness case, not a sequence that pairing --seq runs
+    assert "ex63" in listing["cases"] and "ex63" not in listing["sequences"]
+    assert {"ex61", "ex62", "oscillation_pure"} <= set(listing["sequences"])
+    assert set(listing["cases"]) == set(cex.CASES)
+
+
+def test_listed_sequences_all_run(tmp_path, capsys):
+    """Every sequence that list advertises is one that pairing --seq runs."""
+    for seq in registry_listing()["sequences"]:
+        main(["pairing", "--seq", seq, "--param", "indices=[2, 4]",
+              "--out", str(tmp_path / seq)])
+        assert "unknown sequence" not in capsys.readouterr().err
+        assert (tmp_path / seq / "pairing.csv").exists()
 
 
 def test_describe_case_anchor():
@@ -299,8 +312,6 @@ def test_report_json_reads_back_each_check(tmp_path):
 
 # each of these ran to "pass" although it gated nothing
 NOTHING_CHECKED = [
-    ["counterexample", "--case", "ex61"],
-    ["counterexample", "--case", "ex62"],
     ["counterexample", "--case", "jac_case1"],
     ["truncate", "--param", "lambdas=[1000.0]", "--param", "cases=2"],
 ]
@@ -310,6 +321,20 @@ NOTHING_CHECKED = [
 def test_main_nothing_checked_is_inconclusive(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().out)["verdict"] == "inconclusive"
+
+
+@pytest.mark.parametrize("argv", [
+    ["counterexample", "--case", "ex61"],
+    ["counterexample", "--case", "ex62"]], ids=" ".join)
+def test_main_gated_witness_passes_with_rows(tmp_path, capsys, argv):
+    """ex61 and ex62 share pairing --seq's gate: the run passes over every
+    index and its CSV has one row per index."""
+    assert main(argv + ["--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    [check] = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert check["ok"] is True and check["items"] == 6
+    lines = (tmp_path / f"{argv[2]}.csv").read_text().splitlines()
+    assert len([ln for ln in lines if not ln.startswith("#")]) == 1 + 6
 
 
 # a run over zero trials or cases would check nothing, so it is refused
@@ -485,3 +510,89 @@ def test_main_ex63_names_a_bad_r(tmp_path, capsys, r):
     message = _error_message(["counterexample", "--case", "ex63", "--param",
                               f'overrides={{"r": {r}}}'], tmp_path, capsys)
     assert message == f"ex63 needs r > 0, got r={float(r)!r}"
+
+
+# -- witness family outputs keep their bytes ----------------------------------
+
+# (experiment, params) -> sha256 of the CSV, sha256 of the results JSON
+# (sorted keys) and the verdict, taken before the families became one record
+# each; the three entries with a comment changed on purpose
+WITNESS_RUNS = {
+    # gated by the pairing experiment's gate: the CSV is pairing's, and the
+    # results gain its pairings with their limit or verdict
+    ("counterexample", "ex61"): (
+        "e0fca827791d74bed3fd31a30ed948f29441d98e2265977a88da34bcfcaa329d",
+        "0286b4d3d381b035ab6833bfa28d5efd292de2c7a85c4b421ff70e526877c0c3",
+        "pass"),
+    ("counterexample", "ex62"): (
+        "7ef9e355b69f62e3f921d4625fc897ca3459eb94706629e240a5306bed1ca604",
+        "934057f3a76c175450007982e88e90cfda25bcfb449250b811ee411e880e4b64",
+        "pass"),
+    ("counterexample", "ex63"): (
+        "900c6cec23b9dc0895d65391e885b3d82a7eca0283bab994d5b14808663faf6c",
+        "7465c63741412c754c646849dc1e356c0c015a9ccff73f1a86084095ebb685d6",
+        "pass"),
+    ("counterexample", "jac_case1"): (
+        "2dee14a6b723a8f0e9347523c0ce34f7ae475efd62bb6ac428fa99d2d2db3d23",
+        "1452c3aa9d499fa15a498c4a3c25c130300667056c3c257cca20086f260c83a1",
+        "inconclusive"),
+    ("counterexample", "jac_case2"): (
+        "74eb13f44508eb90fe665061a9a718de41ec43ff93abc1b206302f1b2753fca6",
+        "1fa80d9232b0de252ce6d1d583f4424aa34d670879cf07794de8f2bf0380892d",
+        "pass"),
+    ("counterexample", "jac_case2", "grid"): (
+        "66b70b97a0747759c9007a8dfe1e2cf4c77b90e006b76d0b016d7ac874e0ad87",
+        "085497a0ba81c025f1a96a3ac435d5383b4fb63aa38f80456142c93f3e815500",
+        "pass"),
+    ("counterexample", "jac_case3"): (
+        "1e6d6e9566806eae1ea2f4a7eb7f06b293ef1e33d705fd1c0a78177f07e12434",
+        "2e82a9158047597cadd0ab254c78b38feabf8fc0e1a438b4b85134f2814d388f",
+        "pass"),
+    # the results gain the levels that the CSV already lists
+    ("counterexample", "appendixOrlicz"): (
+        "b96162d40e893ec67af7164cd4d3b82ccd1b96be707d3cd0d50d77d887c9f2da",
+        "a719d38bebbbfefc350969f65434f58829473621f559320ee6425507e4b2216d",
+        "pass"),
+    ("pairing", "ex61"): (
+        "e0fca827791d74bed3fd31a30ed948f29441d98e2265977a88da34bcfcaa329d",
+        "84036206ba99d400b1add4c7f3d17920c9af7d36f960828cb7386e5b299cddda",
+        "pass"),
+    ("pairing", "ex62"): (
+        "7ef9e355b69f62e3f921d4625fc897ca3459eb94706629e240a5306bed1ca604",
+        "8074c76f9fcad3d690dcf68c8224e953910d147c1eacdb5adcda5ca841d0bdaa",
+        "pass"),
+}
+
+
+@pytest.mark.parametrize("run_id", sorted(WITNESS_RUNS), ids=" ".join)
+def test_witness_runs_keep_their_bytes(tmp_path, run_id):
+    experiment, name, *mode = run_id
+    params = {"seq" if experiment == "pairing" else "case": name}
+    if mode:
+        params["overrides"] = {"mode": mode[0]}
+    rep = run(ExperimentConfig(experiment, out=str(tmp_path), params=params))
+    [table] = tmp_path.glob("*.csv")
+    results = json.dumps(rep.results, sort_keys=True, default=cli._json_leaf)
+    assert (hashlib.sha256(table.read_bytes()).hexdigest(),
+            hashlib.sha256(results.encode()).hexdigest(),
+            rep.verdict) == WITNESS_RUNS[run_id]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["counterexample", "--case", "jac_case2", "--param",
+      'overrides={"mode": "bogus"}'],
+     "jac_case2 mode must be 'torus' or 'grid', got 'bogus'"),
+    (["counterexample", "--case", "jac_case3", "--param",
+      'overrides={"mode": "torus"}'],
+     "unknown parameters for jac_case3: ['mode']"),
+    (["counterexample", "--case", "ex61", "--param", 'overrides={"bogus": 1}'],
+     "unknown parameters for ex61: ['bogus']"),
+    (["counterexample", "--case", "nope"],
+     f"unknown case 'nope' (choose from {cex.CASES})")],
+    ids=["jac_case2-bogus-mode", "jac_case3-mode", "unknown-override",
+         "unknown-case"])
+def test_main_bad_witness_config_names_its_fault(tmp_path, capsys, argv,
+                                                  message):
+    """A mode that no route runs, a parameter that no code reads and an
+    unknown case end in the JSON error with a plain (unquoted) message."""
+    assert _error_message(argv, tmp_path, capsys) == message

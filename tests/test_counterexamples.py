@@ -77,7 +77,7 @@ def test_scenario_hardy_rows_equal_per_field_norms():
         assert l1.hex() == float(np.sum(F.values[..., 0] * ball)
                                  * F.cell_volume).hex()
     spec = cex.make_spec("ex62", shape=64)
-    rep = cex.run_case(spec, (2, 4), hardy_j=(2, 3, 5))
+    rep = cex._scenario_oscillation(spec, (2, 4), hardy_j=(2, 3, 5))
     assert rep["hardy_j"] == [2, 3, 5]
     assert [x.hex() for x in rep["H1"]] == [
         local_hardy_norm(cex.make_sequence(spec, j)["F"], R=0.9).hex()
@@ -406,22 +406,22 @@ def test_borderline_l1_finite():
 
 def test_sequence_verdict_modes():
     decaying = [1.0, 0.5, 0.1, 0.01, 0.001, 1e-4]
-    assert cex.sequence_verdict(decaying, 0.0)["verdict"] == "converges"
+    assert cex.sequence_verdict(decaying, 0.0) == "converges"
     escaping = [1.0, 2.0, 4.0, 8.0, 16.0]
-    assert cex.sequence_verdict(escaping, 0.0)["verdict"] == "fails"
+    assert cex.sequence_verdict(escaping, 0.0) == "fails"
     # persistent 90%-of-scale deviation from the limit
     stuck = [1.0, 1.2, 0.9, 1.1, 1.0]
-    assert cex.sequence_verdict(stuck, 0.0)["verdict"] == "fails"
+    assert cex.sequence_verdict(stuck, 0.0) == "fails"
     # tail deviation of 10% of scale sits in the declared 5%/50% gap
     middling = [1.0, 0.5, 0.1, 0.01, 0.001]
-    assert cex.sequence_verdict(middling, 0.0)["verdict"] == "inconclusive"
+    assert cex.sequence_verdict(middling, 0.0) == "inconclusive"
 
 
 def test_bounded_verdict_modes():
     saturating = [5.0, 5.5, 5.7, 5.75, 5.76]
-    assert cex.bounded_verdict(saturating)["verdict"] == "converges"
+    assert cex.bounded_verdict(saturating) == "converges"
     escaping = [1.0, 2.0, 4.0, 8.0, 16.0]
-    assert cex.bounded_verdict(escaping)["verdict"] == "fails"
+    assert cex.bounded_verdict(escaping) == "fails"
 
 
 def test_llogl_divergent_gate():
