@@ -32,8 +32,7 @@ from .quasiaffine import (INTEGRANDS, FAMILIES, quasiaffine_mean_test,
 from .norms import (YoungFunction, MaximalConfig, delta2_check,
                     hardy_bracket_check, luxemburg_norm, lebesgue_norm,
                     local_hardy_norm, young_conjugate)
-from .truncate import (C_IMPL, lipschitz_truncations, chain_mask_inclusion,
-                       truncation_case)
+from .truncate import C_IMPL, lipschitz_truncations, truncation_case
 from .extension import pairing_identity, thmD_ensemble, interpolation_ensemble
 
 __all__ = ["Check", "ExperimentConfig", "RunReport", "run", "main", "describe",
@@ -130,20 +129,29 @@ def item_rng(seed, experiment, index):
 # experiments
 # ---------------------------------------------------------------------------
 
+def _check_types(defaults, params, owner, none=None):
+    """Each param of a known key takes its default's type, except that JSON
+    gives lists for tuples and an int is a valid float (a bool is never a
+    number).  A None default stands for the types `none` (or None), and
+    takes anything when `none` is None."""
+    loose = {tuple: (tuple, list), list: (tuple, list), float: (int, float)}
+    for key, value in params.items():
+        if key not in defaults or (defaults[key] is None and none is None):
+            continue
+        want = (none + (type(None),) if defaults[key] is None else
+                loose.get(type(defaults[key]), (type(defaults[key]),)))
+        if not isinstance(value, want) or (
+                isinstance(value, bool) and bool not in want):
+            names = " or ".join(t.__name__ for t in want)
+            raise ConfigError(f"param {key!r} of {owner} expects {names}, "
+                              f"got {value!r}")
+
+
 def _merge_params(defaults, params, experiment):
     unknown = set(params) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown params for {experiment}: {sorted(unknown)}")
-    # a param takes its default's type, except that JSON gives lists for
-    # tuples and an int is a valid float (a bool is never a number)
-    loose = {tuple: (tuple, list), list: (tuple, list), float: (int, float)}
-    for key, value in params.items():
-        want = loose.get(type(defaults[key]), (type(defaults[key]),))
-        if defaults[key] is not None and (not isinstance(value, want) or (
-                isinstance(value, bool) and bool not in want)):
-            names = " or ".join(t.__name__ for t in want)
-            raise ConfigError(f"param {key!r} of {experiment} expects {names}, "
-                              f"got {value!r}")
+    _check_types(defaults, params, experiment)
     out = dict(defaults)
     out.update(params)
     for key in ("cases", "fields"):  # a run over none of them checks nothing
@@ -288,8 +296,15 @@ def _exp_table1(p, seed):
              "see describe(<case>) for the per-case formula", case="ex63",
              indices=None, overrides={})
 def _exp_counterexample(p, seed):
-    spec = cex.make_spec(p["case"], **p["overrides"])
-    rep = cex.run_case(spec, _indices(p, "counterexample"))
+    case, indices = p["case"], _indices(p, "counterexample")
+    witness = cex.WITNESSES.get(case)
+    if witness is not None:  # make_spec names an unknown case
+        # the records' None defaults (gamma, beta1) are derived numbers
+        _check_types(witness.defaults, p["overrides"], case, (int, float))
+        if witness.indices is None and indices is not None:
+            raise ConfigError(f"{case} has no indices, got {p['indices']!r}")
+    spec = cex.make_spec(case, **p["overrides"])
+    rep = cex.run_case(spec, indices)
     checks, table = cex.WITNESSES[spec.case].gate(spec, rep, cex.EXACT_TOL)
     return [Check(*c) for c in checks], {
         k: v for k, v in rep.items()
@@ -316,7 +331,7 @@ def _exp_truncate(p, seed):
             worst_bound = max(worst_bound, res.measuredDerivBound)
             if math.isfinite(res.measuredVolumeConstant):
                 vol_by_lam[res.lam].append(res.measuredVolumeConstant)
-            chain_fails += not chain_mask_inclusion(v, res)
+            chain_fails += not res.chainOk
     # lambdas whose bad sets were empty throughout contribute no ratio
     maxima = [max(vs) for vs in vol_by_lam.values() if vs and max(vs) > 0]
     vol_ratio = max(maxima) / min(maxima) if maxima else 1.0

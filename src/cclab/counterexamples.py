@@ -72,7 +72,9 @@ class Witness:
     at the indices or `indices` (None: no index).  `gate(spec, report,
     tol)` gives check tuples (name, measured, bound, relation, items) and
     the table that cc-lab writes, tol bounding the relative error against
-    an exact target; `pairings` reports only what the gate reads."""
+    an exact target; `pairings` reports only what the gate reads.
+    `unread` pairs a `mode` with the params that its route never reads:
+    make_spec refuses an override of one."""
     anchor: str
     defaults: dict
     build: Callable
@@ -81,6 +83,7 @@ class Witness:
     indices: tuple | None = None
     rules: tuple = ()
     pairings: Callable | None = None
+    unread: tuple = ()
 
 
 def make_spec(case, **overrides):
@@ -91,6 +94,10 @@ def make_spec(case, **overrides):
     if unknown:
         raise KeyError(f"unknown parameters for {case}: {sorted(unknown)}")
     params = {**witness.defaults, **overrides}
+    unread = dict(witness.unread).get(params.get("mode"), ())
+    idle = sorted(set(overrides) & set(unread))
+    if idle:
+        raise KeyError(f"{case} mode {params['mode']!r} never reads {idle}")
     for holds, message in witness.rules:
         if not holds(params):
             raise ValueError(message.format(**params))
@@ -809,7 +816,8 @@ WITNESSES = {
                 "beta1 must lie in (beta, (n-alpha)/n)")),
         build=lambda spec, k: (_case2_torus if spec.params["mode"] == "torus"
                                else _case2_grid)(spec, k),
-        run=_run_case2, gate=_case2_gate, indices=(8, 16, 32, 64, 128)),
+        run=_run_case2, gate=_case2_gate, indices=(8, 16, 32, 64, 128),
+        unread=(("torus", ("shape",)),)),
     "jac_case3": Witness(
         anchor="n_l = k^(n^2/alpha) * 8^l, pairing = pi^n sum 1/(l+1)",
         defaults=dict(n=2, alpha=0.5, term_cap=10**7),

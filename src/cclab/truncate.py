@@ -24,30 +24,42 @@ import numpy as np
 
 from .field import GridField
 
-__all__ = ["TruncationResult", "WhitneyCube", "lipschitz_truncate",
+__all__ = ["TruncationResult", "WhitneyCubes", "lipschitz_truncate",
            "lipschitz_truncations", "whitney_extend", "whitney_cubes",
-           "finite_difference_gradient", "truncation_case"]
+           "chain_mask_inclusion", "finite_difference_gradient",
+           "truncation_case"]
 
 C_IMPL = 64.0  # documented implementation constant for ||D^k u||_inf <= C lambda
+CHAIN_TOL = 1e-10  # relative gap at which |Dv| and |Du| count as different
 
 
 @dataclass(frozen=True)
-class WhitneyCube:
-    start: tuple  # index corner (inclusive)
-    side: int     # side length in cells
-    dist_to_good: float  # length units, min over the cube's cells
-    nearest_good: tuple  # index of the Taylor base point
+class WhitneyCubes:
+    """The Whitney cubes of a bad mask, one row per cube, in the Morton
+    order of their corners (the depth-first order of the subdivision)."""
+    start: np.ndarray         # (C, n) index corners (inclusive)
+    side: np.ndarray          # (C,) side lengths in cells
+    dist_to_good: np.ndarray  # (C,) length units, min over each cube's cells
+    nearest_good: np.ndarray  # (C, n) index of each cube's Taylor base point
+
+    def __len__(self):
+        return len(self.side)
 
 
 @dataclass(frozen=True)
 class TruncationResult:
-    truncated: GridField  # None when the bad set covers the box
+    """One level of the sweep.  truncated is None when the bad set covers
+    the box (nan constants, chainOk None); cubes is None when nothing was
+    extended (an empty or box-covering bad set).  chainOk: every cell where
+    |Du| differs from |Dv| lies within 2 cells of the bad set."""
+    truncated: GridField
     badSet: np.ndarray
     lam: float
     measuredDerivBound: float
     measuredVolumeConstant: float
-    cubes: tuple
+    cubes: WhitneyCubes
     derivative_orders: int
+    chainOk: bool
 
 
 def truncation_case(rng, shape1d, n):
@@ -126,8 +138,36 @@ def _partial_derivative(levels, alpha):
     return levels[order][idx]
 
 
+def _axis_slice(ax, sl):
+    return (slice(None),) * ax + (sl,)
+
+
+def _pairwise(op, a):
+    """op of each even/odd pair of entries, along every axis in turn: one
+    level of an any/all/min pyramid over 2^n blocks."""
+    for ax in range(a.ndim):
+        a = op(a[_axis_slice(ax, slice(0, None, 2))],
+               a[_axis_slice(ax, slice(1, None, 2))])
+    return a
+
+
+def _dilate(mask, iterations):
+    """ndimage.binary_dilation(mask, iterations=iterations) with its default
+    cross structure and zero border: each pass ORs in the face neighbours."""
+    for _ in range(iterations):
+        out = mask.copy()
+        for ax in range(mask.ndim):
+            lo = _axis_slice(ax, slice(None, -1))
+            hi = _axis_slice(ax, slice(1, None))
+            out[hi] |= mask[lo]
+            out[lo] |= mask[hi]
+        mask = out
+    return mask
+
+
 def whitney_cubes(bad, h):
-    """Dyadic Whitney decomposition of the bad mask.
+    """Dyadic Whitney decomposition of the bad mask, as one WhitneyCubes
+    record (len() is the number of cubes).
 
     Accept an all-bad dyadic cube when its distance to the good set is at
     least side/2; otherwise subdivide.  Single cells are accepted when bad.
@@ -146,12 +186,10 @@ def whitney_cubes(bad, h):
     anys = [np.pad(bad, pad)]
     alls = [anys[0]]
     mins = [np.pad(dist * h, pad, constant_values=np.inf)]
-    odd = tuple(range(1, 2 * n, 2))
     while anys[-1].shape[0] > 1:
-        blocks = (anys[-1].shape[0] // 2, 2) * n
-        anys.append(anys[-1].reshape(blocks).any(axis=odd))
-        alls.append(alls[-1].reshape(blocks).all(axis=odd))
-        mins.append(mins[-1].reshape(blocks).min(axis=odd))
+        anys.append(_pairwise(np.logical_or, anys[-1]))
+        alls.append(_pairwise(np.logical_and, alls[-1]))
+        mins.append(_pairwise(np.minimum, mins[-1]))
     starts, sides, dmins = [], [], []
     active = anys[-1]
     for level in reversed(range(len(anys))):
@@ -163,7 +201,9 @@ def whitney_cubes(bad, h):
         sides.append(np.full(len(found[0]), side))
         dmins.append(mins[level][found])
         if level:  # visit the children of every block not accepted
-            active = np.kron(active & ~accept, np.ones((2,) * n, dtype=bool))
+            active = active & ~accept
+            for ax in range(n):
+                active = active.repeat(2, axis=ax)
             active &= anys[level - 1]
     starts, sides, dmins = (np.concatenate(a) for a in (starts, sides, dmins))
     # depth-first order of disjoint dyadic cubes is the Morton order of their
@@ -177,10 +217,8 @@ def whitney_cubes(bad, h):
     # nearest good point per cube (from the EDT index map at the cube center)
     center = starts + (sides // 2)[:, None]
     nearest = inds[(slice(None),) + tuple(center.T)].T
-    return [WhitneyCube(start=tuple(s), side=d, dist_to_good=g,
-                        nearest_good=tuple(q))
-            for s, d, g, q in zip(starts.tolist(), sides.tolist(),
-                                  dmins.tolist(), nearest.tolist())]
+    return WhitneyCubes(start=starts, side=sides, dist_to_good=dmins,
+                        nearest_good=nearest)
 
 
 def _pou_bump(t):
@@ -191,49 +229,56 @@ def _pou_bump(t):
     return out
 
 
-def whitney_extend(good_mask, values, levels, k, h, cubes=None):
+def whitney_extend(good_mask, values, levels, k, h, cubes):
     """Rebuild the bad region from Taylor data at nearest good points.
 
     good_mask: boolean array (True = keep values); values: base array;
     levels: derivative stack from _derivative_stack (orders 0..k) sampled on
-    the full grid (only good-point values are consulted); returns (array u,
-    cubes, pou_min) where pou_min is the smallest partition-of-unity sum seen
-    on the bad set (1 after normalization; reported pre-normalization).
+    the full grid (only good-point values are consulted); cubes: the
+    WhitneyCubes of ~good_mask.  Returns (array u, pou_min), where pou_min is
+    the smallest partition-of-unity sum seen on the bad set (1 after
+    normalization; reported pre-normalization).
     """
     bad = ~good_mask
     if not np.any(bad):
-        return values.copy(), tuple(), 1.0
-    cubes = cubes if cubes is not None else whitney_cubes(bad, h)
+        return values.copy(), 1.0
     shape = values.shape
     n = values.ndim
-    start = np.array([c.start for c in cubes], dtype=np.int64).reshape(-1, n)
-    side = np.array([c.side for c in cubes], dtype=np.int64)
-    q = np.array([c.nearest_good for c in cubes], dtype=np.int64).reshape(-1, n)
+    start, side, q = cubes.start, cubes.side, cubes.nearest_good
     center = (start + (side[:, None] - 1) / 2.0) * h
     radius = (9.0 / 16.0) * (side * h)
     # bounding box of each dilated cube support, clipped to the grid
     reach = radius[:, None]
     lo = np.maximum(np.floor((center - reach) / h) - 1, 0).astype(np.int64)
     hi = np.minimum(np.ceil((center + reach) / h) + 2, shape).astype(np.int64)
-    # every box's cells in one list, cube by cube, each box in C order
+    # every box's cells in one list, cube by cube, each box in C order; a
+    # cell's factor along an axis depends only on its cube and its index on
+    # that axis (its lane), so each factor is evaluated once per lane
     extent = hi - lo
     sizes = np.prod(extent, axis=1)
     owner = np.repeat(np.arange(len(cubes)), sizes)
     rest = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    cells = [None] * n
+    cells, lane = [None] * n, [None] * n
+    bump, offset = [None] * n, [None] * n
     for ax in reversed(range(n)):
-        cells[ax] = lo[owner, ax] + rest % extent[owner, ax]
-        rest = rest // extent[owner, ax]
-    coords = [(np.arange(dim) * h)[ix] for dim, ix in zip(shape, cells)]
+        rest, local = np.divmod(rest, extent[owner, ax])
+        cells[ax] = lo[owner, ax] + local
+        first = np.cumsum(extent[:, ax]) - extent[:, ax]
+        lane[ax] = first[owner] + local
+        lane_owner = np.repeat(np.arange(len(cubes)), extent[:, ax])
+        lane_local = np.arange(lane_owner.size) - first[lane_owner]
+        x = (np.arange(shape[ax]) * h)[lo[lane_owner, ax] + lane_local]
+        bump[ax] = _pou_bump((x - center[lane_owner, ax]) / radius[lane_owner])
+        offset[ax] = x - q[lane_owner, ax] * h
     w = np.ones(owner.size)
     for ax in range(n):
-        w = w * _pou_bump((coords[ax] - center[owner, ax]) / radius[owner])
+        w = w * bump[ax][lane[ax]]
     P = np.zeros_like(w)
     for alpha, coef in _taylor_terms(k, n):
         mono = (coef * _partial_derivative(levels, alpha)[tuple(q.T)])[owner]
         for ax, a in enumerate(alpha):
             if a:
-                mono = mono * (coords[ax] - q[owner, ax] * h) ** a
+                mono = mono * (offset[ax] ** a)[lane[ax]]
         P = P + mono
     # bincount adds in list order from 0.0: each cell sums its cubes in order
     flat = np.ravel_multi_index(tuple(cells), shape)
@@ -244,12 +289,14 @@ def whitney_extend(good_mask, values, levels, k, h, cubes=None):
     if pou_min <= 0.0:
         raise RuntimeError("partition of unity failed to cover the bad set")
     u[bad] = num[bad] / den[bad]
-    return u, tuple(cubes), pou_min
+    return u, pou_min
 
 
 def lipschitz_truncations(v, lams, k=1, p=2):
     """Prop-style truncation at each level of lams, in order: u = v off the
-    bad set exactly, measured sup-derivative and level-set volume constants.
+    bad set exactly, measured sup-derivative and level-set volume constants,
+    and the chain-mask verdict (chain_mask_inclusion on the sweep's |Dv| and
+    the |Du| of u's own derivative stack).
 
     f and its maximal function are built once; a bad level raises when the
     sweep reaches it.  A level whose bad set covers the box is not applicable:
@@ -281,22 +328,25 @@ def lipschitz_truncations(v, lams, k=1, p=2):
     for lam in lams:
         if lam <= 0:
             raise ValueError("lambda must be positive")
-        bad = ndimage.binary_dilation(maximal >= 2.0 * lam, iterations=1)
+        bad = _dilate(maximal >= 2.0 * lam, 1)
         if np.all(bad):
             yield TruncationResult(truncated=None, badSet=bad, lam=lam,
                                    measuredDerivBound=math.nan,
                                    measuredVolumeConstant=math.nan,
-                                   cubes=tuple(), derivative_orders=k)
+                                   cubes=None, derivative_orders=k,
+                                   chainOk=None)
             continue
-        if not np.any(bad):
+        if not np.any(bad):  # u is v, so Du = Dv everywhere
             yield TruncationResult(truncated=v, badSet=bad, lam=lam,
                                    measuredDerivBound=top_bound / lam,
-                                   measuredVolumeConstant=0.0, cubes=tuple(),
-                                   derivative_orders=k)
+                                   measuredVolumeConstant=0.0, cubes=None,
+                                   derivative_orders=k, chainOk=True)
             continue
-        u, cubes, _ = whitney_extend(~bad, arr, levels, k, h)
-        deriv_bound = float(np.max(_level_magnitude(
-            _derivative_stack(u, h, k)[k]))) / lam
+        cubes = whitney_cubes(bad, h)
+        u, _ = whitney_extend(~bad, arr, levels, k, h, cubes)
+        u_levels = _derivative_stack(u, h, k)
+        u_mags = [_level_magnitude(lv) for lv in u_levels[1:]]
+        deriv_bound = float(np.max(u_mags[-1])) / lam
         changed_measure = float(np.sum(bad)) * cell_vol
         denom = float(np.sum(energy[f > lam]) * cell_vol)
         volume_const = (changed_measure * lam**p / denom if denom > 0
@@ -305,7 +355,9 @@ def lipschitz_truncations(v, lams, k=1, p=2):
                                badSet=bad, lam=lam,
                                measuredDerivBound=deriv_bound,
                                measuredVolumeConstant=float(volume_const),
-                               cubes=cubes, derivative_orders=k)
+                               cubes=cubes, derivative_orders=k,
+                               chainOk=chain_mask_inclusion(mags[1], u_mags[0],
+                                                            bad))
 
 
 def lipschitz_truncate(v, lam, k=1, p=2):
@@ -317,18 +369,13 @@ def lipschitz_truncate(v, lam, k=1, p=2):
     return res
 
 
-def chain_mask_inclusion(v, result, tol=1e-10):
-    """Check {Dv != Du} subset of the (stencil-dilated) changed set.
+def chain_mask_inclusion(dv, du, bad):
+    """Check {Dv != Du} subset of the (stencil-dilated) changed set, from
+    the gradient magnitudes dv = |Dv| and du = |Du| and the bad mask.
 
     The dilation radius is 2: interior central differences reach 1 cell, but
     the second-order one-sided stencils at the box edges reach 2.
     """
-    from scipy import ndimage
-    h = _spacing(v)
-    dv = _level_magnitude(finite_difference_gradient(v.values[..., 0], h))
-    du = _level_magnitude(finite_difference_gradient(
-        result.truncated.values[..., 0], h))
     scale = float(np.max(dv)) + 1e-300
-    differ = np.abs(dv - du) > tol * scale
-    allowed = ndimage.binary_dilation(result.badSet, iterations=2)
-    return bool(np.all(allowed[differ]))
+    differ = np.abs(dv - du) > CHAIN_TOL * scale
+    return bool(np.all(_dilate(bad, 2)[differ]))

@@ -596,3 +596,35 @@ def test_main_bad_witness_config_names_its_fault(tmp_path, capsys, argv,
     """A mode that no route runs, a parameter that no code reads and an
     unknown case end in the JSON error with a plain (unquoted) message."""
     assert _error_message(argv, tmp_path, capsys) == message
+
+
+@pytest.mark.parametrize("case, overrides, message", [
+    ("ex63", {"r": "x"}, "param 'r' of ex63 expects int or float, got 'x'"),
+    ("ex61", {"shape": 64.5}, "param 'shape' of ex61 expects int, got 64.5")],
+    ids=["ex63-r-str", "ex61-shape-float"])
+def test_main_witness_override_of_wrong_type_names_case_and_key(
+        tmp_path, capsys, case, overrides, message):
+    """An override takes the type of the record's default: a string r used
+    to end in a TypeError, a float shape ran a 65-point grid and failed."""
+    argv = ["counterexample", "--case", case, "--param",
+            f"overrides={json.dumps(overrides)}"]
+    assert _error_message(argv, tmp_path, capsys) == message
+    with pytest.raises(ConfigError, match=message):
+        cli.run(ExperimentConfig("counterexample", out=str(tmp_path / "run"),
+                                 params={"case": case, "overrides": overrides}))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--case", "ex63", "--param", "indices=[1,2]"],
+     "ex63 has no indices, got [1, 2]"),
+    (["--case", "appendixOrlicz", "--param", "indices=[1,2]"],
+     "appendixOrlicz has no indices, got [1, 2]"),
+    (["--case", "jac_case2", "--param", 'overrides={"shape": 8}'],
+     "jac_case2 mode 'torus' never reads ['shape']")],
+    ids=["ex63-indices", "appendixOrlicz-indices", "jac_case2-torus-shape"])
+def test_main_witness_param_that_its_route_never_reads(tmp_path, capsys, argv,
+                                                       message):
+    """A parameter that the chosen route never reads is an error: these
+    runs used to pass without reading it."""
+    assert _error_message(["counterexample"] + argv, tmp_path,
+                          capsys) == message

@@ -3,7 +3,9 @@
 `_old_whitney_cubes` and `_old_whitney_extend` are reference copies of the
 Whitney step as it was when it recursed over the dyadic tree and glued one
 cube at a time; the vectorised versions must give the same cubes, in the
-same order, and the same bytes.
+same order, and the same bytes.  `_old_chain_mask_inclusion` is the chain
+check as it was when it took v and a result and differentiated both; the
+sweep's verdict, taken from its own derivative stacks, must equal it.
 """
 
 import itertools
@@ -14,11 +16,21 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import ndimage
 
+from cclab import truncate
 from cclab.cli import item_rng
-from cclab.truncate import (WhitneyCube, _derivative_stack,
-                            _partial_derivative, _pou_bump, _taylor_terms,
+from cclab.truncate import (_derivative_stack, _dilate, _level_magnitude,
+                            _partial_derivative, _pou_bump, _spacing,
+                            _taylor_terms, finite_difference_gradient,
                             lipschitz_truncate, lipschitz_truncations,
                             truncation_case, whitney_cubes, whitney_extend)
+
+
+def _cube_rows(cubes):
+    """The WhitneyCubes record as one (start, side, dist_to_good,
+    nearest_good) tuple per cube, in its order."""
+    return [(tuple(s), d, g, tuple(q)) for s, d, g, q in zip(
+        cubes.start.tolist(), cubes.side.tolist(),
+        cubes.dist_to_good.tolist(), cubes.nearest_good.tolist())]
 
 
 def _old_whitney_cubes(bad, h):
@@ -57,8 +69,7 @@ def _old_whitney_cubes(bad, h):
     for start, side, dmin in cubes:
         center = tuple(min(s + side // 2, dim - 1) for s, dim in zip(start, shape))
         nearest = tuple(int(ix[center]) for ix in inds)
-        out.append(WhitneyCube(start=tuple(int(s) for s in start), side=int(side),
-                               dist_to_good=dmin, nearest_good=nearest))
+        out.append((tuple(int(s) for s in start), int(side), dmin, nearest))
     return out
 
 
@@ -72,9 +83,9 @@ def _old_whitney_extend(good_mask, values, levels, k, h, cubes):
     num = np.zeros(shape)
     den = np.zeros(shape)
     axes_coords = [np.arange(dim) * h for dim in shape]
-    for cube in cubes:
-        side_len = cube.side * h
-        center = [(s + (cube.side - 1) / 2.0) * h for s in cube.start]
+    for start, side, _, q in cubes:
+        side_len = side * h
+        center = [(s + (side - 1) / 2.0) * h for s in start]
         radius = (9.0 / 16.0) * side_len
         box = []
         for ax in range(n):
@@ -90,7 +101,6 @@ def _old_whitney_extend(good_mask, values, levels, k, h, cubes):
             shp[ax] = x.size
             local_coords.append(x.reshape(shp))
             w = w * _pou_bump((x.reshape(shp) - center[ax]) / radius)
-        q = cube.nearest_good
         xq = [q[ax] * h for ax in range(n)]
         P = np.zeros_like(w)
         for alpha, coef in terms:
@@ -131,13 +141,14 @@ def test_whitney_step_keeps_bits(case, k):
     bad, rng = case
     h = 2 * math.pi / max(bad.shape)
     cubes = whitney_cubes(bad, h)
-    assert cubes == _old_whitney_cubes(bad, h)
+    old_cubes = _old_whitney_cubes(bad, h)
+    assert len(cubes) == len(old_cubes)
+    assert _cube_rows(cubes) == old_cubes
     values = rng.standard_normal(bad.shape)
     levels = _derivative_stack(values, h, k)
-    u, got_cubes, pou_min = whitney_extend(~bad, values, levels, k, h)
+    u, pou_min = whitney_extend(~bad, values, levels, k, h, cubes)
     u_old, _, pou_min_old = _old_whitney_extend(~bad, values, levels, k, h,
-                                                cubes)
-    assert got_cubes == tuple(cubes)
+                                                old_cubes)
     assert u.tobytes() == u_old.tobytes()
     assert pou_min == pou_min_old
 
@@ -157,12 +168,15 @@ def _outcome(res):
     whose bad set covers the box reads as the error lipschitz_truncate
     raises there."""
     if res.truncated is None:
-        assert res.badSet.all() and res.cubes == ()
+        assert res.badSet.all() and res.cubes is None
+        assert res.chainOk is None
         assert math.isnan(res.measuredDerivBound)
         assert math.isnan(res.measuredVolumeConstant)
         return COVERS_BOX
+    cubes = [] if res.cubes is None else _cube_rows(res.cubes)
     return (res.lam, res.truncated.values.tobytes(), res.badSet.tobytes(),
-            res.cubes, res.measuredDerivBound, res.measuredVolumeConstant)
+            cubes, res.measuredDerivBound, res.measuredVolumeConstant,
+            res.chainOk)
 
 
 def _single(v, lam, k):
@@ -183,3 +197,76 @@ def test_sweep_matches_single_levels(seed, case, shape, n, k, lams):
     if seed == 6:
         assert swept[lams.index(0.5)] == COVERS_BOX
         assert swept.count(COVERS_BOX) == 1
+
+
+def _old_chain_mask_inclusion(v, result, tol=1e-10):
+    h = _spacing(v)
+    dv = _level_magnitude(finite_difference_gradient(v.values[..., 0], h))
+    du = _level_magnitude(finite_difference_gradient(
+        result.truncated.values[..., 0], h))
+    scale = float(np.max(dv)) + 1e-300
+    differ = np.abs(dv - du) > tol * scale
+    allowed = ndimage.binary_dilation(result.badSet, iterations=2)
+    return bool(np.all(allowed[differ]))
+
+
+@pytest.mark.parametrize("seed,case,shape,n,k", SWEEP_CASES)
+def test_sweep_chain_verdict_matches_reference(seed, case, shape, n, k):
+    v = truncation_case(item_rng(seed, "truncate", case), shape, n)
+    verdicts = [(res.chainOk, _old_chain_mask_inclusion(v, res))
+                for res in lipschitz_truncations(v, LAMBDAS, k=k)
+                if res.truncated is not None]
+    assert verdicts and all(got is want for got, want in verdicts)
+
+
+def test_chain_check_sees_one_changed_good_cell(monkeypatch):
+    """A u altered at one good cell, three or more cells from the bad set,
+    fails the sweep's check, and the reference copy agrees."""
+    v = truncation_case(item_rng(0, "truncate", 0), 64, 2)
+    res = lipschitz_truncate(v, 2.0, k=1)
+    assert res.chainOk is True and res.badSet.any()
+    far = np.argwhere(~ndimage.binary_dilation(res.badSet, iterations=3))
+    cell = tuple(far[len(far) // 2])
+    extend = truncate.whitney_extend
+
+    def altered_extend(*args):
+        u, pou_min = extend(*args)
+        u[cell] += 1.0
+        return u, pou_min
+
+    monkeypatch.setattr(truncate, "whitney_extend", altered_extend)
+    altered = lipschitz_truncate(v, 2.0, k=1)
+    assert altered.truncated.values[cell + (0,)] != v.values[cell + (0,)]
+    assert altered.chainOk is False
+    assert _old_chain_mask_inclusion(v, altered) is False
+
+
+@pytest.mark.parametrize("cell, gap, ok", [
+    ((4, 6), 1.0, True), ((6, 5), 1.0, False), ((4, 7), 1.0, False),
+    ((0, 0), 0.5e-10, True), ((0, 0), 2e-10, False)])
+def test_chain_check_radius_and_tolerance(cell, gap, ok):
+    """|Du| may differ from |Dv| within two face steps of the bad set (a
+    diagonal step counts two), and by less than 1e-10 of max |Dv| anywhere."""
+    bad = np.zeros((9, 9), dtype=bool)
+    bad[4, 4] = True
+    dv = np.ones((9, 9))
+    du = dv.copy()
+    du[cell] += gap
+    assert truncate.chain_mask_inclusion(dv, du, bad) is ok
+
+
+@st.composite
+def dilation_masks(draw):
+    """A mask in 1-D or 2-D, axes of length 1 included, at any density."""
+    shape = tuple(draw(st.lists(st.integers(1, 12), min_size=1, max_size=2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random(shape) < draw(st.floats(0.0, 1.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(mask=dilation_masks(), iterations=st.sampled_from([1, 2]))
+def test_dilation_matches_ndimage(mask, iterations):
+    got = _dilate(mask, iterations)
+    want = ndimage.binary_dilation(mask, iterations=iterations)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want)
