@@ -147,6 +147,19 @@ def _check_types(defaults, params, owner, none=None):
                               f"got {value!r}")
 
 
+# key: (holds(value), what a run needs of it).  A run over no cases,
+# fields, indices, levels or lambdas, or over no t-interval [0, T], checks
+# nothing; a Holder seminorm [phi]_alpha needs 0 < alpha <= 1.
+_RANGES = {"cases": (lambda v: int(v) >= 1, "cases >= 1"),
+           "fields": (lambda v: int(v) >= 1, "fields >= 1"),
+           "indices": (lambda v: v is None or len(v) > 0,
+                       "a non-empty indices list"),
+           "levels": (len, "a non-empty levels list"),
+           "lambdas": (len, "a non-empty lambdas list"),
+           "T": (lambda v: 0 < v < math.inf, "a positive finite T"),
+           "alpha": (lambda v: 0 < v <= 1, "0 < alpha <= 1")}
+
+
 def _merge_params(defaults, params, experiment):
     unknown = set(params) - set(defaults)
     if unknown:
@@ -154,10 +167,9 @@ def _merge_params(defaults, params, experiment):
     _check_types(defaults, params, experiment)
     out = dict(defaults)
     out.update(params)
-    for key in ("cases", "fields"):  # a run over none of them checks nothing
-        if key in out and int(out[key]) < 1:
-            raise ConfigError(
-                f"{experiment} needs {key} >= 1, got {out[key]!r}")
+    for key, (holds, needs) in _RANGES.items():
+        if key in out and not holds(out[key]):
+            raise ConfigError(f"{experiment} needs {needs}, got {out[key]!r}")
     return out
 
 
@@ -212,23 +224,12 @@ def _exp_decompose(p, seed):
         "residuals": {"columns": cols, "rows": rows}}
 
 
-def _indices(p, experiment):
-    """p["indices"] as a tuple, or None (the default indices); an empty
-    list would run nothing that was asked for, so it is a ConfigError."""
-    if p["indices"] is None:
-        return None
-    if not p["indices"]:
-        raise ConfigError(f"{experiment} needs a non-empty indices list, "
-                          f"got {p['indices']!r}")
-    return tuple(p["indices"])
-
-
 @_experiment("pairing",
              "sequence pairings against a test function, fitted decay",
              "int F(v_j, vt_j) phi dx", seq="ex61", indices=None, tol=1e-12,
              integrand="divcurl_dot", test="bump")
 def _exp_pairing(p, seed):
-    seq, indices = p["seq"], _indices(p, "pairing")
+    seq, indices = p["seq"], p["indices"] and tuple(p["indices"])
     witness = cex.WITNESSES.get(seq)
     if witness is not None and witness.pairings is not None:
         spec = cex.make_spec(seq)
@@ -240,7 +241,7 @@ def _exp_pairing(p, seed):
         raise ConfigError(f"unknown sequence {seq!r}")
     phi = make_test_function(p["test"])
     rep = pairing_experiment(seq, p["integrand"], phi,
-                             indices or (8, 16, 32, 64, 128), test_id=p["test"])
+                             indices or (8, 16, 32, 64, 128))
     items = len(rep.values)
     checks = [Check("exponent_low", rep.exponent, -1.2, ">=", items),
               Check("exponent_high", rep.exponent, -0.8, "<=", items)]
@@ -296,7 +297,7 @@ def _exp_table1(p, seed):
              "see describe(<case>) for the per-case formula", case="ex63",
              indices=None, overrides={})
 def _exp_counterexample(p, seed):
-    case, indices = p["case"], _indices(p, "counterexample")
+    case, indices = p["case"], p["indices"] and tuple(p["indices"])
     witness = cex.WITNESSES.get(case)
     if witness is not None:  # make_spec names an unknown case
         # the records' None defaults (gamma, beta1) are derived numbers

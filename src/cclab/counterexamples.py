@@ -772,12 +772,20 @@ WITNESSES = {
     "ex61": Witness(
         anchor="v_j = j 1_{(0,1/j)^2} e, pairing = 1 for all j",
         defaults=dict(n=2, period=4.0, shape=256, e=(2 ** -0.5, 2 ** -0.5)),
+        rules=((lambda p: p["shape"] >= 2,
+                "ex61 needs shape >= 2, got shape={shape!r}"),
+               (lambda p: len(p["e"]) == p["n"] and all(
+                   isinstance(x, (int, float)) and not isinstance(x, bool)
+                   for x in p["e"]),
+                "ex61 needs e to hold n={n} numbers, got e={e!r}")),
         build=_ex61_fields, run=_scenario_concentration,
         gate=_unit_mass_gate, indices=(2, 4, 8, 16, 32, 64),
         pairings=_unit_masses),
     "ex62": Witness(
         anchor="glued harmonic gradients, masses +pi / -pi at r = 1/2",
         defaults=dict(n=2, period=2.0, shape=512),
+        rules=((lambda p: p["shape"] >= 2,
+                "ex62 needs shape >= 2, got shape={shape!r}"),),
         build=_ex62_fields, run=_scenario_oscillation,
         gate=_converging_masses_gate, indices=(2, 4, 8, 16, 32, 64),
         pairings=_converging_masses),

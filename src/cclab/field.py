@@ -420,7 +420,7 @@ class TrigPoly:
         return TrigPoly(n=n, dimV=dimV, terms={}, period=period)
 
     @staticmethod
-    def wave(n, m, kind="cos", amplitude=1.0, phase_vector=None, period=2 * math.pi):
+    def wave(n, m, kind="cos", amplitude=1.0, phase_vector=None):
         """amplitude * cos(m.x) or sin(m.x), optionally vector-valued.
 
         phase_vector: amplitude vector (defaults to scalar [amplitude]).
@@ -440,7 +440,7 @@ class TrigPoly:
             raise ValueError("kind must be 'cos' or 'sin'")
         if all(x == 0 for x in m):
             terms = {m: vec if kind == "cos" else 0 * vec}
-        return TrigPoly(n=n, dimV=vec.size, terms=terms, period=period)
+        return TrigPoly(n=n, dimV=vec.size, terms=terms)
 
     # -- algebra ------------------------------------------------------------
 
@@ -647,7 +647,7 @@ def mollified(f, ts, kernel=standard_bump, kernel_hats=None,
         yield vals
 
 
-def mollify(f, t, kernel=standard_bump):
-    """f * kernel_t as a GridField: the one scale t of mollified."""
+def mollify(f, t):
+    """f * standard_bump_t as a GridField: the one scale t of mollified."""
     rec = Spectrum.of(f)
-    return GridField(next(mollified(rec, (t,), kernel)), rec.field.period)
+    return GridField(next(mollified(rec, (t,))), rec.field.period)

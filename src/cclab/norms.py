@@ -85,15 +85,15 @@ class YoungFunction:
             raise ValueError("could not bracket phi inverse")
         return _first_crossing(self.phi, y, 0.0, hi, f_hi, below, 2100)
 
-    def is_convex(self, grid=None, tol=1e-9):
+    def is_convex(self):
         """Midpoint convexity test on a log grid (numerical certificate)."""
-        grid = grid if grid is not None else np.geomspace(1e-6, 1e6, 200)
+        grid = np.geomspace(1e-6, 1e6, 200)
         # phi once on the grid and once on the midpoints
         values = self(grid)
         lhs = self(0.5 * (grid[:-1] + grid[1:]))
         rhs = 0.5 * (values[:-1] + values[1:])
         scale = np.maximum(np.abs(rhs), 1e-300)
-        return bool(np.all(lhs <= rhs * (1 + tol) + tol * scale))
+        return bool(np.all(lhs <= rhs * (1 + 1e-9) + 1e-9 * scale))
 
     # -- constructors -------------------------------------------------------
 
@@ -286,11 +286,12 @@ def _first_crossing(f, y, lo, hi, f_hi, below, steps, secant=True):
     return 0.5 * (lo + hi)
 
 
-def _conjugate_argmax(phi, t, s_floor=1e-14):
+def _conjugate_argmax(phi, t):
     """s*(t) maximizing t*s - phi(s): the bisection's root of phi'(s) >= t
     on a doubling bracket (phi convex), reached in a few evaluations of
     phi' (_first_crossing); a phi' by finite differences is bisected
     plainly."""
+    s_floor = 1e-14
     t = float(t)
     if t <= 0:
         return 0.0
@@ -310,13 +311,13 @@ def _conjugate_argmax(phi, t, s_floor=1e-14):
                            secant=phi.dphi is not None)
 
 
-def young_conjugate(phi, check_convex=True, check_young=True):
+def young_conjugate(phi, check_young=True):
     """phi*(t) = max_{s>=0} (t s - phi(s)) via the monotone-slope solve.
 
     Postcondition (checked): Young's inequality st <= phi(s) + phi*(t) on a
     sample grid.  Conjugating twice recovers phi on convex inputs.
     """
-    if check_convex and not phi.is_convex():
+    if not phi.is_convex():
         raise ValueError("young_conjugate requires a (numerically) convex phi")
 
     def star_scalar(t):
@@ -351,18 +352,18 @@ def young_conjugate(phi, check_convex=True, check_young=True):
     return out
 
 
-def delta2_check(phi, s_range=(1e-3, 1e6), samples=121):
+def delta2_check(phi):
     """Doubling check phi(2s) <= k phi(s) over a log grid.
 
     Returns {"delta2": bool, "k": max ratio, "escape": trend flag}.  Failure
     is certified by monotone escape of the ratio across the top decade (a raw
     max is always finite on a finite range).
     """
-    ss = np.geomspace(s_range[0], s_range[1], samples)
+    ss = np.geomspace(1e-3, 1e6, 121)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ratios = np.asarray(phi(2 * ss), dtype=float) / np.asarray(phi(ss), dtype=float)
     ratios = ratios[np.isfinite(ratios)]
-    top = ratios[-max(8, samples // 10):]
+    top = ratios[-12:]
     escape = bool(np.all(np.diff(top) > 0) and top[-1] >= 1.10 * top[0])
     huge = bool(np.any(~np.isfinite(np.asarray(phi(2 * ss), dtype=float))))
     delta2 = not (escape or huge)
@@ -370,7 +371,7 @@ def delta2_check(phi, s_range=(1e-3, 1e6), samples=121):
             "ratios": ratios}
 
 
-def dominates(phi1, phi2, mode="near-infinity", k_grid=None, samples=161):
+def dominates(phi1, phi2, mode="near-infinity"):
     """Desk-scale certificate for phi1(s) <= phi2(k s).
 
     Verdict: True iff some k in the grid satisfies the inequality on the
@@ -378,16 +379,16 @@ def dominates(phi1, phi2, mode="near-infinity", k_grid=None, samples=161):
     the last two decades (1% slack).  The trend condition is what separates
     true domination from the spurious finite-range kind.
     """
+    samples = 161
     if mode == "near-infinity":
         ss = np.geomspace(1.0, 1e8, samples)
     elif mode == "global":
         ss = np.geomspace(1e-6, 1e8, samples)
     else:
         raise ValueError("mode must be 'near-infinity' or 'global'")
-    k_grid = k_grid if k_grid is not None else np.geomspace(1e-2, 1e3, 26)
     decades = (math.log10(ss[-1]) - math.log10(ss[0]))
     tail_len = max(4, int(round(2 * (samples - 1) / decades)))
-    for k in k_grid:
+    for k in np.geomspace(1e-2, 1e3, 26):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             v1 = np.asarray(phi1(ss), dtype=float)
             v2 = np.asarray(phi2(k * ss), dtype=float)
@@ -444,7 +445,7 @@ def _lp_norm(mag, cv, p):
     return float((np.sum(mag**p) * cv) ** (1.0 / p))
 
 
-def luxemburg_norm(f, phi, tol=1e-8):
+def luxemburg_norm(f, phi):
     """Smallest lam with ∫ phi(|f|/lam) <= 1, by bracketing + bisection.
 
     The integral is monotone decreasing in lam, so the bracket
@@ -483,7 +484,7 @@ def luxemburg_norm(f, phi, tol=1e-8):
             lo = mid
         else:
             hi = mid
-        if hi - lo <= tol * hi:
+        if hi - lo <= 1e-8 * hi:
             break
     return 0.5 * (lo + hi)
 
@@ -521,8 +522,8 @@ def besov_sup(f, alpha):
 @dataclass(frozen=True)
 class MaximalConfig:
     kernel: object = standard_bump
-    tLevels: int = 24
-    tMax: float = 1.0
+    tLevels = 24
+    tMax = 1.0
 
     def t_grid(self, f):
         h = max(p / s for p, s in zip(f.period, f.shape))

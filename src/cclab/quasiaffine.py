@@ -180,8 +180,8 @@ def quasiaffine_mean_test(F, sym, trials=100, seed=0, tol=1e-8):
 # sequence families and test functions (pairing bank)
 # ---------------------------------------------------------------------------
 
-def _oscillation(j, shape=(256, 256), drift=True):
-    """Constraint-exact div-curl family on the 2-torus.
+def _oscillation(j, drift=True):
+    """Constraint-exact div-curl family on the 2-torus, on a 256^2 grid.
 
     v_j = (1/j + sin(j x1), 0) is curl-free, vt_j = (1 + sin(j x2), 0) is
     divergence-free; the 1/j mean drift makes the pairing decay like
@@ -194,21 +194,22 @@ def _oscillation(j, shape=(256, 256), drift=True):
         vt1 = np.sin(j * y) + (1.0 if drift else 0.0)
         z = np.zeros_like(x)
         return np.stack([v1, z, vt1, z], axis=-1)
-    return GridField.from_function(fn, shape)
+    return GridField.from_function(fn, (256, 256))
 
 
 FAMILIES = {
-    "oscillation": lambda j, **kw: _oscillation(j, drift=True, **kw),
-    "oscillation_pure": lambda j, **kw: _oscillation(j, drift=False, **kw),
+    "oscillation": lambda j: _oscillation(j, drift=True),
+    "oscillation_pure": lambda j: _oscillation(j, drift=False),
 }
 
 
-def make_test_function(name, shape=(256, 256), period=(2 * math.pi, 2 * math.pi),
-                       radius=1.0, alpha=0.5, corner=(0.0, 0.0), side=1.0):
-    """Registered test-function bank: smooth bumps, grid-aligned indicators,
-    Holder cusps, and the constant 1; the radial ones are box-centred."""
-    period = tuple(period)
-    midpoint = tuple(p / 2 for p in period)
+def make_test_function(name, shape=(256, 256), radius=1.0):
+    """Registered test-function bank on the box [0, 2 pi)^2: smooth bumps,
+    indicators of a ball and of the square [0, 1)^2, the Holder cusp
+    1 - (r / radius)^(1/2) and the constant 1; the radial ones are
+    box-centred."""
+    period = (2 * math.pi, 2 * math.pi)
+    midpoint = (math.pi, math.pi)
 
     if name == "bump":
         def fn(*grids):
@@ -220,13 +221,13 @@ def make_test_function(name, shape=(256, 256), period=(2 * math.pi, 2 * math.pi)
     elif name == "indicator_square":
         def fn(*grids):
             m = np.ones_like(grids[0], dtype=bool)
-            for g, c in zip(grids, corner):
-                m &= (g >= c) & (g < c + side)
+            for g in grids:
+                m &= (g >= 0.0) & (g < 1.0)
             return m.astype(float)
     elif name == "cusp":
         def fn(*grids):
             r = np.sqrt(_periodic_dist2(grids, period, midpoint))
-            return np.maximum(0.0, 1.0 - (r / radius) ** alpha)
+            return np.maximum(0.0, 1.0 - (r / radius) ** 0.5)
     elif name == "one":
         def fn(*grids):
             return np.ones_like(grids[0])
@@ -239,8 +240,6 @@ def make_test_function(name, shape=(256, 256), period=(2 * math.pi, 2 * math.pi)
 class PairingReport:
     indices: tuple
     values: tuple
-    test_id: str
-    limit: float
     exponent: float
     fit_residual: float
 
@@ -255,27 +254,18 @@ def fit_exponent(indices, deviations):
     return float(coef[0]), resid
 
 
-def pairing_experiment(family, F, phi, j_list, limit=0.0, test_id="",
-                       **family_kwargs):
-    """Per-index pairings ∫ F(v_j) phi dx with a fitted decay exponent.
-
-    family: registered name or callable j -> GridField; phi: scalar
-    GridField on the same grid.
-    """
-    if isinstance(family, str):
-        family = FAMILIES[family]
-    if isinstance(F, str):
-        F = INTEGRANDS[F]
+def pairing_experiment(family, F, phi, j_list):
+    """Per-index pairings ∫ F(v_j) phi dx with the fitted decay exponent of
+    their distance from the limit 0; family and F are FAMILIES and
+    INTEGRANDS names, phi is a scalar GridField on the family's grid."""
     values = []
     for j in j_list:
-        Fv = evaluate_F(F, family(j, **family_kwargs))
+        Fv = evaluate_F(INTEGRANDS[F], FAMILIES[family](j))
         if phi.shape != Fv.shape:
             raise ValueError("test function grid does not match the family grid")
         values.append(float(np.sum(Fv.values[..., 0] * phi.values[..., 0])
                             * Fv.cell_volume))
-    devs = [abs(v - limit) for v in values]
-    expo, resid = fit_exponent(j_list, devs)
+    expo, resid = fit_exponent(j_list, [abs(v) for v in values])
     return PairingReport(indices=tuple(j_list), values=tuple(values),
-                         test_id=test_id, limit=limit, exponent=expo,
-                         fit_residual=resid)
+                         exponent=expo, fit_residual=resid)
 

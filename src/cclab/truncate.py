@@ -292,7 +292,7 @@ def whitney_extend(good_mask, values, levels, k, h, cubes):
     return u, pou_min
 
 
-def lipschitz_truncations(v, lams, k=1, p=2):
+def lipschitz_truncations(v, lams, k=1):
     """Prop-style truncation at each level of lams, in order: u = v off the
     bad set exactly, measured sup-derivative and level-set volume constants,
     and the chain-mask verdict (chain_mask_inclusion on the sweep's |Dv| and
@@ -313,7 +313,7 @@ def lipschitz_truncations(v, lams, k=1, p=2):
     levels = _derivative_stack(arr, h, k)
     mags = [_level_magnitude(lv) for lv in levels]
     f = sum(mags)
-    energy = sum(m ** p for m in mags)
+    energy = sum(m ** 2 for m in mags)
     top_bound = float(np.max(mags[k]))
     # clipped-window cube averages over dyadic radii, one cell to half the box
     maximal = f.copy()
@@ -349,7 +349,7 @@ def lipschitz_truncations(v, lams, k=1, p=2):
         deriv_bound = float(np.max(u_mags[-1])) / lam
         changed_measure = float(np.sum(bad)) * cell_vol
         denom = float(np.sum(energy[f > lam]) * cell_vol)
-        volume_const = (changed_measure * lam**p / denom if denom > 0
+        volume_const = (changed_measure * lam**2 / denom if denom > 0
                         else math.inf)
         yield TruncationResult(truncated=GridField(u[..., None], v.period),
                                badSet=bad, lam=lam,
@@ -360,10 +360,10 @@ def lipschitz_truncations(v, lams, k=1, p=2):
                                                             bad))
 
 
-def lipschitz_truncate(v, lam, k=1, p=2):
+def lipschitz_truncate(v, lam, k=1):
     """The truncation of v at the one level lam (see lipschitz_truncations);
     a lam whose bad set covers the box raises ValueError."""
-    res = next(lipschitz_truncations(v, (lam,), k, p))
+    res = next(lipschitz_truncations(v, (lam,), k))
     if res.truncated is None:
         raise ValueError("trivial truncation: bad set covers the whole box")
     return res

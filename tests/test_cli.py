@@ -337,21 +337,31 @@ def test_main_gated_witness_passes_with_rows(tmp_path, capsys, argv):
     assert len([ln for ln in lines if not ln.startswith("#")]) == 1 + 6
 
 
-# a run over zero trials or cases would check nothing, so it is refused
-# before it writes a table
-EMPTY_RUNS = {"quasiaffine": ("trials.csv", "trials >= 1"),
-              "truncate": ("truncate.csv", "cases >= 1"),
-              "extension-identity": ("identity.csv", "cases >= 1")}
+# a run over zero trials, cases, levels or lambdas, or over no t-interval
+# [0, T], would check nothing, so it is refused before it writes a table
+EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
+              ("truncate", "cases"): ("truncate.csv", "cases >= 1"),
+              ("truncate", "lambdas"): ("truncate.csv",
+                                        "non-empty lambdas list"),
+              ("extension-identity", "cases"): ("identity.csv", "cases >= 1"),
+              ("extension-identity", "levels"): ("identity.csv",
+                                                 "non-empty levels list"),
+              ("extension-identity", "T"): ("identity.csv",
+                                            "positive finite T")}
 
 
 @pytest.mark.parametrize("argv", [
     ["quasiaffine", "--param", "trials=0"],
     ["quasiaffine", "--param", "trials=-3"],
     ["truncate", "--param", "cases=0"],
+    ["truncate", "--param", "lambdas=[]"],
     ["extension-identity", "--param", "cases=0"],
-    ["extension-identity", "--param", "cases=-2"]], ids=" ".join)
+    ["extension-identity", "--param", "cases=-2"],
+    ["extension-identity", "--param", "levels=[]"],
+    ["extension-identity", "--param", "T=-1.0"],
+    ["extension-identity", "--param", "T=0"]], ids=" ".join)
 def test_main_empty_run_is_a_config_error(tmp_path, capsys, argv):
-    table, needs = EMPTY_RUNS[argv[0]]
+    table, needs = EMPTY_RUNS[argv[0], argv[2].partition("=")[0]]
     assert main(argv + ["--out", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -505,6 +515,19 @@ def test_main_empty_indices_are_a_config_error(tmp_path, capsys, argv):
                                  params={argv[1][2:]: argv[2], "indices": []}))
 
 
+@pytest.mark.parametrize("alpha", ["-1.0", "0.0", "2.0", "5.0"])
+def test_main_thmD_alpha_outside_holder_range(tmp_path, capsys, alpha):
+    """A Holder seminorm needs 0 < alpha <= 1: these runs used to pass."""
+    message = _error_message(["thmD", "--param", f"alpha={alpha}"], tmp_path,
+                             capsys)
+    assert message == f"thmD needs 0 < alpha <= 1, got {float(alpha)!r}"
+
+
+def test_main_thmD_alpha_one_is_a_holder_exponent(tmp_path, capsys):
+    assert main(["thmD", "--param", "alpha=1.0", "--out", str(tmp_path)]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("r", ["0.0", "-2.0"])
 def test_main_ex63_names_a_bad_r(tmp_path, capsys, r):
     message = _error_message(["counterexample", "--case", "ex63", "--param",
@@ -588,13 +611,27 @@ def test_witness_runs_keep_their_bytes(tmp_path, run_id):
     (["counterexample", "--case", "ex61", "--param", 'overrides={"bogus": 1}'],
      "unknown parameters for ex61: ['bogus']"),
     (["counterexample", "--case", "nope"],
-     f"unknown case 'nope' (choose from {cex.CASES})")],
+     f"unknown case 'nope' (choose from {cex.CASES})"),
+    (["counterexample", "--case", "ex61", "--param", 'overrides={"e": [1.0]}'],
+     "ex61 needs e to hold n=2 numbers, got e=[1.0]"),
+    (["counterexample", "--case", "ex61", "--param",
+      'overrides={"e": [0.6, 0.8, 0.0]}'],
+     "ex61 needs e to hold n=2 numbers, got e=[0.6, 0.8, 0.0]"),
+    (["counterexample", "--case", "ex61", "--param",
+      'overrides={"e": ["a", "b"]}'],
+     "ex61 needs e to hold n=2 numbers, got e=['a', 'b']"),
+    (["counterexample", "--case", "ex61", "--param", 'overrides={"shape": 0}'],
+     "ex61 needs shape >= 2, got shape=0"),
+    (["counterexample", "--case", "ex62", "--param", 'overrides={"shape": 0}'],
+     "ex62 needs shape >= 2, got shape=0")],
     ids=["jac_case2-bogus-mode", "jac_case3-mode", "unknown-override",
-         "unknown-case"])
+         "unknown-case", "ex61-e-one-entry", "ex61-e-three-entries",
+         "ex61-e-strings", "ex61-shape-0", "ex62-shape-0"])
 def test_main_bad_witness_config_names_its_fault(tmp_path, capsys, argv,
                                                   message):
-    """A mode that no route runs, a parameter that no code reads and an
-    unknown case end in the JSON error with a plain (unquoted) message."""
+    """A mode that no route runs, a parameter that no code reads, an
+    unknown case, and a direction e or a grid that the family cannot take
+    end in the JSON error with a plain (unquoted) message."""
     assert _error_message(argv, tmp_path, capsys) == message
 
 

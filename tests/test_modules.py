@@ -192,3 +192,93 @@ def test_every_definition_is_reached():
     assert not unreached, "unreached: " + ", ".join(unreached)
     assert set(ENTRY_POINTS) <= set(defs)
     assert sorted(set(ENTRY_POINTS) & _closure(defs, roots)) == []
+
+
+# Defaulted parameters that no call sets by name or by position, each with
+# the reason it stays.
+UNSET_DEFAULTS = {
+    "extension.pairing_identity.tail_tol":
+        "test_spectral_record.py::test_pairing_identity_bits draws it and "
+        "passes it by position through _outcome, where no call names it",
+}
+
+CALLER_DIRS = ("src", "tests", "bench", "scripts")
+
+
+def _called(node):
+    """The name a call or decorator uses: f of f(...) and of x.f(...)."""
+    node = node.func if isinstance(node, ast.Call) else node
+    return getattr(node, "id", getattr(node, "attr", ""))
+
+
+def _defaults():
+    """(qualified name, called name, position, name) of each defaulted
+    parameter of a function or method in src/cclab and each dataclass field
+    with a default.  The position counts the arguments that a call passes
+    (self not among them); it is None for a keyword-only parameter.  An
+    __init__ and a dataclass are called by the class's name."""
+    found = []
+
+    def visit(node, cls, qual):
+        for item in ast.iter_child_nodes(node):
+            if isinstance(item, ast.ClassDef):
+                if any(_called(d) == "dataclass" for d in item.decorator_list):
+                    fields = [s for s in item.body if isinstance(s, ast.AnnAssign)]
+                    found.extend((f"{qual}{item.name}.{s.target.id}", item.name,
+                                  i, s.target.id)
+                                 for i, s in enumerate(fields) if s.value)
+                visit(item, item, f"{qual}{item.name}.")
+            elif isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = item.args
+                pos = args.posonlyargs + args.args
+                if cls and "staticmethod" not in map(_called,
+                                                     item.decorator_list):
+                    pos = pos[1:]
+                called = cls.name if item.name == "__init__" else item.name
+                where = f"{qual}{item.name}."
+                first = len(pos) - len(args.defaults)
+                found.extend((where + a.arg, called, i, a.arg)
+                             for i, a in enumerate(pos) if i >= first)
+                found.extend((where + a.arg, called, None, a.arg)
+                             for a, d in zip(args.kwonlyargs, args.kw_defaults)
+                             if d is not None)
+                visit(item, None, where)
+            else:
+                visit(item, cls, qual)
+
+    for name in MODULES:
+        visit(ast.parse((Path(cclab.__file__).parent / f"{name}.py").read_text()),
+              None, f"{name}.")
+    return found
+
+
+def _calls():
+    """{called name: [(positional arguments, keyword names)]} of every call
+    in CALLER_DIRS; a *args call passes every position, and a **kwargs call
+    holds the keyword name None."""
+    root = Path(__file__).resolve().parents[1]
+    calls = {}
+    for path in sorted(p for d in CALLER_DIRS for p in (root / d).rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                calls.setdefault(_called(node), []).append(
+                    (float("inf") if starred else len(node.args),
+                     {k.arg for k in node.keywords}))
+    return calls
+
+
+def test_every_default_is_set_by_some_call():
+    """Every defaulted parameter and dataclass field in src/cclab is set by
+    some call in CALLER_DIRS (matched by the called name), by name, by
+    position or through **kwargs, or is in UNSET_DEFAULTS; and
+    UNSET_DEFAULTS names only defaults that no call sets.  A default that
+    no caller sets is a constant: it is written where it is read."""
+    calls = _calls()
+    unset = {qual for qual, called, position, arg in _defaults()
+             if not any(arg in keywords or None in keywords
+                        or (position is not None and count > position)
+                        for count, keywords in calls.get(called, ()))}
+    assert sorted(unset - set(UNSET_DEFAULTS)) == [], "set by no call"
+    assert sorted(set(UNSET_DEFAULTS) - unset) == [], \
+        "allow-listed, yet set by a call or no default at all"
