@@ -147,14 +147,24 @@ def _check_types(defaults, params, owner, none=None):
                               f"got {value!r}")
 
 
+def _ints(v, low=-math.inf):
+    """Whether v is a list of ints (no bools), each at least low."""
+    return isinstance(v, (list, tuple)) and all(
+        type(x) is int and x >= low for x in v)
+
+
 # key: (holds(value), what a run needs of it).  A run over no cases,
 # fields, indices, levels or lambdas, or over no t-interval [0, T], checks
-# nothing; a Holder seminorm [phi]_alpha needs 0 < alpha <= 1.
+# nothing; a Holder seminorm [phi]_alpha needs 0 < alpha <= 1.  An index is
+# an int, and a level a grid size N with its number L of t-levels.
 _RANGES = {"cases": (lambda v: int(v) >= 1, "cases >= 1"),
            "fields": (lambda v: int(v) >= 1, "fields >= 1"),
-           "indices": (lambda v: v is None or len(v) > 0,
-                       "a non-empty indices list"),
-           "levels": (len, "a non-empty levels list"),
+           "indices": (lambda v: v is None or (_ints(v) and len(v) > 0),
+                       "a non-empty indices list of ints"),
+           "levels": (lambda v: len(v) > 0 and all(
+                          _ints(row, 1) and len(row) == 2 for row in v),
+                      "a non-empty levels list of (N, L) pairs of "
+                      "positive ints"),
            "lambdas": (len, "a non-empty lambdas list"),
            "T": (lambda v: 0 < v < math.inf, "a positive finite T"),
            "alpha": (lambda v: 0 < v <= 1, "0 < alpha <= 1")}
@@ -372,9 +382,9 @@ def _exp_extension_identity(p, seed):
         errs = []
         for N, L in p["levels"]:
             rng = item_rng(seed, "extension-identity", f"{i}:{N}")
-            u = random_bandlimited(rng, (int(N),) * 2, 2, cutoff=True)
-            phi = random_bandlimited(rng, (int(N),) * 2, 1, cutoff=True)
-            rep = pairing_identity(u, phi, T=p["T"], tLevels=int(L))
+            u = random_bandlimited(rng, (N,) * 2, 2, cutoff=True)
+            phi = random_bandlimited(rng, (N,) * 2, 1, cutoff=True)
+            rep = pairing_identity(u, phi, T=p["T"], tLevels=L)
             errs.append(rep["relError"])
             rows.append([i, N, L, rep["lhs"], rep["rhs"], rep["relError"]])
         unmonotone += not all(a >= b for a, b in zip(errs, errs[1:]))

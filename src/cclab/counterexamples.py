@@ -583,7 +583,7 @@ def _run_case1(spec, ks):
     richardson = 2 * ie[-1] - ie[-2]
     return {"k": list(ks), "pairings": vals, "gamma": gamma,
             "expected_exponent": p["n"] * gamma,
-            "fitted_exponent": fit_exponent(ks, np.abs(vals))[0],
+            "fitted_exponent": fit_exponent(ks, np.abs(vals)),
             "a1": a1, "moment_target": a1 * d1_at_0,
             "moment_richardson": richardson}
 
@@ -611,7 +611,7 @@ def _run_case2(spec, ks):
             for f in (_case2_grid(spec, k) for k in ks)]
     return {"k": list(ks), "pairings": vals, "beta1": beta1,
             "expected_exponent": expected,
-            "fitted_exponent": fit_exponent(ks, np.abs(vals))[0]}
+            "fitted_exponent": fit_exponent(ks, np.abs(vals))}
 
 
 def _run_case3(spec, ks):

@@ -4,10 +4,12 @@ Per nonzero frequency, bPart^ = P(xi) v^ with P the orthogonal projection
 onto ker A(xi), aStarPart^ = (I - P) v^, and w^ = (A A^T)^+ (i^l A) v^ is the
 minimal-norm potential (gauge fixed by the pseudoinverse).  The zero mode is
 assigned to the kernel part (P(0) := identity convention).  The
-frequencies are field.Spectrum's xi, whose entry -N/2 is 0 on an even axis
-(the Nyquist convention), so A, P and the potential are Hermitian on every
-grid and the split of a real field is real; on an even grid a frequency
-whose xi is 0 after that (say (N/2, N/2)) counts as a zero mode.
+frequencies are field.Spectrum's xi on the half grid, whose entry N/2 is 0
+on an even axis (the Nyquist convention), so A, P and the potential are
+Hermitian on every grid and the split of a real field is real; on an even
+grid a frequency whose xi is 0 after that (say (N/2, N/2)) counts as a zero
+mode.  The symbol is real with A(-xi) = (-1)^l A(xi), so P(-xi) = P(xi):
+the half grid holds every frequency that the split needs.
 `helmholtz_splits` streams fields through one operator, one rank check per
 stream and one frequency solve per run of fields on one grid.
 """
@@ -37,10 +39,11 @@ class HelmholtzResult:
 
 
 def _frequency_solve(sym, rec, tolSV):
-    """(nz, A[nz], P, (A A^T)^+) on the nonzero frequencies of rec's grid,
-    then A and A* = (-1)^l A^T as complex grid stacks in evaluate's layout."""
-    flat_xi = np.stack(np.broadcast_arrays(*rec.xi),
-                       axis=-1).reshape(-1, sym.n)
+    """(nz, A[nz], P, (A A^T)^+) on the nonzero frequencies of rec's half
+    grid, then A and A* = (-1)^l A^T as complex half-grid stacks in
+    evaluate's layout."""
+    xi = np.stack(np.broadcast_arrays(*rec.xi), axis=-1)
+    flat_xi = xi.reshape(-1, sym.n)
     A = sym_mod.evaluate(sym, flat_xi)
     mag = np.sqrt(np.sum(flat_xi**2, axis=-1))
     nz = mag > 0
@@ -55,7 +58,7 @@ def _frequency_solve(sym, rec, tolSV):
                             rcond=tolSV)
     Astar = (-1.0) ** sym.l * np.transpose(A, (0, 2, 1))
     return (nz, A_nz, P, AATdag) + tuple(
-        S.astype(complex, order="C").reshape(rec.field.shape + S.shape[1:])
+        S.astype(complex, order="C").reshape(xi.shape[:-1] + S.shape[1:])
         for S in (A, Astar))
 
 
@@ -88,26 +91,27 @@ def helmholtz(v, sym, tolSV=sym_mod.DEFAULT_TOL_SV):
 
 def _split(v, sym, vhat, solve):
     nz, A_nz, P, AATdag, A, Astar = solve
-    nfreq = int(np.prod(v.shape))
-    vflat = vhat.reshape(nfreq, v.dimV)
+    vflat = vhat.reshape(-1, v.dimV)
     b_flat = np.array(vflat)
     b_flat[nz] = np.einsum("kij,kj->ki", P, vflat[nz])
     a_flat = vflat - b_flat
     # w from (A A^T)^+ i^l A v^, using the unnormalized symbol
     il = 1j**sym.l
-    w_flat = np.zeros((nfreq, sym.dimW), dtype=complex)
+    w_flat = np.zeros((len(vflat), sym.dimW), dtype=complex)
     w_flat[nz] = np.einsum("kij,kj->ki", AATdag, il * np.einsum("kij,kj->ki", A_nz, vflat[nz]))
-    bPart, aStarPart, w = (ifft(x.reshape(v.shape + x.shape[1:]), v.period)
-                           for x in (b_flat, a_flat, w_flat))
+    bPart, aStarPart, w = (
+        GridField(ifft(x.reshape(vhat.shape[:-1] + x.shape[1:]),
+                       np.empty(v.shape + x.shape[1:])), v.period)
+        for x in (b_flat, a_flat, w_flat))
 
     scale = lebesgue_norm(v, 2) + 1e-300
     recon = np.sqrt(np.sum((bPart.values + aStarPart.values - v.values) ** 2)
                     * v.cell_volume) / scale
-    Ab = _apply_stack(A, fft(bPart), sym.l, v.period)
+    Ab = _apply_stack(A, fft(bPart), sym.l, v)
     sym_scale = max(float(np.max(np.abs(m))) for m in sym.coeffs.values())
     kmax = max(np.pi * s / p for s, p in zip(v.shape, v.period))
     constraint = lebesgue_norm(Ab, 2) / (sym_scale * kmax**sym.l * scale)
-    Astar_w = _apply_stack(Astar, fft(w), sym.l, v.period)
+    Astar_w = _apply_stack(Astar, fft(w), sym.l, v)
     potential = np.sqrt(np.sum((Astar_w.values - aStarPart.values) ** 2)
                         * v.cell_volume) / scale
     ortho = abs(float(np.sum(bPart.values * aStarPart.values) * v.cell_volume)) / scale**2

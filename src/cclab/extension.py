@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from .field import (GridField, Spectrum, TrigPoly, _half_inverse, gradient,
+from .field import (GridField, Spectrum, TrigPoly, fft, gradient, ifft,
                     trig_pair, trig_product)
 from .norms import _lp_norm, besov_sup
 
@@ -57,8 +57,7 @@ def slab_derivatives(f, t):
 
 def _slab_factors(mag, xi, t):
     """The multipliers of (d_t, d_x1, ..., d_xn) at height t, given |xi| and
-    the per-axis xi of a Spectrum (or their half-spectrum slices):
-    -|xi| e^{-t|xi|}, then i xi_j e^{-t|xi|}."""
+    the per-axis xi of a Spectrum: -|xi| e^{-t|xi|}, then i xi_j e^{-t|xi|}."""
     decay = np.exp(-t * mag)
     return [-mag * decay] + [1j * x * decay for x in xi]
 
@@ -86,28 +85,23 @@ def pairing_identity(u, phi, T=8.0, tLevels=64, tail_tol=1e-6):
         raise ValueError("the identity is implemented for 2D, u in R^2")
     cell = u.cell_volume
 
-    # phi, u1 and u2 as scalar planes, each transformed once to its real
-    # half-spectrum (rfftn; at 256^2 a plane stays in cache where an
-    # (N, N, 2) array does not).  Every factor is Hermitian (Spectrum's
-    # Nyquist convention), so each derivative plane is the irfftn of a
-    # product on the N x (N/2 + 1) half grid.  At each height the three
-    # factors are built once and serve all three planes, and the nine
-    # planes are inverted in place, through one product buffer, into
-    # arrays kept across heights.
+    # phi, u1 and u2 as scalar fields, each transformed once to its
+    # half-spectrum (at 256^2 a plane stays in cache where an (N, N, 2)
+    # array does not).  At each height the three factors are built once and
+    # serve all three planes, and the nine planes are inverted in place,
+    # through one product buffer, into arrays kept across heights.
     rec = Spectrum(phi)
-    half = phi.shape[-1] // 2 + 1
-    mag, xi = rec.mag[:, :half], [x[:, :half] for x in rec.xi]
-    hats = [np.fft.rfftn(g.values[..., i])
-            for g, i in ((phi, 0), (u, 0), (u, 1))]
+    mag, xi = rec.mag[..., None], [x[..., None] for x in rec.xi]
+    hats = [rec.hat, fft(u.component(0)), fft(u.component(1))]
     buf = np.empty_like(hats[0])
-    planes = [[np.empty(u.shape) for _ in range(3)] for _ in hats]
+    planes = [[np.empty(phi.values.shape) for _ in range(3)] for _ in hats]
 
     def slab(t):
         """The nine planes (d_t, d_x1, d_x2) of (Phi, U1, U2) at height t."""
         factors = _slab_factors(mag, xi, t)
         for hat, row in zip(hats, planes):
             for factor, plane in zip(factors, row):
-                _half_inverse(np.multiply(hat, factor, out=buf), plane, (0, 1))
+                ifft(np.multiply(hat, factor, out=buf), plane)
         return planes
 
     def surface_det(rows):
@@ -116,7 +110,7 @@ def pairing_identity(u, phi, T=8.0, tLevels=64, tail_tol=1e-6):
         return u1x * u2y - u1y * u2x
 
     det_surface = surface_det(slab(0.0)[1:])
-    phi0 = phi.values[..., 0]
+    phi0 = phi.values
     lhs = float(np.sum(det_surface * phi0) * cell)
     scale = float(np.sum(np.abs(det_surface * phi0)) * cell)
 
@@ -128,8 +122,8 @@ def pairing_identity(u, phi, T=8.0, tLevels=64, tail_tol=1e-6):
 
     # boundary determinant mass at height T (truncation error witness)
     det_T = surface_det(slab(T)[1:])
-    phiT = _half_inverse(np.multiply(hats[0], np.exp(-T * mag), out=buf),
-                         planes[0][0], (0, 1))
+    phiT = ifft(np.multiply(hats[0], np.exp(-T * mag), out=buf),
+                planes[0][0])
     tail = abs(float(np.sum(phiT * det_T) * cell))
     denom = max(abs(lhs), scale, 1e-300)
     if tail > tail_tol * denom:

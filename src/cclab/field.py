@@ -130,34 +130,29 @@ def _periodic_dist2(grids, period, centre):
 
 
 def fft(f):
-    """Forward FFT over the space axes into one complex array, same layout."""
-    return np.fft.fftn(f.values, axes=tuple(range(f.n)),
-                       out=np.empty(f.values.shape, complex))
+    """The half-spectrum of the real field f: rfftn over the space axes into
+    one complex array, the last space axis cut to N_n // 2 + 1."""
+    shape = f.shape[:-1] + (f.shape[-1] // 2 + 1, f.dimV)
+    return np.fft.rfftn(f.values, axes=tuple(range(f.n)),
+                        out=np.empty(shape, complex))
 
 
-def ifft(fhat, period=()):
-    """Inverse of fft; imaginary round-off is discarded.
-
-    The transform runs in place: fhat (complex) is consumed, and the
-    result's values are a view of its real part.  Pass a temporary."""
-    vals = np.fft.ifftn(fhat, axes=tuple(range(fhat.ndim - 1)), out=fhat)
-    return GridField(np.real(vals), period)
-
-
-def _half_inverse(buf, out, axes, rows=slice(None)):
-    """irfftn of the half-spectrum buf over axes, cut to the first axis's
-    rows `rows`, written into the real array out (the grid's shape along
-    axes, with only those rows), and returned.
+def ifft(buf, out, rows=slice(None)):
+    """The inverse of fft: irfftn of the half-spectrum buf over its space
+    axes, cut to the first axis's rows `rows`, written into the real array
+    out (the grid's shape + (dimV,), with only those rows), and returned.
 
     irfftn's steps, each in place: the leading axes' inverses overwrite buf
-    (irfftn itself would allocate a fresh half-spectrum per call), then the
-    last axis's irfft fills out.  The first axis's inverse mixes the rows,
-    so it runs on all of buf; the other steps run on buf[rows] only.  Every
-    1-D lane is transformed on its own, so each row keeps the bits of the
-    whole inverse.  rows needs two or more axes.  buf must be the
-    half-spectrum of a real field, that is, of a Hermitian full spectrum."""
+    (which the call consumes), then the last axis's irfft fills out.  The
+    first axis's inverse mixes the rows, so it runs on all of buf; the other
+    steps run on buf[rows] only.  Every 1-D lane is transformed on its own,
+    so each row keeps the bits of the whole inverse.  rows needs two or more
+    space axes.  buf must be the half of a Hermitian spectrum (Spectrum's
+    Nyquist convention): irfft reads only the real parts of the last axis's
+    self-conjugate columns 0 and N/2."""
+    axes = range(buf.ndim - 1)
     if len(axes) > 1:
-        np.fft.ifft(buf, axis=axes[0], out=buf)
+        np.fft.ifft(buf, axis=0, out=buf)
         buf = buf[rows]
     for ax in axes[1:-1]:
         np.fft.ifft(buf, axis=ax, out=buf)
@@ -167,37 +162,31 @@ def _half_inverse(buf, out, axes, rows=slice(None)):
 class Spectrum:
     """One field's spectral record: its transform and frequency grids.
 
-    hat is fft(field); xi[i] holds the axis-i frequencies 2 pi m_i / p_i
-    (m_i in numpy fft order), shaped to broadcast over the grid; mag is |xi|;
-    radius is each grid point's periodic distance |x| from the origin.  Each
-    is built on first use and then kept.
+    hat is fft(field), on the N_1 x ... x (N_n/2 + 1) half grid; xi[i] holds
+    the axis-i frequencies 2 pi m_i / p_i of that grid (m_i in numpy fft
+    order), shaped to broadcast over it; mag is |xi|; radius is each point
+    of the whole grid's periodic distance |x| from the origin.  Each is
+    built on first use and then kept.
 
-    The Nyquist convention: on an even axis the entry m_i = -N_i/2 of xi[i]
+    The Nyquist convention: on an even axis the entry |m_i| = N_i/2 of xi[i]
     is 0, while mag keeps the full |xi| there.  That index is its own
     conjugate (-m = m mod N), so an odd-order factor such as i xi_j or a
     symbol A(xi) of odd order is Hermitian, M(-m) = conj M(m), only if it
-    vanishes there; then every multiplier of a real field gives a real
-    field, and a half-spectrum (rfftn) route gives the full route's values.
-    Even factors (e^{-t|xi|}, -|xi|) read mag and do not move (S. G.
-    Johnson, "Notes on FFT-based differentiation", MIT 2011).
+    vanishes there; then every multiplier of a real field is the half of a
+    Hermitian one, and inverse gives the real field that it defines.  Even
+    factors (e^{-t|xi|}, -|xi|) read mag and do not move (S. G. Johnson,
+    "Notes on FFT-based differentiation", MIT 2011).
 
     extension.poisson_slab and extension.slab_derivatives take a Spectrum
     in place of a GridField; they are kept as the reference slab routes
-    that the tests and bench/tracing.py use.  pairing_identity reads only
-    mag and xi, cut to the rfftn half grid.  mollify and mollified take one
-    too, but read only its radius: their kernels are real and radial, so they
-    work on real half-spectra (rfftn) of their own, never on the full
-    complex hat.  Fields on one grid can share one set of kernel
-    half-spectra (mollified's kernel_hats, which norms.local_hardy_norms
-    fills for a sequence); then only the first field's radius is read,
-    while the set is built.  The radius and the kernels always cover the
-    whole grid, also where mollified's rows cut its outputs to a band of
-    first-axis rows (local_hardy_norms' ball).
+    that the tests and bench/tracing.py use.  mollify and mollified take one
+    too and read its hat and radius; fields on one grid can share one set
+    of kernel half-spectra (mollified's kernel_hats), and then only the
+    first field's radius is read, while the set is built.
     """
 
     def __init__(self, field):
         self.field = field
-        self.axes = tuple(range(field.n))
 
     @staticmethod
     def of(f):
@@ -211,11 +200,12 @@ class Spectrum:
         f = self.field
         out = []
         for ax, (s, p) in enumerate(zip(f.shape, f.period)):
-            shape = [1] * f.n
-            shape[ax] = s
-            m = np.fft.fftfreq(s, d=1.0 / s)
+            m = (np.fft.rfftfreq if ax == f.n - 1 else np.fft.fftfreq)(
+                s, d=1.0 / s)
             if not nyquist and s % 2 == 0:
                 m[s // 2] = 0.0
+            shape = [1] * f.n
+            shape[ax] = m.size
             out.append(m.reshape(shape) * 2 * math.pi / p)
         return out
 
@@ -233,23 +223,24 @@ class Spectrum:
         grids = np.meshgrid(*f.axes(), indexing="ij", sparse=True)
         return np.sqrt(_periodic_dist2(grids, f.period, (0.0,) * f.n))
 
-    def inverse(self, multiplier, out=None):
-        """Real part of the inverse transform of hat * multiplier, the
-        multiplier (shape: the grid's) acting on every component.  The
-        product is transformed in place, in out or else in a fresh array."""
-        out = np.multiply(self.hat, multiplier[..., None], out=out)
-        return np.real(np.fft.ifftn(out, axes=self.axes, out=out))
+    def inverse(self, multiplier, buf=None):
+        """The real field (shape + (dimV,)) whose half-spectrum is hat *
+        multiplier, the multiplier (shape: the half grid's) acting on every
+        component.  The product is formed in buf, or else in a fresh array,
+        which the inverse consumes."""
+        buf = np.multiply(self.hat, multiplier[..., None], out=buf)
+        return ifft(buf, np.empty(self.field.values.shape))
 
-    def derivative(self, axis, out=None):
-        """d/dx_axis of every component (shape + (dimV,)); out as in inverse."""
-        return self.inverse(1j * self.xi[axis], out)
+    def derivative(self, axis, buf=None):
+        """d/dx_axis of every component; buf as in inverse."""
+        return self.inverse(1j * self.xi[axis], buf)
 
 
 def gradient(f):
     """[d_1 f, ..., d_n f] of a scalar field as arrays, spectrally.  Vector
     fields go one component at a time: at 256^2 two scalar transforms take
     less than half the time of one two-component transform.  The last
-    derivative overwrites the (local) transform: n complex arrays per call."""
+    derivative's product overwrites the (local) transform."""
     rec = Spectrum(f)
     return [rec.derivative(axis, rec.hat if axis == f.n - 1 else None)[..., 0]
             for axis in range(f.n)]
@@ -268,11 +259,12 @@ def _check_operator(sym, f):
         raise ValueError(f"field dimension {f.n} != operator dimension {sym.n}")
 
 
-def _apply_stack(A, fhat, l, period):
-    """The field with transform i^l A fhat, inverted in place; A is complex
+def _apply_stack(A, fhat, l, f):
+    """The field on f's grid with half-spectrum i^l A fhat; A is complex
     (it keeps einsum off its mixed-dtype path, at half the cost)."""
     Af = np.einsum("...ij,...j->...i", A, fhat)
-    return ifft(1j**l * Af, period)
+    Af *= 1j**l
+    return GridField(ifft(Af, np.empty(f.shape + Af.shape[-1:])), f.period)
 
 
 def apply_symbol(sym, f):
@@ -280,7 +272,7 @@ def apply_symbol(sym, f):
     _check_operator(sym, f)
     rec = Spectrum(f)
     A = sym_mod.evaluate(sym, np.stack(np.broadcast_arrays(*rec.xi), axis=-1))
-    return _apply_stack(A.astype(complex), rec.hat, sym.l, f.period)
+    return _apply_stack(A.astype(complex), rec.hat, sym.l, f)
 
 
 def _band_coefficients(rng, dimV, bandlimit):
@@ -321,8 +313,7 @@ def random_bandlimited(rng, shape, dimV, bandlimit=6, cutoff=False):
     spec = np.zeros((N1, N2, dimV), dtype=complex)
     np.add.at(spec, (modes[:, 0] % N1, modes[:, 1] % N2), amp)
     np.add.at(spec, (-modes[:, 0] % N1, -modes[:, 1] % N2), amp.conj())
-    values = _half_inverse(spec[:, : N2 // 2 + 1].copy(),
-                           np.empty((N1, N2, dimV)), (0, 1))
+    values = ifft(spec[:, : N2 // 2 + 1].copy(), np.empty((N1, N2, dimV)))
     if len(shape) > 2:
         values = np.broadcast_to(
             values.reshape((N1, N2) + (1,) * (len(shape) - 2) + (dimV,)),
@@ -600,18 +591,17 @@ def mollified(f, ts, kernel=standard_bump, kernel_hats=None,
     kernel_t(x) = t^{-n} kernel(|x|/t) and the convolution is periodic.
 
     The sampled kernel is renormalized to exact unit discrete integral, so
-    mass is preserved to round-off.  f may be a Spectrum, whose radius grid
-    is then reused.  f and the kernel are real, so every product lives on
-    the real half-spectrum (rfftn, last space axis cut to N/2 + 1): f is
-    transformed once, and one kernel-transform buffer, one product buffer
-    and one output array serve every scale.  A radial kernel is even on the
+    mass is preserved to round-off.  f may be a Spectrum, whose hat and
+    radius grid are then reused.  f and the kernel are real, so every
+    product lives on the half-spectrum (fft): one product buffer and one
+    output array serve every scale.  A radial kernel is even on the
     periodic grid, so its transform is real and only its real part is used.
     Each yielded array (shape shape + (dimV,)) is that output array, which
     the next scale overwrites.  A bad scale raises when the sweep reaches it.
 
     rows, a slice of the first axis (of two or more), cuts each yielded
     array and its finiteness check to those rows, which keep the bits of
-    the whole grid's array (see _half_inverse).
+    the whole grid's array (see ifft).
 
     kernel_hats, a list, is a kernel set shared by a sequence of fields on
     one grid with the same ts and kernel: scale i reads entry i when the
@@ -621,9 +611,7 @@ def mollified(f, ts, kernel=standard_bump, kernel_hats=None,
     """
     rec = Spectrum.of(f)
     f = rec.field
-    fhat = np.fft.rfftn(f.values, axes=rec.axes)
-    kbuf = np.empty(fhat.shape[:-1], dtype=complex)
-    buf = np.empty_like(fhat)
+    buf = np.empty_like(rec.hat)
     vals = np.empty(f.values[rows].shape)
     for i, t in enumerate(ts):
         if kernel_hats is not None and i < len(kernel_hats):
@@ -635,13 +623,13 @@ def mollified(f, ts, kernel=standard_bump, kernel_hats=None,
             total = ker.sum() * f.cell_volume
             if total <= 0:
                 raise ValueError("kernel support is below grid resolution")
-            khat = np.fft.rfftn(ker / total, out=kbuf).real
+            khat = fft(GridField((ker / total)[..., None], f.period)).real
             if kernel_hats is not None:
                 khat = khat.copy()
                 kernel_hats.append(khat)
-        np.multiply(khat[..., None], fhat, out=buf)
+        np.multiply(khat, rec.hat, out=buf)
         buf *= f.cell_volume
-        _half_inverse(buf, vals, rec.axes, rows)
+        ifft(buf, vals, rows)
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         yield vals

@@ -241,7 +241,6 @@ class PairingReport:
     indices: tuple
     values: tuple
     exponent: float
-    fit_residual: float
 
 
 def fit_exponent(indices, deviations):
@@ -249,9 +248,8 @@ def fit_exponent(indices, deviations):
     x = np.log(np.asarray(indices, dtype=float))
     y = np.log(np.maximum(np.asarray(deviations, dtype=float), 1e-300))
     A = np.stack([x, np.ones_like(x)], axis=-1)
-    coef, res, _, _ = np.linalg.lstsq(A, y, rcond=None)
-    resid = float(np.sqrt(np.mean((A @ coef - y) ** 2)))
-    return float(coef[0]), resid
+    coef = np.linalg.lstsq(A, y, rcond=None)[0]
+    return float(coef[0])
 
 
 def pairing_experiment(family, F, phi, j_list):
@@ -265,7 +263,6 @@ def pairing_experiment(family, F, phi, j_list):
             raise ValueError("test function grid does not match the family grid")
         values.append(float(np.sum(Fv.values[..., 0] * phi.values[..., 0])
                             * Fv.cell_volume))
-    expo, resid = fit_exponent(j_list, [abs(v) for v in values])
     return PairingReport(indices=tuple(j_list), values=tuple(values),
-                         exponent=expo, fit_residual=resid)
+                         exponent=fit_exponent(j_list, [abs(v) for v in values]))
 

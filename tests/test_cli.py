@@ -338,14 +338,19 @@ def test_main_gated_witness_passes_with_rows(tmp_path, capsys, argv):
 
 
 # a run over zero trials, cases, levels or lambdas, or over no t-interval
-# [0, T], would check nothing, so it is refused before it writes a table
+# [0, T], would check nothing, so it is refused before it writes a table;
+# so is an index that is not an int and a level that is not an (N, L) pair
+# of positive ints, which used to end in a message that did not name it
 EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
+              ("pairing", "indices"): ("pairing.csv",
+                                       "non-empty indices list of ints"),
               ("truncate", "cases"): ("truncate.csv", "cases >= 1"),
               ("truncate", "lambdas"): ("truncate.csv",
                                         "non-empty lambdas list"),
               ("extension-identity", "cases"): ("identity.csv", "cases >= 1"),
-              ("extension-identity", "levels"): ("identity.csv",
-                                                 "non-empty levels list"),
+              ("extension-identity", "levels"): (
+                  "identity.csv", "non-empty levels list of (N, L) pairs of "
+                                  "positive ints"),
               ("extension-identity", "T"): ("identity.csv",
                                             "positive finite T")}
 
@@ -358,6 +363,12 @@ EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
     ["extension-identity", "--param", "cases=0"],
     ["extension-identity", "--param", "cases=-2"],
     ["extension-identity", "--param", "levels=[]"],
+    ["extension-identity", "--param", "levels=[[64]]"],
+    ["extension-identity", "--param", "levels=[[64, 0]]"],
+    ["extension-identity", "--param", "levels=[[64.0, 16]]"],
+    ["pairing", "--param", "indices=5"],
+    ["pairing", "--param", 'indices="ab"'],
+    ["pairing", "--param", "indices=[1.5, 2]"],
     ["extension-identity", "--param", "T=-1.0"],
     ["extension-identity", "--param", "T=0"]], ids=" ".join)
 def test_main_empty_run_is_a_config_error(tmp_path, capsys, argv):
@@ -539,7 +550,7 @@ def test_main_ex63_names_a_bad_r(tmp_path, capsys, r):
 
 # (experiment, params) -> sha256 of the CSV, sha256 of the results JSON
 # (sorted keys) and the verdict, taken before the families became one record
-# each; the three entries with a comment changed on purpose
+# each; the entries with a comment changed on purpose
 WITNESS_RUNS = {
     # gated by the pairing experiment's gate: the CSV is pairing's, and the
     # results gain its pairings with their limit or verdict
@@ -555,17 +566,21 @@ WITNESS_RUNS = {
         "900c6cec23b9dc0895d65391e885b3d82a7eca0283bab994d5b14808663faf6c",
         "7465c63741412c754c646849dc1e356c0c015a9ccff73f1a86084095ebb685d6",
         "pass"),
+    # the grid gradient inverts half-spectra: the values move by at most
+    # 1.7e-15 relative
     ("counterexample", "jac_case1"): (
-        "2dee14a6b723a8f0e9347523c0ce34f7ae475efd62bb6ac428fa99d2d2db3d23",
-        "1452c3aa9d499fa15a498c4a3c25c130300667056c3c257cca20086f260c83a1",
+        "42a00455d275c5d6aa4c749c7e930929aaa385cb410dd2d29aa53ec0a49e87ed",
+        "e8c7a0bbf8afe4108c5d0d6554842966750ea8839866a707bab2ee54b1602eb7",
         "inconclusive"),
     ("counterexample", "jac_case2"): (
         "74eb13f44508eb90fe665061a9a718de41ec43ff93abc1b206302f1b2753fca6",
         "1fa80d9232b0de252ce6d1d583f4424aa34d670879cf07794de8f2bf0380892d",
         "pass"),
+    # as jac_case1: the CSV moves by 1.5e-16 relative, the check's measured
+    # value by 1.6e-13
     ("counterexample", "jac_case2", "grid"): (
-        "66b70b97a0747759c9007a8dfe1e2cf4c77b90e006b76d0b016d7ac874e0ad87",
-        "085497a0ba81c025f1a96a3ac435d5383b4fb63aa38f80456142c93f3e815500",
+        "f56f90a1e1ca146b445c24cb9e5205b25d1349fa8df8c49a471a71ac2e68c54f",
+        "b70d4962638e6fbf554f628ab6b697d81d463714304fae2b43044eae6676f3fe",
         "pass"),
     ("counterexample", "jac_case3"): (
         "1e6d6e9566806eae1ea2f4a7eb7f06b293ef1e33d705fd1c0a78177f07e12434",

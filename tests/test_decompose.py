@@ -88,7 +88,8 @@ def test_wrong_space_dimension_raises_before_any_transform(shape, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("ran before the dimension check")
 
-    monkeypatch.setattr(np.fft, "fftn", forbidden)
+    # field.fft's rfftn is the one forward transform that a split runs
+    monkeypatch.setattr(np.fft, "rfftn", forbidden)
     monkeypatch.setattr(sym_mod, "constant_rank_check", forbidden)
     v = GridField(np.zeros(shape + (2,)), 1.0)
     with pytest.raises(ValueError, match=f"field dimension {len(shape)} "

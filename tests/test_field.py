@@ -13,17 +13,33 @@ from cclab.symbol import make_operator
 
 
 def test_fft_round_trip(rng):
-    f = random_bandlimited(rng, (32, 32), 3, bandlimit=4)
-    back = ifft(fft(f), f.period)
-    assert np.max(np.abs(back.values - f.values)) < 1e-13
+    """fft gives the half-spectrum, and ifft inverts it: a band-limited
+    field, then white noise on odd, 3-D and 1-D grids."""
+    fields = [random_bandlimited(rng, (32, 32), 3, bandlimit=4)]
+    fields += [GridField(rng.normal(size=shape + (3,)))
+               for shape in [(32, 33), (9, 8, 7), (17,)]]
+    for f in fields:
+        hat = fft(f)
+        assert hat.shape == f.shape[:-1] + (f.shape[-1] // 2 + 1, 3)
+        back = ifft(hat, np.empty(f.values.shape))
+        assert np.max(np.abs(back - f.values)) < 1e-13
 
 
 def test_parseval(rng):
-    f = random_bandlimited(rng, (64, 64), 1, bandlimit=4)
-    hat = fft(f) / (64 * 64)
-    lhs = np.sum(f.values**2) * f.cell_volume
-    rhs = np.sum(np.abs(hat) ** 2) * float(np.prod(f.period))
-    assert abs(lhs - rhs) < 1e-10 * max(1.0, lhs)
+    """On the half-spectrum, each column whose conjugate column is cut off
+    (1 ... (N - 1) // 2) stands for two and is weighted 2; the column 0 and,
+    on an even axis, the column N/2 are their own conjugates."""
+    for N in (64, 63):
+        f = random_bandlimited(rng, (N, N), 1, bandlimit=4)
+        hat = fft(f) / (N * N)
+        weight = np.full(N // 2 + 1, 2.0)
+        weight[0] = 1.0
+        if N % 2 == 0:
+            weight[-1] = 1.0
+        lhs = np.sum(f.values**2) * f.cell_volume
+        rhs = (np.sum(weight[:, None] * np.abs(hat) ** 2)
+               * float(np.prod(f.period)))
+        assert abs(lhs - rhs) < 1e-10 * max(1.0, lhs)
 
 
 def test_apply_symbol_divergence_of_gradient():

@@ -48,6 +48,49 @@ def test_inverse_transforms_run_in_place(name):
     assert fresh == []
 
 
+# the frequency helpers, which transform nothing
+FFT_FREQUENCIES = {"fftfreq", "rfftfreq"}
+
+
+def _fft_uses(tree):
+    """(top-level definition, line) of each np.fft transform that the tree
+    names, called or not, and of each import of an fft module from outside
+    cclab (numpy.fft, scipy.fft)."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute):
+                base = node.value
+                named = (isinstance(base, ast.Attribute) and base.attr == "fft"
+                         and isinstance(base.value, ast.Name)
+                         and base.value.id in {"np", "numpy"}
+                         and node.attr not in FFT_FREQUENCIES)
+            elif (isinstance(node, (ast.Import, ast.ImportFrom))
+                  and not _imports_cclab(node)):
+                modules = [node.module or ""] if isinstance(
+                    node, ast.ImportFrom) else [a.name for a in node.names]
+                names = [a.name for a in node.names]
+                named = any("fft" in m.split(".") for m in modules) or (
+                    isinstance(node, ast.ImportFrom) and "fft" in names)
+            else:
+                continue
+            if named:
+                found.append((getattr(top, "name", None), node.lineno))
+    return found
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_transforms_run_only_in_the_spectral_layer(name):
+    """One spectral layer: every np.fft transform in cclab runs in
+    field.fft (the forward transform) or field.ifft (the inverse), so
+    every grid transform shares one convention, the real half-spectrum.
+    fftfreq and rfftfreq may be called anywhere."""
+    tree = ast.parse((Path(cclab.__file__).parent / f"{name}.py").read_text())
+    layer = {"fft", "ifft"} if name == "field" else set()
+    assert [(top, line) for top, line in _fft_uses(tree)
+            if top not in layer] == []
+
+
 def _imports_cclab(node):
     if isinstance(node, ast.ImportFrom):
         return node.level > 0 or (node.module or "").split(".")[0] == "cclab"

@@ -369,15 +369,15 @@ def _full_grid_maximal(f, cfg=MaximalConfig()):
     """M_loc f on every grid point, as it was before the ball's band: each
     scale by one library irfftn of the whole half-spectrum (kept
     reference)."""
-    rec = Spectrum(f)
-    fhat = np.fft.rfftn(f.values, axes=rec.axes)
+    rec, axes = Spectrum(f), tuple(range(f.n))
+    fhat = np.fft.rfftn(f.values, axes=axes)
     out = np.abs(f.values[..., 0])
     for t in cfg.t_grid(f):
         ker = cfg.kernel(rec.radius / t)
         khat = np.fft.rfftn(ker / (ker.sum() * f.cell_volume)).real
         buf = khat[..., None] * fhat
         buf *= f.cell_volume
-        sm = np.fft.irfftn(buf, s=f.shape, axes=rec.axes)
+        sm = np.fft.irfftn(buf, s=f.shape, axes=axes)
         out = np.maximum(out, np.abs(sm[..., 0]))
     return out
 

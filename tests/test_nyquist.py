@@ -2,11 +2,15 @@
 
 On an even axis the frequency index -N/2 is its own conjugate, so an
 odd-order factor is Hermitian, M[-m mod N] = conj M[m], only if it vanishes
-there: Spectrum.xi holds 0 at that entry.  Every odd factor the lab builds
-from Spectrum.xi (the slab derivatives, apply_symbol's i^l A(xi) and the
-Helmholtz solve's A and projector P) must then be Hermitian on even and odd
-grids alike, and the Helmholtz split of white noise, which puts energy on
-every frequency, must meet the decompose experiment's four gates.
+there: Spectrum.xi holds 0 at that entry.  The record lives on the half
+grid of the real half-spectrum (the last axis cut to its columns 0 ...
+N/2), where a multiplier is the half of a Hermitian one exactly when it is
+Hermitian over the leading axes on the last axis's self-conjugate columns:
+0, and N/2 on an even axis.  Every odd factor the lab builds from
+Spectrum.xi (the slab derivatives, apply_symbol's i^l A(xi) and the
+Helmholtz solve's A and projector P) must be so on even and odd grids
+alike, and the Helmholtz split of white noise, which puts energy on every
+frequency, must meet the decompose experiment's four gates.
 """
 
 import math
@@ -46,6 +50,16 @@ def _reflect(M, n):
     return M[np.ix_(*[(-np.arange(s)) % s for s in M.shape[:n]])]
 
 
+def _self_conjugate_columns(M, shape):
+    """(column, its reflection over the leading grid axes) of the half-grid
+    array M (grid axes first) for each last-axis column that is its own
+    conjugate on the grid shape: 0, and N/2 on an even axis."""
+    n = len(shape)
+    for c in [0] + ([shape[-1] // 2] if shape[-1] % 2 == 0 else []):
+        col = M[(slice(None),) * (n - 1) + (c,)]
+        yield col, _reflect(col, n - 1)
+
+
 def _record(shape, period, dimV=1):
     return Spectrum(GridField(np.zeros(shape + (dimV,)), period))
 
@@ -55,20 +69,25 @@ def test_slab_factors_are_hermitian(grid, t):
     shape, period = grid
     rec = _record(shape, period)
     for factor in _slab_factors(rec.mag, rec.xi, t):
-        M = np.broadcast_to(factor, shape)
-        assert np.array_equal(_reflect(M, len(shape)), np.conj(M))
+        M = np.broadcast_to(factor, rec.mag.shape)
+        for col, mirror in _self_conjugate_columns(M, shape):
+            assert np.array_equal(mirror, np.conj(col))
 
 
 @given(grids())
 def test_xi_zeroes_only_the_nyquist_entry_and_mag_keeps_it(grid):
     shape, period = grid
     rec = _record(shape, period)
+    n, half = len(shape), rec.mag.shape
+    assert half == shape[:-1] + (shape[-1] // 2 + 1,)
     mag2 = 0.0
-    for x, s, p in zip(rec.xi, shape, period):
-        assert np.array_equal(_reflect(np.broadcast_to(x, shape), len(shape)),
-                              -np.broadcast_to(x, shape))
-        full = np.fft.fftfreq(s, d=1.0 / s) * 2 * math.pi / p
-        keep = np.arange(s) != (s // 2 if s % 2 == 0 else -1)
+    for ax, (x, s, p) in enumerate(zip(rec.xi, shape, period)):
+        m = (np.fft.rfftfreq if ax == n - 1 else np.fft.fftfreq)(s, d=1.0 / s)
+        if ax < n - 1:
+            assert np.array_equal(_reflect(np.broadcast_to(x, half), n - 1),
+                                  -np.broadcast_to(x, half))
+        full = m * 2 * math.pi / p
+        keep = np.arange(m.size) != (s // 2 if s % 2 == 0 else -1)
         assert np.array_equal(x.reshape(-1), np.where(keep, full, 0.0))
         mag2 = mag2 + full.reshape(x.shape) ** 2
     assert np.array_equal(rec.mag, np.sqrt(mag2))
@@ -86,20 +105,26 @@ def test_symbol_stacks_are_hermitian(data):
     frequencies where xi = 0)."""
     sym, (shape, period) = _operator_and_grid(data.draw)
     rec = _record(shape, period, sym.dimV)
-    n, il = sym.n, 1j**sym.l
+    il, half = 1j**sym.l, rec.mag.shape
+
+    def hermitian(M):
+        return all(np.array_equal(mirror, np.conj(col))
+                   for col, mirror in _self_conjugate_columns(M, shape))
+
     A = sym_mod.evaluate(sym, np.stack(np.broadcast_arrays(*rec.xi), axis=-1))
-    assert np.array_equal(_reflect(il * A, n), np.conj(il * A))
+    assert hermitian(il * A)
 
     nz, _, P, _, A_c, Astar = _frequency_solve(sym, rec,
                                                sym_mod.DEFAULT_TOL_SV)
     for S in (A_c, Astar):
-        assert np.array_equal(_reflect(il * S, n), np.conj(il * S))
+        assert S.shape[:sym.n] == half and hermitian(il * S)
     full = np.broadcast_to(np.eye(sym.dimV), (nz.size, sym.dimV, sym.dimV))
     full = np.array(full)
     full[nz] = P
-    full = full.reshape(shape + (sym.dimV, sym.dimV))
-    assert np.array_equal(_reflect(nz.reshape(shape), n), nz.reshape(shape))
-    assert np.max(np.abs(_reflect(full, n) - np.conj(full))) <= 1e-12
+    full = full.reshape(half + (sym.dimV, sym.dimV))
+    assert hermitian(nz.reshape(half))
+    assert all(np.max(np.abs(mirror - np.conj(col))) <= 1e-12
+               for col, mirror in _self_conjugate_columns(full, shape))
 
 
 def _white_noise(seed, shape, dimV, period):
