@@ -2,8 +2,9 @@
 """Compare two output trees of scripts/run_all_experiments.py.
 
 For each CSV, prints "identical" when the bytes agree and otherwise, per
-changed column, the max relative difference |a-b|/max(|a|,|b|) (inf where
-text cells differ).  Each report.json is compared the same way, leaf by
+changed column, the max relative difference |a-b|/max(|a|,|b|) and beside
+it the max absolute difference |a-b| (both inf where text cells differ), so
+that a round-off column can be judged by its absolute size.  Each report.json is compared the same way, leaf by
 leaf, after dropping `timestamp`, `wall_clock` and `config.out`, which
 differ between any two runs.  Exits 1 when a file is missing from one side
 or any difference exceeds 1e-12, and also when either argument is not a
@@ -44,6 +45,13 @@ def rel_diff(a, b):
     return abs(x - y) / max(abs(x), abs(y))
 
 
+def diff(a, b):
+    """(relative, absolute) difference of two cells or JSON leaves; both are
+    0 where rel_diff is 0 and inf where it is inf."""
+    rel = rel_diff(a, b)
+    return rel, rel if rel in (0.0, math.inf) else abs(float(a) - float(b))
+
+
 def _split_csv(text):
     comments = [ln for ln in text.splitlines() if ln.startswith("#")]
     body = "\n".join(ln for ln in text.splitlines() if not ln.startswith("#"))
@@ -52,23 +60,24 @@ def _split_csv(text):
 
 
 def compare_csv(text_a, text_b):
-    """{column: max relative difference} over the columns that changed."""
+    """{column: (max relative, max absolute difference)} over the columns
+    that changed."""
     comments_a, rows_a = _split_csv(text_a)
     comments_b, rows_b = _split_csv(text_b)
     if comments_a != comments_b or not rows_a or not rows_b \
             or rows_a[0] != rows_b[0]:
-        return {"<header>": math.inf}
+        return {"<header>": (math.inf, math.inf)}
     if len(rows_a) != len(rows_b):
-        return {"<row count>": math.inf}
+        return {"<row count>": (math.inf, math.inf)}
     diffs = {}
     for ra, rb in zip(rows_a[1:], rows_b[1:]):
         if len(ra) != len(rb):
-            diffs["<row length>"] = math.inf
+            diffs["<row length>"] = (math.inf, math.inf)
             continue
         for name, a, b in zip(rows_a[0], ra, rb):
-            d = rel_diff(a, b)
             if a != b:
-                diffs[name] = max(diffs.get(name, 0.0), d)
+                diffs[name] = tuple(map(max, diffs.get(name, (0.0, 0.0)),
+                                        diff(a, b)))
     return diffs
 
 
@@ -84,7 +93,8 @@ def _leaves(doc, path=""):
 
 
 def compare_report(doc_a, doc_b):
-    """{leaf path: relative difference} over the report leaves that changed."""
+    """{leaf path: (relative, absolute difference)} over the report leaves
+    that changed."""
     for doc in (doc_a, doc_b):
         doc.pop("timestamp", None)
         doc.pop("wall_clock", None)
@@ -93,9 +103,9 @@ def compare_report(doc_a, doc_b):
     diffs = {}
     for key in sorted(set(leaves_a) | set(leaves_b)):
         if key not in leaves_a or key not in leaves_b:
-            diffs[key] = math.inf
+            diffs[key] = (math.inf, math.inf)
         elif leaves_a[key] != leaves_b[key]:
-            diffs[key] = rel_diff(leaves_a[key], leaves_b[key])
+            diffs[key] = diff(leaves_a[key], leaves_b[key])
     return diffs
 
 
@@ -132,9 +142,10 @@ def main(argv=None):
         if not diffs:
             print(f"{name}: identical" if name.endswith(".json")
                   or text_a == text_b else f"{name}: cells equal, bytes differ")
-        for key, d in diffs.items():
-            print(f"{name}: {key} max rel diff {d:.3e}")
-            worst = max(worst, d)
+        for key, (rel, absolute) in diffs.items():
+            print(f"{name}: {key} max rel diff {rel:.3e}, "
+                  f"max abs diff {absolute:.3e}")
+            worst = max(worst, rel)
     verdict = "within" if worst <= TOLERANCE else "exceeds"
     print(f"{len(names)} files, max rel diff {worst:.3e} ({verdict} {TOLERANCE:g})")
     return 0 if worst <= TOLERANCE else 1

@@ -14,7 +14,6 @@ import difflib
 import hashlib
 import json
 import math
-import operator
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -34,13 +33,12 @@ from .norms import (YoungFunction, MaximalConfig, delta2_check,
                     local_hardy_norm, young_conjugate)
 from .truncate import C_IMPL, lipschitz_truncations, truncation_case
 from .extension import pairing_identity, thmD_ensemble, interpolation_ensemble
+from .params import ConfigError, RELATIONS, checked_params, needs, real
 
 __all__ = ["Check", "ExperimentConfig", "RunReport", "run", "main", "describe",
            "registry_listing", "item_rng", "verdict_of"]
 
 SCHEMA_VERSION = 1
-
-_CONFIG_FIELDS = {"schema_version", "experiment", "seed", "out", "params"}
 
 
 @dataclass(frozen=True)
@@ -51,23 +49,18 @@ class ExperimentConfig:
     params: dict = field(default_factory=dict)
 
     @staticmethod
-    def from_json(path):
-        doc = json.loads(Path(path).read_text())
-        unknown = set(doc) - _CONFIG_FIELDS
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if doc.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
-            raise ConfigError(f"unsupported schema_version "
-                              f"{doc.get('schema_version')}")
-        if "experiment" not in doc:
-            raise ConfigError("config is missing 'experiment'")
-        return ExperimentConfig(experiment=doc["experiment"],
-                                seed=int(doc.get("seed", 0)),
-                                out=doc.get("out", "."),
-                                params=dict(doc.get("params", {})))
-
-
-_RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+    def from_json(path, subcommand):
+        doc = checked_params(
+            "config", dict(schema_version=SCHEMA_VERSION, experiment="",
+                           seed=0, out=".", params={}),
+            json.loads(Path(path).read_text()),
+            (needs("schema_version", "in", (SCHEMA_VERSION,)),
+             (lambda d: d["experiment"], "is missing 'experiment'"),
+             (lambda d: d["experiment"] == subcommand,
+              "experiment {experiment!r} does not match subcommand "
+              f"{subcommand!r}")), {})
+        del doc["schema_version"]
+        return ExperimentConfig(**doc)
 
 
 @dataclass(frozen=True)
@@ -82,7 +75,7 @@ class Check:
 
     @property
     def ok(self):
-        return bool(_RELATIONS[self.relation](self.measured, self.bound))
+        return bool(RELATIONS[self.relation](self.measured, self.bound))
 
     @property
     def margin(self):
@@ -114,10 +107,6 @@ class RunReport:
     seed: int
 
 
-class ConfigError(ValueError):
-    pass
-
-
 def item_rng(seed, experiment, index):
     """Counter-based deterministic generator keyed by (seed, id, item)."""
     key = f"{seed}:{experiment}:{index}".encode()
@@ -129,78 +118,40 @@ def item_rng(seed, experiment, index):
 # experiments
 # ---------------------------------------------------------------------------
 
-def _check_types(defaults, params, owner, none=None):
-    """Each param of a known key takes its default's type, except that JSON
-    gives lists for tuples and an int is a valid float (a bool is never a
-    number).  A None default stands for the types `none` (or None), and
-    takes anything when `none` is None."""
-    loose = {tuple: (tuple, list), list: (tuple, list), float: (int, float)}
-    for key, value in params.items():
-        if key not in defaults or (defaults[key] is None and none is None):
-            continue
-        want = (none + (type(None),) if defaults[key] is None else
-                loose.get(type(defaults[key]), (type(defaults[key]),)))
-        if not isinstance(value, want) or (
-                isinstance(value, bool) and bool not in want):
-            names = " or ".join(t.__name__ for t in want)
-            raise ConfigError(f"param {key!r} of {owner} expects {names}, "
-                              f"got {value!r}")
+def _counts(v):
+    """Whether v is a non-empty list of ints >= 1."""
+    return isinstance(v, (list, tuple)) and len(v) > 0 and all(
+        type(x) is int and x >= 1 for x in v)
 
 
-def _ints(v, low=-math.inf):
-    """Whether v is a list of ints (no bools), each at least low."""
-    return isinstance(v, (list, tuple)) and all(
-        type(x) is int and x >= low for x in v)
-
-
-# key: (holds(value), what a run needs of it).  A run over no cases,
-# fields, indices, levels or lambdas, or over no t-interval [0, T], checks
-# nothing; a Holder seminorm [phi]_alpha needs 0 < alpha <= 1.  An index is
-# an int, and a level a grid size N with its number L of t-levels.
-_RANGES = {"cases": (lambda v: int(v) >= 1, "cases >= 1"),
-           "fields": (lambda v: int(v) >= 1, "fields >= 1"),
-           "indices": (lambda v: v is None or (_ints(v) and len(v) > 0),
-                       "a non-empty indices list of ints"),
-           "levels": (lambda v: len(v) > 0 and all(
-                          _ints(row, 1) and len(row) == 2 for row in v),
-                      "a non-empty levels list of (N, L) pairs of "
-                      "positive ints"),
-           "lambdas": (len, "a non-empty lambdas list"),
-           "T": (lambda v: 0 < v < math.inf, "a positive finite T"),
-           "alpha": (lambda v: 0 < v <= 1, "0 < alpha <= 1")}
-
-
-def _merge_params(defaults, params, experiment):
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown params for {experiment}: {sorted(unknown)}")
-    _check_types(defaults, params, experiment)
-    out = dict(defaults)
-    out.update(params)
-    for key, (holds, needs) in _RANGES.items():
-        if key in out and not holds(out[key]):
-            raise ConfigError(f"{experiment} needs {needs}, got {out[key]!r}")
-    return out
+# None stands for the family's own indices; a run over none checks nothing
+_INDICES = (lambda p: p["indices"] is None or _counts(p["indices"]),
+            "needs a non-empty indices list of ints >= 1, got {indices!r}")
 
 
 REGISTRY = {}
+_SEQUENCES = sorted(name for name, w in cex.WITNESSES.items()
+                    if w.pairings) + sorted(FAMILIES)
 
 
-def _experiment(name, summary, anchor, **defaults):
-    """Register runner(p, seed) -> (checks, results, tables) and its params."""
+def _experiment(name, summary, anchor, rules, routes, **defaults):
+    """Register runner(p, seed) -> (checks, results, tables) and its params:
+    their defaults, rules and routes, as params.checked_params reads them."""
     def register(runner):
         REGISTRY[name] = {"runner": runner, "summary": summary,
-                          "anchor": anchor, "defaults": defaults}
+                          "anchor": anchor, "defaults": defaults,
+                          "rules": rules, "routes": routes}
         return runner
     return register
 
 
 @_experiment("check-rank", "certify constant rank of a named operator symbol",
              "rank A(xi) constant on the unit sphere",
+             (needs("samples", ">=", 1),), {},
              operator="divcurl2", samples=400)
 def _exp_check_rank(p, seed):
     sym = sym_mod.make_operator(p["operator"])
-    report = sym_mod.constant_rank_check(sym, samples=int(p["samples"]))
+    report = sym_mod.constant_rank_check(sym, samples=p["samples"])
     checks = [Check("constant_rank", report.is_constant, True, "==",
                     report.samples)]
     rows = [[p["operator"], report.rank, report.is_constant]]
@@ -211,13 +162,15 @@ def _exp_check_rank(p, seed):
 
 @_experiment("decompose",
              "frequency-space splitting v = b + A* w with residuals",
-             "bPart^ = P(xi) v^, w^ = (A A^T)^+ i^l A v^", operator="divcurl2",
-             fields=50, shape=64, tol_recon=1e-10, tol_ortho=1e-9)
+             "bPart^ = P(xi) v^, w^ = (A A^T)^+ i^l A v^",
+             (needs("fields", ">=", 1), needs("shape", ">=", 2)), {},
+             operator="divcurl2", fields=50, shape=64, tol_recon=1e-10,
+             tol_ortho=1e-9)
 def _exp_decompose(p, seed):
     sym = sym_mod.make_operator(p["operator"])
-    shape = (int(p["shape"]),) * sym.n
+    shape = (p["shape"],) * sym.n
     fields = (random_bandlimited(item_rng(seed, "decompose", i), shape,
-                                 sym.dimV) for i in range(int(p["fields"])))
+                                 sym.dimV) for i in range(p["fields"]))
     rows = [[i, res.reconstructionError, res.constraintResidual,
              res.orthogonalityResidual, res.potentialResidual]
             for i, res in enumerate(helmholtz_splits(fields, sym))]
@@ -236,19 +189,20 @@ def _exp_decompose(p, seed):
 
 @_experiment("pairing",
              "sequence pairings against a test function, fitted decay",
-             "int F(v_j, vt_j) phi dx", seq="ex61", indices=None, tol=1e-12,
-             integrand="divcurl_dot", test="bump")
+             "int F(v_j, vt_j) phi dx",
+             (needs("seq", "in", _SEQUENCES), _INDICES,
+              needs("integrand", "in", sorted(INTEGRANDS))),
+             # the witness gates have no integrand or test
+             {"seq": dict.fromkeys(("ex61", "ex62"), ("integrand", "test"))},
+             seq="ex61", indices=None, integrand="divcurl_dot", test="bump")
 def _exp_pairing(p, seed):
-    seq, indices = p["seq"], p["indices"] and tuple(p["indices"])
-    witness = cex.WITNESSES.get(seq)
-    if witness is not None and witness.pairings is not None:
-        spec = cex.make_spec(seq)
+    seq, indices = p["seq"], p["indices"]
+    if seq in cex.WITNESSES:
+        witness, spec = cex.WITNESSES[seq], cex.make_spec(seq)
         rep = witness.pairings(spec, indices or witness.indices)
-        checks, table = witness.gate(spec, rep, p["tol"])
+        checks, table = witness.gate(spec, rep, cex.EXACT_TOL)
         return [Check(*c) for c in checks], {
             k: v for k, v in rep.items() if k != "j"}, {"pairing": table}
-    if seq not in FAMILIES:
-        raise ConfigError(f"unknown sequence {seq!r}")
     phi = make_test_function(p["test"])
     rep = pairing_experiment(seq, p["integrand"], phi,
                              indices or (8, 16, 32, 64, 128))
@@ -262,16 +216,21 @@ def _exp_pairing(p, seed):
 
 @_experiment("quasiaffine",
              "exact mean identity over random constraint-free fields",
-             "mean of F(v0 + pert) equals F(v0)", operator="divcurl2",
-             integrand="divcurl_dot", trials=100, tol=1e-8)
+             "mean of F(v0 + pert) equals F(v0)",
+             (needs("integrand", "in", sorted(INTEGRANDS)),
+              (lambda p: INTEGRANDS[p["integrand"]].dimV
+               == sym_mod.make_operator(p["operator"]).dimV,
+               lambda p: f"integrand {p['integrand']} acts on R^"
+               f"{INTEGRANDS[p['integrand']].dimV} but operator "
+               f"{p['operator']} on R^"
+               f"{sym_mod.make_operator(p['operator']).dimV}"),
+              needs("trials", ">=", 1)), {},
+             operator="divcurl2", integrand="divcurl_dot", trials=100,
+             tol=1e-8)
 def _exp_quasiaffine(p, seed):
     sym = sym_mod.make_operator(p["operator"])
-    F = INTEGRANDS[p["integrand"]]
-    try:
-        rep = quasiaffine_mean_test(F, sym, trials=int(p["trials"]),
-                                    seed=seed, tol=p["tol"])
-    except ValueError as e:  # a mismatched integrand or operator, no trials
-        raise ConfigError(f"quasiaffine: {e}") from e
+    rep = quasiaffine_mean_test(INTEGRANDS[p["integrand"]], sym,
+                                trials=p["trials"], seed=seed, tol=p["tol"])
     checks = [Check("worst_relative_deviation",
                     rep["worst_relative_deviation"], p["tol"], "<=",
                     len(rep["records"]))]
@@ -290,7 +249,7 @@ _EXPECTED_TABLE1 = (("(i)", ("fail", "fail", "fail")),
 
 
 @_experiment("table1", "four-scenario verdict matrix (measures / L1 / hardy)",
-             "check/cross matrix of the failure modes")
+             "check/cross matrix of the failure modes", (), {})
 def _exp_table1(p, seed):
     rows_out = cex.table1()
     got = tuple((r.scenario, r.pattern) for r in rows_out)
@@ -304,18 +263,18 @@ def _exp_table1(p, seed):
 
 @_experiment("counterexample",
              "named witness families and their measured verdicts",
-             "see describe(<case>) for the per-case formula", case="ex63",
-             indices=None, overrides={})
+             "see describe(<case>) for the per-case formula",
+             (_INDICES,
+              # jac_case3 divides its pairing by log k
+              (lambda p: p["case"] != "jac_case3" or p["indices"] is None
+               or min(p["indices"]) >= 2,
+               "needs indices >= 2 for jac_case3, got {indices!r}")),
+             {"case": {case: ("indices",) for case, w in cex.WITNESSES.items()
+                       if w.indices is None}},
+             case="ex63", indices=None, overrides={})
 def _exp_counterexample(p, seed):
-    case, indices = p["case"], p["indices"] and tuple(p["indices"])
-    witness = cex.WITNESSES.get(case)
-    if witness is not None:  # make_spec names an unknown case
-        # the records' None defaults (gamma, beta1) are derived numbers
-        _check_types(witness.defaults, p["overrides"], case, (int, float))
-        if witness.indices is None and indices is not None:
-            raise ConfigError(f"{case} has no indices, got {p['indices']!r}")
-    spec = cex.make_spec(case, **p["overrides"])
-    rep = cex.run_case(spec, indices)
+    spec = cex.make_spec(p["case"], **p["overrides"])
+    rep = cex.run_case(spec, p["indices"])
     checks, table = cex.WITNESSES[spec.case].gate(spec, rep, cex.EXACT_TOL)
     return [Check(*c) for c in checks], {
         k: v for k, v in rep.items()
@@ -324,15 +283,23 @@ def _exp_counterexample(p, seed):
 
 @_experiment("truncate",
              "Lipschitz truncation ensemble: derivative + volume gates",
-             "||D^k u||_inf <= C lambda, u = v off the bad set", cases=10, n=2,
-             k=1, shape=128, lambdas=(0.5, 1.0, 2.0, 5.0, 10.0, 50.0))
+             "||D^k u||_inf <= C lambda, u = v off the bad set",
+             # np.gradient's one-sided stencils need 3 points an axis
+             (needs("cases", ">=", 1), needs("shape", ">=", 3),
+              needs("n", "in", (1, 2)), needs("k", "in", (1, 2)),
+              (lambda p: len(p["lambdas"]) > 0
+               and all(real(x) and x > 0 for x in p["lambdas"]),
+               "needs a non-empty lambdas list of positive numbers, got "
+               "{lambdas!r}")), {},
+             cases=10, n=2, k=1, shape=128,
+             lambdas=(0.5, 1.0, 2.0, 5.0, 10.0, 50.0))
 def _exp_truncate(p, seed):
     rows, checked, worst_bound, chain_fails = [], 0, 0.0, 0
     vol_by_lam = {lam: [] for lam in p["lambdas"]}
-    for i in range(int(p["cases"])):
+    for i in range(p["cases"]):
         rng = item_rng(seed, "truncate", i)
-        v = truncation_case(rng, int(p["shape"]), int(p["n"]))
-        for res in lipschitz_truncations(v, p["lambdas"], k=int(p["k"])):
+        v = truncation_case(rng, p["shape"], p["n"])
+        for res in lipschitz_truncations(v, p["lambdas"], k=p["k"]):
             # a level whose bad set covers the box reads nan, unchecked
             rows.append([i, res.lam, res.measuredDerivBound,
                          res.measuredVolumeConstant, int(np.sum(res.badSet))])
@@ -358,13 +325,13 @@ def _exp_truncate(p, seed):
 
 
 @_experiment("hardy", "local Hardy norm of a registered test function",
-             "int_{B_R} sup_t |f * rho_t| dx", test="bump", R=1.0, shape=256)
+             "int_{B_R} sup_t |f * rho_t| dx",
+             ((lambda p: 0 < p["R"] < math.inf,
+               "ball radius R must be positive and finite, got {R!r}"),
+              needs("shape", ">=", 2)), {}, test="bump", R=1.0, shape=256)
 def _exp_hardy(p, seed):
-    f = make_test_function(p["test"], shape=(int(p["shape"]),) * 2)
-    try:
-        val = local_hardy_norm(f, p["R"], MaximalConfig())
-    except ValueError as e:  # a radius or grid the sweep cannot take
-        raise ConfigError(f"hardy: {e}") from e
+    f = make_test_function(p["test"], shape=(p["shape"],) * 2)
+    val = local_hardy_norm(f, p["R"], MaximalConfig())
     checks = [Check("norm_finite", math.isfinite(val), True, "==")]
     return checks, {"hardy_norm": val}, {
         "hardy": {"columns": [("test", "exact"), ("R", "exact"),
@@ -374,11 +341,19 @@ def _exp_hardy(p, seed):
 
 @_experiment("extension-identity",
              "surface Jacobian pairing as a half-space bulk integral",
-             "int det(Du) phi = -int_0^T int det D_{t,x}(Phi,U1,U2)", cases=5,
-             T=8.0, levels=((64, 16), (128, 32), (256, 64)), tol=1e-3)
+             "int det(Du) phi = -int_0^T int det D_{t,x}(Phi,U1,U2)",
+             (needs("cases", ">=", 1),
+              (lambda p: 0 < p["T"] < math.inf,
+               "needs a positive finite T, got {T!r}"),
+              (lambda p: len(p["levels"]) > 0 and all(
+                  _counts(row) and len(row) == 2 for row in p["levels"]),
+               "needs a non-empty levels list of (N, L) pairs of positive "
+               "ints, got {levels!r}")), {},
+             cases=5, T=8.0, levels=((64, 16), (128, 32), (256, 64)),
+             tol=1e-3)
 def _exp_extension_identity(p, seed):
     rows, finals, unmonotone = [], [], 0
-    for i in range(int(p["cases"])):
+    for i in range(p["cases"]):
         errs = []
         for N, L in p["levels"]:
             rng = item_rng(seed, "extension-identity", f"{i}:{N}")
@@ -400,9 +375,11 @@ def _exp_extension_identity(p, seed):
 
 @_experiment("thmD", "ratio stability of the fractional determinant estimate",
              "|<F(u)-F(v),phi>| vs [phi]_alpha [u-v] ([u]+[v])^{s-1}",
-             alpha=0.5, s=2, max_spread=4.0)
+             ((lambda p: 0 < p["alpha"] <= 1,
+               "needs 0 < alpha <= 1, got {alpha!r}"),), {},
+             alpha=0.5, max_spread=4.0)
 def _exp_thmD(p, seed):
-    ens = thmD_ensemble(alpha=p["alpha"], s=int(p["s"]))
+    ens = thmD_ensemble(alpha=p["alpha"])
     cor = interpolation_ensemble(alpha=p["alpha"])
     checks = [Check(name, e["spread"], p["max_spread"], "<=",
                     len(e["records"]))
@@ -415,16 +392,15 @@ def _exp_thmD(p, seed):
 
 
 @_experiment("orlicz", "Young-function toolbox self-consistency checks",
-             "Luxemburg, conjugate round trip, Delta_2, t^s bracket", p=2.0,
-             tol_lux=1e-8)
+             "Luxemburg, conjugate round trip, Delta_2, t^s bracket",
+             (needs("p", ">=", 1),), {}, p=2.0, tol_lux=1e-8)
 def _exp_orlicz(p, seed):
     rng = item_rng(seed, "orlicz", 0)
     f = GridField(rng.normal(size=(64, 64, 1)), (2 * math.pi, 2 * math.pi))
-    pw = p["p"]
-    lux = luxemburg_norm(f, YoungFunction.power(pw))
-    leb = lebesgue_norm(f, pw)
+    lux = luxemburg_norm(f, YoungFunction.power(p["p"]))
+    leb = lebesgue_norm(f, p["p"])
     with np.errstate(over="ignore"):
-        d2a = delta2_check(YoungFunction.zygmund(pw, 1.0))
+        d2a = delta2_check(YoungFunction.zygmund(p["p"], 1.0))
         d2b = delta2_check(YoungFunction.exp_minus_one())
     cubic = YoungFunction(phi=lambda t: t**3 / 3.0, dphi=lambda t: t**2,
                           label="t^3/3")
@@ -455,8 +431,7 @@ def registry_listing():
     return {"experiments": sorted(REGISTRY),
             "operators": sorted(sym_mod.NAMED_OPERATORS),
             "integrands": sorted(INTEGRANDS),
-            "sequences": sorted(name for name, w in cex.WITNESSES.items()
-                                if w.pairings) + sorted(FAMILIES),
+            "sequences": _SEQUENCES,
             "cases": sorted(cex.CASES)}
 
 
@@ -510,7 +485,8 @@ def run(config):
         hint = f" (did you mean {close[0]!r}?)" if close else ""
         raise ConfigError(f"unknown experiment {config.experiment!r}{hint}")
     entry = REGISTRY[config.experiment]
-    p = _merge_params(entry["defaults"], config.params, config.experiment)
+    p = checked_params(config.experiment, entry["defaults"], config.params,
+                       entry["rules"], entry["routes"])
     t0 = time.time()
     checks, results, tables = entry["runner"](p, config.seed)
     wall = time.time() - t0
@@ -551,7 +527,7 @@ def main(argv=None):
         sp.add_argument("--param", action="append", default=[],
                         metavar="KEY=VALUE",
                         help="experiment parameter override (JSON value)")
-        for key in {"seq", "case"} & set(REGISTRY[name]["defaults"]):
+        for key in REGISTRY[name]["routes"]:  # --seq, --case
             sp.add_argument(f"--{key}", default=None)
     sub.add_parser("list", help="registry contents")
     dp = sub.add_parser("describe", help="describe a registered id")
@@ -569,11 +545,7 @@ def main(argv=None):
             print(describe(args.id))
             return 0
         if args.config:
-            config = ExperimentConfig.from_json(args.config)
-            if config.experiment != args.command:
-                raise ConfigError(
-                    f"config experiment {config.experiment!r} does not match "
-                    f"subcommand {args.command!r}")
+            config = ExperimentConfig.from_json(args.config, args.command)
         else:
             params = {}
             for kv in args.param:
@@ -584,8 +556,8 @@ def main(argv=None):
                     params[key] = json.loads(raw)
                 except json.JSONDecodeError:
                     params[key] = raw
-            for key in ("seq", "case"):
-                if getattr(args, key, None):
+            for key in REGISTRY[args.command]["routes"]:
+                if getattr(args, key):
                     params[key] = getattr(args, key)
             config = ExperimentConfig(experiment=args.command, seed=args.seed,
                                       out=args.out, params=params)

@@ -1,8 +1,8 @@
 """Sharpness constructions: concentration, sign-cancelling oscillation,
 borderline-integrability fields, and the three Jacobian-pairing growth cases.
 
-Each family is one `Witness` record in `WITNESSES`: its defaults and their
-rules, its default indices, a generator (``make_sequence``), a runner
+Each family is one `Witness` record in `WITNESSES`: its defaults, rules and
+routes, its default indices, a generator (``make_sequence``), a runner
 (``run_case``) and a gate that turns the runner's report into checks and a
 table.  Verdicts are measured under the declared margins: "converges" when
 the last-half deviation from the limit stays within 5% of the sequence
@@ -13,7 +13,7 @@ scale, "fails" at 50% or on monotone escape, anything between is reported
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -22,6 +22,7 @@ from .field import (GridField, TrigPoly, bump_at, jacobian, mollify,
                     standard_bump, trig_pair, trig_product)
 from .norms import (YoungFunction, local_hardy_norms, besov_block_sums,
                     besov_sup, dominates)
+from .params import checked_params, needs, real
 from .quasiaffine import fit_exponent
 
 __all__ = ["SequenceSpec", "Table1Row", "Witness", "make_spec",
@@ -66,15 +67,12 @@ class Table1Row:
 
 @dataclass(frozen=True)
 class Witness:
-    """One witness family.  make_spec checks params against `rules`,
-    (holds(params), message) pairs, the message formatted with the params;
-    make_sequence(spec, index) is `build`, run_case(spec, indices) is `run`
-    at the indices or `indices` (None: no index).  `gate(spec, report,
-    tol)` gives check tuples (name, measured, bound, relation, items) and
-    the table that cc-lab writes, tol bounding the relative error against
-    an exact target; `pairings` reports only what the gate reads.
-    `unread` pairs a `mode` with the params that its route never reads:
-    make_spec refuses an override of one."""
+    """One 2D witness family: make_spec checks overrides of `defaults` by
+    `rules` and `routes`; make_sequence(spec, index) is `build`; run_case(
+    spec, indices) is `run` at the indices or `indices` (None: no index);
+    gate(spec, report, tol) gives check tuples (name, measured, bound,
+    relation, items) and the CSV table, tol bounding the relative error
+    against an exact target; `pairings` reports only what the gate reads."""
     anchor: str
     defaults: dict
     build: Callable
@@ -83,29 +81,19 @@ class Witness:
     indices: tuple | None = None
     rules: tuple = ()
     pairings: Callable | None = None
-    unread: tuple = ()
+    routes: dict = field(default_factory=dict)
 
 
 def make_spec(case, **overrides):
     if case not in WITNESSES:
         raise KeyError(f"unknown case {case!r} (choose from {CASES})")
-    witness = WITNESSES[case]
-    unknown = set(overrides) - set(witness.defaults)
-    if unknown:
-        raise KeyError(f"unknown parameters for {case}: {sorted(unknown)}")
-    params = {**witness.defaults, **overrides}
-    unread = dict(witness.unread).get(params.get("mode"), ())
-    idle = sorted(set(overrides) & set(unread))
-    if idle:
-        raise KeyError(f"{case} mode {params['mode']!r} never reads {idle}")
-    for holds, message in witness.rules:
-        if not holds(params):
-            raise ValueError(message.format(**params))
-    return SequenceSpec(case=case, params=params)
+    w = WITNESSES[case]
+    return SequenceSpec(case, checked_params(case, w.defaults, overrides,
+                                             w.rules, w.routes))
 
 
 def _case1_room(p):
-    return p["n"] / p["p"] - p["beta"] - p["alpha"] / p["n"]
+    return 2 / p["p"] - p["beta"] - p["alpha"] / 2
 
 
 def _case1_gamma(p):
@@ -113,9 +101,8 @@ def _case1_gamma(p):
 
 
 def _case2_beta1(p):
-    if p["beta1"] is not None:
-        return p["beta1"]
-    return p["beta"] + ((p["n"] - p["alpha"]) / p["n"] - p["beta"]) / 2.0
+    return p["beta1"] if p["beta1"] is not None else (
+        p["beta"] + ((2 - p["alpha"]) / 2 - p["beta"]) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +242,15 @@ def _jac1_bump_bank():
 
 def _case1_fields(spec, k):
     p = spec.params
-    n, alpha = p["n"], p["alpha"]
+    alpha = p["alpha"]
     gamma = _case1_gamma(p)
     N = p["shape"]
     period = 2.0
     X, Y = _centered_axes(N, period)
     bank = _jac1_bump_bank()
     eps = 1.0 / k
-    g_eps = eps ** (-1.0 / n) * bank["g"](X / eps, Y / eps)
-    u = k ** ((alpha - 1.0) / n + gamma) * g_eps
+    g_eps = eps ** (-1.0 / 2) * bank["g"](X / eps, Y / eps)
+    u = k ** ((alpha - 1.0) / 2 + gamma) * g_eps
     # test function: mollified one-sided power x1^alpha times a plateau bump
     plateau = np.zeros_like(X)
     r2 = X**2 + Y**2
@@ -312,10 +299,8 @@ def _case2_grid(spec, k):
 
 
 def case3_frequencies(spec, k):
-    """Exact integer frequencies n_l = k^(n^2/alpha) * 8^l (Python ints)."""
-    p = spec.params
-    n, alpha = p["n"], p["alpha"]
-    exponent = n * n / alpha
+    """Exact integer frequencies n_l = k^(n^2/alpha) * 8^l, n = 2 (ints)."""
+    exponent = 2 * 2 / spec.params["alpha"]
     if abs(exponent - round(exponent)) > 1e-12:
         base = int(math.ceil(k ** exponent))
     else:
@@ -324,11 +309,10 @@ def case3_frequencies(spec, k):
 
 
 def _case3_trigs(spec, k):
-    p = spec.params
-    n, alpha = p["n"], p["alpha"]
+    alpha = spec.params["alpha"]
     freqs = case3_frequencies(spec, k)
-    # the layer index ell runs 1..k, so the weight is (ell+1)^{-1/n}
-    amps = [float(f) ** (-(n - alpha) / n) * (ell + 1.0) ** (-1.0 / n)
+    # the layer index ell runs 1..k, so the weight is (ell+1)^{-1/n}, n = 2
+    amps = [float(f) ** (-(2 - alpha) / 2) * (ell + 1.0) ** (-1.0 / 2)
             for ell, f in zip(range(1, k + 1), freqs)]
     # the layers have pairwise disjoint frequencies, so each sum is the
     # union of the layers' term dicts, validated once
@@ -582,28 +566,28 @@ def _run_case1(spec, ks):
         ie.append(_grid_det_pairing(ge, GridField(test[..., None], (2.0, 2.0))))
     richardson = 2 * ie[-1] - ie[-2]
     return {"k": list(ks), "pairings": vals, "gamma": gamma,
-            "expected_exponent": p["n"] * gamma,
+            "expected_exponent": 2 * gamma,
             "fitted_exponent": fit_exponent(ks, np.abs(vals)),
             "a1": a1, "moment_target": a1 * d1_at_0,
             "moment_richardson": richardson}
 
 
-def _torus_det_pairing(u1, u2, phi, cap):
+def _torus_det_pairing(u1, u2, phi):
     """Exact integral of det(Du) phi for u = (u1(x1-heavy), u2) by a sparse
     product and a sparse pairing; u1 depends only on x1 and u2 only on x2
     (up to cutoff-free torus variants), so det(Du) = d1(u1) d2(u2) exactly."""
-    det = trig_product(u1.derivative(0), u2.derivative(1), cap)
+    det = trig_product(u1.derivative(0), u2.derivative(1))
     return trig_pair(det, phi)
 
 
 def _run_case2(spec, ks):
     p = spec.params
     beta1 = _case2_beta1(p)
-    expected = p["n"] - p["alpha"] - p["n"] * beta1
+    expected = 2 - p["alpha"] - 2 * beta1
     if p["mode"] == "torus":
-        vals = [_torus_det_pairing(f["u1"], f["u2"], f["phi"], 10**7)
+        vals = [_torus_det_pairing(f["u1"], f["u2"], f["phi"])
                 for f in (_case2_torus(spec, k) for k in ks)]
-        closed = [math.pi ** p["n"] * k ** expected for k in ks]
+        closed = [math.pi ** 2 * k ** expected for k in ks]
         return {"k": list(ks), "pairings": vals, "closed_form": closed,
                 "beta1": beta1,
                 "max_rel_err": max(abs(v - c) / c for v, c in zip(vals, closed))}
@@ -615,10 +599,9 @@ def _run_case2(spec, ks):
 
 
 def _run_case3(spec, ks):
-    cap = spec.params["term_cap"]
-    vals = [_torus_det_pairing(f["u1"], f["u2"], f["phi"], cap)
+    vals = [_torus_det_pairing(f["u1"], f["u2"], f["phi"])
             for f in (_case3_trigs(spec, k) for k in ks)]
-    exact = [math.pi ** spec.params["n"] * harmonic_tail_sum(k) for k in ks]
+    exact = [math.pi ** 2 * harmonic_tail_sum(k) for k in ks]
     ratios = [v / math.log(k) for v, k in zip(vals, ks)]
     return {"k": list(ks), "pairings": vals, "exact": exact,
             "log_ratios": ratios,
@@ -642,11 +625,10 @@ def case3_norm_audit(spec, k):
     f = _case3_trigs(spec, k)
     freqs = f["freqs"]
     alpha = spec.params["alpha"]
-    n = spec.params["n"]
-    beta = (n - alpha) / n
+    beta = (2 - alpha) / 2
     u_blocks = besov_block_sums(f["u1"])
-    u_surrogate = sum((2.0 ** (beta * j) * s) ** n
-                      for j, s in u_blocks.items()) ** (1.0 / n)
+    u_surrogate = sum((2.0 ** (beta * j) * s) ** 2
+                      for j, s in u_blocks.items()) ** (1.0 / 2)
     gaps = [abs(a - b) for i, a in enumerate(freqs)
             for b in freqs[i + 1:]]
     base = freqs[0] // 8
@@ -759,7 +741,7 @@ def _case2_gate(spec, rep, tol):
 
 
 def _case3_gate(spec, rep, tol):
-    pi_n, ratios = math.pi ** spec.params["n"], rep["log_ratios"]
+    pi_n, ratios = math.pi ** 2, rep["log_ratios"]
     return [("max_rel_err", rep["max_rel_err"], tol, "<=", len(rep["k"])),
             ("log_ratio_low", min(ratios), 0.5 * pi_n, ">=", len(ratios)),
             ("log_ratio_high", max(ratios), 2.0 * pi_n, "<=", len(ratios))], \
@@ -771,74 +753,69 @@ def _case3_gate(spec, rep, tol):
 WITNESSES = {
     "ex61": Witness(
         anchor="v_j = j 1_{(0,1/j)^2} e, pairing = 1 for all j",
-        defaults=dict(n=2, period=4.0, shape=256, e=(2 ** -0.5, 2 ** -0.5)),
-        rules=((lambda p: p["shape"] >= 2,
-                "ex61 needs shape >= 2, got shape={shape!r}"),
-               (lambda p: len(p["e"]) == p["n"] and all(
-                   isinstance(x, (int, float)) and not isinstance(x, bool)
-                   for x in p["e"]),
-                "ex61 needs e to hold n={n} numbers, got e={e!r}")),
+        defaults=dict(period=4.0, shape=256, e=(2 ** -0.5, 2 ** -0.5)),
+        rules=(needs("period", ">", 0), needs("shape", ">=", 2),
+               (lambda p: len(p["e"]) == 2 and all(map(real, p["e"])),
+                "needs e to hold n=2 numbers, got e={e!r}")),
         build=_ex61_fields, run=_scenario_concentration,
         gate=_unit_mass_gate, indices=(2, 4, 8, 16, 32, 64),
         pairings=_unit_masses),
     "ex62": Witness(
         anchor="glued harmonic gradients, masses +pi / -pi at r = 1/2",
-        defaults=dict(n=2, period=2.0, shape=512),
-        rules=((lambda p: p["shape"] >= 2,
-                "ex62 needs shape >= 2, got shape={shape!r}"),),
+        defaults=dict(period=2.0, shape=512),
+        rules=(needs("period", ">", 0), needs("shape", ">=", 2)),
         build=_ex62_fields, run=_scenario_oscillation,
         gate=_converging_masses_gate, indices=(2, 4, 8, 16, 32, 64),
         pairings=_converging_masses),
     "ex63": Witness(
         anchor="w(t) = t^(-1/r) log(1+1/t)^(-(beta+1+gamma)/r), F = w^2",
-        defaults=dict(n=2, r=2.0, beta=0.0, gamma=0.25),
-        rules=((lambda p: p["r"] > 0, "ex63 needs r > 0, got r={r!r}"),
-               (lambda p: p["gamma"] > 0, "gamma must be positive")),
+        defaults=dict(r=2.0, beta=0.0, gamma=0.25),
+        # F = w sqrt(psi(w)) ~ t^(-1/r - 1/2) is integrable only for r >= 2
+        rules=(needs("r", ">=", 2), needs("gamma", ">", 0)),
         build=lambda spec, index: ex63_profile(spec),
         run=lambda spec, indices: _scenario_borderline(spec),
         gate=_borderline_gate),
     "jac_case1": Witness(
         anchor="u^(k) = k^((alpha-1)/n + gamma) g(k x), det moment a_1",
-        defaults=dict(n=2, alpha=0.5, p=2.0, beta=0.5, gamma=None, shape=512),
-        rules=((lambda p: p["p"] <= p["n"],
-                "case 1 requires an integrability exponent <= n"),
-               (lambda p: _case1_room(p) > 0,
-                "case 1 needs beta + alpha/n < n/p"),
-               (lambda p: p["gamma"] is None
-                or 0 < p["gamma"] < _case1_room(p),
-                "gamma must lie in (0, n/p - beta - alpha/n)")),
+        defaults=dict(alpha=0.5, p=2.0, beta=0.5, gamma=None, shape=512),
+        rules=((lambda p: 0 < p["p"] <= 2,
+                "needs an integrability exponent 0 < p <= n, got p={p!r}"),
+               (lambda p: 0 < p["alpha"] <= 1,
+                "needs 0 < alpha <= 1, got alpha={alpha!r}"),
+               (lambda p: _case1_room(p) > 0, "needs beta + alpha/n < n/p"),
+               (lambda p: p["gamma"] is None or real(p["gamma"])
+                and 0 < p["gamma"] < _case1_room(p),
+                "gamma must lie in (0, n/p - beta - alpha/n)"),
+               # the test function is mollified at scale 4/shape <= 1
+               needs("shape", ">=", 4)),
         build=_case1_fields, run=_run_case1, gate=_no_gate,
         indices=(4, 8, 16)),
     "jac_case2": Witness(
         anchor="pairing = pi^n k^(n - alpha - n beta1)",
-        defaults=dict(n=2, alpha=0.5, p=4.0, beta=0.5, beta1=None,
-                      mode="torus", shape=1024),
-        rules=((lambda p: p["mode"] in ("torus", "grid"),
-                "jac_case2 mode must be 'torus' or 'grid', got {mode!r}"),
-               (lambda p: p["p"] > p["n"],
-                "case 2 requires an integrability exponent > n"),
-               (lambda p: p["beta"] + p["alpha"] / p["n"] < 1,
-                "case 2 needs beta + alpha/n < 1"),
-               (lambda p: p["beta1"] is None or p["beta"] < p["beta1"]
-                < (p["n"] - p["alpha"]) / p["n"],
-                "beta1 must lie in (beta, (n-alpha)/n)")),
+        defaults=dict(alpha=0.5, beta=0.5, beta1=None, mode="torus",
+                      shape=1024),
+        rules=(needs("mode", "in", ("torus", "grid")),
+               (lambda p: p["beta"] + p["alpha"] / 2 < 1,
+                "needs beta + alpha/n < 1"),
+               (lambda p: p["beta1"] is None or real(p["beta1"])
+                and p["beta"] < p["beta1"] < (2 - p["alpha"]) / 2,
+                "beta1 must lie in (beta, (n-alpha)/n)"),
+               needs("shape", ">=", 2)),
         build=lambda spec, k: (_case2_torus if spec.params["mode"] == "torus"
                                else _case2_grid)(spec, k),
         run=_run_case2, gate=_case2_gate, indices=(8, 16, 32, 64, 128),
-        unread=(("torus", ("shape",)),)),
+        routes={"mode": {"torus": ("shape",)}}),
     "jac_case3": Witness(
         anchor="n_l = k^(n^2/alpha) * 8^l, pairing = pi^n sum 1/(l+1)",
-        defaults=dict(n=2, alpha=0.5, term_cap=10**7),
-        rules=((lambda p: 0 < p["alpha"] < 1, "alpha must lie in (0,1)"),
-               (lambda p: p["n"] == 2,
-                "the sparse-sum variant is implemented for n=2")),
+        defaults=dict(alpha=0.5),
+        rules=((lambda p: 0 < p["alpha"] < 1, "alpha must lie in (0,1)"),),
         build=_case3_trigs, run=_run_case3, gate=_case3_gate,
         indices=(8, 16, 32, 64)),
     "appendixOrlicz": Witness(
         anchor="g(t) t = phi^{-1}(psi(t)), phi = t^2, psi = t^2 log(1+t)",
-        defaults=dict(s=2, c=9.0 / 8.0),
-        rules=((lambda p: p["s"] == 2,
-                "the registered pair is for homogeneity 2"),),
+        defaults=dict(c=9.0 / 8.0),
+        # psi(f) ~ t^-1 log(1/t)^(1 - 2c) is integrable only for c > 1
+        rules=(needs("c", ">", 1),),
         build=lambda spec, index: _orlicz_fields(spec),
         run=lambda spec, indices: _run_orlicz(spec),
         gate=_divergent_gate),

@@ -150,13 +150,11 @@ def _trig_lifted_seminorm(f, order):
     return math.sqrt(total * vol)
 
 
-def theoremD_ratio(u, v, phi, alpha, s=2):
+def theoremD_ratio(u, v, phi, alpha):
     """Measured ratio |<F(u)-F(v), phi>| / ([phi]_alpha [u-v]_{-1+beta,s}
-    ([u]+[v])^{s-1}) with beta = 1 - alpha/s, for the div-curl integrand on
-    4-component sparse fields (components (v1, v2, w1, w2): F = v.w)."""
-    beta = 1.0 - alpha / s
-    if s != 2:
-        raise ValueError("the Fourier-route seminorm is implemented for s=2")
+    ([u]+[v])^{s-1}) with s = 2 and beta = 1 - alpha/s, for the div-curl
+    integrand on 4-component sparse fields (v1, v2, w1, w2): F = v.w."""
+    beta = 1.0 - alpha / 2
 
     def F_pair(a, b):
         # bilinear polarization of F = (a1,a2).(a3,a4)
@@ -170,7 +168,7 @@ def theoremD_ratio(u, v, phi, alpha, s=2):
     dn = _trig_lifted_seminorm(u - v, -1.0 + beta)
     un = _trig_lifted_seminorm(u, -1.0 + beta)
     vn = _trig_lifted_seminorm(v, -1.0 + beta)
-    denom = holder * dn * (un + vn) ** (s - 1)
+    denom = holder * dn * (un + vn)
     if denom <= 0:
         return {"ratio": None, "note": "not applicable (zero denominator)"}
     return {"ratio": abs(pairing) / denom, "pairing": pairing,
@@ -191,17 +189,17 @@ def _spread(records):
             "min_ratio": min(ratios), "spread": max(ratios) / min(ratios)}
 
 
-def thmD_ensemble(alpha=0.5, s=2, m_list=(4, 8, 16, 32, 64),
+def thmD_ensemble(alpha=0.5, m_list=(4, 8, 16, 32, 64),
                   amplitudes=(0.5, 1.0, 2.0)):
-    """Ratio stability across frequencies and amplitude scalings; the
-    comparison field v is 0 and phi oscillates in concert with u."""
-    beta, zero = 1.0 - alpha / s, TrigPoly.zero(2, 4)
+    """Ratio stability across frequencies and amplitude scalings at s = 2;
+    the comparison field v is 0 and phi oscillates in concert with u."""
+    beta, zero = 1.0 - alpha / 2, TrigPoly.zero(2, 4)
     records = []
     for m in m_list:
         phi = TrigPoly.wave(2, (0, m), "sin", float(m) ** -alpha)
         phi = trig_product(phi, TrigPoly.wave(2, (m, 0), "cos"))
         for a in amplitudes:
-            rep = theoremD_ratio(_divcurl_pair(m, a, beta), zero, phi, alpha, s)
+            rep = theoremD_ratio(_divcurl_pair(m, a, beta), zero, phi, alpha)
             records.append({"m": m, "amplitude": a, "ratio": rep["ratio"]})
     return _spread(records)
 

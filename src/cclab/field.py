@@ -297,10 +297,10 @@ def random_bandlimited(rng, shape, dimV, bandlimit=6, cutoff=False):
     compactly supported inside the box.
 
     The sum is synthesised with one inverse transform: (a_m - i b_m)/2 goes
-    to frequency m and its conjugate to -m of one (N1, N2, dimV) spectrum,
-    where modes that alias on a coarse grid add up as the cos/sin terms do,
-    and its half-spectrum is inverted over the first two axes.  The plane is
-    then copied along any further axes, and the cut-off applied last.
+    to frequency m and its conjugate to -m, where either lands in the (N1,
+    N2 // 2 + 1, dimV) half-spectrum (aliased modes add up as the cos/sin
+    terms do), inverted over the first two axes.  The plane is then copied
+    along any further axes, and the cut-off applied last.
     """
     shape = tuple(shape)
     if cutoff and len(shape) != 2:
@@ -310,10 +310,11 @@ def random_bandlimited(rng, shape, dimV, bandlimit=6, cutoff=False):
     N1, N2 = shape[:2]
     # scaled by N1 N2 against the inverse transform's 1 / (N1 N2)
     amp = (coef[..., 0] - 1j * coef[..., 1]).T * (N1 * N2 / 2)
-    spec = np.zeros((N1, N2, dimV), dtype=complex)
-    np.add.at(spec, (modes[:, 0] % N1, modes[:, 1] % N2), amp)
-    np.add.at(spec, (-modes[:, 0] % N1, -modes[:, 1] % N2), amp.conj())
-    values = ifft(spec[:, : N2 // 2 + 1].copy(), np.empty((N1, N2, dimV)))
+    half = np.zeros((N1, N2 // 2 + 1, dimV), dtype=complex)
+    for m, a in ((modes, amp), (-modes, amp.conj())):
+        kept = m[:, 1] % N2 <= N2 // 2
+        np.add.at(half, (m[kept, 0] % N1, m[kept, 1] % N2), a[kept])
+    values = ifft(half, np.empty((N1, N2, dimV)))
     if len(shape) > 2:
         values = np.broadcast_to(
             values.reshape((N1, N2) + (1,) * (len(shape) - 2) + (dimV,)),

@@ -371,21 +371,16 @@ def delta2_check(phi):
             "ratios": ratios}
 
 
-def dominates(phi1, phi2, mode="near-infinity"):
-    """Desk-scale certificate for phi1(s) <= phi2(k s).
+def dominates(phi1, phi2):
+    """Desk-scale certificate for phi1(s) <= phi2(k s) near infinity.
 
-    Verdict: True iff some k in the grid satisfies the inequality on the
-    sampled range AND the tail ratio phi1(s)/phi2(ks) is non-increasing over
-    the last two decades (1% slack).  The trend condition is what separates
+    Verdict: True iff some k in the grid satisfies the inequality on s in
+    [1, 1e8] AND the tail ratio phi1(s)/phi2(ks) is non-increasing over the
+    last two decades (1% slack).  The trend condition is what separates
     true domination from the spurious finite-range kind.
     """
     samples = 161
-    if mode == "near-infinity":
-        ss = np.geomspace(1.0, 1e8, samples)
-    elif mode == "global":
-        ss = np.geomspace(1e-6, 1e8, samples)
-    else:
-        raise ValueError("mode must be 'near-infinity' or 'global'")
+    ss = np.geomspace(1.0, 1e8, samples)
     decades = (math.log10(ss[-1]) - math.log10(ss[0]))
     tail_len = max(4, int(round(2 * (samples - 1) / decades)))
     for k in np.geomspace(1e-2, 1e3, 26):
@@ -416,8 +411,8 @@ def hardy_bracket_check(phi, s):
 
     The two-sided condition under which the Orlicz Hardy-type bound operates.
     """
-    lower = dominates(YoungFunction.power(s), phi, mode="near-infinity")
-    upper = dominates(phi, YoungFunction.zygmund(s, 1), mode="near-infinity")
+    lower = dominates(YoungFunction.power(s), phi)
+    upper = dominates(phi, YoungFunction.zygmund(s, 1))
     return {"ok": lower["dominates"] and upper["dominates"],
             "lower": lower, "upper": upper}
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cclab import cli
 from cclab import counterexamples as cex
+from cclab.params import checked_params
 from cclab.cli import (Check, ExperimentConfig, ConfigError, item_rng,
                        describe, registry_listing, run, main, verdict_of,
                        write_csv, _EXIT)
@@ -20,7 +21,7 @@ def test_config_rejects_unknown_top_level_field(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiment": "check-rank", "bogus": 1}))
     with pytest.raises(ConfigError, match="bogus"):
-        ExperimentConfig.from_json(path)
+        ExperimentConfig.from_json(path, "check-rank")
 
 
 def test_config_rejects_wrong_schema(tmp_path):
@@ -28,14 +29,14 @@ def test_config_rejects_wrong_schema(tmp_path):
     path.write_text(json.dumps({"schema_version": 99,
                                 "experiment": "check-rank"}))
     with pytest.raises(ConfigError, match="schema_version"):
-        ExperimentConfig.from_json(path)
+        ExperimentConfig.from_json(path, "check-rank")
 
 
 def test_config_requires_experiment(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"seed": 3}))
-    with pytest.raises(ConfigError, match="experiment"):
-        ExperimentConfig.from_json(path)
+    with pytest.raises(ConfigError, match="missing 'experiment'"):
+        ExperimentConfig.from_json(path, "check-rank")
 
 
 def test_unknown_param_rejected(tmp_path):
@@ -235,10 +236,11 @@ def test_main_hardy_accepts_int_for_float_param(tmp_path, capsys):
 ])
 def test_merge_params_type_rules(default, value, ok):
     if ok:
-        assert cli._merge_params({"x": default}, {"x": value}, "e") == {"x": value}
+        assert checked_params("e", {"x": default}, {"x": value}, (), {}) == \
+            {"x": value}
     else:
         with pytest.raises(ConfigError, match="'x' of e expects"):
-            cli._merge_params({"x": default}, {"x": value}, "e")
+            checked_params("e", {"x": default}, {"x": value}, (), {})
 
 
 @pytest.mark.parametrize("fields", ["-1", "0"])
@@ -340,7 +342,8 @@ def test_main_gated_witness_passes_with_rows(tmp_path, capsys, argv):
 # a run over zero trials, cases, levels or lambdas, or over no t-interval
 # [0, T], would check nothing, so it is refused before it writes a table;
 # so is an index that is not an int and a level that is not an (N, L) pair
-# of positive ints, which used to end in a message that did not name it
+# of positive ints, an orlicz p < 1, an unregistered integrand and thmD's
+# retired s, which used to end in a message that did not name them
 EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
               ("pairing", "indices"): ("pairing.csv",
                                        "non-empty indices list of ints"),
@@ -352,7 +355,12 @@ EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
                   "identity.csv", "non-empty levels list of (N, L) pairs of "
                                   "positive ints"),
               ("extension-identity", "T"): ("identity.csv",
-                                            "positive finite T")}
+                                            "positive finite T"),
+              ("orlicz", "p"): ("orlicz.csv", "orlicz needs p >= 1"),
+              ("quasiaffine", "integrand"): ("trials.csv",
+                                             "needs integrand in"),
+              ("pairing", "integrand"): ("pairing.csv", "needs integrand in"),
+              ("thmD", "s"): ("ratios.csv", "unknown params for thmD: ['s']")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -370,7 +378,11 @@ EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
     ["pairing", "--param", 'indices="ab"'],
     ["pairing", "--param", "indices=[1.5, 2]"],
     ["extension-identity", "--param", "T=-1.0"],
-    ["extension-identity", "--param", "T=0"]], ids=" ".join)
+    ["extension-identity", "--param", "T=0"],
+    ["orlicz", "--param", "p=-1"],
+    ["quasiaffine", "--param", "integrand=foo"],
+    ["pairing", "--param", "integrand=foo", "--seq", "oscillation_pure"],
+    ["thmD", "--param", "s=0"]], ids=" ".join)
 def test_main_empty_run_is_a_config_error(tmp_path, capsys, argv):
     table, needs = EMPTY_RUNS[argv[0], argv[2].partition("=")[0]]
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -539,11 +551,13 @@ def test_main_thmD_alpha_one_is_a_holder_exponent(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
 
-@pytest.mark.parametrize("r", ["0.0", "-2.0"])
+@pytest.mark.parametrize("r", ["0.0", "-2.0", "1.0"])
 def test_main_ex63_names_a_bad_r(tmp_path, capsys, r):
+    """F = w sqrt(psi(w)) is integrable only for r >= 2: r = 1 used to end
+    in an overflow that named no param."""
     message = _error_message(["counterexample", "--case", "ex63", "--param",
                               f'overrides={{"r": {r}}}'], tmp_path, capsys)
-    assert message == f"ex63 needs r > 0, got r={float(r)!r}"
+    assert message == f"ex63 needs r >= 2, got r={float(r)!r}"
 
 
 # -- witness family outputs keep their bytes ----------------------------------
@@ -619,12 +633,12 @@ def test_witness_runs_keep_their_bytes(tmp_path, run_id):
 @pytest.mark.parametrize("argv, message", [
     (["counterexample", "--case", "jac_case2", "--param",
       'overrides={"mode": "bogus"}'],
-     "jac_case2 mode must be 'torus' or 'grid', got 'bogus'"),
+     "jac_case2 needs mode in ('torus', 'grid'), got mode='bogus'"),
     (["counterexample", "--case", "jac_case3", "--param",
       'overrides={"mode": "torus"}'],
-     "unknown parameters for jac_case3: ['mode']"),
+     "unknown params for jac_case3: ['mode']"),
     (["counterexample", "--case", "ex61", "--param", 'overrides={"bogus": 1}'],
-     "unknown parameters for ex61: ['bogus']"),
+     "unknown params for ex61: ['bogus']"),
     (["counterexample", "--case", "nope"],
      f"unknown case 'nope' (choose from {cex.CASES})"),
     (["counterexample", "--case", "ex61", "--param", 'overrides={"e": [1.0]}'],
@@ -638,10 +652,31 @@ def test_witness_runs_keep_their_bytes(tmp_path, run_id):
     (["counterexample", "--case", "ex61", "--param", 'overrides={"shape": 0}'],
      "ex61 needs shape >= 2, got shape=0"),
     (["counterexample", "--case", "ex62", "--param", 'overrides={"shape": 0}'],
-     "ex62 needs shape >= 2, got shape=0")],
+     "ex62 needs shape >= 2, got shape=0"),
+    (["counterexample", "--case", "jac_case3", "--param", "indices=[1]"],
+     "counterexample needs indices >= 2 for jac_case3, got [1]"),
+    (["counterexample", "--case", "ex63", "--param", 'overrides={"n": 5}'],
+     "unknown params for ex63: ['n']"),
+    (["counterexample", "--case", "jac_case2", "--param",
+      'overrides={"p": 4.0}'], "unknown params for jac_case2: ['p']"),
+    (["counterexample", "--case", "appendixOrlicz", "--param",
+      'overrides={"s": 2}'], "unknown params for appendixOrlicz: ['s']"),
+    (["counterexample", "--case", "jac_case3", "--param",
+      'overrides={"term_cap": 1}'],
+     "unknown params for jac_case3: ['term_cap']"),
+    (["pairing", "--seq", "ex61", "--param", "integrand=foo"],
+     "pairing needs integrand in ['det2', 'divcurl_dot', 'sqnorm4'], "
+     "got integrand='foo'"),
+    (["pairing", "--seq", "ex61", "--param", "integrand=det2"],
+     "pairing seq 'ex61' never reads ['integrand']"),
+    (["pairing", "--seq", "ex62", "--param", "tol=-1"],
+     "unknown params for pairing: ['tol']")],
     ids=["jac_case2-bogus-mode", "jac_case3-mode", "unknown-override",
          "unknown-case", "ex61-e-one-entry", "ex61-e-three-entries",
-         "ex61-e-strings", "ex61-shape-0", "ex62-shape-0"])
+         "ex61-e-strings", "ex61-shape-0", "ex62-shape-0",
+         "jac_case3-index-1", "ex63-n", "jac_case2-p", "appendixOrlicz-s",
+         "jac_case3-term_cap", "ex61-integrand-foo", "ex61-integrand",
+         "ex62-tol"])
 def test_main_bad_witness_config_names_its_fault(tmp_path, capsys, argv,
                                                   message):
     """A mode that no route runs, a parameter that no code reads, an
@@ -668,9 +703,9 @@ def test_main_witness_override_of_wrong_type_names_case_and_key(
 
 @pytest.mark.parametrize("argv, message", [
     (["--case", "ex63", "--param", "indices=[1,2]"],
-     "ex63 has no indices, got [1, 2]"),
+     "counterexample case 'ex63' never reads ['indices']"),
     (["--case", "appendixOrlicz", "--param", "indices=[1,2]"],
-     "appendixOrlicz has no indices, got [1, 2]"),
+     "counterexample case 'appendixOrlicz' never reads ['indices']"),
     (["--case", "jac_case2", "--param", 'overrides={"shape": 8}'],
      "jac_case2 mode 'torus' never reads ['shape']")],
     ids=["ex63-indices", "appendixOrlicz-indices", "jac_case2-torus-shape"])

@@ -22,8 +22,12 @@ def _tree(root, value, stamp, wall):
 
 @pytest.mark.parametrize("after, code, line", [
     ("0.5", 0, "exp/t.csv: identical"),
-    ("0.5000000000000001", 0, "exp/t.csv: v max rel diff 2.220e-16"),
-    ("0.5001", 1, "exp/report.json: results.v[0] max rel diff 2.000e-04"),
+    ("0.5000000000000001", 0,
+     "exp/t.csv: v max rel diff 2.220e-16, max abs diff 1.110e-16"),
+    ("0.5001", 1, "exp/report.json: results.v[0] max rel diff 2.000e-04, "
+                  "max abs diff 1.000e-04"),
+    ("1e-300", 1, "exp/t.csv: v max rel diff 1.000e+00, "
+                  "max abs diff 5.000e-01"),
 ])
 def test_compare_runs(tmp_path, capsys, after, code, line):
     _tree(tmp_path / "a", "0.5", "2020-01-01T00:00:00", 1.0)
@@ -53,6 +57,16 @@ def test_compare_runs_compared_nothing(tmp_path, capsys):
     assert compare_runs.main([str(empty), str(empty2)]) == 1
     assert capsys.readouterr().out == (
         f"no CSV or report.json under {empty} or {empty2}\n")
+
+
+def test_diff_pairs_relative_with_absolute():
+    """A round-off column: tiny in absolute terms, large relative to cells
+    near 0; text cells and a bool are incomparable in both."""
+    assert compare_runs.diff(1e-17, 0.0) == (1.0, 1e-17)
+    assert compare_runs.diff("nan", "nan") == (0.0, 0.0)
+    assert compare_runs.diff("x", "y") == (float("inf"), float("inf"))
+    assert compare_runs.diff(True, False) == (float("inf"), float("inf"))
+    assert compare_runs.diff(2.0, 1.0) == (0.5, 1.0)
 
 
 def test_rel_diff_text_and_nan():

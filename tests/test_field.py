@@ -9,6 +9,7 @@ from cclab.field import (GridField, TrigPoly, fft, ifft, apply_symbol,
                          random_bandlimited, trig_product,
                          trig_integral, trig_pair, mollified, mollify,
                          standard_bump)
+from cclab import field as field_mod
 from cclab.symbol import make_operator
 
 
@@ -23,6 +24,30 @@ def test_fft_round_trip(rng):
         assert hat.shape == f.shape[:-1] + (f.shape[-1] // 2 + 1, 3)
         back = ifft(hat, np.empty(f.values.shape))
         assert np.max(np.abs(back - f.values)) < 1e-13
+
+
+def _random_bandlimited_full(rng, shape, dimV):
+    """random_bandlimited on a 2D grid as it was built before: both scatters
+    into the full (N1, N2, dimV) spectrum, then a copy of its half for
+    ifft."""
+    modes, coef = field_mod._band_coefficients(rng, dimV, 6)
+    N1, N2 = shape
+    amp = (coef[..., 0] - 1j * coef[..., 1]).T * (N1 * N2 / 2)
+    spec = np.zeros((N1, N2, dimV), dtype=complex)
+    np.add.at(spec, (modes[:, 0] % N1, modes[:, 1] % N2), amp)
+    np.add.at(spec, (-modes[:, 0] % N1, -modes[:, 1] % N2), amp.conj())
+    return ifft(spec[:, : N2 // 2 + 1].copy(), np.empty((N1, N2, dimV)))
+
+
+@pytest.mark.parametrize("shape", [(8, 8), (9, 9), (8, 9), (9, 8), (32, 32)])
+@pytest.mark.parametrize("dimV", [1, 3])
+def test_random_bandlimited_half_spectrum_keeps_bits(shape, dimV):
+    """Scattering only into the half-spectrum sums each kept cell in the
+    same order: bit for bit the full construction, also where the band
+    (|m| <= 6) aliases on an 8^2 or 9^2 grid."""
+    got = random_bandlimited(np.random.default_rng(5), shape, dimV)
+    want = _random_bandlimited_full(np.random.default_rng(5), shape, dimV)
+    assert got.values.tobytes() == want.tobytes()
 
 
 def test_parseval(rng):
