@@ -26,19 +26,27 @@ from . import symbol as sym_mod
 from . import counterexamples as cex
 from .field import GridField, random_bandlimited
 from .decompose import helmholtz_splits
-from .quasiaffine import (INTEGRANDS, FAMILIES, quasiaffine_mean_test,
-                          pairing_experiment, make_test_function)
+from .quasiaffine import (INTEGRANDS, FAMILIES, TOL_MEAN,
+                          quasiaffine_mean_test, pairing_experiment,
+                          make_test_function)
 from .norms import (YoungFunction, MaximalConfig, delta2_check,
                     hardy_bracket_check, luxemburg_norm, lebesgue_norm,
                     local_hardy_norm, young_conjugate)
 from .truncate import C_IMPL, lipschitz_truncations, truncation_case
 from .extension import pairing_identity, thmD_ensemble, interpolation_ensemble
-from .params import ConfigError, RELATIONS, checked_params, needs, real
+from .params import (Check, ConfigError, checked_params, needs, real,
+                     verdict_of)
 
 __all__ = ["Check", "ExperimentConfig", "RunReport", "run", "main", "describe",
            "registry_listing", "item_rng", "verdict_of"]
 
 SCHEMA_VERSION = 1
+# gate bounds: constants, so that no config can loosen a gate
+TOL_RECON = 1e-10  # decompose: reconstruction and constraint residuals
+TOL_ORTHO = 1e-9  # decompose: orthogonality and potential residuals
+TOL_IDENTITY = 1e-3  # extension-identity: relative error on the last rung
+MAX_SPREAD = 4.0  # thmD: max/min ratio of either ensemble
+TOL_LUX = 1e-8  # orlicz: |Luxemburg - Lebesgue norm| over max(1, Lebesgue)
 
 
 @dataclass(frozen=True)
@@ -61,39 +69,6 @@ class ExperimentConfig:
               f"{subcommand!r}")), {})
         del doc["schema_version"]
         return ExperimentConfig(**doc)
-
-
-@dataclass(frozen=True)
-class Check:
-    """One gate: `measured relation bound`, over `items` rows, fields, trials
-    or cases (1 for a single value; 0 when there was nothing to check)."""
-    name: str
-    measured: object
-    bound: object
-    relation: str = "<="
-    items: int = 1
-
-    @property
-    def ok(self):
-        return bool(RELATIONS[self.relation](self.measured, self.bound))
-
-    @property
-    def margin(self):
-        if self.relation == "<=":
-            return self.bound - self.measured
-        if self.relation == ">=":
-            return self.measured - self.bound
-        return None
-
-
-def verdict_of(checks):
-    """fail if any check fails; else inconclusive if nothing was checked (no
-    checks, or a check over zero items); else pass."""
-    if not all(c.ok for c in checks):
-        return "fail"
-    if not checks or any(c.items == 0 for c in checks):
-        return "inconclusive"
-    return "pass"
 
 
 @dataclass(frozen=True)
@@ -154,18 +129,17 @@ def _exp_check_rank(p, seed):
     report = sym_mod.constant_rank_check(sym, samples=p["samples"])
     checks = [Check("constant_rank", report.is_constant, True, "==",
                     report.samples)]
-    rows = [[p["operator"], report.rank, report.is_constant]]
     return checks, {"rank": report.rank, "is_constant": report.is_constant}, {
-        "rank": {"columns": [("operator", "exact"), ("rank", "measured"),
-                             ("constant", "measured")], "rows": rows}}
+        "rank": cex._table([("operator", "exact"), ("rank", "measured"),
+                            ("constant", "measured")], [p["operator"]],
+                           [report.rank], [report.is_constant])}
 
 
 @_experiment("decompose",
              "frequency-space splitting v = b + A* w with residuals",
              "bPart^ = P(xi) v^, w^ = (A A^T)^+ i^l A v^",
              (needs("fields", ">=", 1), needs("shape", ">=", 2)), {},
-             operator="divcurl2", fields=50, shape=64, tol_recon=1e-10,
-             tol_ortho=1e-9)
+             operator="divcurl2", fields=50, shape=64)
 def _exp_decompose(p, seed):
     sym = sym_mod.make_operator(p["operator"])
     shape = (p["shape"],) * sym.n
@@ -174,8 +148,8 @@ def _exp_decompose(p, seed):
     rows = [[i, res.reconstructionError, res.constraintResidual,
              res.orthogonalityResidual, res.potentialResidual]
             for i, res in enumerate(helmholtz_splits(fields, sym))]
-    tols = {"recon": p["tol_recon"], "constraint": p["tol_recon"],
-            "ortho": p["tol_ortho"], "potential": p["tol_ortho"]}
+    tols = {"recon": TOL_RECON, "constraint": TOL_RECON,
+            "ortho": TOL_ORTHO, "potential": TOL_ORTHO}
     worst = {key: max([0.0] + [row[j] for row in rows])
              for j, key in enumerate(tols, 1)}
     checks = [Check(key, worst[key], tol, "<=", len(rows))
@@ -200,8 +174,8 @@ def _exp_pairing(p, seed):
     if seq in cex.WITNESSES:
         witness, spec = cex.WITNESSES[seq], cex.make_spec(seq)
         rep = witness.pairings(spec, indices or witness.indices)
-        checks, table = witness.gate(spec, rep, cex.EXACT_TOL)
-        return [Check(*c) for c in checks], {
+        checks, table = witness.gate(spec, rep)
+        return checks, {
             k: v for k, v in rep.items() if k != "j"}, {"pairing": table}
     phi = make_test_function(p["test"])
     rep = pairing_experiment(seq, p["integrand"], phi,
@@ -209,9 +183,8 @@ def _exp_pairing(p, seed):
     items = len(rep.values)
     checks = [Check("exponent_low", rep.exponent, -1.2, ">=", items),
               Check("exponent_high", rep.exponent, -0.8, "<=", items)]
-    rows = [[j, v] for j, v in zip(rep.indices, rep.values)]
-    return checks, {"exponent": rep.exponent}, {"pairing": {
-        "columns": [("j", "exact"), ("pairing", "measured")], "rows": rows}}
+    return checks, {"exponent": rep.exponent}, {"pairing": cex._table(
+        [("j", "exact"), ("pairing", "measured")], rep.indices, rep.values)}
 
 
 @_experiment("quasiaffine",
@@ -225,21 +198,18 @@ def _exp_pairing(p, seed):
                f"{p['operator']} on R^"
                f"{sym_mod.make_operator(p['operator']).dimV}"),
               needs("trials", ">=", 1)), {},
-             operator="divcurl2", integrand="divcurl_dot", trials=100,
-             tol=1e-8)
+             operator="divcurl2", integrand="divcurl_dot", trials=100)
 def _exp_quasiaffine(p, seed):
     sym = sym_mod.make_operator(p["operator"])
     rep = quasiaffine_mean_test(INTEGRANDS[p["integrand"]], sym,
-                                trials=p["trials"], seed=seed, tol=p["tol"])
-    checks = [Check("worst_relative_deviation",
-                    rep["worst_relative_deviation"], p["tol"], "<=",
-                    len(rep["records"]))]
-    rows = [[i, r["deviation"]] for i, r in enumerate(rep["records"])]
-    return checks, {
-        "verdict": rep["verdict"],
-        "worst": rep["worst_relative_deviation"]}, {
-        "trials": {"columns": [("trial", "exact"), ("deviation", "measured")],
-                   "rows": rows}}
+                                trials=p["trials"], seed=seed)
+    worst = rep["worst_relative_deviation"]
+    devs = [r["deviation"] for r in rep["records"]]
+    checks = [Check("worst_relative_deviation", worst, TOL_MEAN, "<=",
+                    len(devs))]
+    return checks, {"verdict": rep["verdict"], "worst": worst}, {
+        "trials": cex._table([("trial", "exact"), ("deviation", "measured")],
+                             range(len(devs)), devs)}
 
 
 _EXPECTED_TABLE1 = (("(i)", ("fail", "fail", "fail")),
@@ -275,8 +245,8 @@ def _exp_table1(p, seed):
 def _exp_counterexample(p, seed):
     spec = cex.make_spec(p["case"], **p["overrides"])
     rep = cex.run_case(spec, p["indices"])
-    checks, table = cex.WITNESSES[spec.case].gate(spec, rep, cex.EXACT_TOL)
-    return [Check(*c) for c in checks], {
+    checks, table = cex.WITNESSES[spec.case].gate(spec, rep)
+    return checks, {
         k: v for k, v in rep.items()
         if isinstance(v, (int, float, str, bool, list))}, {spec.case: table}
 
@@ -333,10 +303,9 @@ def _exp_hardy(p, seed):
     f = make_test_function(p["test"], shape=(p["shape"],) * 2)
     val = local_hardy_norm(f, p["R"], MaximalConfig())
     checks = [Check("norm_finite", math.isfinite(val), True, "==")]
-    return checks, {"hardy_norm": val}, {
-        "hardy": {"columns": [("test", "exact"), ("R", "exact"),
-                              ("norm", "measured")],
-                  "rows": [[p["test"], p["R"], val]]}}
+    return checks, {"hardy_norm": val}, {"hardy": cex._table(
+        [("test", "exact"), ("R", "exact"), ("norm", "measured")],
+        [p["test"]], [p["R"]], [val])}
 
 
 @_experiment("extension-identity",
@@ -349,8 +318,7 @@ def _exp_hardy(p, seed):
                   _counts(row) and len(row) == 2 for row in p["levels"]),
                "needs a non-empty levels list of (N, L) pairs of positive "
                "ints, got {levels!r}")), {},
-             cases=5, T=8.0, levels=((64, 16), (128, 32), (256, 64)),
-             tol=1e-3)
+             cases=5, T=8.0, levels=((64, 16), (128, 32), (256, 64)))
 def _exp_extension_identity(p, seed):
     rows, finals, unmonotone = [], [], 0
     for i in range(p["cases"]):
@@ -365,11 +333,11 @@ def _exp_extension_identity(p, seed):
         unmonotone += not all(a >= b for a, b in zip(errs, errs[1:]))
         finals.append(errs[-1])
     worst = max(finals)
-    checks = [Check("final_rel_error", worst, p["tol"], "<=", len(finals)),
+    checks = [Check("final_rel_error", worst, TOL_IDENTITY, "<=", len(finals)),
               Check("non_monotone_cases", unmonotone, 0, "<=", len(finals))]
     cols = [("case", "exact"), ("grid", "exact"), ("t_levels", "exact"),
             ("lhs", "measured"), ("rhs", "measured"), ("rel_error", "measured")]
-    return checks, {"final_ok": not unmonotone and worst <= p["tol"]}, {
+    return checks, {"final_ok": all(c.ok for c in checks)}, {
         "identity": {"columns": cols, "rows": rows}}
 
 
@@ -377,23 +345,22 @@ def _exp_extension_identity(p, seed):
              "|<F(u)-F(v),phi>| vs [phi]_alpha [u-v] ([u]+[v])^{s-1}",
              ((lambda p: 0 < p["alpha"] <= 1,
                "needs 0 < alpha <= 1, got {alpha!r}"),), {},
-             alpha=0.5, max_spread=4.0)
+             alpha=0.5)
 def _exp_thmD(p, seed):
     ens = thmD_ensemble(alpha=p["alpha"])
     cor = interpolation_ensemble(alpha=p["alpha"])
-    checks = [Check(name, e["spread"], p["max_spread"], "<=",
-                    len(e["records"]))
+    checks = [Check(name, e["spread"], MAX_SPREAD, "<=", len(e["records"]))
               for name, e in (("spread", ens), ("interpolation_spread", cor))]
-    rows = [[r["m"], r["amplitude"], r["ratio"]] for r in ens["records"]]
     cols = [("m", "exact"), ("amplitude", "exact"), ("ratio", "measured")]
     return checks, {
         "spread": ens["spread"], "interpolation_spread": cor["spread"]}, {
-        "ratios": {"columns": cols, "rows": rows}}
+        "ratios": cex._table(cols, *([r[key] for r in ens["records"]]
+                                     for key, _ in cols))}
 
 
 @_experiment("orlicz", "Young-function toolbox self-consistency checks",
              "Luxemburg, conjugate round trip, Delta_2, t^s bracket",
-             (needs("p", ">=", 1),), {}, p=2.0, tol_lux=1e-8)
+             (needs("p", ">=", 1),), {}, p=2.0)
 def _exp_orlicz(p, seed):
     rng = item_rng(seed, "orlicz", 0)
     f = GridField(rng.normal(size=(64, 64, 1)), (2 * math.pi, 2 * math.pi))
@@ -411,7 +378,7 @@ def _exp_orlicz(p, seed):
     good = hardy_bracket_check(YoungFunction.zygmund(2, 0.5), 2.0)
     bad = hardy_bracket_check(YoungFunction.zygmund(2, 2.0), 2.0)
     checks = [Check("luxemburg_vs_lebesgue", abs(lux - leb),
-                    p["tol_lux"] * max(1.0, leb)),
+                    TOL_LUX * max(1.0, leb)),
               Check("delta2_zygmund", d2a["delta2"], True, "=="),
               Check("delta2_exp", d2b["delta2"], False, "=="),
               Check("conjugate_round_trip", round_trip, 1e-5),

@@ -22,7 +22,7 @@ from .field import (GridField, TrigPoly, bump_at, jacobian, mollify,
                     standard_bump, trig_pair, trig_product)
 from .norms import (YoungFunction, local_hardy_norms, besov_block_sums,
                     besov_sup, dominates)
-from .params import checked_params, needs, real
+from .params import Check, checked_params, needs, real
 from .quasiaffine import fit_exponent
 
 __all__ = ["SequenceSpec", "Table1Row", "Witness", "make_spec",
@@ -70,9 +70,8 @@ class Witness:
     """One 2D witness family: make_spec checks overrides of `defaults` by
     `rules` and `routes`; make_sequence(spec, index) is `build`; run_case(
     spec, indices) is `run` at the indices or `indices` (None: no index);
-    gate(spec, report, tol) gives check tuples (name, measured, bound,
-    relation, items) and the CSV table, tol bounding the relative error
-    against an exact target; `pairings` reports only what the gate reads."""
+    gate(spec, report) gives its Checks and the CSV table; `pairings`
+    reports only what the gate reads."""
     anchor: str
     defaults: dict
     build: Callable
@@ -693,33 +692,34 @@ def _table(columns, *values):
     return {"columns": columns, "rows": [list(row) for row in zip(*values)]}
 
 
-def _unit_mass_gate(spec, rep, tol):
+def _unit_mass_gate(spec, rep):
     devs = [abs(v - rep["limit"]) for v in rep["pairings"]]
-    return [("deviation", max(devs), tol, "<=", len(devs))], _table(
-        [("j", "exact"), ("pairing", "measured"), ("deviation", "measured")],
-        rep["j"], rep["pairings"], devs)
+    return [Check("deviation", max(devs), EXACT_TOL, "<=", len(devs))], \
+        _table([("j", "exact"), ("pairing", "measured"),
+                ("deviation", "measured")], rep["j"], rep["pairings"], devs)
 
 
-def _converging_masses_gate(spec, rep, tol):
-    return [("M_verdict", rep["verdict"], "converges", "==", len(rep["j"]))], \
-        _table([("j", "exact"), ("pairing", "measured")], rep["j"],
-               rep["pairings"])
+def _converging_masses_gate(spec, rep):
+    j = rep["j"]
+    return [Check("M_verdict", rep["verdict"], "converges", "==", len(j))], \
+        _table([("j", "exact"), ("pairing", "measured")], j, rep["pairings"])
 
 
-def _divergent_gate(spec, rep, tol):
+def _divergent_gate(spec, rep):
     masses = rep["llogl_masses"]
-    return [("divergent", rep["divergent"], True, "==", len(masses))], _table(
-        [("level", "exact"), ("llogl_mass", "measured")], rep["levels"],
-        masses)
+    return [Check("divergent", rep["divergent"], True, "==", len(masses))], \
+        _table([("level", "exact"), ("llogl_mass", "measured")],
+               rep["levels"], masses)
 
 
-def _borderline_gate(spec, rep, tol):
-    checks, table = _divergent_gate(spec, rep, tol)
-    finite = math.isfinite(rep["constraint_mass"])
-    return checks + [("constraint_mass_finite", finite, True, "==", 1)], table
+def _borderline_gate(spec, rep):
+    checks, table = _divergent_gate(spec, rep)
+    finite = Check("constraint_mass_finite",
+                   math.isfinite(rep["constraint_mass"]), True, "==")
+    return checks + [finite], table
 
 
-def _no_gate(spec, rep, tol):
+def _no_gate(spec, rep):
     """jac_case1's run checks nothing (inconclusive): its fitted exponent,
     0.297 at k = 4, 8, 16 against n gamma = 0.25, awaits a decided rule."""
     return [], {"columns": [("key", "exact"), ("value", "measured")],
@@ -727,27 +727,27 @@ def _no_gate(spec, rep, tol):
                          if isinstance(v, (int, float, str))]}
 
 
-def _case2_gate(spec, rep, tol):
-    ks, vals = rep["k"], rep["pairings"]
+def _case2_gate(spec, rep):
+    ks, cols = rep["k"], [("k", "exact"), ("pairing", "measured")]
     if spec.params["mode"] == "torus":
-        return [("max_rel_err", rep["max_rel_err"], tol, "<=", len(ks))], \
-            _table([("k", "exact"), ("pairing", "measured"),
-                    ("closed_form", "reference")], ks, vals,
-                   rep["closed_form"])
+        table = _table(cols + [("closed_form", "reference")], ks,
+                       rep["pairings"], rep["closed_form"])
+        return [Check("max_rel_err", rep["max_rel_err"], EXACT_TOL, "<=",
+                      len(ks))], table
     expected = rep["expected_exponent"]
     error = abs(rep["fitted_exponent"] - expected)
-    return [("exponent_error", error, 0.15 * abs(expected), "<=", len(ks))], \
-        _table([("k", "exact"), ("pairing", "measured")], ks, vals)
+    return [Check("exponent_error", error, 0.15 * abs(expected), "<=",
+                  len(ks))], _table(cols, ks, rep["pairings"])
 
 
-def _case3_gate(spec, rep, tol):
-    pi_n, ratios = math.pi ** 2, rep["log_ratios"]
-    return [("max_rel_err", rep["max_rel_err"], tol, "<=", len(rep["k"])),
-            ("log_ratio_low", min(ratios), 0.5 * pi_n, ">=", len(ratios)),
-            ("log_ratio_high", max(ratios), 2.0 * pi_n, "<=", len(ratios))], \
+def _case3_gate(spec, rep):
+    pi_n, ratios, ks = math.pi ** 2, rep["log_ratios"], rep["k"]
+    return [Check("max_rel_err", rep["max_rel_err"], EXACT_TOL, "<=", len(ks)),
+            Check("log_ratio_low", min(ratios), 0.5 * pi_n, ">=", len(ratios)),
+            Check("log_ratio_high", max(ratios), 2.0 * pi_n, "<=",
+                  len(ratios))], \
         _table([("k", "exact"), ("pairing", "measured"),
-                ("exact", "reference")], rep["k"], rep["pairings"],
-               rep["exact"])
+                ("exact", "reference")], ks, rep["pairings"], rep["exact"])
 
 
 WITNESSES = {

@@ -1,14 +1,49 @@
-"""The one check of the params of experiments and witness families."""
+"""The one check of experiment and witness params, and the one gate record."""
 
 import operator
+from dataclasses import dataclass
 
-__all__ = ["ConfigError", "RELATIONS", "checked_params", "needs", "real"]
+__all__ = ["Check", "ConfigError", "RELATIONS", "checked_params", "needs",
+           "real", "verdict_of"]
 
 # JSON gives lists for tuples, and an int is a valid float
 _LOOSE = {tuple: (tuple, list), list: (tuple, list), float: (int, float)}
-# `measured relation bound` of a gate (cli.Check) or a rule (needs)
+# `measured relation bound` of a gate (Check) or a rule (needs)
 RELATIONS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq,
              ">": operator.gt, "in": lambda v, c: v in c}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate: `measured relation bound`, over `items` rows, fields, trials
+    or cases (1 for a single value; 0 when there was nothing to check)."""
+    name: str
+    measured: object
+    bound: object
+    relation: str = "<="
+    items: int = 1
+
+    @property
+    def ok(self):
+        return bool(RELATIONS[self.relation](self.measured, self.bound))
+
+    @property
+    def margin(self):
+        if self.relation == "<=":
+            return self.bound - self.measured
+        if self.relation == ">=":
+            return self.measured - self.bound
+        return None
+
+
+def verdict_of(checks):
+    """fail if any check fails; else inconclusive if nothing was checked (no
+    checks, or a check over zero items); else pass."""
+    if not all(c.ok for c in checks):
+        return "fail"
+    if not checks or any(c.items == 0 for c in checks):
+        return "inconclusive"
+    return "pass"
 
 
 class ConfigError(ValueError):

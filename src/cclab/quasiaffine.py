@@ -31,8 +31,8 @@ __all__ = [
     "FAMILIES",
     "make_test_function",
     "fit_exponent",
+    "TOL_MEAN",
 ]
-
 
 # ---------------------------------------------------------------------------
 # integrands
@@ -99,6 +99,8 @@ def evaluate_F(F, v):
 # frequency drawn from [-BANDLIMIT, BANDLIMIT]^n
 BANDLIMIT = 3
 MODES = 4
+# the worst relative deviation from the mean identity that the test accepts
+TOL_MEAN = 1e-8
 
 
 def _random_afree_trig(sym, rng, v0, projections):
@@ -133,7 +135,7 @@ def _random_afree_trig(sym, rng, v0, projections):
     return TrigPoly(n=sym.n, dimV=sym.dimV, terms=terms)
 
 
-def quasiaffine_mean_test(F, sym, trials=100, seed=0, tol=1e-8):
+def quasiaffine_mean_test(F, sym, trials=100, seed=0):
     """Exact mean-identity check over random A-free perturbations.
 
     Each trial draws v0, then a perturbation of MODES conjugate pairs (see
@@ -172,7 +174,8 @@ def quasiaffine_mean_test(F, sym, trials=100, seed=0, tol=1e-8):
         dev = abs(mean_F - F0)
         worst = max(worst, dev / scale)
         records.append({"deviation": dev, "scale": scale, "pert_mass": mass})
-    return {"verdict": "quasiaffine-consistent" if worst <= tol else "rejected",
+    return {"verdict": ("quasiaffine-consistent" if worst <= TOL_MEAN
+                        else "rejected"),
             "worst_relative_deviation": worst, "records": records}
 
 

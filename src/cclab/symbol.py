@@ -274,17 +274,16 @@ def _curl_matrix(n):
                           name=f"curl_matrix_n(n={n})")
 
 
-NAMED_OPERATORS = {
-    "div2": lambda n=2: _div(int(n)),
-    "curl2": lambda n=2: _curl2(),
-    "divcurl2": lambda n=2: _divcurl2(),
-    "grad": lambda n=2: _grad(int(n)),
-    "curl_matrix_n": lambda n=2: _curl_matrix(int(n)),
-}
+# the named operators; those in _ON_RN take the dimension n of R^n
+NAMED_OPERATORS = {"div2": _div, "curl2": _curl2, "divcurl2": _divcurl2,
+                   "grad": _grad, "curl_matrix_n": _curl_matrix}
+_ON_RN = ("div2", "grad", "curl_matrix_n")
 
 
 def make_operator(spec):
-    """Build a named operator from a string like "divcurl2" or "grad:n=3"."""
+    """Build a named operator from a string like "divcurl2" or "grad:n=3":
+    one in _ON_RN takes one param, an int n (2 if not given), and the others
+    take none.  A bad string is a ValueError that names it."""
     if isinstance(spec, OperatorSymbol):
         return spec
     name, _, rest = spec.partition(":")
@@ -292,12 +291,17 @@ def make_operator(spec):
     if name not in NAMED_OPERATORS:
         close = sorted(NAMED_OPERATORS, key=lambda k: _name_distance(name, k))[0]
         raise KeyError(f"unknown operator {name!r}; did you mean {close!r}?")
-    kwargs = {}
-    if rest:
-        for part in rest.split(","):
-            k, _, v = part.partition("=")
-            kwargs[k.strip()] = float(v) if "." in v else int(v)
-    return NAMED_OPERATORS[name](**kwargs)
+    if name not in _ON_RN:
+        if rest.strip():
+            raise ValueError(f"operator {spec!r}: {name} takes no params")
+        return NAMED_OPERATORS[name]()
+    key, _, n = rest.partition("=") if rest.strip() else ("n", "=", "2")
+    if key.strip() != "n" or not n.strip().lstrip("-").isdecimal():
+        raise ValueError(f"operator {spec!r}: {name} takes only n=<int>")
+    try:
+        return NAMED_OPERATORS[name](int(n))
+    except ValueError as e:  # a size below 1 (n < 1, or curl_matrix_n at 1)
+        raise ValueError(f"operator {spec!r}: {e}") from None
 
 
 def _name_distance(a, b):

@@ -343,7 +343,8 @@ def test_main_gated_witness_passes_with_rows(tmp_path, capsys, argv):
 # [0, T], would check nothing, so it is refused before it writes a table;
 # so is an index that is not an int and a level that is not an (N, L) pair
 # of positive ints, an orlicz p < 1, an unregistered integrand and thmD's
-# retired s, which used to end in a message that did not name them
+# retired s, which used to end in a message that did not name them; a gate
+# bound is no param, so a config cannot loosen a gate until a run passes
 EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
               ("pairing", "indices"): ("pairing.csv",
                                        "non-empty indices list of ints"),
@@ -360,7 +361,22 @@ EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
               ("quasiaffine", "integrand"): ("trials.csv",
                                              "needs integrand in"),
               ("pairing", "integrand"): ("pairing.csv", "needs integrand in"),
-              ("thmD", "s"): ("ratios.csv", "unknown params for thmD: ['s']")}
+              ("thmD", "s"): ("ratios.csv", "unknown params for thmD: ['s']"),
+              ("decompose", "tol_recon"): (
+                  "residuals.csv",
+                  "unknown params for decompose: ['tol_recon']"),
+              ("decompose", "tol_ortho"): (
+                  "residuals.csv",
+                  "unknown params for decompose: ['tol_ortho']"),
+              ("quasiaffine", "tol"): (
+                  "trials.csv", "unknown params for quasiaffine: ['tol']"),
+              ("orlicz", "tol_lux"): (
+                  "orlicz.csv", "unknown params for orlicz: ['tol_lux']"),
+              ("thmD", "max_spread"): (
+                  "ratios.csv", "unknown params for thmD: ['max_spread']"),
+              ("extension-identity", "tol"): (
+                  "identity.csv",
+                  "unknown params for extension-identity: ['tol']")}
 
 
 @pytest.mark.parametrize("argv", [
@@ -382,7 +398,14 @@ EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
     ["orlicz", "--param", "p=-1"],
     ["quasiaffine", "--param", "integrand=foo"],
     ["pairing", "--param", "integrand=foo", "--seq", "oscillation_pure"],
-    ["thmD", "--param", "s=0"]], ids=" ".join)
+    ["thmD", "--param", "s=0"],
+    ["decompose", "--param", "tol_recon=1e300", "--param", "fields=2",
+     "--param", "shape=16"],
+    ["decompose", "--param", "tol_ortho=1e300"],
+    ["quasiaffine", "--param", "tol=1e300"],
+    ["orlicz", "--param", "tol_lux=1e300"],
+    ["thmD", "--param", "max_spread=1e300"],
+    ["extension-identity", "--param", "tol=1.0"]], ids=" ".join)
 def test_main_empty_run_is_a_config_error(tmp_path, capsys, argv):
     table, needs = EMPTY_RUNS[argv[0], argv[2].partition("=")[0]]
     assert main(argv + ["--out", str(tmp_path)]) == 1
@@ -452,9 +475,9 @@ def test_main_bad_params_end_in_error_object(name, data, tmp_path_factory):
 # -- report.json holds JSON values, not strings of NumPy scalars -------------
 
 def test_report_json_reads_final_ok_back_as_a_boolean(tmp_path, capsys):
+    # rel_error 1.26e-2 -> 6.95e-4 on this ladder: under the 1e-3 gate
     argv = ["extension-identity", "--param", "cases=1",
-            "--param", "levels=[[16, 4], [32, 8]]", "--param", "tol=1.0",
-            "--out", str(tmp_path)]
+            "--param", "levels=[[16, 8], [32, 16]]", "--out", str(tmp_path)]
     assert main(argv) == 0
     printed = json.loads(capsys.readouterr().out)["results"]["final_ok"]
     written = json.loads((tmp_path / "report.json").read_text())
@@ -670,18 +693,34 @@ def test_witness_runs_keep_their_bytes(tmp_path, run_id):
     (["pairing", "--seq", "ex61", "--param", "integrand=det2"],
      "pairing seq 'ex61' never reads ['integrand']"),
     (["pairing", "--seq", "ex62", "--param", "tol=-1"],
-     "unknown params for pairing: ['tol']")],
+     "unknown params for pairing: ['tol']"),
+    (["decompose", "--param", "operator=curl2:n=3"],
+     "operator 'curl2:n=3': curl2 takes no params"),
+    (["decompose", "--param", "operator=divcurl2:n=3"],
+     "operator 'divcurl2:n=3': divcurl2 takes no params"),
+    (["quasiaffine", "--param", "operator=divcurl2:n=3"],
+     "operator 'divcurl2:n=3': divcurl2 takes no params"),
+    (["decompose", "--param", "operator=grad:n=2.5"],
+     "operator 'grad:n=2.5': grad takes only n=<int>"),
+    (["decompose", "--param", "operator=grad:m=3"],
+     "operator 'grad:m=3': grad takes only n=<int>"),
+    (["decompose", "--param", "operator=grad:n=abc"],
+     "operator 'grad:n=abc': grad takes only n=<int>"),
+    (["check-rank", "--param", "operator=grad:n=0"],
+     "operator 'grad:n=0': n, l, dimV, dimW must be positive")],
     ids=["jac_case2-bogus-mode", "jac_case3-mode", "unknown-override",
          "unknown-case", "ex61-e-one-entry", "ex61-e-three-entries",
          "ex61-e-strings", "ex61-shape-0", "ex62-shape-0",
          "jac_case3-index-1", "ex63-n", "jac_case2-p", "appendixOrlicz-s",
          "jac_case3-term_cap", "ex61-integrand-foo", "ex61-integrand",
-         "ex62-tol"])
+         "ex62-tol", "curl2-n", "divcurl2-n", "quasiaffine-divcurl2-n",
+         "grad-n-float", "grad-m", "grad-n-str", "grad-n-0"])
 def test_main_bad_witness_config_names_its_fault(tmp_path, capsys, argv,
                                                   message):
     """A mode that no route runs, a parameter that no code reads, an
-    unknown case, and a direction e or a grid that the family cannot take
-    end in the JSON error with a plain (unquoted) message."""
+    unknown case, a direction e or a grid that the family cannot take, and
+    an operator string with a param that its operator does not take end in
+    the JSON error with a plain (unquoted) message."""
     assert _error_message(argv, tmp_path, capsys) == message
 
 

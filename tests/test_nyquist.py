@@ -20,13 +20,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cclab import symbol as sym_mod
+from cclab.cli import TOL_ORTHO, TOL_RECON
 from cclab.decompose import _frequency_solve, helmholtz
 from cclab.extension import _slab_factors
 from cclab.field import GridField, Spectrum
 
-# the decompose experiment's gates (tol_recon, tol_ortho)
-GATES = {"reconstructionError": 1e-10, "constraintResidual": 1e-10,
-         "orthogonalityResidual": 1e-9, "potentialResidual": 1e-9}
+# the decompose experiment's gates
+GATES = {"reconstructionError": TOL_RECON, "constraintResidual": TOL_RECON,
+         "orthogonalityResidual": TOL_ORTHO, "potentialResidual": TOL_ORTHO}
 
 OPERATORS = ["divcurl2", "div2", "curl2", "grad", "curl_matrix_n",
              "grad:n=1", "grad:n=3", "div2:n=3", "curl_matrix_n:n=3"]

@@ -142,6 +142,38 @@ def test_routes_cover_every_experiment_sequence_and_case():
             if experiment == "counterexample"} == set(listing["cases"])
 
 
+# every param that a config can set, as (owner, key): an experiment's own
+# and a witness family's overrides.  A new knob shows up here as a reviewed
+# diff; a gate bound is a constant, never a param.
+CENSUS = sorted(
+    [("check-rank", key) for key in ("operator", "samples")]
+    + [("decompose", key) for key in ("fields", "operator", "shape")]
+    + [("pairing", key) for key in ("indices", "integrand", "seq", "test")]
+    + [("quasiaffine", key) for key in ("integrand", "operator", "trials")]
+    + [("counterexample", key) for key in ("case", "indices", "overrides")]
+    + [("truncate", key) for key in ("cases", "k", "lambdas", "n", "shape")]
+    + [("hardy", key) for key in ("R", "shape", "test")]
+    + [("extension-identity", key) for key in ("T", "cases", "levels")]
+    + [("thmD", "alpha"), ("orlicz", "p")]
+    + [("ex61", key) for key in ("e", "period", "shape")]
+    + [("ex62", key) for key in ("period", "shape")]
+    + [("ex63", key) for key in ("beta", "gamma", "r")]
+    + [("jac_case1", key) for key in ("alpha", "beta", "gamma", "p", "shape")]
+    + [("jac_case2", key)
+       for key in ("alpha", "beta", "beta1", "mode", "shape")]
+    + [("jac_case3", "alpha"), ("appendixOrlicz", "c")])
+
+
+def test_param_census():
+    """The settable params are exactly the census: 28 of experiments and 20
+    of witness families."""
+    found = sorted([(name, key) for name, entry in cli.REGISTRY.items()
+                    for key in entry["defaults"]]
+                   + [(case, key) for case, witness in cex.WITNESSES.items()
+                      for key in witness.defaults])
+    assert len(CENSUS) == 48 and found == CENSUS
+
+
 @pytest.mark.parametrize("route, owner, key, default", ACCEPTED,
                          ids=[f"{r}:{k}" for r, _, k, _ in ACCEPTED])
 def test_route_reads_every_param_it_accepts(tmp_path, route, owner, key,
