@@ -104,6 +104,20 @@ _INDICES = (lambda p: p["indices"] is None or _counts(p["indices"]),
             "needs a non-empty indices list of ints >= 1, got {indices!r}")
 
 
+def _builds_operator(p):
+    """Whether make_operator builds p's operator string.  p["sym"] keeps the
+    operator for the rules after this one, or else the refusal's message."""
+    try:
+        p["sym"] = sym_mod.make_operator(p["operator"])
+    except (KeyError, ValueError) as e:
+        p["sym"] = e.args[0]
+        return False
+    return True
+
+
+_OPERATOR = (_builds_operator, "{sym}")
+
+
 REGISTRY = {}
 _SEQUENCES = sorted(name for name, w in cex.WITNESSES.items()
                     if w.pairings) + sorted(FAMILIES)
@@ -122,7 +136,7 @@ def _experiment(name, summary, anchor, rules, routes, **defaults):
 
 @_experiment("check-rank", "certify constant rank of a named operator symbol",
              "rank A(xi) constant on the unit sphere",
-             (needs("samples", ">=", 1),), {},
+             (_OPERATOR, needs("samples", ">=", 1)), {},
              operator="divcurl2", samples=400)
 def _exp_check_rank(p, seed):
     sym = sym_mod.make_operator(p["operator"])
@@ -138,7 +152,8 @@ def _exp_check_rank(p, seed):
 @_experiment("decompose",
              "frequency-space splitting v = b + A* w with residuals",
              "bPart^ = P(xi) v^, w^ = (A A^T)^+ i^l A v^",
-             (needs("fields", ">=", 1), needs("shape", ">=", 2)), {},
+             (_OPERATOR, needs("fields", ">=", 1), needs("shape", ">=", 2)),
+             {},
              operator="divcurl2", fields=50, shape=64)
 def _exp_decompose(p, seed):
     sym = sym_mod.make_operator(p["operator"])
@@ -190,13 +205,11 @@ def _exp_pairing(p, seed):
 @_experiment("quasiaffine",
              "exact mean identity over random constraint-free fields",
              "mean of F(v0 + pert) equals F(v0)",
-             (needs("integrand", "in", sorted(INTEGRANDS)),
-              (lambda p: INTEGRANDS[p["integrand"]].dimV
-               == sym_mod.make_operator(p["operator"]).dimV,
+             (needs("integrand", "in", sorted(INTEGRANDS)), _OPERATOR,
+              (lambda p: INTEGRANDS[p["integrand"]].dimV == p["sym"].dimV,
                lambda p: f"integrand {p['integrand']} acts on R^"
                f"{INTEGRANDS[p['integrand']].dimV} but operator "
-               f"{p['operator']} on R^"
-               f"{sym_mod.make_operator(p['operator']).dimV}"),
+               f"{p['operator']} on R^{p['sym'].dimV}"),
               needs("trials", ">=", 1)), {},
              operator="divcurl2", integrand="divcurl_dot", trials=100)
 def _exp_quasiaffine(p, seed):

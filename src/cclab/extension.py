@@ -204,6 +204,19 @@ def thmD_ensemble(alpha=0.5, m_list=(4, 8, 16, 32, 64),
     return _spread(records)
 
 
+def _strip_gradient(v, grid):
+    """The gradient of a field on the 2-D grid that varies along one axis
+    only, given as its column (N, 1) or its row (1, N).  It is taken on the
+    strip that cuts the constant axis to 2 points and broadcast back to the
+    grid as read-only views.  The constant axis's partial is exactly 0.  On
+    a grid whose sides are powers of 2 the other partial has the whole
+    grid's bits up to a zero's sign: a constant lane's transform and the
+    inverse's 1/N are then exact scalings."""
+    strip = tuple(max(k, 2) for k in v.shape)
+    return [np.broadcast_to(d[:v.shape[0], :v.shape[1]], grid)
+            for d in gradient(GridField(np.broadcast_to(v, strip)[..., None]))]
+
+
 def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
                    amplitudes=(0.5, 1.0, 2.0), shape=256, beta1=0.75):
     """Jacobian variant: |int det(Du) phi| / ([phi]_alpha ||u||_q^alpha
@@ -213,10 +226,12 @@ def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
     Built once per frequency m: phi, its grid values and [phi]_alpha, and
     sin(m x) and cos(m y) as a column and a row.  Each amplitude scales them
     and takes its own gradient transforms (the transform of amp * sin is not
-    bit for bit amp times that of sin).  A record allocates on the grid
-    gradient's two complex arrays per component (the partials view them),
-    det Du (then scratch for the squares), |Du|, |u|^2, |u| and a power per
-    norm.  |Du|^2 adds squares left to right, as np.sum does below 8 terms."""
+    bit for bit amp times that of sin), each component on its strip
+    (_strip_gradient).  A record allocates the strips' arrays, with the
+    partials broadcast to the grid as views, and on the grid det Du (then
+    scratch for the squares), u1y * u2x, |Du|, |u|^2, |u| and a power per
+    norm.  |Du|^2 adds squares left to right, as np.sum does below 8 terms;
+    u1y and u2x are exact zeros, so the order moves no bit."""
     n = 2
     if abs(alpha / q + (n - alpha) / p - 1.0) > 1e-12:
         raise ValueError("exponents must satisfy alpha/q + (n-alpha)/p = 1")
@@ -232,9 +247,8 @@ def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
         for a in amplitudes:
             amp = a * float(m) ** -beta1
             u1, u2 = amp * s, -amp * c
-            (u1x, u1y), (u2x, u2y) = (
-                gradient(GridField(np.broadcast_to(v, grid)[..., None]))
-                for v in (u1, u2))
+            (u1x, u1y), (u2x, u2y) = (_strip_gradient(v, grid)
+                                      for v in (u1, u2))
             det = u1x * u2y
             det -= u1y * u2x
             det *= phiv

@@ -695,19 +695,19 @@ def test_witness_runs_keep_their_bytes(tmp_path, run_id):
     (["pairing", "--seq", "ex62", "--param", "tol=-1"],
      "unknown params for pairing: ['tol']"),
     (["decompose", "--param", "operator=curl2:n=3"],
-     "operator 'curl2:n=3': curl2 takes no params"),
+     "decompose operator 'curl2:n=3': curl2 takes no params"),
     (["decompose", "--param", "operator=divcurl2:n=3"],
-     "operator 'divcurl2:n=3': divcurl2 takes no params"),
+     "decompose operator 'divcurl2:n=3': divcurl2 takes no params"),
     (["quasiaffine", "--param", "operator=divcurl2:n=3"],
-     "operator 'divcurl2:n=3': divcurl2 takes no params"),
+     "quasiaffine operator 'divcurl2:n=3': divcurl2 takes no params"),
     (["decompose", "--param", "operator=grad:n=2.5"],
-     "operator 'grad:n=2.5': grad takes only n=<int>"),
+     "decompose operator 'grad:n=2.5': grad takes only n=<int>"),
     (["decompose", "--param", "operator=grad:m=3"],
-     "operator 'grad:m=3': grad takes only n=<int>"),
+     "decompose operator 'grad:m=3': grad takes only n=<int>"),
     (["decompose", "--param", "operator=grad:n=abc"],
-     "operator 'grad:n=abc': grad takes only n=<int>"),
+     "decompose operator 'grad:n=abc': grad takes only n=<int>"),
     (["check-rank", "--param", "operator=grad:n=0"],
-     "operator 'grad:n=0': n, l, dimV, dimW must be positive")],
+     "check-rank operator 'grad:n=0': n, l, dimV, dimW must be positive")],
     ids=["jac_case2-bogus-mode", "jac_case3-mode", "unknown-override",
          "unknown-case", "ex61-e-one-entry", "ex61-e-three-entries",
          "ex61-e-strings", "ex61-shape-0", "ex62-shape-0",
@@ -722,6 +722,40 @@ def test_main_bad_witness_config_names_its_fault(tmp_path, capsys, argv,
     an operator string with a param that its operator does not take end in
     the JSON error with a plain (unquoted) message."""
     assert _error_message(argv, tmp_path, capsys) == message
+
+
+@pytest.mark.parametrize("experiment", ["decompose", "check-rank",
+                                        "quasiaffine"])
+def test_bad_operator_string_is_a_config_error(tmp_path, capsys, experiment):
+    """The params check builds the operator, so a string that
+    make_operator refuses (a ValueError, or a KeyError for an unknown name)
+    is a ConfigError naming operator before the run starts."""
+    message = f"{experiment} operator 'curl2:n=3': curl2 takes no params"
+    with pytest.raises(ConfigError) as exc:
+        cli.run(ExperimentConfig(experiment, out=str(tmp_path / "run"),
+                                 params={"operator": "curl2:n=3"}))
+    assert str(exc.value) == message and not (tmp_path / "run").exists()
+    with pytest.raises(ConfigError, match="unknown operator 'curl3'"):
+        cli.run(ExperimentConfig(experiment, out=str(tmp_path / "run"),
+                                 params={"operator": "curl3"}))
+    assert _error_message([experiment, "--param", "operator=curl2:n=3"],
+                          tmp_path, capsys) == message
+
+
+def test_quasiaffine_rules_build_the_operator_once(tmp_path, monkeypatch):
+    """The dimV rule and its message read the operator rule's build."""
+    calls = []
+    make = cli.sym_mod.make_operator
+
+    def counted(spec):
+        calls.append(spec)
+        return make(spec)
+
+    monkeypatch.setattr(cli.sym_mod, "make_operator", counted)
+    with pytest.raises(ConfigError, match="but operator div2 on R"):
+        cli.run(ExperimentConfig("quasiaffine", out=str(tmp_path),
+                                 params={"operator": "div2"}))
+    assert calls == ["div2"]
 
 
 @pytest.mark.parametrize("case, overrides, message", [

@@ -34,7 +34,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cclab import counterexamples as cex
-from cclab import decompose
+from cclab import decompose, extension
+from cclab import field as field_mod
 from cclab.decompose import helmholtz
 from cclab.extension import (interpolation_ensemble, pairing_identity,
                              poisson_slab, slab_derivatives)
@@ -697,9 +698,10 @@ def test_interpolation_ensemble_default_grid_bits():
 
 
 def test_interpolation_ensemble_default_peak_memory():
-    """The default ensemble's traced peak stays at or below 12.53 MB, the
-    peak of the loop that stacked u and Du (13.3 MB where this bound was
-    set); the loop without the stacks peaks near 10.8 MB."""
+    """The default ensemble's traced peak stays at or below 7.5 MB.  With
+    each gradient on its strip it peaks at 6.35 MB where this bound was
+    set; the whole-grid gradients peaked at 8.43 MB (the bound was 12.53
+    MB, set for the loop that stacked u and Du)."""
     interpolation_ensemble()  # first-call caches are not the loop's
     tracemalloc.start()
     try:
@@ -707,7 +709,88 @@ def test_interpolation_ensemble_default_peak_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12.53e6
+    assert peak <= 7.5e6
+
+
+# The strip gradient of a one-axis oscillation against the gradient on the
+# whole grid that the ensemble took before.  STRIP_ROUND_OFF is relative to
+# max|old|, for sides that are not powers of 2: 10x the worst change
+# measured on these oscillations (1.26e-14, m = 1 on 100^2).
+STRIP_ROUND_OFF = 1.3e-13
+
+
+def _whole_grid_gradient(v, grid):
+    return gradient(GridField(np.broadcast_to(v, grid)[..., None]))
+
+
+def _oscillations(N):
+    """(m, varying axis, values) of u1 = a sin(m x) as a column and
+    u2 = -a cos(m y) as a row of the N x N grid."""
+    x = np.arange(N) * (2 * math.pi / N)
+    for m in (1, 3, 4, 8, 64):
+        for a in (0.3, 0.5, 2.0):
+            yield m, 0, a * np.sin(m * x)[:, None]
+            yield m, 1, -a * np.cos(m * x)[None, :]
+
+
+@pytest.mark.parametrize("N", [32, 64, 256, 33, 48, 100])
+def test_strip_gradient_bits(N):
+    """On sides that are powers of 2 the varying axis's partial keeps the
+    whole grid's bits, a zero's sign included, for every frequency below
+    N/2; an aliased one (m = 64 on 32^2 and 64^2) keeps every value, but
+    the whole grid's zeros there can carry either sign.  On other sides
+    it moves by round-off.  The cross partial is +0.0 everywhere on every
+    grid; the whole grid leaves some -0.0 there, and round-off on 33^2 and
+    100^2, which is why no test can pin the order of the |Du|^2 sum."""
+    pow2 = N & (N - 1) == 0
+    for m, axis, v in _oscillations(N):
+        old = _whole_grid_gradient(v, (N, N))
+        new = extension._strip_gradient(v, (N, N))
+        assert all(d.shape == (N, N) and not d.flags.writeable for d in new)
+        assert not np.any(new[1 - axis].view(np.int64))
+        if not pow2:
+            assert _close(old[axis], new[axis], STRIP_ROUND_OFF)
+            continue
+        assert not np.any(old[1 - axis])
+        if m < N // 2:
+            assert np.array_equal(old[axis].view(np.int64),
+                                  new[axis].view(np.int64))
+        else:
+            assert np.array_equal(old[axis], new[axis])
+
+
+@pytest.mark.parametrize("shape", [32, 64, 128, 33, 48, 100])
+def test_interpolation_ensemble_strip_keeps_whole_grid_ratios(shape,
+                                                              monkeypatch):
+    """The ensemble's ratios with each gradient on its strip, against the
+    same loop with the whole-grid gradient: bit for bit on sides that are
+    powers of 2, within RATIO_ROUND_OFF on others."""
+    kw = dict(alpha=0.25, m_list=(1, 3, 4, 8), amplitudes=(0.3, 0.5, 2.0),
+              shape=shape)
+    new = interpolation_ensemble(**kw)
+    monkeypatch.setattr(extension, "_strip_gradient", _whole_grid_gradient)
+    old = interpolation_ensemble(**kw)
+    if shape & (shape - 1) == 0:
+        assert _same(old, new)
+    else:
+        assert _ensemble_close(old, new)
+
+
+def test_interpolation_ensemble_transforms_strips(monkeypatch):
+    """The default ensemble transforms 30 strips of 2 x 256 points, one per
+    component and amplitude, where the whole grid took 30 x 65,536.  The
+    points are counted, not timed, so a return to the whole grid fails on
+    any host."""
+    points = []
+    fft_ = field_mod.fft
+
+    def counted(f):
+        points.append(math.prod(f.shape))
+        return fft_(f)
+
+    monkeypatch.setattr(field_mod, "fft", counted)
+    interpolation_ensemble()
+    assert points == [512] * 30
 
 
 @pytest.mark.parametrize("shape", [(16, 12), (9, 7), (6, 5, 4), (8, 8, 8)])
