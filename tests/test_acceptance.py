@@ -6,6 +6,8 @@ where the claim is asymptotic, and measured-constant ceilings for the
 truncation machinery.
 """
 
+import hashlib
+import json
 import math
 import time
 
@@ -13,9 +15,9 @@ import numpy as np
 import pytest
 
 from cclab import counterexamples as cex
-from cclab.cli import item_rng
+from cclab.cli import REGISTRY, ExperimentConfig, item_rng, run
 from cclab.decompose import helmholtz
-from cclab.extension import (pairing_identity, thmD_ensemble, interpolation_ensemble)
+from cclab.extension import pairing_identity
 from cclab.field import GridField, random_bandlimited
 from cclab.norms import (YoungFunction, delta2_check, hardy_bracket_check,
                          lebesgue_norm, luxemburg_norm, young_conjugate)
@@ -175,11 +177,11 @@ def test_10_bulk_identity_refinement():
         assert time.monotonic() - t0 < 120.0
 
 
-def test_11_ratio_stability():
-    ens = thmD_ensemble(m_list=(4, 8, 16, 32, 64))
-    assert ens["spread"] <= 4.0
-    cor = interpolation_ensemble(m_list=(4, 8, 16, 32, 64))
-    assert cor["spread"] <= 4.0
+def test_11_ratio_stability(seed0):
+    """Both thmD ensembles at their defaults, as the seed-0 run made them."""
+    results = json.loads((seed0 / "thmD" / "report.json").read_text())["results"]
+    assert results["spread"] <= 4.0
+    assert results["interpolation_spread"] <= 4.0
 
 
 def test_12_young_function_toolbox():
@@ -199,3 +201,106 @@ def test_12_young_function_toolbox():
         assert not delta2_check(YoungFunction.exp_minus_one())["delta2"]
     assert hardy_bracket_check(YoungFunction.zygmund(2, 0.5), 2.0)["ok"]
     assert not hardy_bracket_check(YoungFunction.zygmund(2, 2.0), 2.0)["ok"]
+
+
+# The byte rule: every seed-0 output of the runner at its defaults (all
+# experiments, plus jac_case3, which the default counterexample run does
+# not reach) keeps its bytes.  A change that moves a CSV on purpose re-pins
+# it and names the moved columns.
+SEED0_RUNS = {**{name: (name, {}) for name in REGISTRY},
+              "jac_case3": ("counterexample", {"case": "jac_case3"})}
+
+SEED0_CSV_SHA256 = {
+    "check-rank/rank.csv":
+        "8a5110edacb85cd30c84127f3b1bf2d45643567f4ca407d01b3f3c571614d5d6",
+    "counterexample/ex63.csv":
+        "900c6cec23b9dc0895d65391e885b3d82a7eca0283bab994d5b14808663faf6c",
+    "decompose/residuals.csv":
+        "b80a8f758c07d53a497ffe6d8d6be573436aee9a064534d0d0aadcad3a32d235",
+    "extension-identity/identity.csv":
+        "0ff8e42835ef6aea1a9f259a9baa541c7926101dee949e12d03d918e5f8b1a45",
+    "hardy/hardy.csv":
+        "3d02daea200a9069248b54705da0b0d45bcccbc28342bde195cb8900e58343c1",
+    "jac_case3/jac_case3.csv":
+        "1e6d6e9566806eae1ea2f4a7eb7f06b293ef1e33d705fd1c0a78177f07e12434",
+    "orlicz/orlicz.csv":
+        "b8d2da980b0d2077ac4bff0bde71c496babdd4a6afc0292e90e72d6452d0fcf6",
+    "pairing/pairing.csv":
+        "e0fca827791d74bed3fd31a30ed948f29441d98e2265977a88da34bcfcaa329d",
+    "quasiaffine/trials.csv":
+        "13c5f9786045ccb351d65fe821a139784b32bfa684d0e2105aed8a5640885aaa",
+    "table1/table1.csv":
+        "8cfe2a5d93ff2b8a1bea2bf825b0102d3c9b773e045e0e99072642e308eb24e7",
+    "thmD/ratios.csv":
+        "29efeef450e2b0ef00444a8c3a081c20aa60959cacbc2e908af750b2f4aaf1c5",
+    "truncate/truncate.csv":
+        "b8cbc57dc415adbc340eca1e77a686478531e03ee6d6c860b73b224651311e37",
+}
+
+_TABLE1 = [["(i)", ["fail", "fail", "fail"]], ["(ii)", ["pass", "fail", "fail"]],
+           ["(iii)", ["pass", "fail", "pass"]], ["(iv)", ["pass", "pass", "fail"]]]
+
+# (name, measured, bound, ok) of each report.json check; a float measured
+# value as float.hex
+SEED0_CHECKS = {
+    "check-rank": [("constant_rank", True, True, True)],
+    "counterexample": [("divergent", True, True, True),
+                       ("constraint_mass_finite", True, True, True)],
+    "decompose": [("recon", "0x1.62c791d045384p-52", 1e-10, True),
+                  ("constraint", "0x1.e7c31516a5ad0p-54", 1e-10, True),
+                  ("ortho", "0x1.46190f43dd4abp-55", 1e-9, True),
+                  ("potential", "0x1.06029c1e27c53p-48", 1e-9, True)],
+    "extension-identity": [
+        ("final_rel_error", "0x1.2f077c47aab14p-46", 1e-3, True),
+        ("non_monotone_cases", 0, 0, True)],
+    "hardy": [("norm_finite", True, True, True)],
+    "jac_case3": [("max_rel_err", "0x1.b996357dd17ebp-51", 1e-12, True),
+                  ("log_ratio_low", "0x1.15c905e124608p+3",
+                   0.5 * math.pi ** 2, True),
+                  ("log_ratio_high", "0x1.1d7b2111ad2a8p+3",
+                   2.0 * math.pi ** 2, True)],
+    "orlicz": [("luxemburg_vs_lebesgue", "0x1.d49eac0000000p-28",
+                6.395789638410557e-08, True),
+               ("delta2_zygmund", True, True, True),
+               ("delta2_exp", False, False, True),
+               ("conjugate_round_trip", "0x1.761c97538adc7p-51", 1e-5, True),
+               ("bracket_accepts_log_half", True, True, True),
+               ("bracket_rejects_log_two", True, True, True)],
+    "pairing": [("deviation", "0x1.0000000000000p-52", 1e-12, True)],
+    "quasiaffine": [("worst_relative_deviation", "0x1.506db730d11b0p-53",
+                     1e-8, True)],
+    "table1": [("pattern", _TABLE1, _TABLE1, True)],
+    "thmD": [("spread", "0x1.0000000000001p+0", 4.0, True),
+             ("interpolation_spread", "0x1.0000000000003p+0", 4.0, True)],
+    "truncate": [("deriv_bound", "0x1.6628bda8a395dp+5", 64.0, True),
+                 ("volume_ratio", "0x1.6069333b062cbp+1", 8.0, True),
+                 ("chain_mask_failures", 0, 0, True)],
+}
+
+
+@pytest.fixture(scope="module")
+def seed0(tmp_path_factory):
+    """The directory holding every SEED0_RUNS run at seed 0, one
+    subdirectory per run, made once per module."""
+    root = tmp_path_factory.mktemp("seed0")
+    for key, (experiment, params) in SEED0_RUNS.items():
+        run(ExperimentConfig(experiment, seed=0, out=str(root / key),
+                             params=params))
+    return root
+
+
+def test_13_seed0_csvs_keep_their_bytes(seed0):
+    got = {path.relative_to(seed0).as_posix():
+           hashlib.sha256(path.read_bytes()).hexdigest()
+           for path in sorted(seed0.glob("*/*.csv"))}
+    assert got == SEED0_CSV_SHA256
+
+
+def test_14_seed0_checks_keep_their_values(seed0):
+    got = {key: [(c["name"], c["measured"].hex()
+                  if isinstance(c["measured"], float) else c["measured"],
+                  c["bound"], c["ok"])
+                 for c in json.loads((seed0 / key / "report.json")
+                                     .read_text())["checks"]]
+           for key in SEED0_RUNS}
+    assert got == SEED0_CHECKS
