@@ -29,7 +29,7 @@ from .decompose import helmholtz_splits
 from .quasiaffine import (INTEGRANDS, FAMILIES, TOL_MEAN,
                           quasiaffine_mean_test, pairing_experiment,
                           make_test_function)
-from .norms import (YoungFunction, MaximalConfig, delta2_check,
+from .norms import (DELTA2_TREND, YoungFunction, delta2_check,
                     hardy_bracket_check, luxemburg_norm, lebesgue_norm,
                     local_hardy_norm, young_conjugate)
 from .truncate import C_IMPL, lipschitz_truncations, truncation_case
@@ -139,8 +139,7 @@ def _experiment(name, summary, anchor, rules, routes, **defaults):
              (_OPERATOR, needs("samples", ">=", 1)), {},
              operator="divcurl2", samples=400)
 def _exp_check_rank(p, seed):
-    sym = sym_mod.make_operator(p["operator"])
-    report = sym_mod.constant_rank_check(sym, samples=p["samples"])
+    report = sym_mod.constant_rank_check(p["sym"], samples=p["samples"])
     checks = [Check("constant_rank", report.is_constant, True, "==",
                     report.samples)]
     return checks, {"rank": report.rank, "is_constant": report.is_constant}, {
@@ -156,7 +155,7 @@ def _exp_check_rank(p, seed):
              {},
              operator="divcurl2", fields=50, shape=64)
 def _exp_decompose(p, seed):
-    sym = sym_mod.make_operator(p["operator"])
+    sym = p["sym"]
     shape = (p["shape"],) * sym.n
     fields = (random_bandlimited(item_rng(seed, "decompose", i), shape,
                                  sym.dimV) for i in range(p["fields"]))
@@ -213,8 +212,7 @@ def _exp_pairing(p, seed):
               needs("trials", ">=", 1)), {},
              operator="divcurl2", integrand="divcurl_dot", trials=100)
 def _exp_quasiaffine(p, seed):
-    sym = sym_mod.make_operator(p["operator"])
-    rep = quasiaffine_mean_test(INTEGRANDS[p["integrand"]], sym,
+    rep = quasiaffine_mean_test(INTEGRANDS[p["integrand"]], p["sym"],
                                 trials=p["trials"], seed=seed)
     worst = rep["worst_relative_deviation"]
     devs = [r["deviation"] for r in rep["records"]]
@@ -314,7 +312,7 @@ def _exp_truncate(p, seed):
               needs("shape", ">=", 2)), {}, test="bump", R=1.0, shape=256)
 def _exp_hardy(p, seed):
     f = make_test_function(p["test"], shape=(p["shape"],) * 2)
-    val = local_hardy_norm(f, p["R"], MaximalConfig())
+    val = local_hardy_norm(f, p["R"])
     checks = [Check("norm_finite", math.isfinite(val), True, "==")]
     return checks, {"hardy_norm": val}, {"hardy": cex._table(
         [("test", "exact"), ("R", "exact"), ("norm", "measured")],
@@ -327,10 +325,12 @@ def _exp_hardy(p, seed):
              (needs("cases", ">=", 1),
               (lambda p: 0 < p["T"] < math.inf,
                "needs a positive finite T, got {T!r}"),
+              # a grid side N needs two points
               (lambda p: len(p["levels"]) > 0 and all(
-                  _counts(row) and len(row) == 2 for row in p["levels"]),
-               "needs a non-empty levels list of (N, L) pairs of positive "
-               "ints, got {levels!r}")), {},
+                  _counts(row) and len(row) == 2 and row[0] >= 2
+                  for row in p["levels"]),
+               "needs a non-empty levels list of (N, L) pairs of ints, "
+               "N >= 2 and L >= 1, got {levels!r}")), {},
              cases=5, T=8.0, levels=((64, 16), (128, 32), (256, 64)))
 def _exp_extension_identity(p, seed):
     rows, finals, unmonotone = [], [], 0
@@ -375,13 +375,16 @@ def _exp_thmD(p, seed):
              "Luxemburg, conjugate round trip, Delta_2, t^s bracket",
              (needs("p", ">=", 1),), {}, p=2.0)
 def _exp_orlicz(p, seed):
+    with np.errstate(over="ignore"):
+        d2a = delta2_check(YoungFunction.zygmund(p["p"], 1.0))
+        d2b = delta2_check(YoungFunction.exp_minus_one())
+    if d2a["delta2"] is None:
+        raise ConfigError(f"orlicz p={p['p']!r} leaves {d2a['finite']} finite "
+                          f"Delta_2 ratios, fewer than {DELTA2_TREND}")
     rng = item_rng(seed, "orlicz", 0)
     f = GridField(rng.normal(size=(64, 64, 1)), (2 * math.pi, 2 * math.pi))
     lux = luxemburg_norm(f, YoungFunction.power(p["p"]))
     leb = lebesgue_norm(f, p["p"])
-    with np.errstate(over="ignore"):
-        d2a = delta2_check(YoungFunction.zygmund(p["p"], 1.0))
-        d2b = delta2_check(YoungFunction.exp_minus_one())
     cubic = YoungFunction(phi=lambda t: t**3 / 3.0, dphi=lambda t: t**2,
                           label="t^3/3")
     star2 = young_conjugate(young_conjugate(cubic))

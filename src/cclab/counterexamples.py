@@ -330,7 +330,7 @@ def _orlicz_fields(spec):
     """The appendix pair g(t) t = phi^{-1}(psi(t)), phi = t^2 and psi =
     t^2 log(1+t): f, ftilde and F take one float in and are 0 off (0,1)."""
     c = spec.params["c"]
-    phi = YoungFunction.named("t2")
+    phi = YoungFunction.power(2)
     psi = YoungFunction.zygmund(2, 1)
 
     def f(t):

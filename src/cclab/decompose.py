@@ -38,7 +38,7 @@ class HelmholtzResult:
     potentialResidual: float
 
 
-def _frequency_solve(sym, rec, tolSV):
+def _frequency_solve(sym, rec):
     """(nz, A[nz], P, (A A^T)^+) on the nonzero frequencies of rec's half
     grid, then A and A* = (-1)^l A^T as complex half-grid stacks in
     evaluate's layout."""
@@ -51,19 +51,19 @@ def _frequency_solve(sym, rec, tolSV):
     # in exact arithmetic; normalizing keeps conditioning uniform)
     An = np.array(A)
     An[nz] /= mag[nz, None, None] ** sym.l
-    Adag = np.linalg.pinv(An[nz], rcond=tolSV)
+    Adag = np.linalg.pinv(An[nz], rcond=sym_mod.DEFAULT_TOL_SV)
     P = np.eye(sym.dimV)[None, :, :] - Adag @ An[nz]
     A_nz = A[nz]
     AATdag = np.linalg.pinv(A_nz @ np.transpose(A_nz, (0, 2, 1)),
-                            rcond=tolSV)
+                            rcond=sym_mod.DEFAULT_TOL_SV)
     Astar = (-1.0) ** sym.l * np.transpose(A, (0, 2, 1))
     return (nz, A_nz, P, AATdag) + tuple(
         S.astype(complex, order="C").reshape(xi.shape[:-1] + S.shape[1:])
         for S in (A, Astar))
 
 
-def helmholtz_splits(fields, sym, tolSV=sym_mod.DEFAULT_TOL_SV):
-    """helmholtz(v, sym, tolSV) for each v of fields, taken one at a time.
+def helmholtz_splits(fields, sym):
+    """helmholtz(v, sym) for each v of fields, taken one at a time.
 
     The sampled constant-rank check (200 points) runs once, at the first
     field, after its dimension checks.  Consecutive fields on one grid
@@ -73,20 +73,20 @@ def helmholtz_splits(fields, sym, tolSV=sym_mod.DEFAULT_TOL_SV):
     for v in fields:
         _check_operator(sym, v)
         if report is None:
-            report = sym_mod.constant_rank_check(sym, 200, tolSV)
+            report = sym_mod.constant_rank_check(sym, 200)
             if not report.is_constant:
                 raise ValueError("helmholtz requires a constant-rank operator "
                                  f"(witness {report.witness})")
         rec = Spectrum(v)
         if (v.shape, v.period) != grid:
             grid, solve = (v.shape, v.period), None
-            solve = _frequency_solve(sym, rec, tolSV)
+            solve = _frequency_solve(sym, rec)
         yield _split(v, sym, rec.hat, solve)
 
 
-def helmholtz(v, sym, tolSV=sym_mod.DEFAULT_TOL_SV):
+def helmholtz(v, sym):
     """Split v into the frequency-kernel part and the A*-range part."""
-    return next(helmholtz_splits([v], sym, tolSV))
+    return next(helmholtz_splits([v], sym))
 
 
 def _split(v, sym, vhat, solve):

@@ -23,6 +23,14 @@ from .norms import _lp_norm, besov_sup
 __all__ = ["pairing_identity", "theoremD_ratio", "thmD_ensemble",
            "interpolation_ensemble", "poisson_slab", "slab_derivatives"]
 
+TAIL_TOL = 1e-6  # pairing_identity: boundary mass at T over pairing scale
+# thmD's frequencies and amplitude scalings; the interpolation ensemble's
+# grid side and decay exponent
+M_LIST = (4, 8, 16, 32, 64)
+AMPLITUDES = (0.5, 1.0, 2.0)
+SHAPE = 256
+BETA1 = 0.75
+
 
 # ---------------------------------------------------------------------------
 # extensions
@@ -33,12 +41,11 @@ def poisson_slab(f, t):
 
     f: TrigPoly, GridField or a GridField's Spectrum."""
     if isinstance(f, TrigPoly):
-        scale = 2 * math.pi / f.period
         terms = {}
         for m, a in f.terms.items():
-            mag = math.sqrt(sum(float(x) ** 2 for x in m)) * scale
+            mag = math.sqrt(sum(float(x) ** 2 for x in m))
             terms[m] = a * math.exp(-t * mag)
-        return TrigPoly(n=f.n, dimV=f.dimV, terms=terms, period=f.period)
+        return TrigPoly(n=f.n, dimV=f.dimV, terms=terms)
     rec = Spectrum.of(f)
     return GridField(rec.inverse(np.exp(-t * rec.mag)), rec.field.period)
 
@@ -72,13 +79,13 @@ def _det3(r0, r1, r2):
             + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0]))
 
 
-def pairing_identity(u, phi, T=8.0, tLevels=64, tail_tol=1e-6):
+def pairing_identity(u, phi, T=8.0, tLevels=64):
     """{lhs, rhs, relError}: surface Jacobian pairing vs the bulk
     (n+1)-determinant of the harmonic extensions.
 
     u: 2-component GridField, phi: scalar GridField on the same 2D grid.
     The t-integral uses Gauss-Legendre nodes on [0, T]; the t=T boundary
-    determinant mass is measured and must be below tail_tol relative to the
+    determinant mass is measured and must be below TAIL_TOL relative to the
     pairing scale.
     """
     if u.n != 2 or u.dimV != 2 or phi.dimV != 1:
@@ -126,7 +133,7 @@ def pairing_identity(u, phi, T=8.0, tLevels=64, tail_tol=1e-6):
                 planes[0][0])
     tail = abs(float(np.sum(phiT * det_T) * cell))
     denom = max(abs(lhs), scale, 1e-300)
-    if tail > tail_tol * denom:
+    if tail > TAIL_TOL * denom:
         raise ValueError(f"tail bound violated at T={T}: boundary mass "
                          f"{tail:.3e} vs scale {denom:.3e}")
     return {"lhs": lhs, "rhs": rhs, "relError": abs(lhs - rhs) / denom,
@@ -139,11 +146,10 @@ def pairing_identity(u, phi, T=8.0, tLevels=64, tail_tol=1e-6):
 
 def _trig_lifted_seminorm(f, order):
     """Fourier-route seminorm (sum |xi|^{2 order} |amp|^2 vol)^{1/2}."""
-    scale = 2 * math.pi / f.period
-    vol = f.period**f.n
+    vol = (2 * math.pi) ** f.n
     total = 0.0
     for m, a in f.terms.items():
-        mag = math.sqrt(sum(float(x) ** 2 for x in m)) * scale
+        mag = math.sqrt(sum(float(x) ** 2 for x in m))
         if mag == 0:
             continue
         total += mag ** (2 * order) * float(np.sum(np.abs(a) ** 2))
@@ -158,7 +164,7 @@ def theoremD_ratio(u, v, phi, alpha):
 
     def F_pair(a, b):
         # bilinear polarization of F = (a1,a2).(a3,a4)
-        tot = TrigPoly.zero(a.n, 1, a.period)
+        tot = TrigPoly.zero(a.n, 1)
         for i in (0, 1):
             tot = tot + trig_product(a.component(i), b.component(i + 2))
         return tot
@@ -189,16 +195,16 @@ def _spread(records):
             "min_ratio": min(ratios), "spread": max(ratios) / min(ratios)}
 
 
-def thmD_ensemble(alpha=0.5, m_list=(4, 8, 16, 32, 64),
-                  amplitudes=(0.5, 1.0, 2.0)):
-    """Ratio stability across frequencies and amplitude scalings at s = 2;
-    the comparison field v is 0 and phi oscillates in concert with u."""
+def thmD_ensemble(alpha=0.5):
+    """Ratio stability across the frequencies M_LIST and the amplitude
+    scalings AMPLITUDES at s = 2; the comparison field v is 0 and phi
+    oscillates in concert with u."""
     beta, zero = 1.0 - alpha / 2, TrigPoly.zero(2, 4)
     records = []
-    for m in m_list:
+    for m in M_LIST:
         phi = TrigPoly.wave(2, (0, m), "sin", float(m) ** -alpha)
         phi = trig_product(phi, TrigPoly.wave(2, (m, 0), "cos"))
-        for a in amplitudes:
+        for a in AMPLITUDES:
             rep = theoremD_ratio(_divcurl_pair(m, a, beta), zero, phi, alpha)
             records.append({"m": m, "amplitude": a, "ratio": rep["ratio"]})
     return _spread(records)
@@ -217,12 +223,13 @@ def _strip_gradient(v, grid):
             for d in gradient(GridField(np.broadcast_to(v, strip)[..., None]))]
 
 
-def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
-                   amplitudes=(0.5, 1.0, 2.0), shape=256, beta1=0.75):
+def interpolation_ensemble(alpha=0.5):
     """Jacobian variant: |int det(Du) phi| / ([phi]_alpha ||u||_q^alpha
-    ||Du||_p^{n-alpha}) with alpha/q + (n-alpha)/p = 1 (n=2).
+    ||Du||_p^{n-alpha}) with q = p = 2, so that alpha/q + (n-alpha)/p = 1
+    (n=2), on the SHAPE^2 grid.
 
-    u = amp (sin(m x), -cos(m y)) and phi = m^{-alpha} cos(m x) sin(m y).
+    u = amp (sin(m x), -cos(m y)) with amp = a m^{-BETA1} and phi =
+    m^{-alpha} cos(m x) sin(m y), for m in M_LIST and a in AMPLITUDES.
     Built once per frequency m: phi, its grid values and [phi]_alpha, and
     sin(m x) and cos(m y) as a column and a row.  Each amplitude scales them
     and takes its own gradient transforms (the transform of amp * sin is not
@@ -233,19 +240,17 @@ def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
     norm.  |Du|^2 adds squares left to right, as np.sum does below 8 terms;
     u1y and u2x are exact zeros, so the order moves no bit."""
     n = 2
-    if abs(alpha / q + (n - alpha) / p - 1.0) > 1e-12:
-        raise ValueError("exponents must satisfy alpha/q + (n-alpha)/p = 1")
-    h = 2 * math.pi / shape
-    x, cell, grid = np.arange(shape) * h, h * h, (shape, shape)
+    h = 2 * math.pi / SHAPE
+    x, cell, grid = np.arange(SHAPE) * h, h * h, (SHAPE, SHAPE)
     records = []
-    for m in m_list:
+    for m in M_LIST:
         phi_tp = TrigPoly.wave(2, (m, 0), "cos", float(m) ** -alpha)
         phi_tp = trig_product(phi_tp, TrigPoly.wave(2, (0, m), "sin"))
         phiv = phi_tp.render(grid).values[..., 0]
         holder = besov_sup(phi_tp, alpha)
         s, c = np.sin(m * x)[:, None], np.cos(m * x)[None, :]
-        for a in amplitudes:
-            amp = a * float(m) ** -beta1
+        for a in AMPLITUDES:
+            amp = a * float(m) ** -BETA1
             u1, u2 = amp * s, -amp * c
             (u1x, u1y), (u2x, u2y) = (_strip_gradient(v, grid)
                                       for v in (u1, u2))
@@ -257,8 +262,8 @@ def interpolation_ensemble(alpha=0.5, q=2.0, p=2.0, m_list=(4, 8, 16, 32, 64),
             for d in (u1y, u2x, u2y):
                 mag += np.multiply(d, d, out=det)
             denom = (holder
-                     * _lp_norm(np.sqrt(u1 * u1 + u2 * u2), cell, q) ** alpha
-                     * _lp_norm(np.sqrt(mag, out=mag), cell, p) ** (n - alpha))
+                     * _lp_norm(np.sqrt(u1 * u1 + u2 * u2), cell, 2.0) ** alpha
+                     * _lp_norm(np.sqrt(mag, out=mag), cell, 2.0) ** (n - alpha))
             records.append({"m": m, "amplitude": a,
                             "ratio": abs(pairing) / denom})
     return _spread(records)

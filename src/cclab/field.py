@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 TRIG_TERM_CAP = 10**7
+# random_bandlimited's modes: 0 <= m1 <= BANDLIMIT, |m2| <= BANDLIMIT
+BANDLIMIT = 6
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +277,21 @@ def apply_symbol(sym, f):
     return _apply_stack(A.astype(complex), rec.hat, sym.l, f)
 
 
-def _band_coefficients(rng, dimV, bandlimit):
+def _band_coefficients(rng, dimV):
     """random_bandlimited's modes, in draw order, as an (M, 2) integer
     array, and its normals (a_m, b_m) / (1 + |m|^2), shape (dimV, M, 2)."""
-    modes = np.array([(m1, m2) for m1 in range(0, bandlimit + 1)
-                      for m2 in range(-bandlimit, bandlimit + 1)
+    modes = np.array([(m1, m2) for m1 in range(0, BANDLIMIT + 1)
+                      for m2 in range(-BANDLIMIT, BANDLIMIT + 1)
                       if m1 > 0 or m2 > 0])
     weights = 1.0 + np.sum(modes**2, axis=1)
     return modes, rng.normal(size=(dimV, len(modes), 2)) / weights[:, None]
 
 
-def random_bandlimited(rng, shape, dimV, bandlimit=6, cutoff=False):
+def random_bandlimited(rng, shape, dimV, cutoff=False):
     """Smooth random field on the torus [0, 2 pi)^n, n = len(shape) >= 2.
 
     Each component is sum_m a_m cos(m.x) + b_m sin(m.x) over the half-plane
-    modes 0 <= m1 <= bandlimit, |m2| <= bandlimit (m1 = 0 needs m2 > 0) in
+    modes 0 <= m1 <= BANDLIMIT, |m2| <= BANDLIMIT (m1 = 0 needs m2 > 0) in
     the first two coordinates, with (a_m, b_m) standard normal over
     (1 + |m|^2).  The normals are drawn component by component, mode by
     mode.  cutoff (2D shapes only) multiplies each component by a C^infty
@@ -306,7 +308,7 @@ def random_bandlimited(rng, shape, dimV, bandlimit=6, cutoff=False):
     if cutoff and len(shape) != 2:
         raise ValueError("the cut-off is defined on 2D grids only")
     period = 2 * math.pi
-    modes, coef = _band_coefficients(rng, dimV, bandlimit)
+    modes, coef = _band_coefficients(rng, dimV)
     N1, N2 = shape[:2]
     # scaled by N1 N2 against the inverse transform's 1 / (N1 N2)
     amp = (coef[..., 0] - 1j * coef[..., 1]).T * (N1 * N2 / 2)
@@ -361,7 +363,7 @@ def _check_hermitian(keys, rows, index):
 
 @dataclass
 class TrigPoly:
-    """Sparse real trig polynomial sum_m a_m e^{i m . x 2pi/period}.
+    """Sparse real trig polynomial sum_m a_m e^{i m . x} on [0, 2 pi)^n.
 
     terms maps integer frequency tuples to complex amplitude vectors;
     Hermitian symmetry terms[-m] = conj(terms[m]) is enforced on construction
@@ -372,7 +374,6 @@ class TrigPoly:
     n: int
     dimV: int = 1
     terms: dict = field(default_factory=dict)
-    period: float = 2 * math.pi
 
     def __post_init__(self):
         keys = [tuple(map(int, m)) for m in self.terms]
@@ -402,14 +403,14 @@ class TrigPoly:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def constant(n, value, dimV=None, period=2 * math.pi):
+    def constant(n, value, dimV=None):
         value = np.atleast_1d(np.asarray(value, dtype=complex))
         dimV = dimV or value.size
-        return TrigPoly(n=n, dimV=dimV, terms={(0,) * n: value}, period=period)
+        return TrigPoly(n=n, dimV=dimV, terms={(0,) * n: value})
 
     @staticmethod
-    def zero(n, dimV=1, period=2 * math.pi):
-        return TrigPoly(n=n, dimV=dimV, terms={}, period=period)
+    def zero(n, dimV=1):
+        return TrigPoly(n=n, dimV=dimV, terms={})
 
     @staticmethod
     def wave(n, m, kind="cos", amplitude=1.0, phase_vector=None):
@@ -438,14 +439,14 @@ class TrigPoly:
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            other = TrigPoly.constant(self.n, [other] * self.dimV, self.dimV, self.period)
+            other = TrigPoly.constant(self.n, [other] * self.dimV, self.dimV)
         if self.n != other.n or self.dimV != other.dimV:
             raise ValueError("shape mismatch in TrigPoly addition")
         terms = dict(self.terms)
         for m, amp in other.terms.items():
             cur = terms.get(m)
             terms[m] = amp if cur is None else cur + amp
-        return TrigPoly(n=self.n, dimV=self.dimV, terms=terms, period=self.period)
+        return TrigPoly(n=self.n, dimV=self.dimV, terms=terms)
 
     def __sub__(self, other):
         return self + (other * -1.0)
@@ -454,25 +455,18 @@ class TrigPoly:
         if not np.isscalar(scalar):
             raise TypeError("use trig_product for polynomial products")
         return TrigPoly(n=self.n, dimV=self.dimV,
-                        terms={m: scalar * a for m, a in self.terms.items()},
-                        period=self.period)
+                        terms={m: scalar * a for m, a in self.terms.items()})
 
     __rmul__ = __mul__
 
     def component(self, i):
         return TrigPoly(n=self.n, dimV=1,
-                        terms={m: a[i : i + 1] for m, a in self.terms.items()},
-                        period=self.period)
+                        terms={m: a[i : i + 1] for m, a in self.terms.items()})
 
-    def derivative(self, axis, order=1):
-        """d^order / dx_axis^order, exact per mode."""
-        scale = 2 * math.pi / self.period
-        terms = {}
-        for m, a in self.terms.items():
-            factor = (1j * m[axis] * scale) ** order
-            if factor != 0:
-                terms[m] = factor * a
-        return TrigPoly(n=self.n, dimV=self.dimV, terms=terms, period=self.period)
+    def derivative(self, axis):
+        """d / dx_axis, exact per mode."""
+        terms = {m: 1j * m[axis] * a for m, a in self.terms.items() if m[axis]}
+        return TrigPoly(n=self.n, dimV=self.dimV, terms=terms)
 
     def render(self, shape):
         """Sample on a grid (exact when frequencies are grid-resolvable).
@@ -485,15 +479,14 @@ class TrigPoly:
         are summed one at a time in the dict's key order (summing a pair
         first would move the last bits)."""
         shape = tuple(int(s) for s in shape)
-        axes = [np.arange(s) * (self.period / s) for s in shape]
+        axes = [np.arange(s) * (2 * math.pi / s) for s in shape]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
-        scale = 2 * math.pi / self.period
         out = np.zeros(shape + (self.dimV,), dtype=complex)
         waiting = {}  # mirror key -> the exponential it will conjugate
         for m, a in self.terms.items():
             e = waiting.pop(m, None)
             if e is None:
-                phase = sum(mi * g for mi, g in zip(m, grids)) * scale
+                phase = sum(mi * g for mi, g in zip(m, grids))
                 e = np.multiply(1j, phase, dtype=complex)
                 del phase
                 np.exp(e, out=e)
@@ -503,19 +496,19 @@ class TrigPoly:
             else:
                 np.conjugate(e, out=e)
             out += e[..., None] * a
-        return GridField(np.real(out), (self.period,) * self.n)
+        return GridField(np.real(out))
 
 
-def trig_product(a, b, cap=TRIG_TERM_CAP):
+def trig_product(a, b):
     """Exact product of scalar trig polynomials (sparse convolution)."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     if a.dimV != 1 or b.dimV != 1:
         raise ValueError("trig_product multiplies scalar polynomials; "
                          "use .component() for vectors")
-    if len(a.terms) * len(b.terms) > cap:
-        raise OverflowError(
-            f"product would touch {len(a.terms) * len(b.terms)} terms (cap {cap})")
+    if len(a.terms) * len(b.terms) > TRIG_TERM_CAP:
+        raise OverflowError(f"product would touch {len(a.terms) * len(b.terms)}"
+                            f" terms (cap {TRIG_TERM_CAP})")
     bs = [(m2, a2[0]) for m2, a2 in b.terms.items()]
     terms = {}
     for m1, a1 in a.terms.items():
@@ -524,12 +517,12 @@ def trig_product(a, b, cap=TRIG_TERM_CAP):
             m = tuple(map(operator.add, m1, m2))
             terms[m] = terms.get(m, 0.0) + c1 * c2
     # the constructor drops the modes that cancel exactly
-    return TrigPoly(n=a.n, dimV=1, terms=terms, period=a.period)
+    return TrigPoly(n=a.n, dimV=1, terms=terms)
 
 
 def trig_integral(a):
     """Exact integral over the box: volume x zero-frequency amplitude."""
-    vol = a.period**a.n
+    vol = (2 * math.pi) ** a.n
     zero = a.terms.get((0,) * a.n)
     if zero is None:
         return np.zeros(a.dimV)
@@ -544,7 +537,7 @@ def trig_pair(a, b):
         raise ValueError("dimension mismatch")
     if a.dimV != 1 or b.dimV != 1:
         raise ValueError("trig_pair pairs scalar polynomials")
-    vol = a.period**a.n
+    vol = (2 * math.pi) ** a.n
     if len(b.terms) < len(a.terms):
         a, b = b, a
     total = 0.0
@@ -586,10 +579,10 @@ def bump_at(r):
     return _bump_of_square(r * r) if abs(r) < 1.0 else 0.0
 
 
-def mollified(f, ts, kernel=standard_bump, kernel_hats=None,
-              rows=slice(None)):
+def mollified(f, ts, kernel_hats=None, rows=slice(None)):
     """Yield f * kernel_t for each scale t of ts, in order, where
-    kernel_t(x) = t^{-n} kernel(|x|/t) and the convolution is periodic.
+    kernel_t(x) = t^{-n} standard_bump(|x|/t) and the convolution is
+    periodic.
 
     The sampled kernel is renormalized to exact unit discrete integral, so
     mass is preserved to round-off.  f may be a Spectrum, whose hat and
@@ -605,7 +598,7 @@ def mollified(f, ts, kernel=standard_bump, kernel_hats=None,
     the whole grid's array (see ifft).
 
     kernel_hats, a list, is a kernel set shared by a sequence of fields on
-    one grid with the same ts and kernel: scale i reads entry i when the
+    one grid with the same ts: scale i reads entry i when the
     list has it, and otherwise builds it from f's radius grid and appends
     it, so the first field's sweep fills the set and later fields only read
     it.  The caller owns the list and so decides how long the set lives.
@@ -620,7 +613,7 @@ def mollified(f, ts, kernel=standard_bump, kernel_hats=None,
         else:
             if t <= 0 or t > min(f.period) / 2:
                 raise ValueError("scale t must lie in (0, min period / 2]")
-            ker = kernel(rec.radius / t)
+            ker = standard_bump(rec.radius / t)
             total = ker.sum() * f.cell_volume
             if total <= 0:
                 raise ValueError("kernel support is below grid resolution")

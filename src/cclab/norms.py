@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridField, Spectrum, _periodic_dist2, mollified, standard_bump
+from .field import GridField, Spectrum, _periodic_dist2, mollified
 
 __all__ = [
     "YoungFunction",
-    "MaximalConfig",
     "lebesgue_norm",
     "luxemburg_norm",
     "young_conjugate",
@@ -46,24 +45,18 @@ class YoungFunction:
     """Orlicz/Young function descriptor.
 
     phi: vectorized callable on nonnegative arguments, phi(0)=0, increasing,
-    phi(t) -> infinity.  dphi (optional): derivative, used for conjugation.
+    phi(t) -> infinity.  dphi: its derivative, used for conjugation.
     """
 
     phi: object
-    dphi: object = None
+    dphi: object
     label: str = "custom"
 
     def __call__(self, t):
         return self.phi(np.asarray(t, dtype=float))
 
     def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        if self.dphi is not None:
-            return self.dphi(s)
-        eps = 1e-6
-        h = np.maximum(np.abs(s), 1e-12) * eps
-        return (self.phi(s + h) - self.phi(np.maximum(s - h, 0.0))) / (
-            h + np.minimum(s, h))
+        return self.dphi(np.asarray(s, dtype=float))
 
     def inverse(self, y, hi0=1.0):
         """phi^{-1}(y): a doubling bracket from hi0, then the bisection's
@@ -98,13 +91,11 @@ class YoungFunction:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def power(p, coeff=1.0):
-        p, coeff = float(p), float(coeff)
-        return YoungFunction(
-            phi=lambda t: coeff * np.power(t, p),
-            dphi=lambda t: coeff * p * np.power(t, p - 1.0),
-            label=f"{coeff:g}*t^{p:g}" if coeff != 1.0 else f"t^{p:g}",
-        )
+    def power(p):
+        p = float(p)
+        return YoungFunction(phi=lambda t: np.power(t, p),
+                             dphi=lambda t: p * np.power(t, p - 1.0),
+                             label=f"t^{p:g}")
 
     @staticmethod
     def zygmund(p, alpha):
@@ -136,18 +127,6 @@ class YoungFunction:
     def exp_minus_one():
         return YoungFunction(phi=lambda t: np.expm1(t), dphi=lambda t: np.exp(t),
                              label="e^t-1")
-
-    @staticmethod
-    def named(name):
-        table = {
-            "tlogt": lambda: YoungFunction.zygmund(1, 1),
-            "t2": lambda: YoungFunction.power(2),
-            "t2log2": lambda: YoungFunction.zygmund(2, 2),
-            "exp": YoungFunction.exp_minus_one,
-        }
-        if name not in table:
-            raise KeyError(f"unknown Young function {name!r}")
-        return table[name]()
 
 
 # -- the bisection's root in few evaluations ---------------------------------
@@ -240,7 +219,7 @@ def _secant_crossing(f, y, lo, f_lo, hi, f_hi, seen):
     return lo, hi
 
 
-def _first_crossing(f, y, lo, hi, f_hi, below, steps, secant=True):
+def _first_crossing(f, y, lo, hi, f_hi, below, steps):
     """The root that bisection of [lo, hi] for f(s) >= y returns.
 
     The bisection: mid = 0.5 * (lo + hi) replaces lo if f(mid) < y and hi
@@ -248,9 +227,9 @@ def _first_crossing(f, y, lo, hi, f_hi, below, steps, secant=True):
     mid) or for at most `steps` steps; it returns 0.5 * (lo + hi).  f(lo)
     is never evaluated; f_hi = f(hi) >= y.
 
-    With secant=True, secant steps (_secant_crossing) first find the
-    crossing: adjacent floats c0 < c1 with f(c0) < y <= f(c1), starting
-    from below = (s, f(s)), a point of [lo, hi) with f(s) < y.  The
+    Secant steps (_secant_crossing) first find the crossing: adjacent
+    floats c0 < c1 with f(c0) < y <= f(c1), starting from below = (s,
+    f(s)), a point of [lo, hi) with f(s) < y.  The
     bisection then evaluates f only at midpoints within _NEAR floats of the
     crossing; a midpoint farther off lies below y iff it is below c0, and
     a midpoint the secant steps evaluated is not evaluated again.
@@ -259,13 +238,11 @@ def _first_crossing(f, y, lo, hi, f_hi, below, steps, secant=True):
     holds on the floats of (lo, hi] up to some point and fails after it,
     except within _NEAR floats of c0 and c1 (f non-decreasing on floats,
     give or take a few ulp-sized steps back).  Such a crossing is unique,
-    so every path to it ends on the same pair of floats.  Use secant=False
-    for an f with larger steps back, such as a finite-difference
-    derivative: then every midpoint is evaluated, as by plain bisection.
+    so every path to it ends on the same pair of floats.
     """
     near_lo, near_hi, seen = -math.inf, math.inf, {}
     # below[0] and hi non-negative (not -0.0), in order, and hi finite
-    if secant and 0 <= _ordinal(below[0]) < _ordinal(hi) < _INF_ORDINAL:
+    if 0 <= _ordinal(below[0]) < _ordinal(hi) < _INF_ORDINAL:
         c0, c1 = _secant_crossing(f, y, *below, hi, f_hi, seen)
         near_lo = _from_ordinal(max(_ordinal(c0) - _NEAR, 0))
         near_hi = _from_ordinal(min(_ordinal(c1) + _NEAR, _INF_ORDINAL))
@@ -289,8 +266,7 @@ def _first_crossing(f, y, lo, hi, f_hi, below, steps, secant=True):
 def _conjugate_argmax(phi, t):
     """s*(t) maximizing t*s - phi(s): the bisection's root of phi'(s) >= t
     on a doubling bracket (phi convex), reached in a few evaluations of
-    phi' (_first_crossing); a phi' by finite differences is bisected
-    plainly."""
+    phi' (_first_crossing)."""
     s_floor = 1e-14
     t = float(t)
     if t <= 0:
@@ -307,8 +283,7 @@ def _conjugate_argmax(phi, t):
         hi *= 2.0
     else:
         raise OverflowError("phi' stays below t; conjugate is infinite there")
-    return _first_crossing(phi.derivative, t, s_floor, hi, f_hi, below, 200,
-                           secant=phi.dphi is not None)
+    return _first_crossing(phi.derivative, t, s_floor, hi, f_hi, below, 200)
 
 
 def young_conjugate(phi, check_young=True):
@@ -352,23 +327,27 @@ def young_conjugate(phi, check_young=True):
     return out
 
 
+DELTA2_TREND = 12  # the top finite ratios whose trend decides Delta_2
+
+
 def delta2_check(phi):
     """Doubling check phi(2s) <= k phi(s) over a log grid.
 
-    Returns {"delta2": bool, "k": max ratio, "escape": trend flag}.  Failure
-    is certified by monotone escape of the ratio across the top decade (a raw
-    max is always finite on a finite range).
+    Returns {"delta2", "k", "finite"}: the verdict, the max of the finite
+    ratios phi(2s)/phi(s) on the grid and their count.  Failure is certified
+    by monotone escape of the last DELTA2_TREND of them (a raw max is always
+    finite on a finite range); fewer decide nothing (delta2 None, k nan).
     """
     ss = np.geomspace(1e-3, 1e6, 121)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         ratios = np.asarray(phi(2 * ss), dtype=float) / np.asarray(phi(ss), dtype=float)
     ratios = ratios[np.isfinite(ratios)]
-    top = ratios[-12:]
+    if ratios.size < DELTA2_TREND:
+        return {"delta2": None, "k": math.nan, "finite": ratios.size}
+    top = ratios[-DELTA2_TREND:]
     escape = bool(np.all(np.diff(top) > 0) and top[-1] >= 1.10 * top[0])
-    huge = bool(np.any(~np.isfinite(np.asarray(phi(2 * ss), dtype=float))))
-    delta2 = not (escape or huge)
-    return {"delta2": delta2, "k": float(np.max(ratios)), "escape": escape or huge,
-            "ratios": ratios}
+    return {"delta2": not escape, "k": float(np.max(ratios)),
+            "finite": ratios.size}
 
 
 def dominates(phi1, phi2):
@@ -514,22 +493,23 @@ def besov_sup(f, alpha):
 # local maximal function / local Hardy norm
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MaximalConfig:
-    kernel: object = standard_bump
-    tLevels = 24
-    tMax = 1.0
-
-    def t_grid(self, f):
-        h = max(p / s for p, s in zip(f.period, f.shape))
-        t_hi = min(self.tMax, min(f.period) / 2.0)
-        t_lo = min(h, t_hi / 2.0)
-        return np.geomspace(t_lo, t_hi, self.tLevels)
+# local_maximal's scales: T_LEVELS of them, up to T_MAX (see t_grid)
+T_LEVELS = 24
+T_MAX = 1.0
 
 
-def local_maximal(f, cfg=MaximalConfig(), kernel_hats=None, rows=None):
-    """M_loc f = sup over the scale grid of |f * kernel_t| (pointwise), as
-    a GridField.
+def t_grid(f):
+    """The scales of local_maximal on f's grid, from one cell (or half the
+    top scale, if less) up to the top scale."""
+    h = max(p / s for p, s in zip(f.period, f.shape))
+    t_hi = min(T_MAX, min(f.period) / 2.0)
+    t_lo = min(h, t_hi / 2.0)
+    return np.geomspace(t_lo, t_hi, T_LEVELS)
+
+
+def local_maximal(f, kernel_hats=None, rows=None):
+    """M_loc f = sup over the scale grid (t_grid) of |f * kernel_t|
+    (pointwise), as a GridField.
 
     kernel_hats: a kernel set shared across fields on one grid (see
     field.mollified).  rows, a slice of the first axis (two or more axes),
@@ -545,7 +525,7 @@ def local_maximal(f, cfg=MaximalConfig(), kernel_hats=None, rows=None):
         _radius = rec.radius
     band = slice(None) if rows is None else rows
     out = np.abs(f.values[band, ..., 0])  # the t -> 0 member of the sup
-    for sm in mollified(rec, cfg.t_grid(f), cfg.kernel, kernel_hats, band):
+    for sm in mollified(rec, t_grid(f), kernel_hats, band):
         np.maximum(out, np.abs(sm[..., 0]), out=out)
     return GridField(out[..., None], f.period) if rows is None else out
 
@@ -569,8 +549,8 @@ def _ball_band(f, R):
     return band, mask[band]
 
 
-def local_hardy_norms(fields, R, cfg=MaximalConfig()):
-    """[local_hardy_norm(f, R, cfg) for f in fields], taking the
+def local_hardy_norms(fields, R):
+    """[local_hardy_norm(f, R) for f in fields], taking the
     fields one at a time from any iterable.
 
     R must be positive and finite.  Each sweep runs on the band of
@@ -579,7 +559,7 @@ def local_hardy_norms(fields, R, cfg=MaximalConfig()):
     bits.
 
     Consecutive fields on one grid share the ball and the set of
-    cfg.tLevels kernel half-spectra: the first field's sweep builds the
+    T_LEVELS kernel half-spectra: the first field's sweep builds the
     set, and the next fields only read it.  A field on another grid starts
     a new set (the old one is dropped first), and the set is freed on
     return, so no kernel outlives the call.
@@ -592,12 +572,12 @@ def local_hardy_norms(fields, R, cfg=MaximalConfig()):
         if (f.shape, f.period) != grid:
             grid, kernel_hats = (f.shape, f.period), []
             band, mask = _ball_band(f, R)
-        mf = local_maximal(f, cfg, kernel_hats, band)
+        mf = local_maximal(f, kernel_hats, band)
         norms.append(float(np.sum(mf[mask]) * f.cell_volume))
         del mf  # not held through the next field's sweep
     return norms
 
 
-def local_hardy_norm(f, R, cfg=MaximalConfig()):
+def local_hardy_norm(f, R):
     """∫_{B_R(c)} M_loc f dx, c the box midpoint."""
-    return local_hardy_norms([f], R, cfg)[0]
+    return local_hardy_norms([f], R)[0]

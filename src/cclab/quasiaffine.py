@@ -70,7 +70,7 @@ class Integrand:
             acc += c * z
         # integral over the box, then divided by its volume: the rounding of
         # trig_integral(F(v)) / vol, so seed-0 outputs keep their bits
-        vol = v.period**v.n
+        vol = (2 * math.pi) ** v.n
         return float(np.real(acc) * vol) / vol
 
 
@@ -206,21 +206,21 @@ FAMILIES = {
 }
 
 
-def make_test_function(name, shape=(256, 256), radius=1.0):
-    """Registered test-function bank on the box [0, 2 pi)^2: smooth bumps,
-    indicators of a ball and of the square [0, 1)^2, the Holder cusp
-    1 - (r / radius)^(1/2) and the constant 1; the radial ones are
-    box-centred."""
+def make_test_function(name, shape=(256, 256)):
+    """Registered test-function bank on the box [0, 2 pi)^2: the smooth bump
+    of radius 1, the indicators of the unit ball and of the square
+    [0, 1)^2, the Holder cusp 1 - r^(1/2) and the constant 1; the radial
+    ones are box-centred."""
     period = (2 * math.pi, 2 * math.pi)
     midpoint = (math.pi, math.pi)
 
     if name == "bump":
         def fn(*grids):
-            r = np.sqrt(_periodic_dist2(grids, period, midpoint)) / radius
+            r = np.sqrt(_periodic_dist2(grids, period, midpoint))
             return standard_bump(r) / standard_bump(np.array(0.0))
     elif name == "indicator_ball":
         def fn(*grids):
-            return (_periodic_dist2(grids, period, midpoint) <= radius**2).astype(float)
+            return (_periodic_dist2(grids, period, midpoint) <= 1.0).astype(float)
     elif name == "indicator_square":
         def fn(*grids):
             m = np.ones_like(grids[0], dtype=bool)
@@ -230,7 +230,7 @@ def make_test_function(name, shape=(256, 256), radius=1.0):
     elif name == "cusp":
         def fn(*grids):
             r = np.sqrt(_periodic_dist2(grids, period, midpoint))
-            return np.maximum(0.0, 1.0 - (r / radius) ** 0.5)
+            return np.maximum(0.0, 1.0 - r ** 0.5)
     elif name == "one":
         def fn(*grids):
             return np.ones_like(grids[0])

@@ -78,7 +78,6 @@ class RankReport:
     rank: object  # int, or the string "non-constant"
     witness: object  # unit frequency where the rank deviates, or None
     samples: int
-    tolSV: float
 
     @property
     def is_constant(self):
@@ -151,23 +150,22 @@ def unit_sphere_points(n, count):
     return np.array(pts[:count])
 
 
-def constant_rank_check(sym, samples=1000, tolSV=DEFAULT_TOL_SV):
+def constant_rank_check(sym, samples=1000):
     """Numerical rank of A(xi) over a deterministic sphere sample.
 
-    The rank at a point counts the singular values above tolSV times the
-    largest; the witness is the first point whose rank differs from the
-    first point's.  Certified only up to sampling (the report records the
-    sample count).
+    The rank at a point counts the singular values above DEFAULT_TOL_SV
+    times the largest; the witness is the first point whose rank differs
+    from the first point's.  Certified only up to sampling (the report
+    records the sample count).
     """
     pts = unit_sphere_points(sym.n, samples)
     sv = np.linalg.svd(evaluate(sym, pts), compute_uv=False)
-    ranks = np.sum(sv > tolSV * sv[:, :1], axis=-1)
+    ranks = np.sum(sv > DEFAULT_TOL_SV * sv[:, :1], axis=-1)
     [off] = np.nonzero(ranks != ranks[0])
     if off.size:
         return RankReport(rank="non-constant", witness=pts[off[0]],
-                          samples=len(pts), tolSV=tolSV)
-    return RankReport(rank=int(ranks[0]), witness=None, samples=len(pts),
-                      tolSV=tolSV)
+                          samples=len(pts))
+    return RankReport(rank=int(ranks[0]), witness=None, samples=len(pts))
 
 
 def kernel_projection(sym, xi):

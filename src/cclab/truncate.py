@@ -360,10 +360,11 @@ def lipschitz_truncations(v, lams, k=1):
                                                             bad))
 
 
-def lipschitz_truncate(v, lam, k=1):
-    """The truncation of v at the one level lam (see lipschitz_truncations);
-    a lam whose bad set covers the box raises ValueError."""
-    res = next(lipschitz_truncations(v, (lam,), k))
+def lipschitz_truncate(v, lam):
+    """The first-order truncation of v at the one level lam (see
+    lipschitz_truncations); a lam whose bad set covers the box raises
+    ValueError."""
+    res = next(lipschitz_truncations(v, (lam,)))
     if res.truncated is None:
         raise ValueError("trivial truncation: bad set covers the whole box")
     return res

@@ -41,7 +41,7 @@ def test_02_helmholtz_residuals():
     sym = make_operator("divcurl2")
     for i in range(50):
         rng = item_rng(0, "acceptance-decompose", i)
-        v = random_bandlimited(rng, (64, 64), sym.dimV, bandlimit=4)
+        v = random_bandlimited(rng, (64, 64), sym.dimV)
         res = helmholtz(v, sym)
         assert res.reconstructionError <= 1e-10
         assert res.constraintResidual <= 1e-10
@@ -110,7 +110,7 @@ def test_07_lipschitz_truncation_ensemble():
             rng = item_rng(0, f"acceptance-truncate-{n}d", i)
             v = truncation_case(rng, shape, n)
             for lam in lambdas:
-                res = lipschitz_truncate(v, lam, k=1)
+                res = lipschitz_truncate(v, lam)
                 assert res.measuredDerivBound <= 64.0
                 good = ~res.badSet
                 assert np.array_equal(res.truncated.values[good],
@@ -131,7 +131,7 @@ def test_07_lipschitz_truncation_ensemble():
         lin = GridField((0.3 * grids[0] + (0.1 * grids[1] if n == 2
                                            else 0.0))[..., None],
                         (period,) * n)
-        res = lipschitz_truncate(lin, lam=100.0, k=1)
+        res = lipschitz_truncate(lin, lam=100.0)
         assert np.max(np.abs(res.truncated.values - lin.values)) <= 1e-10
 
 

@@ -342,7 +342,7 @@ def test_main_gated_witness_passes_with_rows(tmp_path, capsys, argv):
 # a run over zero trials, cases, levels or lambdas, or over no t-interval
 # [0, T], would check nothing, so it is refused before it writes a table;
 # so is an index that is not an int and a level that is not an (N, L) pair
-# of positive ints, an orlicz p < 1, an unregistered integrand and thmD's
+# of ints with N >= 2 and L >= 1, an orlicz p < 1, an unregistered integrand and thmD's
 # retired s, which used to end in a message that did not name them; a gate
 # bound is no param, so a config cannot loosen a gate until a run passes
 EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
@@ -354,7 +354,7 @@ EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
               ("extension-identity", "cases"): ("identity.csv", "cases >= 1"),
               ("extension-identity", "levels"): (
                   "identity.csv", "non-empty levels list of (N, L) pairs of "
-                                  "positive ints"),
+                                  "ints, N >= 2 and L >= 1"),
               ("extension-identity", "T"): ("identity.csv",
                                             "positive finite T"),
               ("orlicz", "p"): ("orlicz.csv", "orlicz needs p >= 1"),
@@ -390,6 +390,7 @@ EMPTY_RUNS = {("quasiaffine", "trials"): ("trials.csv", "trials >= 1"),
     ["extension-identity", "--param", "levels=[[64]]"],
     ["extension-identity", "--param", "levels=[[64, 0]]"],
     ["extension-identity", "--param", "levels=[[64.0, 16]]"],
+    ["extension-identity", "--param", "levels=[[1, 4]]"],
     ["pairing", "--param", "indices=5"],
     ["pairing", "--param", 'indices="ab"'],
     ["pairing", "--param", "indices=[1.5, 2]"],
@@ -414,6 +415,26 @@ def test_main_empty_run_is_a_config_error(tmp_path, capsys, argv):
     err = json.loads(captured.err)
     assert err["error"] is True and needs in err["message"]
     assert not (tmp_path / table).exists()
+
+
+def test_orlicz_delta2_is_decided_by_the_finite_ratios(tmp_path, capsys):
+    """t^50 log(1+t) is Delta_2: phi overflows on the top of the sample
+    range, and its finite ratios stay flat, near 2^50.  t^(10^6) log(1+t)
+    leaves no finite ratio there, which decides nothing: a config error
+    that names p, with nothing written."""
+    assert main(["orlicz", "--param", "p=50",
+                 "--out", str(tmp_path / "50")]) == 0
+    checks = json.loads((tmp_path / "50" / "report.json").read_text())["checks"]
+    assert [c["ok"] for c in checks if c["name"] == "delta2_zygmund"] == [True]
+    capsys.readouterr()
+    assert main(["orlicz", "--param", "p=1e6",
+                 "--out", str(tmp_path / "1e6")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    message = json.loads(captured.err)["message"]
+    assert message == ("orlicz p=1000000.0 leaves 0 finite Delta_2 ratios, "
+                       "fewer than 12")
+    assert not (tmp_path / "1e6").exists()
 
 
 def test_main_truncate_box_covering_level_is_not_applicable(tmp_path, capsys):

@@ -186,7 +186,7 @@ def _old_ex63_profile(spec):
 
 def _old_orlicz_fields(spec):
     c = spec.params["c"]
-    phi = YoungFunction.named("t2")
+    phi = YoungFunction.power(2)
     psi = YoungFunction.zygmund(2, 1)
 
     def f(t):

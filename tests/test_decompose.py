@@ -16,7 +16,7 @@ def divcurl():
 
 def test_residuals_small_random(divcurl, rng):
     for _ in range(5):
-        v = random_bandlimited(rng, (64, 64), 4, bandlimit=4)
+        v = random_bandlimited(rng, (64, 64), 4)
         res = helmholtz(v, divcurl)
         assert res.reconstructionError < 1e-12
         assert res.constraintResidual < 1e-12
@@ -25,7 +25,7 @@ def test_residuals_small_random(divcurl, rng):
 
 
 def test_idempotent(divcurl, rng):
-    v = random_bandlimited(rng, (32, 32), 4, bandlimit=4)
+    v = random_bandlimited(rng, (32, 32), 4)
     res = helmholtz(v, divcurl)
     res2 = helmholtz(res.bPart, divcurl)
     scale = np.max(np.abs(res.bPart.values)) + 1e-300
@@ -70,7 +70,7 @@ def test_zero_mode_goes_to_kernel(divcurl):
 
 def test_potential_identity(divcurl, rng):
     # aStarPart = A* w by construction (gauge fixed by the pseudoinverse)
-    v = random_bandlimited(rng, (32, 32), 4, bandlimit=4)
+    v = random_bandlimited(rng, (32, 32), 4)
     res = helmholtz(v, divcurl)
     astar_w = apply_symbol(adjoint_symbol(divcurl), res.w)
     scale = np.max(np.abs(v.values))
@@ -78,7 +78,7 @@ def test_potential_identity(divcurl, rng):
 
 
 def test_dimension_mismatch_raises(divcurl, rng):
-    v = random_bandlimited(rng, (16, 16), 3, bandlimit=4)
+    v = random_bandlimited(rng, (16, 16), 3)
     with pytest.raises(ValueError):
         helmholtz(v, divcurl)
 

@@ -25,7 +25,7 @@ def test_poisson_constant_stays_constant():
 
 
 def test_semigroup_exact(rng):
-    f = random_bandlimited(rng, (32, 32), 2, bandlimit=4)
+    f = random_bandlimited(rng, (32, 32), 2)
     a = poisson_slab(poisson_slab(f, 0.4), 0.7)
     b = poisson_slab(f, 1.1)
     assert np.max(np.abs(a.values - b.values)) < 1e-12
@@ -98,9 +98,14 @@ def test_thmD_ensemble_stable():
 
 
 def test_thmD_amplitude_invariance():
-    ens = thmD_ensemble(m_list=(16,), amplitudes=(0.5, 1.0, 2.0))
-    ratios = [r["ratio"] for r in ens["records"]]
-    assert max(ratios) / min(ratios) < 1.0 + 1e-10
+    """At each frequency the ratio does not move with the amplitude."""
+    by_m = {}
+    for r in thmD_ensemble()["records"]:
+        by_m.setdefault(r["m"], []).append(r["ratio"])
+    assert sorted(by_m) == [4, 8, 16, 32, 64]
+    for ratios in by_m.values():
+        assert len(ratios) == 3
+        assert max(ratios) / min(ratios) < 1.0 + 1e-10
 
 
 def test_thmD_zero_denominator_not_applicable():
@@ -123,11 +128,6 @@ def test_thmD_equal_fields_zero_pairing():
 def test_interpolation_ensemble_stable():
     ens = interpolation_ensemble()
     assert ens["spread"] <= 4.0
-
-
-def test_interpolation_exponent_constraint_enforced():
-    with pytest.raises(ValueError):
-        interpolation_ensemble(alpha=0.5, q=1.0, p=2.0)
 
 
 # -- slab derivatives ------------------------------------------------------

@@ -16,7 +16,7 @@ from cclab.symbol import make_operator
 def test_fft_round_trip(rng):
     """fft gives the half-spectrum, and ifft inverts it: a band-limited
     field, then white noise on odd, 3-D and 1-D grids."""
-    fields = [random_bandlimited(rng, (32, 32), 3, bandlimit=4)]
+    fields = [random_bandlimited(rng, (32, 32), 3)]
     fields += [GridField(rng.normal(size=shape + (3,)))
                for shape in [(32, 33), (9, 8, 7), (17,)]]
     for f in fields:
@@ -30,7 +30,7 @@ def _random_bandlimited_full(rng, shape, dimV):
     """random_bandlimited on a 2D grid as it was built before: both scatters
     into the full (N1, N2, dimV) spectrum, then a copy of its half for
     ifft."""
-    modes, coef = field_mod._band_coefficients(rng, dimV, 6)
+    modes, coef = field_mod._band_coefficients(rng, dimV)
     N1, N2 = shape
     amp = (coef[..., 0] - 1j * coef[..., 1]).T * (N1 * N2 / 2)
     spec = np.zeros((N1, N2, dimV), dtype=complex)
@@ -55,7 +55,7 @@ def test_parseval(rng):
     (1 ... (N - 1) // 2) stands for two and is weighted 2; the column 0 and,
     on an even axis, the column N/2 are their own conjugates."""
     for N in (64, 63):
-        f = random_bandlimited(rng, (N, N), 1, bandlimit=4)
+        f = random_bandlimited(rng, (N, N), 1)
         hat = fft(f) / (N * N)
         weight = np.full(N // 2 + 1, 2.0)
         weight[0] = 1.0
@@ -109,10 +109,13 @@ def test_big_integer_frequencies_exact():
 
 
 def test_term_cap_enforced():
+    """4001^2 = 16,008,001 products are over TRIG_TERM_CAP (10^7): refused
+    before any is formed."""
     big = TrigPoly(n=1, dimV=1,
                    terms={(k,): [1.0] for k in range(-2000, 2001)})
-    with pytest.raises(OverflowError):
-        trig_product(big, big, cap=10**6)
+    assert len(big.terms) ** 2 > field_mod.TRIG_TERM_CAP
+    with pytest.raises(OverflowError, match="16008001 terms"):
+        trig_product(big, big)
 
 
 def test_hermitian_symmetry_enforced():
@@ -131,7 +134,7 @@ def test_render_integral_consistency(m1, m2, amp):
 
 
 def test_mollify_preserves_mass(rng):
-    f = random_bandlimited(rng, (64, 64), 1, bandlimit=4)
+    f = random_bandlimited(rng, (64, 64), 1)
     f = GridField(f.values + 2.0, f.period)
     sm = mollify(f, 0.4)
     assert abs(float(np.sum(sm.values) - np.sum(f.values))
@@ -174,7 +177,7 @@ def test_mollified_matches_direct_periodic_sum(shape, period, dimV):
 
 
 def test_mollify_scale_validation(rng):
-    f = random_bandlimited(rng, (16, 16), 1, bandlimit=4)
+    f = random_bandlimited(rng, (16, 16), 1)
     with pytest.raises(ValueError):
         mollify(f, 0.0)
     with pytest.raises(ValueError):

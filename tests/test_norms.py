@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cclab import field as field_mod
 from cclab import norms
 from cclab.field import (GridField, Spectrum, TrigPoly, random_bandlimited,
                          standard_bump)
@@ -12,7 +13,7 @@ from cclab.norms import (YoungFunction, _conjugate_argmax, lebesgue_norm,
                          luxemburg_norm, young_conjugate, delta2_check,
                          dominates, hardy_bracket_check, besov_sup,
                          besov_block_sums, local_maximal, local_hardy_norm,
-                         local_hardy_norms, MaximalConfig)
+                         local_hardy_norms)
 
 
 def sine_field(N=128):
@@ -29,7 +30,7 @@ def test_lebesgue_analytic_values():
 
 
 def test_luxemburg_power_matches_lebesgue(rng):
-    f = random_bandlimited(rng, (32, 32), 1, bandlimit=4)
+    f = random_bandlimited(rng, (32, 32), 1)
     for p in (1.5, 2.0, 3.0):
         lux = luxemburg_norm(f, YoungFunction.power(p))
         assert abs(lux - lebesgue_norm(f, p)) < 1e-7 * max(1.0, lux)
@@ -38,7 +39,7 @@ def test_luxemburg_power_matches_lebesgue(rng):
 @given(scale=st.floats(0.1, 10.0))
 def test_luxemburg_homogeneous(scale):
     rng = np.random.default_rng(7)
-    f = random_bandlimited(rng, (16, 16), 1, bandlimit=4)
+    f = random_bandlimited(rng, (16, 16), 1)
     phi = YoungFunction.zygmund(2, 1)
     a = luxemburg_norm(f, phi)
     b = luxemburg_norm(GridField(scale * f.values, f.period), phi)
@@ -47,8 +48,8 @@ def test_luxemburg_homogeneous(scale):
 
 def test_luxemburg_triangle(rng):
     phi = YoungFunction.zygmund(2, 1)
-    f = random_bandlimited(rng, (16, 16), 1, bandlimit=4)
-    g = random_bandlimited(rng, (16, 16), 1, bandlimit=4)
+    f = random_bandlimited(rng, (16, 16), 1)
+    g = random_bandlimited(rng, (16, 16), 1)
     s = GridField(f.values + g.values, f.period)
     assert luxemburg_norm(s, phi) <= (luxemburg_norm(f, phi)
                                       + luxemburg_norm(g, phi)) * (1 + 1e-6)
@@ -123,16 +124,18 @@ def _bits(solve, *args):
 
 _YOUNG = {
     "t2": YoungFunction.power(2),
-    "t3/3": YoungFunction.power(3, 1 / 3),
+    "t3/3": YoungFunction(phi=lambda t: t**3 / 3.0, dphi=lambda t: t**2),
     "t": YoungFunction.power(1),
     "tlogt": YoungFunction.zygmund(1, 1),
     "t2log": YoungFunction.zygmund(2, 1),
     "exp": YoungFunction.exp_minus_one(),
-    # not Young functions: a bracket that doubles to inf, a jump to inf,
-    # a nan above a threshold, and a finite-difference derivative
+    # not Young functions: a bracket that doubles to inf, a jump to inf
+    # and a nan above a threshold (phi and phi' alike)
     "log1p": YoungFunction(phi=np.log1p, dphi=lambda t: 1.0 / (1.0 + t)),
-    "inf-jump": YoungFunction(phi=lambda t: np.where(t < 1e3, t * t, np.inf)),
-    "nan-jump": YoungFunction(phi=lambda t: np.where(t < 1e3, t * t, np.nan)),
+    "inf-jump": YoungFunction(phi=lambda t: np.where(t < 1e3, t * t, np.inf),
+                              dphi=lambda t: np.where(t < 1e3, 2 * t, np.inf)),
+    "nan-jump": YoungFunction(phi=lambda t: np.where(t < 1e3, t * t, np.nan),
+                              dphi=lambda t: np.where(t < 1e3, 2 * t, np.nan)),
 }
 _VALUES = (st.floats(allow_nan=True, allow_infinity=True)
            | st.floats(1e-300, 1e300)
@@ -258,10 +261,21 @@ def test_young_conjugate_round_trip_cubic():
 
 
 def test_delta2_verdicts():
+    """Where phi(2s) overflows decides nothing: t^50 log(1+t) overflows on
+    the top of the sample range, and its finite ratios stay near 2^50.
+    Fewer finite ratios than the trend window decide nothing at all."""
     with np.errstate(over="ignore"):
         assert delta2_check(YoungFunction.zygmund(2, 1))["delta2"]
         assert delta2_check(YoungFunction.power(3))["delta2"]
         assert not delta2_check(YoungFunction.exp_minus_one())["delta2"]
+        big = delta2_check(YoungFunction.zygmund(50, 1))
+        none = delta2_check(YoungFunction.zygmund(1e6, 1))
+        few = delta2_check(YoungFunction.zygmund(1000, 1))
+    assert big["delta2"] and norms.DELTA2_TREND <= big["finite"] < 121
+    assert 2.0**50 < big["k"] < 2.0**52
+    assert none["delta2"] is None and none["finite"] == 0
+    assert few["delta2"] is None and 0 < few["finite"] < norms.DELTA2_TREND
+    assert math.isnan(none["k"]) and math.isnan(few["k"])
 
 
 def test_dominates_orders_zygmund_scale():
@@ -287,7 +301,7 @@ def test_besov_blocks_single_mode():
 
 
 def test_local_maximal_dominates_smooth_average(rng):
-    f = random_bandlimited(rng, (64, 64), 1, bandlimit=4)
+    f = random_bandlimited(rng, (64, 64), 1)
     mf = local_maximal(f)
     assert np.all(mf.values >= np.abs(f.values) - 1e-12)
 
@@ -300,10 +314,12 @@ def test_local_hardy_norm_constant():
 
 
 class _CountingBump:
-    """standard_bump that counts its evaluations."""
+    """standard_bump that counts its evaluations, planted in place of the
+    mollifier's kernel."""
 
-    def __init__(self):
+    def __init__(self, monkeypatch):
         self.calls = 0
+        monkeypatch.setattr(field_mod, "standard_bump", self)
 
     def __call__(self, r):
         self.calls += 1
@@ -318,25 +334,23 @@ def _hardy_fields(rng, shape, k, period=2 * math.pi):
 @pytest.mark.parametrize("shape", [(32, 32), (33, 27)])
 def test_local_hardy_norms_match_separate_calls_bitwise(rng, shape):
     fields = _hardy_fields(rng, shape, 4)
-    cfg = MaximalConfig()
-    separate = [local_hardy_norm(f, 1.0, cfg) for f in fields]
-    shared = local_hardy_norms(iter(fields), 1.0, cfg)
+    separate = [local_hardy_norm(f, 1.0) for f in fields]
+    shared = local_hardy_norms(iter(fields), 1.0)
     assert [x.hex() for x in shared] == [x.hex() for x in separate]
     assert local_hardy_norms([], 1.0) == []
 
 
-def test_local_hardy_norms_build_each_kernel_once_per_grid(rng):
-    kernel = _CountingBump()
-    cfg = MaximalConfig(kernel=kernel)
-    local_hardy_norms(_hardy_fields(rng, (32, 32), 5), 1.0, cfg)
-    assert kernel.calls == cfg.tLevels  # not 5 * tLevels
+def test_local_hardy_norms_build_each_kernel_once_per_grid(rng, monkeypatch):
+    kernel = _CountingBump(monkeypatch)
+    local_hardy_norms(_hardy_fields(rng, (32, 32), 5), 1.0)
+    assert kernel.calls == norms.T_LEVELS  # not 5 * T_LEVELS
     # a new grid (shape or period) starts a new set
     kernel.calls = 0
     a, b = _hardy_fields(rng, (32, 32), 2), _hardy_fields(rng, (24, 24), 2)
     c = _hardy_fields(rng, (32, 32), 1, period=5.0)
     fields = [a[0], a[1], b[0], b[1], c[0], a[0]]
-    vals = local_hardy_norms(fields, 1.0, cfg)
-    assert kernel.calls == 4 * cfg.tLevels
+    vals = local_hardy_norms(fields, 1.0)
+    assert kernel.calls == 4 * norms.T_LEVELS
     assert [x.hex() for x in vals] == [
         local_hardy_norm(f, 1.0).hex() for f in fields]
 
@@ -345,35 +359,35 @@ def test_local_hardy_norms_keep_no_kernel_after_return(rng, monkeypatch):
     """Every kernel half-spectrum of the set dies with the call."""
     refs, original = [], norms.local_maximal
 
-    def spy(f, cfg, kernel_hats=None, rows=None):
-        out = original(f, cfg, kernel_hats, rows)
+    def spy(f, kernel_hats=None, rows=None):
+        out = original(f, kernel_hats, rows)
         refs.extend(weakref.ref(k) for k in kernel_hats)
         return out
 
     monkeypatch.setattr(norms, "local_maximal", spy)
-    cfg = MaximalConfig()
-    local_hardy_norms(_hardy_fields(rng, (32, 32), 3), 1.0, cfg)
-    assert len(refs) == 3 * cfg.tLevels
+    local_hardy_norms(_hardy_fields(rng, (32, 32), 3), 1.0)
+    assert len(refs) == 3 * norms.T_LEVELS
     assert all(ref() is None for ref in refs)
 
 
-def test_local_hardy_norms_raise_where_the_sweep_does():
-    """A scale below grid resolution raises on the first field's sweep."""
+def test_local_hardy_norms_raise_where_the_sweep_does(monkeypatch):
+    """A scale below grid resolution (a kernel with no mass on the grid,
+    planted) raises on the first field's sweep."""
     f = GridField(np.ones((8, 8, 1)), (2 * math.pi, 2 * math.pi))
-    cfg = MaximalConfig(kernel=lambda r: np.zeros_like(r))
+    monkeypatch.setattr(field_mod, "standard_bump", np.zeros_like)
     with pytest.raises(ValueError, match="below grid resolution"):
-        local_hardy_norms([f, f], 1.0, cfg)
+        local_hardy_norms([f, f], 1.0)
 
 
-def _full_grid_maximal(f, cfg=MaximalConfig()):
+def _full_grid_maximal(f):
     """M_loc f on every grid point, as it was before the ball's band: each
     scale by one library irfftn of the whole half-spectrum (kept
     reference)."""
     rec, axes = Spectrum(f), tuple(range(f.n))
     fhat = np.fft.rfftn(f.values, axes=axes)
     out = np.abs(f.values[..., 0])
-    for t in cfg.t_grid(f):
-        ker = cfg.kernel(rec.radius / t)
+    for t in norms.t_grid(f):
+        ker = standard_bump(rec.radius / t)
         khat = np.fft.rfftn(ker / (ker.sum() * f.cell_volume)).real
         buf = khat[..., None] * fhat
         buf *= f.cell_volume

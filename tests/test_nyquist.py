@@ -115,8 +115,7 @@ def test_symbol_stacks_are_hermitian(data):
     A = sym_mod.evaluate(sym, np.stack(np.broadcast_arrays(*rec.xi), axis=-1))
     assert hermitian(il * A)
 
-    nz, _, P, _, A_c, Astar = _frequency_solve(sym, rec,
-                                               sym_mod.DEFAULT_TOL_SV)
+    nz, _, P, _, A_c, Astar = _frequency_solve(sym, rec)
     for S in (A_c, Astar):
         assert S.shape[:sym.n] == half and hermitian(il * S)
     full = np.broadcast_to(np.eye(sym.dimV), (nz.size, sym.dimV, sym.dimV))

@@ -83,19 +83,25 @@ def with_param(experiment, base, owner, key, value):
     return {**base, "overrides": {**base["overrides"], key: value}}
 
 
+# what a rule builds into the checked params for the runner, and the param
+# it is built from: cli._OPERATOR builds p["sym"] from p["operator"]
+BUILDS = {"sym": "operator"}
+
+
 class Reads(dict):
-    """A params dict that records each key read through [] or get."""
+    """A params dict that records each key read through [] or get; a read
+    of a rule's build (BUILDS) is a read of the param it was built from."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.read = set()
 
     def __getitem__(self, key):
-        self.read.add(key)
+        self.read.add(BUILDS.get(key, key))
         return super().__getitem__(key)
 
     def get(self, key, default=None):
-        self.read.add(key)
+        self.read.add(BUILDS.get(key, key))
         return super().get(key, default)
 
 

@@ -65,10 +65,10 @@ def _old_exact_mean(F, v):
     elif F.name == "divcurl_dot":
         Fv = trig_product(c(0), c(2)) + trig_product(c(1), c(3))
     else:
-        Fv = TrigPoly.zero(v.n, 1, v.period)
+        Fv = TrigPoly.zero(v.n, 1)
         for i in range(v.dimV):
             Fv = Fv + trig_product(c(i), c(i))
-    vol = v.period**v.n
+    vol = (2 * math.pi)**v.n
     return float(trig_integral(Fv)[0]) / vol
 
 
@@ -251,7 +251,7 @@ def test_fit_exponent_recovers_slope():
 def test_test_function_bank():
     bump = make_test_function("bump", shape=(64, 64))
     assert np.max(bump.values) == pytest.approx(1.0)
-    ind = make_test_function("indicator_ball", shape=(64, 64), radius=1.0)
+    ind = make_test_function("indicator_ball", shape=(64, 64))
     area = float(np.sum(ind.values) * ind.cell_volume)
     assert abs(area - math.pi) < 0.05 * math.pi
     with pytest.raises(KeyError):

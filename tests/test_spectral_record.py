@@ -43,8 +43,8 @@ from cclab.field import (GridField, Spectrum, TrigPoly, _band_coefficients,
                          apply_symbol, fft, gradient, ifft, jacobian,
                          mollified, mollify,
                          random_bandlimited, standard_bump, trig_product)
-from cclab.norms import (MaximalConfig, besov_block_sums, lebesgue_norm,
-                         local_maximal)
+from cclab.norms import (besov_block_sums, lebesgue_norm, local_maximal,
+                         t_grid)
 from cclab import symbol as sym_mod
 
 SHAPES = [(8, 8), (9, 9), (8, 11), (12, 7), (16, 10)]
@@ -211,13 +211,13 @@ def _old_mollify(f, t, kernel=standard_bump):
     return _np_ifft(out, f.period)
 
 
-def _old_local_maximal(f, cfg=MaximalConfig()):
+def _old_local_maximal(f):
     """M_loc f = sup over the scale grid of |f * kernel_t| (pointwise)."""
     if f.dimV != 1:
         raise ValueError("local maximal function acts on scalar fields")
     out = np.abs(f.values[..., 0])
-    for t in cfg.t_grid(f):
-        sm = _old_mollify(f, t, cfg.kernel)
+    for t in t_grid(f):
+        sm = _old_mollify(f, t)
         out = np.maximum(out, np.abs(sm.values[..., 0]))
     return GridField(out[..., None], f.period)
 
@@ -533,12 +533,17 @@ def _pairing_close(u, phi):
 @given(shapes, periods, seeds, st.sampled_from([2.0, 8.0]),
        st.integers(2, 6), st.sampled_from([1e-6, 1.0]))
 def test_pairing_identity_bits(shape, period, seed, T, levels, tail_tol):
+    """On white noise, whose tail at height T may pass or fail the bound:
+    extension.TAIL_TOL is patched to each drawn bound, so that both the
+    report and the raise are compared."""
     rng = np.random.default_rng(seed)
     u = GridField(rng.normal(size=shape + (2,)), period)
     phi = GridField(rng.normal(size=shape + (1,)), period)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(extension, "TAIL_TOL", tail_tol)
+        new = _outcome(pairing_identity, u, phi, T, levels)
     _assert_same_outcome(
-        _outcome(_old_pairing_identity, u, phi, T, levels, tail_tol),
-        _outcome(pairing_identity, u, phi, T, levels, tail_tol),
+        _outcome(_old_pairing_identity, u, phi, T, levels, tail_tol), new,
         _pairing_close(u, phi))
 
 
@@ -568,23 +573,21 @@ def test_pairing_identity_bits_on_odd_and_unequal_grids(shape):
 def _old_render(tp, shape):
     """TrigPoly.render as a term-by-term loop: one exponential per key."""
     shape = tuple(int(s) for s in shape)
-    axes = [np.arange(s) * (tp.period / s) for s in shape]
+    axes = [np.arange(s) * (2 * math.pi / s) for s in shape]
     grids = np.meshgrid(*axes, indexing="ij")
-    scale = 2 * math.pi / tp.period
     out = np.zeros(shape + (tp.dimV,), dtype=complex)
     for m, a in tp.terms.items():
-        phase = sum(mi * g for mi, g in zip(m, grids)) * scale
+        phase = sum(mi * g for mi, g in zip(m, grids))
         out += np.exp(1j * phase)[..., None] * a
-    return GridField(np.real(out), (tp.period,) * tp.n)
+    return GridField(np.real(out))
 
 
 RENDER_SHAPES = {2: [(8, 10), (9, 7), (16, 16), (11, 11)],
                  3: [(6, 4, 8), (5, 7, 3), (4, 5, 6)]}
 
 
-@given(seeds, st.sampled_from([2, 3]), st.integers(1, 3), st.booleans(),
-       st.sampled_from([2 * math.pi, 1.0, 5.5, 0.7]))
-def test_render_bits(seed, n, dimV, zero_mode, period):
+@given(seeds, st.sampled_from([2, 3]), st.integers(1, 3), st.booleans())
+def test_render_bits(seed, n, dimV, zero_mode):
     """Conjugate pairs that share one exponential against the loop that
     takes one per key: random Hermitian polynomials, keys shuffled (so a
     mirror may come before, after or right next to its key), frequencies
@@ -601,8 +604,7 @@ def test_render_bits(seed, n, dimV, zero_mode, period):
         terms[(0,) * n] = rng.normal(size=dimV) + 0j
     order = list(terms)
     rng.shuffle(order)
-    tp = TrigPoly(n=n, dimV=dimV, terms={m: terms[m] for m in order},
-                  period=period)
+    tp = TrigPoly(n=n, dimV=dimV, terms={m: terms[m] for m in order})
     assert list(tp.terms) == order
     for shape in RENDER_SHAPES[n]:
         new, old = tp.render(shape), _old_render(tp, shape)
@@ -662,15 +664,30 @@ def _ensemble_close(old, new):
                     for k in ("max_ratio", "min_ratio", "spread")))
 
 
-def test_interpolation_ensemble_bits():
+def _patch_ensemble(mp, shape, m_list, amplitudes):
+    """Point the ensemble's constants (extension.SHAPE, M_LIST, AMPLITUDES)
+    at another grid, frequencies and amplitudes.  The program runs only the
+    set that the constants hold; the route compared here holds on any."""
+    mp.setattr(extension, "SHAPE", shape)
+    mp.setattr(extension, "M_LIST", m_list)
+    mp.setattr(extension, "AMPLITUDES", amplitudes)
+
+
+def test_interpolation_ensemble_bits(monkeypatch):
     """The thmD interpolation ratios, with phi and the oscillations built
     once per frequency, against the loop that builds them per amplitude:
-    an even and an odd grid, and an amplitude that is not a power of 2."""
-    for kw in (dict(m_list=(4, 8), amplitudes=(0.5, 2.0), shape=32),
-               dict(alpha=0.25, q=2.0, p=2.0, m_list=(3, 8),
-                    amplitudes=(0.3, 1.0, 2.0), shape=33)):
-        assert _ensemble_close(_old_interpolation_ensemble(**kw),
-                               interpolation_ensemble(**kw))
+    the defaults, then an even and an odd grid, and an amplitude that is
+    not a power of 2."""
+    for alpha in (0.5, 0.25):
+        assert _ensemble_close(_old_interpolation_ensemble(alpha=alpha),
+                               interpolation_ensemble(alpha=alpha))
+    for alpha, kw in ((0.5, dict(m_list=(4, 8), amplitudes=(0.5, 2.0),
+                                 shape=32)),
+                      (0.25, dict(m_list=(3, 8), amplitudes=(0.3, 1.0, 2.0),
+                                  shape=33))):
+        _patch_ensemble(monkeypatch, **kw)
+        assert _ensemble_close(_old_interpolation_ensemble(alpha=alpha, **kw),
+                               interpolation_ensemble(alpha=alpha))
 
 
 # sha256 of each default record's ratio.hex(), then the spread's, as the
@@ -764,12 +781,12 @@ def test_interpolation_ensemble_strip_keeps_whole_grid_ratios(shape,
                                                               monkeypatch):
     """The ensemble's ratios with each gradient on its strip, against the
     same loop with the whole-grid gradient: bit for bit on sides that are
-    powers of 2, within RATIO_ROUND_OFF on others."""
-    kw = dict(alpha=0.25, m_list=(1, 3, 4, 8), amplitudes=(0.3, 0.5, 2.0),
-              shape=shape)
-    new = interpolation_ensemble(**kw)
+    powers of 2, within RATIO_ROUND_OFF on others (the ensemble's constants
+    patched to each grid, see _patch_ensemble)."""
+    _patch_ensemble(monkeypatch, shape, (1, 3, 4, 8), (0.3, 0.5, 2.0))
+    new = interpolation_ensemble(alpha=0.25)
     monkeypatch.setattr(extension, "_strip_gradient", _whole_grid_gradient)
-    old = interpolation_ensemble(**kw)
+    old = interpolation_ensemble(alpha=0.25)
     if shape & (shape - 1) == 0:
         assert _same(old, new)
     else:
@@ -826,10 +843,8 @@ def test_interpolation_ensemble_renders_once_per_frequency(monkeypatch):
         return render(self, shape)
 
     monkeypatch.setattr(TrigPoly, "render", counted)
-    m_list = (3, 4, 8)
-    interpolation_ensemble(m_list=m_list, amplitudes=(0.5, 1.0, 2.0),
-                           shape=32)
-    assert calls == [(32, 32)] * len(m_list)
+    interpolation_ensemble()
+    assert calls == [(256, 256)] * len(extension.M_LIST)
 
 
 @given(shapes, periods, seeds)
@@ -908,13 +923,13 @@ def test_local_maximal_bits(shape, period, seed):
     assert _close(_old_local_maximal(f), local_maximal(f))
 
 
-def _irfftn_mollified(f, ts, kernel=standard_bump):
+def _irfftn_mollified(f, ts):
     """mollified's arithmetic with one library irfftn per scale in place
     of its in-place leading-axis ifft and last-axis irfft."""
     rec, axes = Spectrum(f), tuple(range(f.n))
     fhat = np.fft.rfftn(f.values, axes=axes)
     for t in ts:
-        ker = kernel(rec.radius / t)
+        ker = standard_bump(rec.radius / t)
         khat = np.fft.rfftn(ker / (ker.sum() * f.cell_volume)).real
         buf = khat[..., None] * fhat
         buf *= f.cell_volume
@@ -987,12 +1002,14 @@ def test_mollified_matches_mollify_per_scale(shape, period, seed, fracs, at,
         old.append(_outcome(_old_mollify, f, t, kernel))
         if old[-1][0] == "raised":
             break
-    new, kernel = [], _KernelFailingAt(at, factor)
-    try:
-        for vals in mollified(Spectrum(f) if record else f, ts, kernel):
-            new.append(("ok", vals.copy()))
-    except ValueError as exc:
-        new.append(("raised", str(exc)))
+    new = []
+    with pytest.MonkeyPatch.context() as mp:  # planted as the mollifier
+        mp.setattr(field_mod, "standard_bump", _KernelFailingAt(at, factor))
+        try:
+            for vals in mollified(Spectrum(f) if record else f, ts):
+                new.append(("ok", vals.copy()))
+        except ValueError as exc:
+            new.append(("raised", str(exc)))
 
     assert [o[0] for o in new] == [o[0] for o in old]
     for (kind, a), (_, b) in zip(old, new):
@@ -1091,13 +1108,17 @@ def _stream_fields(sym):
 @pytest.mark.parametrize("name", OPERATORS + ["grad:n=1", "div2:n=3",
                                               "curl_matrix_n:n=3"])
 @pytest.mark.parametrize("tol", [sym_mod.DEFAULT_TOL_SV, 0.5])
-def test_helmholtz_splits_keep_bits_across_grids(name, tol):
+def test_helmholtz_splits_keep_bits_across_grids(name, tol, monkeypatch):
+    """The streamed splits against single splits and the old route, at the
+    singular-value cut and at a coarse one (symbol.DEFAULT_TOL_SV
+    patched)."""
     sym = sym_mod.make_operator(name)
     fields = _stream_fields(sym)
-    splits = list(decompose.helmholtz_splits(fields, sym, tol))
+    monkeypatch.setattr(sym_mod, "DEFAULT_TOL_SV", tol)
+    splits = list(decompose.helmholtz_splits(fields, sym))
     assert len(splits) == len(fields)
     for v, res in zip(fields, splits):
-        assert _same(_parts(res), _parts(helmholtz(v, sym, tol)))
+        assert _same(_parts(res), _parts(helmholtz(v, sym)))
         assert _split_close(_old_helmholtz(v, sym, tolSV=tol), res, v)
 
 
@@ -1151,13 +1172,16 @@ def test_rank_report_holds_no_solve():
     assert not hasattr(decompose, "_operator_key")
 
 
-def test_helmholtz_without_report_keeps_bits():
+def test_helmholtz_without_report_keeps_bits(monkeypatch):
+    """No split reads a solve left by an earlier one: operators and cuts
+    (symbol.DEFAULT_TOL_SV patched) interleaved."""
     sym, other = sym_mod.make_operator("div2"), sym_mod.make_operator("curl2")
     v = _noise(5, (9, 8), sym.dimV, (1.0, 3.0))
     first = {}
     for s, tol in [(sym, 1e-8), (other, 1e-8), (sym, 1e-8), (sym, 0.5),
                    (other, 1e-8), (sym, 0.5)]:
-        res = helmholtz(v, s, tolSV=tol)
+        monkeypatch.setattr(sym_mod, "DEFAULT_TOL_SV", tol)
+        res = helmholtz(v, s)
         parts = first.setdefault((id(s), tol), _parts(res))
         assert _same(_parts(res), parts)
         assert _split_close(_old_helmholtz(v, s, tolSV=tol), res, v)
@@ -1213,38 +1237,34 @@ def _old_loop_coefficients(rng, dimV, bandlimit):
     return out
 
 
-@given(seeds, st.integers(1, 4), st.sampled_from([4, 6]))
-def test_synthesiser_draws_the_loops_coefficients(seed, dimV, bandlimit):
+@given(seeds, st.integers(1, 4))
+def test_synthesiser_draws_the_loops_coefficients(seed, dimV):
     r_old, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
-    modes, coef = _band_coefficients(r_new, dimV, bandlimit)
+    modes, coef = _band_coefficients(r_new, dimV)
     new = [((int(m1), int(m2)), float(a).hex(), float(b).hex())
            for comp in coef for (m1, m2), (a, b) in zip(modes, comp)]
-    assert new == _old_loop_coefficients(r_old, dimV, bandlimit)
+    assert new == _old_loop_coefficients(r_old, dimV, 6)
     assert _draws_after(r_new) == _draws_after(r_old)
 
 
 @given(seeds, st.sampled_from([(8, 8), (9, 9), (12, 7), (10, 12), (16, 10),
                                (8, 8, 8), (5, 6, 7), (8, 9, 7)]),
-       st.integers(1, 4), st.sampled_from([4, 6]))
-def test_synthesiser_matches_cli_and_conftest_loops(seed, shape, dimV,
-                                                    bandlimit):
+       st.integers(1, 4))
+def test_synthesiser_matches_cli_and_conftest_loops(seed, shape, dimV):
     for old_fn in (_old_cli_random_bandlimited,
                    _old_conftest_random_bandlimited):
         r_old, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
-        old = old_fn(r_old, shape, dimV, bandlimit=bandlimit)
-        new = random_bandlimited(r_new, shape, dimV, bandlimit=bandlimit)
+        old = old_fn(r_old, shape, dimV, bandlimit=6)
+        new = random_bandlimited(r_new, shape, dimV)
         assert _synth_close(old, new)
         assert _draws_after(r_new) == _draws_after(r_old)
 
 
-@given(seeds, st.sampled_from([8, 9, 10, 12, 16, 33]), st.integers(1, 3),
-       st.sampled_from([4, 6]))
-def test_synthesiser_cutoff_matches_smooth_compact_loop(seed, N, dimV,
-                                                        bandlimit):
+@given(seeds, st.sampled_from([8, 9, 10, 12, 16, 33]), st.integers(1, 3))
+def test_synthesiser_cutoff_matches_smooth_compact_loop(seed, N, dimV):
     r_old, r_new = np.random.default_rng(seed), np.random.default_rng(seed)
-    old = _old_random_smooth_compact(r_old, N, dimV, mmax=bandlimit)
-    new = random_bandlimited(r_new, (N, N), dimV, bandlimit=bandlimit,
-                             cutoff=True)
+    old = _old_random_smooth_compact(r_old, N, dimV)
+    new = random_bandlimited(r_new, (N, N), dimV, cutoff=True)
     assert _synth_close(old, new)
     assert _draws_after(r_new) == _draws_after(r_old)
 
@@ -1256,7 +1276,7 @@ def test_synthesiser_cutoff_needs_a_2d_grid():
 
 
 def test_synthesiser_defaults_match_cli_defaults():
-    """Default bandlimit 6, and u then phi from one stream as the
+    """The band of 6, and u then phi from one stream as the
     extension-identity experiment draws them."""
     r_old, r_new = np.random.default_rng(11), np.random.default_rng(11)
     assert _synth_close(_old_cli_random_bandlimited(r_old, (16, 16), 4),

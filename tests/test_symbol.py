@@ -58,8 +58,8 @@ def _old_constant_rank_check(sym, samples=1000, tolSV=sym_mod.DEFAULT_TOL_SV):
         if rank0 is None:
             rank0 = r
         elif r != rank0:
-            return RankReport(rank="non-constant", witness=xi, samples=len(pts), tolSV=tolSV)
-    return RankReport(rank=rank0, witness=None, samples=len(pts), tolSV=tolSV)
+            return RankReport(rank="non-constant", witness=xi, samples=len(pts))
+    return RankReport(rank=rank0, witness=None, samples=len(pts))
 
 
 # ---------------------------------------------------------------------------

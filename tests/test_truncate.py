@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cclab.field import GridField
-from cclab.truncate import lipschitz_truncate, whitney_cubes, C_IMPL
+from cclab.truncate import (C_IMPL, lipschitz_truncate,
+                            lipschitz_truncations, whitney_cubes)
 
 
 def box_field(fn, N=128, n=2, period=2 * math.pi):
@@ -28,7 +29,7 @@ def spike_field(N=128, n=2):
 def test_linear_fixed_point(n):
     v = box_field(lambda *g: 0.3 * g[0] + (0.1 * g[1] if n == 2 else 0.0),
                   N=64, n=n)
-    res = lipschitz_truncate(v, lam=100.0, k=1)
+    res = lipschitz_truncate(v, lam=100.0)
     assert np.max(np.abs(res.truncated.values - v.values)) < 1e-10
 
 
@@ -36,7 +37,7 @@ def test_quadratic_fixed_point_k2():
     # degree-2 polynomial must be reproduced by the order-2 Taylor gluing
     # even where the bad set is nonempty
     v = box_field(lambda x, y: 0.05 * (x - 2.0) ** 2 + 0.04 * x * y, N=64)
-    res = lipschitz_truncate(v, lam=0.5, k=2)
+    [res] = lipschitz_truncations(v, (0.5,), k=2)
     assert np.any(res.badSet)
     scale = np.max(np.abs(v.values))
     assert np.max(np.abs(res.truncated.values - v.values)) < 1e-10 * scale
@@ -44,7 +45,7 @@ def test_quadratic_fixed_point_k2():
 
 def test_identity_off_bad_set():
     v = spike_field()
-    res = lipschitz_truncate(v, lam=2.0, k=1)
+    res = lipschitz_truncate(v, lam=2.0)
     good = ~res.badSet
     assert np.any(res.badSet)
     assert np.array_equal(res.truncated.values[good], v.values[good])
@@ -52,7 +53,7 @@ def test_identity_off_bad_set():
 
 def test_empty_bad_set_returns_input():
     v = box_field(lambda x, y: np.sin(x), N=32)
-    res = lipschitz_truncate(v, lam=1e6, k=1)
+    res = lipschitz_truncate(v, lam=1e6)
     assert not np.any(res.badSet)
     assert res.truncated is v
 
@@ -60,7 +61,7 @@ def test_empty_bad_set_returns_input():
 def test_trivial_truncation_raises():
     v = box_field(lambda x, y: np.sin(x), N=32)
     with pytest.raises(ValueError, match="trivial truncation"):
-        lipschitz_truncate(v, lam=1e-12, k=1)
+        lipschitz_truncate(v, lam=1e-12)
 
 
 # -- measured constants -----------------------------------------------------
@@ -68,19 +69,19 @@ def test_trivial_truncation_raises():
 def test_derivative_bound_within_constant():
     v = spike_field()
     for lam in (1.0, 2.0, 5.0, 20.0):
-        res = lipschitz_truncate(v, lam, k=1)
+        res = lipschitz_truncate(v, lam)
         assert res.measuredDerivBound <= C_IMPL
 
 
 def test_chain_mask_inclusion():
     v = spike_field()
-    res = lipschitz_truncate(v, lam=2.0, k=1)
+    res = lipschitz_truncate(v, lam=2.0)
     assert res.chainOk is True
 
 
 def test_volume_constant_finite_when_bad():
     v = spike_field()
-    res = lipschitz_truncate(v, lam=2.0, k=1)
+    res = lipschitz_truncate(v, lam=2.0)
     assert math.isfinite(res.measuredVolumeConstant)
     assert res.measuredVolumeConstant > 0.0
 
@@ -128,7 +129,7 @@ def test_input_validation():
     with pytest.raises(ValueError):
         lipschitz_truncate(v, lam=-1.0)
     with pytest.raises(ValueError):
-        lipschitz_truncate(v, lam=1.0, k=3)
+        next(lipschitz_truncations(v, (1.0,), k=3))
     vec = GridField(np.zeros((8, 8, 2)), (1.0, 1.0))
     with pytest.raises(ValueError):
         lipschitz_truncate(vec, lam=1.0)

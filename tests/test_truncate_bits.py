@@ -180,10 +180,9 @@ def _outcome(res):
 
 
 def _single(v, lam, k):
-    try:
-        return _outcome(lipschitz_truncate(v, lam, k=k))
-    except ValueError as e:
-        return str(e)
+    """The run of the one level lam (a box-covering level included)."""
+    [res] = lipschitz_truncations(v, (lam,), k=k)
+    return _outcome(res)
 
 
 @pytest.mark.parametrize("lams", [LAMBDAS, LAMBDAS[::-1]])
@@ -223,7 +222,7 @@ def test_chain_check_sees_one_changed_good_cell(monkeypatch):
     """A u altered at one good cell, three or more cells from the bad set,
     fails the sweep's check, and the reference copy agrees."""
     v = truncation_case(item_rng(0, "truncate", 0), 64, 2)
-    res = lipschitz_truncate(v, 2.0, k=1)
+    res = lipschitz_truncate(v, 2.0)
     assert res.chainOk is True and res.badSet.any()
     far = np.argwhere(~ndimage.binary_dilation(res.badSet, iterations=3))
     cell = tuple(far[len(far) // 2])
@@ -235,7 +234,7 @@ def test_chain_check_sees_one_changed_good_cell(monkeypatch):
         return u, pou_min
 
     monkeypatch.setattr(truncate, "whitney_extend", altered_extend)
-    altered = lipschitz_truncate(v, 2.0, k=1)
+    altered = lipschitz_truncate(v, 2.0)
     assert altered.truncated.values[cell + (0,)] != v.values[cell + (0,)]
     assert altered.chainOk is False
     assert _old_chain_mask_inclusion(v, altered) is False
