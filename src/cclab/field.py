@@ -33,6 +33,8 @@ __all__ = [
     "trig_pair",
     "mollify",
     "mollified",
+    "mollify_into",
+    "kernel_hat",
     "standard_bump",
     "bump_at",
     "random_bandlimited",
@@ -182,9 +184,12 @@ class Spectrum:
     extension.poisson_slab and extension.slab_derivatives take a Spectrum
     in place of a GridField; they are kept as the reference slab routes
     that the tests and bench/tracing.py use.  mollify and mollified take one
-    too and read its hat and radius; fields on one grid can share one set
-    of kernel half-spectra (mollified's kernel_hats), and then only the
-    first field's radius is read, while the set is built.
+    too and read its hat and radius.  Fields on one grid can share one set
+    of kernel half-spectra (kernel_hat at each scale; see
+    norms.local_maximal), and then only the first field's radius is read,
+    while the set is built.  local_maximal's helper thread reads only the
+    hat, which the caller's thread builds before the helper starts; the
+    radius is built and read by the caller alone (mollify_into).
     """
 
     def __init__(self, field):
@@ -579,51 +584,59 @@ def bump_at(r):
     return _bump_of_square(r * r) if abs(r) < 1.0 else 0.0
 
 
-def mollified(f, ts, kernel_hats=None, rows=slice(None)):
-    """Yield f * kernel_t for each scale t of ts, in order, where
-    kernel_t(x) = t^{-n} standard_bump(|x|/t) and the convolution is
-    periodic.
+def kernel_hat(rec, t):
+    """The real half-spectrum of kernel_t(x) = t^{-n} standard_bump(|x|/t)
+    on the grid of the Spectrum rec, read from its radius grid: the one
+    construction of a mollifier's kernel.
 
     The sampled kernel is renormalized to exact unit discrete integral, so
-    mass is preserved to round-off.  f may be a Spectrum, whose hat and
-    radius grid are then reused.  f and the kernel are real, so every
-    product lives on the half-spectrum (fft): one product buffer and one
-    output array serve every scale.  A radial kernel is even on the
-    periodic grid, so its transform is real and only its real part is used.
-    Each yielded array (shape shape + (dimV,)) is that output array, which
-    the next scale overwrites.  A bad scale raises when the sweep reaches it.
+    mass is preserved to round-off.  A radial kernel is even on the
+    periodic grid, so its transform is real; only its real part is kept,
+    as a contiguous array of the half grid's shape + (1,).  A scale outside
+    (0, min period / 2] or below grid resolution raises."""
+    f = rec.field
+    if t <= 0 or t > min(f.period) / 2:
+        raise ValueError("scale t must lie in (0, min period / 2]")
+    ker = standard_bump(rec.radius / t)
+    total = ker.sum() * f.cell_volume
+    if total <= 0:
+        raise ValueError("kernel support is below grid resolution")
+    return fft(GridField((ker / total)[..., None], f.period)).real.copy()
 
-    rows, a slice of the first axis (of two or more), cuts each yielded
-    array and its finiteness check to those rows, which keep the bits of
-    the whole grid's array (see ifft).
 
-    kernel_hats, a list, is a kernel set shared by a sequence of fields on
-    one grid with the same ts: scale i reads entry i when the
-    list has it, and otherwise builds it from f's radius grid and appends
-    it, so the first field's sweep fills the set and later fields only read
-    it.  The caller owns the list and so decides how long the set lives.
+def mollify_into(rec, khat, buf, out, rows):
+    """f * kernel_t written into out and returned, f the field of the
+    Spectrum rec and khat = kernel_hat(rec, t): one scale of a mollifier
+    sweep.
+
+    The product hat * khat * cell volume is formed in buf, whose inverse
+    (ifft, cut to the first axis's rows `rows`) consumes it.  Every write
+    goes through out=, so a sweep allocates nothing per scale, and sweeps
+    with their own buf and out can run on separate threads over one rec
+    and one kernel set.  out has the field's shape + (dimV,), with only
+    those rows, which keep the bits of the whole grid's (see ifft)."""
+    np.multiply(khat, rec.hat, out=buf)
+    buf *= rec.field.cell_volume
+    return ifft(buf, out, rows)
+
+
+def mollified(f, ts):
+    """Yield f * kernel_t for each scale t of ts, in order, where
+    kernel_t(x) = t^{-n} standard_bump(|x|/t) (kernel_hat) and the
+    convolution is periodic.
+
+    f may be a Spectrum, whose hat and radius grid are then reused.  f and
+    the kernel are real, so every product lives on the half-spectrum
+    (fft).  One product buffer and one output array, allocated here, serve
+    every scale (mollify_into); each yielded array (shape shape + (dimV,))
+    is that output, which the next scale overwrites.  A bad scale raises
+    when the sweep reaches it.
     """
     rec = Spectrum.of(f)
-    f = rec.field
     buf = np.empty_like(rec.hat)
-    vals = np.empty(f.values[rows].shape)
-    for i, t in enumerate(ts):
-        if kernel_hats is not None and i < len(kernel_hats):
-            khat = kernel_hats[i]
-        else:
-            if t <= 0 or t > min(f.period) / 2:
-                raise ValueError("scale t must lie in (0, min period / 2]")
-            ker = standard_bump(rec.radius / t)
-            total = ker.sum() * f.cell_volume
-            if total <= 0:
-                raise ValueError("kernel support is below grid resolution")
-            khat = fft(GridField((ker / total)[..., None], f.period)).real
-            if kernel_hats is not None:
-                khat = khat.copy()
-                kernel_hats.append(khat)
-        np.multiply(khat, rec.hat, out=buf)
-        buf *= f.cell_volume
-        ifft(buf, vals, rows)
+    vals = np.empty(rec.field.values.shape)
+    for t in ts:
+        mollify_into(rec, kernel_hat(rec, t), buf, vals, slice(None))
         if not np.all(np.isfinite(vals)):
             raise ValueError("field values must be finite")
         yield vals

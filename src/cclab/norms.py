@@ -13,13 +13,17 @@ sample ranges, since any finite range alone cannot decide them.
 
 from __future__ import annotations
 
+import functools
 import math
+import queue
 import struct
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import GridField, Spectrum, _periodic_dist2, mollified
+from .field import (GridField, Spectrum, _periodic_dist2, kernel_hat,
+                    mollify_into)
 
 __all__ = [
     "YoungFunction",
@@ -507,26 +511,101 @@ def t_grid(f):
     return np.geomspace(t_lo, t_hi, T_LEVELS)
 
 
+@functools.cache
+def _helper():
+    """The job queue of local_maximal's helper thread (_serve).  The thread
+    starts with the first sweep, not with the import, and is kept for the
+    life of the process; as a daemon it never holds up the exit."""
+    jobs = queue.SimpleQueue()
+    threading.Thread(target=_serve, args=(jobs,), name="cclab-sweep",
+                     daemon=True).start()
+    return jobs
+
+
+def _serve(jobs):
+    """The helper thread's loop: sweep each half that comes in on jobs,
+    then put None, or the exception that stopped it, on the job's reply
+    queue.  No reference to the half's arrays (the exception's traceback
+    holds them too) outlives the reply, so none outlives the call that
+    allocated them."""
+    while True:
+        half, reply = jobs.get()
+        try:
+            _max_into(*half)
+            error = None
+        except BaseException as exc:  # the waiting caller raises it
+            error = exc
+        del half
+        reply.put(error)
+        del error
+
+
+def _max_into(acc, rec, todo, buf, vals, rows):
+    """Fold |f * kernel| into one half's running max acc, kernel by kernel
+    as they come in on todo, the queue.SimpleQueue that both halves share,
+    up to its None: the half that takes None puts it back for the other.
+    Each scale is field.mollify_into into the half's own buf and vals,
+    whose values take abs in place; every write goes through out=."""
+    while (khat := todo.get()) is not None:
+        np.abs(mollify_into(rec, khat, buf, vals, rows), out=vals)
+        np.maximum(acc, vals[..., 0], out=acc)
+    todo.put(None)
+
+
 def local_maximal(f, kernel_hats=None, rows=None):
     """M_loc f = sup over the scale grid (t_grid) of |f * kernel_t|
     (pointwise), as a GridField.
 
-    kernel_hats: a kernel set shared across fields on one grid (see
-    field.mollified).  rows, a slice of the first axis (two or more axes),
+    kernel_hats, a list, holds a kernel set shared across fields on one
+    grid: field.kernel_hat at each scale of t_grid, in scale order.  An
+    empty list is filled here, once every kernel is built; a filled one is
+    only read.  rows, a slice of the first axis (two or more axes),
     computes M_loc f on those rows alone and returns it as an array of
-    the rows' shape; each value keeps the bits of the whole grid's."""
+    the rows' shape; each value keeps the bits of the whole grid's.
+
+    The sweep runs in two halves, on the caller's thread and on one helper
+    thread (_helper), which take the kernels in turn from one queue.  The
+    caller's thread allocates everything: the transform and the helper's
+    product buffer, inverse output and running max; then the kernels, in
+    scale order, each queued as it is built, so that the helper sweeps
+    while the set is being built; then its own buffer, output and max, and
+    it sweeps what is left.  A bad scale raises once the helper has
+    stopped, before the caller sweeps.  The halves only write into their
+    own arrays, through out=, and read the shared transform and kernels.
+    Once both have stopped, their maxima are merged with np.maximum: max
+    is exact and order-free, so every value keeps the bits of one sweep in
+    scale order, whichever half took each scale.  np.maximum keeps a nan,
+    so a non-finite value at any scale reaches the merged max, which raises
+    then."""
     if f.dimV != 1:
         raise ValueError("local maximal function acts on scalar fields")
     rec = Spectrum(f)
-    if not kernel_hats:
-        # the radius grid that the kernels read, built before the
-        # accumulator is allocated, so that its meshgrid temporaries are
-        # gone by then
-        _radius = rec.radius
     band = slice(None) if rows is None else rows
-    out = np.abs(f.values[band, ..., 0])  # the t -> 0 member of the sup
-    for sm in mollified(rec, t_grid(f), kernel_hats, band):
-        np.maximum(out, np.abs(sm[..., 0]), out=out)
+    shape = f.values[band].shape
+    acc = np.zeros(shape[:-1])
+    todo, reply = queue.SimpleQueue(), queue.SimpleQueue()
+    _helper().put(((acc, rec, todo, np.empty_like(rec.hat), np.empty(shape),
+                    band), reply))
+    try:
+        try:
+            built = []
+            for khat in kernel_hats or (kernel_hat(rec, t) for t in t_grid(f)):
+                built.append(khat)
+                todo.put(khat)
+            if kernel_hats is not None:
+                kernel_hats[:] = built
+        finally:
+            todo.put(None)  # no kernel follows
+        out = np.abs(f.values[band, ..., 0])  # the t -> 0 member of the sup
+        _max_into(out, rec, todo, np.empty_like(rec.hat), np.empty(shape),
+                  band)
+    finally:
+        error = reply.get()  # the helper's half has stopped
+    if error is not None:
+        raise error
+    np.maximum(out, acc, out=out)
+    if not np.all(np.isfinite(out)):
+        raise ValueError("field values must be finite")
     return GridField(out[..., None], f.period) if rows is None else out
 
 
@@ -563,6 +642,13 @@ def local_hardy_norms(fields, R):
     set, and the next fields only read it.  A field on another grid starts
     a new set (the old one is dropped first), and the set is freed on
     return, so no kernel outlives the call.
+
+    Each sweep is local_maximal's two halves, on the caller's thread and
+    the helper thread, which share the scales and are merged exactly by
+    np.maximum; the helper sweeps the first field's kernels as they are
+    built.  The caller's thread builds the set and allocates each half's
+    product buffer, inverse output and running max once per field; the
+    helper allocates nothing.
     """
     if not (R > 0 and math.isfinite(R)):
         raise ValueError("ball radius R must be positive and finite, "

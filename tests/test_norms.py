@@ -1,4 +1,9 @@
+import collections
 import math
+import sys
+import threading
+import time
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -377,6 +382,160 @@ def test_local_hardy_norms_raise_where_the_sweep_does(monkeypatch):
     monkeypatch.setattr(field_mod, "standard_bump", np.zeros_like)
     with pytest.raises(ValueError, match="below grid resolution"):
         local_hardy_norms([f, f], 1.0)
+
+
+class _Transforms:
+    """field.fft and field.ifft, planted, logging each call from either
+    thread: ("field", i) for the transform of fields[i], ("kernel", j) for
+    the j-th other forward transform, and ("inverse", rows, thread,
+    poisoned) for each inverse, poisoned if its product holds a nan.
+    Kernel transform number nan_at comes back as nan; every transform on
+    the `slow` thread ("caller", the test's, or "helper") takes `pause`
+    seconds longer; running counts the inverses in flight."""
+
+    def __init__(self, monkeypatch, fields, nan_at=None, slow=None,
+                 pause=0.0):
+        self.fields, self.nan_at, self.slow, self.pause = (fields, nan_at,
+                                                           slow, pause)
+        self.log, self.running, self.caller = [], 0, threading.get_ident()
+        self._lock = threading.Lock()
+        self._fft, self._ifft = field_mod.fft, field_mod.ifft
+        monkeypatch.setattr(field_mod, "fft", self.fft)
+        monkeypatch.setattr(field_mod, "ifft", self.ifft)
+
+    def _pause(self):
+        if (threading.get_ident() == self.caller) == (self.slow == "caller"):
+            time.sleep(self.pause)
+
+    def fft(self, f):
+        self._pause()
+        out = self._fft(f)
+        hit = [i for i, g in enumerate(self.fields) if g is f]
+        with self._lock:
+            if hit:
+                self.log.append(("field", hit[0]))
+                return out
+            j = sum(entry[0] == "kernel" for entry in self.log)
+            self.log.append(("kernel", j))
+        if j == self.nan_at:
+            out[...] = math.nan
+        return out
+
+    def inverses(self, on=None):
+        """The logged inverses, on the caller's thread or the helper's."""
+        return [e for e in self.log if e[0] == "inverse" and (
+            on is None or (e[2] == self.caller) == (on == "caller"))]
+
+    def ifft(self, buf, out, rows=slice(None)):
+        thread, poisoned = threading.get_ident(), bool(np.isnan(buf).any())
+        with self._lock:
+            self.running += 1
+        try:
+            self._pause()
+            return self._ifft(buf, out, rows)
+        finally:
+            with self._lock:
+                self.running -= 1
+                self.log.append(("inverse", rows, thread, poisoned))
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_local_hardy_norms_transform_once_per_kernel_field_and_scale(
+        rng, monkeypatch, k):
+    """Over k fields on one grid: T_LEVELS kernel transforms, k field
+    transforms and k * T_LEVELS inverses on the ball's band of rows, so the
+    two halves of the sweep neither repeat nor add a transform."""
+    fields = _hardy_fields(rng, (32, 32), k)
+    band = norms._ball_band(fields[0], 1.0)[0]
+    calls = _Transforms(monkeypatch, fields)
+    local_hardy_norms(fields, 1.0)
+    assert collections.Counter(entry[0] for entry in calls.log) == {
+        "kernel": norms.T_LEVELS, "field": k, "inverse": k * norms.T_LEVELS}
+    assert [e[1] for e in calls.log if e[0] == "field"] == list(range(k))
+    assert all(e[1] == band for e in calls.inverses())
+
+
+def test_local_maximal_helper_takes_what_a_slow_caller_leaves(rng,
+                                                              monkeypatch):
+    """With the caller's transforms slowed, the helper thread sweeps most
+    scales, as they are built, and the values keep the bits of an
+    unhindered call."""
+    f = _hardy_fields(rng, (32, 32), 1)[0]
+    want = local_maximal(f).values
+    with monkeypatch.context() as mp:
+        calls = _Transforms(mp, [f], slow="caller", pause=0.005)
+        got = local_maximal(f).values
+    assert np.array_equal(got, want)
+    assert len(calls.inverses()) == norms.T_LEVELS
+    assert len(calls.inverses("helper")) >= norms.T_LEVELS // 2
+
+
+@pytest.mark.parametrize("slow", ["caller", "helper"])
+def test_local_hardy_norms_raise_once_the_helper_half_stops(rng, monkeypatch,
+                                                            slow):
+    """A non-finite kernel at an odd scale raises the field's error in the
+    caller only once the helper's half has stopped: every inverse is done
+    and none is running, even with the helper's transforms slowed.  With
+    the caller's slowed, the helper sweeps the bad scale while the caller
+    builds the next kernels.  The helper is kept, and the next call gives a
+    fresh call's bits."""
+    fields = _hardy_fields(rng, (32, 32), 2)
+    want = [x.hex() for x in local_hardy_norms(fields, 1.0)]
+    with monkeypatch.context() as mp:
+        calls = _Transforms(mp, fields, nan_at=1, slow=slow, pause=0.005)
+        with pytest.raises(ValueError, match="field values must be finite"):
+            local_hardy_norms(fields, 1.0)
+        assert calls.running == 0
+        assert len(calls.inverses()) == norms.T_LEVELS
+        poisoned = [e for e in calls.inverses() if e[3]]
+        assert len(poisoned) == 1
+        if slow == "caller":
+            assert poisoned == [e for e in calls.inverses("helper") if e[3]]
+    assert [x.hex() for x in local_hardy_norms(fields, 1.0)] == want
+
+
+def test_local_hardy_norms_traced_peak():
+    """The traced peak of local_hardy_norms over six 256^2 fields (period 2,
+    R = 0.9), both threads' allocations included, is at most 10.7 MiB.
+    The kernel set is 6.3 MB of it; the caller allocates each half's
+    buffers once per field, where a buffer per scale or a kernel set per
+    thread would not fit."""
+    rng = np.random.default_rng(0)
+    fields = [GridField(rng.normal(size=(256, 256, 1)), (2.0, 2.0))
+              for _ in range(6)]
+    local_hardy_norms(fields[:1], 0.9)  # first-call costs, the thread's too
+    tracemalloc.start()
+    try:
+        local_hardy_norms(fields, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10.7 * 2**20
+
+
+def test_local_hardy_norms_from_many_threads_keep_bits(rng):
+    """Four caller threads share the one helper thread, with the switch
+    interval cut to 1 us: every call keeps the bits of a call made alone."""
+    groups = [_hardy_fields(rng, (24, 24), 2) for _ in range(4)]
+    want = [[x.hex() for x in local_hardy_norms(g, 1.0)] for g in groups]
+    got = [[] for _ in groups]
+
+    def run(i):
+        for _ in range(3):
+            got[i].append([x.hex() for x in local_hardy_norms(groups[i], 1.0)])
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 3 for w in want]
 
 
 def _full_grid_maximal(f):

@@ -43,8 +43,8 @@ from cclab.field import (GridField, Spectrum, TrigPoly, _band_coefficients,
                          apply_symbol, fft, gradient, ifft, jacobian,
                          mollified, mollify,
                          random_bandlimited, standard_bump, trig_product)
-from cclab.norms import (besov_block_sums, lebesgue_norm, local_maximal,
-                         t_grid)
+from cclab.norms import (T_LEVELS, besov_block_sums, lebesgue_norm,
+                         local_maximal, t_grid)
 from cclab import symbol as sym_mod
 
 SHAPES = [(8, 8), (9, 9), (8, 11), (12, 7), (16, 10)]
@@ -953,18 +953,16 @@ def test_mollified_inverse_matches_irfftn_bits(shape, seed, dimV, fracs):
     assert _same(new, list(_irfftn_mollified(f, ts)))
 
 
-@given(shapes, periods, seeds, st.integers(1, 3),
-       st.lists(st.floats(0.05, 1.0), min_size=1, max_size=4))
-def test_mollified_shared_kernels_keep_bits(shape, period, seed, k, fracs):
+@given(shapes, periods, seeds, st.integers(1, 3))
+def test_local_maximal_shared_kernels_keep_bits(shape, period, seed, k):
     """Fields that share a kernel set (the first fills it, the rest read
     it) get the bits of fields that each build their own."""
-    ts = [frac * min(period) / 2 for frac in fracs]
     fields = [_noise(seed + i, shape, 1, period) for i in range(k)]
     kernel_hats = []
     for f in fields:
-        shared = [v.copy() for v in mollified(f, ts, kernel_hats=kernel_hats)]
-        assert len(kernel_hats) == len(ts)
-        assert _same(shared, [v.copy() for v in mollified(f, ts)])
+        shared = local_maximal(f, kernel_hats)
+        assert len(kernel_hats) == T_LEVELS
+        assert _same(shared.values, local_maximal(f).values)
 
 
 class _KernelFailingAt:
