@@ -314,16 +314,14 @@ def _case3_trigs(spec, k):
     amps = [float(f) ** (-(2 - alpha) / 2) * (ell + 1.0) ** (-1.0 / 2)
             for ell, f in zip(range(1, k + 1), freqs)]
     # the layers have pairwise disjoint frequencies, so each sum is the
-    # union of the layers' term dicts, validated once
-    u1, u2, phi = {}, {}, {}
-    for f, a in zip(freqs, amps):
-        u1.update(TrigPoly.wave(2, (f, 0), "sin", a).terms)
-        u2.update(TrigPoly.wave(2, (0, f), "cos", -a).terms)
-        phi.update(trig_product(
-            TrigPoly.wave(2, (0, f), "sin", float(f) ** (-alpha)),
-            TrigPoly.wave(2, (f, 0), "cos")).terms)
-    return {"u1": TrigPoly(2, 1, u1), "u2": TrigPoly(2, 1, u2),
-            "phi": TrigPoly(2, 1, phi), "freqs": freqs}
+    # layers' keys and amplitudes one after another
+    layers = [(TrigPoly.wave(2, (f, 0), "sin", a),
+               TrigPoly.wave(2, (0, f), "cos", -a),
+               trig_product(TrigPoly.wave(2, (0, f), "sin", float(f) ** (-alpha)),
+                            TrigPoly.wave(2, (f, 0), "cos")))
+              for f, a in zip(freqs, amps)]
+    u1, u2, phi = map(TrigPoly.concat, zip(*layers))
+    return {"u1": u1, "u2": u2, "phi": phi, "freqs": freqs}
 
 
 def _orlicz_fields(spec):

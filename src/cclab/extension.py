@@ -41,10 +41,8 @@ def poisson_slab(f, t):
 
     f: TrigPoly, GridField or a GridField's Spectrum."""
     if isinstance(f, TrigPoly):
-        terms = {}
-        for m, a in f.terms.items():
-            mag = math.sqrt(sum(float(x) ** 2 for x in m))
-            terms[m] = a * math.exp(-t * mag)
+        terms = {m: a * math.exp(-t * math.sqrt(sum(float(x) ** 2 for x in m)))
+                 for m, a in zip(f.keys, f.amps)}
         return TrigPoly(n=f.n, dimV=f.dimV, terms=terms)
     rec = Spectrum.of(f)
     return GridField(rec.inverse(np.exp(-t * rec.mag)), rec.field.period)
@@ -148,7 +146,7 @@ def _trig_lifted_seminorm(f, order):
     """Fourier-route seminorm (sum |xi|^{2 order} |amp|^2 vol)^{1/2}."""
     vol = (2 * math.pi) ** f.n
     total = 0.0
-    for m, a in f.terms.items():
+    for m, a in zip(f.keys, f.amps):
         mag = math.sqrt(sum(float(x) ** 2 for x in m))
         if mag == 0:
             continue

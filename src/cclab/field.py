@@ -12,8 +12,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -344,17 +346,43 @@ def _neg(m):
     return tuple(map(operator.neg, m))
 
 
-def _check_hermitian(keys, rows, index):
+def _rows(keys):
+    """The index of distinct keys: each key to its position, in order."""
+    return dict(zip(keys, itertools.count()))
+
+
+def _products(pairs, shape):
+    """x * y for pairs of Python complex numbers as a complex array of the
+    shape, with no negative zero.  Python rounds each real product and sum
+    apart, as NumPy's scalar product does (its array loop may fuse them)."""
+    return np.array([x * y for x, y in pairs], dtype=complex).reshape(shape) + 0
+
+
+def _real(x):
+    """x if it is a real number (a NumPy one included); a complex scalar is a
+    ValueError (a TrigPoly is real-valued) and anything else a TypeError."""
+    if isinstance(x, numbers.Real):
+        return x
+    if isinstance(x, numbers.Complex):
+        raise ValueError(f"TrigPoly is real-valued: complex scalar {x!r}")
+    raise TypeError(f"unsupported TrigPoly operand {type(x).__name__}")
+
+
+def _check_hermitian(index, rows):
     """Raise on the first key m, in order, whose conjugate frequency is
-    missing or has conj(a_{-m}) != a_m beyond atol = 1e-12 (1 + max|a_m|).
+    missing or has conj(a_{-m}) != a_m beyond atol = 1e-12 (1 + max|a_m|);
+    index maps each key to its row of rows.
 
     The closeness test is np.allclose(conj(a_{-m}), a_m, rtol=0, atol=...)
     evaluated for all rows at once (so NaN and inf amplitudes get the same
     decision as there, without its warning about a non-finite atol).
     """
-    neg = np.array([index.get(_neg(m), -1) for m in keys], dtype=np.intp)
-    missing = neg < 0
+    keys = list(index)
+    neg = [index.get(_neg(m), -1) for m in keys]
     x = np.conj(rows[neg])
+    if -1 not in neg and (x == rows).all():
+        return  # every pair is exact, so the test below passes on each
+    missing = np.array(neg) < 0
     atol = 1e-12 * (1 + np.max(np.abs(rows), axis=1))
     with np.errstate(invalid="ignore"):
         close = ((np.abs(x - rows) <= atol[:, None]) & np.isfinite(rows)) | (x == rows)
@@ -366,44 +394,59 @@ def _check_hermitian(keys, rows, index):
         raise ValueError(f"Hermitian symmetry violated at {keys[i]}")
 
 
-@dataclass
 class TrigPoly:
     """Sparse real trig polynomial sum_m a_m e^{i m . x} on [0, 2 pi)^n.
 
-    terms maps integer frequency tuples to complex amplitude vectors;
-    Hermitian symmetry terms[-m] = conj(terms[m]) is enforced on construction
-    (real-valuedness).  Frequencies are exact Python integers.  Exactly-zero
-    amplitudes are dropped and keys equal after int() are summed.
+    Stored as keys (frequency tuples of exact Python ints, in first-insertion
+    order) and amps, one (M, dimV) complex array with a row per key and no
+    row exactly zero; terms is a read-only mapping view of the two.
+
+    TrigPoly(n, dimV, terms), wave and constant validate what comes in: int
+    keys of length n, exact zeros dropped, keys equal after int() summed and
+    Hermitian symmetry terms[-m] = conj(terms[m]) checked.  + and - (where a
+    key is shared) and trig_product run only the Hermitian check, as rounding
+    can cancel m and -m unevenly; component, derivative, negation, real
+    scaling and concat mirror a_m and a_{-m} exactly and run none.
     """
 
-    n: int
-    dimV: int = 1
-    terms: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        keys = [tuple(map(int, m)) for m in self.terms]
+    def __init__(self, n, dimV, terms):
+        keys = [tuple(map(int, m)) for m in terms]
         for m in keys:
-            if len(m) != self.n:
-                raise ValueError(f"frequency {m} has wrong length (n={self.n})")
+            if len(m) != n:
+                raise ValueError(f"frequency {m} has wrong length (n={n})")
         # stored amplitudes are 0 + a, so no component is a negative zero
-        rows = np.array([np.asarray(a, dtype=complex).reshape(self.dimV)
-                         for a in self.terms.values()],
-                        dtype=complex).reshape(len(keys), self.dimV) + 0
-        keep = np.any(rows != 0, axis=1)
-        if not keep.all():
-            rows = rows[keep]
-            keys = list(itertools.compress(keys, keep))
-        index = dict(zip(keys, range(len(keys))))
-        if len(index) < len(keys):
-            summed = {}
-            for m, a in zip(keys, rows):
-                summed[m] = summed[m] + a if m in summed else a
-            keys = list(summed)
-            rows = np.array(list(summed.values())).reshape(len(keys), self.dimV)
-            index = dict(zip(keys, range(len(keys))))
-        if keys:
-            _check_hermitian(keys, rows, index)
-        self.terms = dict(zip(keys, rows))
+        rows = np.array([np.asarray(a, dtype=complex).reshape(dimV)
+                         for a in terms.values()],
+                        dtype=complex).reshape(len(keys), dimV) + 0
+        index = {}
+        at = [index.setdefault(m, len(index)) for m in keys]
+        if len(index) < len(keys):  # keys equal after int(), summed in order
+            rows, summands = np.zeros((len(index), dimV), dtype=complex), rows
+            np.add.at(rows, at, summands)
+        self._set(n, dimV, index, rows)
+        if self.keys:
+            _check_hermitian(self._index, self.amps)
+
+    def _set(self, n, dimV, index, amps):
+        """Store index and amps less the rows that are exactly zero."""
+        if np.count_nonzero(amps) < amps.size:
+            keep = np.logical_or.reduce(amps != 0, axis=1)
+            if not keep.all():
+                index, amps = _rows(itertools.compress(index, keep)), amps[keep]
+        self.n, self.dimV, self._index, self.amps = n, dimV, index, amps
+        self.keys = index.keys()
+        amps.flags.writeable = False
+
+    @classmethod
+    def _derived(cls, n, dimV, index, amps):
+        """A result built from validated polynomials, unchecked."""
+        self = cls.__new__(cls)
+        self._set(n, dimV, index, amps)
+        return self
+
+    @property
+    def terms(self):
+        return MappingProxyType(dict(zip(self._index, self.amps)))
 
     # -- constructors -------------------------------------------------------
 
@@ -428,50 +471,80 @@ class TrigPoly:
                                        else [amplitude], dtype=complex))
         if phase_vector is not None:
             vec = vec * amplitude
-        if kind == "cos":
-            half = 0.5 * vec
-            terms = {m: half, tuple(-x for x in m): np.conj(half)}
-        elif kind == "sin":
-            half = -0.5j * vec
-            terms = {m: half, tuple(-x for x in m): np.conj(half)}
-        else:
+        if kind not in ("cos", "sin"):
             raise ValueError("kind must be 'cos' or 'sin'")
+        half = (0.5 if kind == "cos" else -0.5j) * vec
+        terms = {m: half, _neg(m): np.conj(half)}
         if all(x == 0 for x in m):
             terms = {m: vec if kind == "cos" else 0 * vec}
         return TrigPoly(n=n, dimV=vec.size, terms=terms)
 
+    @staticmethod
+    def concat(parts):
+        """The sum of polynomials with pairwise distinct keys: their keys and
+        rows one after another, as no amplitude is added to another."""
+        n, dimV = parts[0].n, parts[0].dimV
+        if any(p.n != n or p.dimV != dimV for p in parts):
+            raise ValueError("shape mismatch in TrigPoly.concat")
+        index = _rows(itertools.chain.from_iterable(p.keys for p in parts))
+        if len(index) < sum(len(p.keys) for p in parts):
+            raise ValueError("TrigPoly.concat needs pairwise distinct keys")
+        return TrigPoly._derived(n, dimV, index,
+                                 np.concatenate([p.amps for p in parts]))
+
     # -- algebra ------------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            other = TrigPoly.constant(self.n, [other] * self.dimV, self.dimV)
+        if not isinstance(other, TrigPoly):
+            other = TrigPoly.constant(self.n, [_real(other)] * self.dimV,
+                                      self.dimV)
         if self.n != other.n or self.dimV != other.dimV:
             raise ValueError("shape mismatch in TrigPoly addition")
-        terms = dict(self.terms)
-        for m, amp in other.terms.items():
-            cur = terms.get(m)
-            terms[m] = amp if cur is None else cur + amp
-        return TrigPoly(n=self.n, dimV=self.dimV, terms=terms)
+        index = dict(self._index)
+        rows = [index.setdefault(m, len(index)) for m in other.keys]
+        amps = np.zeros((len(index), self.dimV), dtype=complex)
+        amps[:len(self.keys)] = self.amps
+        amps[rows] += other.amps
+        out = TrigPoly._derived(self.n, self.dimV, index, amps)
+        if out.keys and len(index) < len(self.keys) + len(rows):
+            _check_hermitian(out._index, out.amps)
+        return out
 
     def __sub__(self, other):
-        return self + (other * -1.0)
+        return self + (-other)
 
     def __mul__(self, scalar):
-        if not np.isscalar(scalar):
+        if isinstance(scalar, TrigPoly):
             raise TypeError("use trig_product for polynomial products")
-        return TrigPoly(n=self.n, dimV=self.dimV,
-                        terms={m: scalar * a for m, a in self.terms.items()})
+        s = complex(_real(scalar))
+        return TrigPoly._derived(self.n, self.dimV, self._index, _products(
+            ((s, x) for x in self.amps.ravel().tolist()), self.amps.shape))
 
     __rmul__ = __mul__
 
+    def __neg__(self):
+        return self * -1.0
+
     def component(self, i):
-        return TrigPoly(n=self.n, dimV=1,
-                        terms={m: a[i : i + 1] for m, a in self.terms.items()})
+        return TrigPoly._derived(self.n, 1, self._index, self.amps[:, [i]])
 
     def derivative(self, axis):
         """d / dx_axis, exact per mode."""
-        terms = {m: 1j * m[axis] * a for m, a in self.terms.items() if m[axis]}
-        return TrigPoly(n=self.n, dimV=self.dimV, terms=terms)
+        keys = [m for m in self.keys if m[axis]]
+        rows = self.amps[[self._index[m] for m in keys]].tolist()
+        pairs = ((1j * m[axis], x) for m, row in zip(keys, rows) for x in row)
+        return TrigPoly._derived(self.n, self.dimV, _rows(keys),
+                                 _products(pairs, (len(keys), self.dimV)))
+
+    def mirror_sum(self, other, i, j):
+        """sum_m a_m[i] b_{-m}[j] over this polynomial's keys m whose mirror
+        is a key of other, added to 0.0 one at a time in key order (np.sum
+        would regroup the terms); a complex number."""
+        there = other._index
+        a, b = self.amps[:, i].tolist(), other.amps[:, j].tolist()
+        return functools.reduce(operator.add, (
+            a[r] * b[there[m]] for r, m in enumerate(map(_neg, self.keys))
+            if m in there), 0.0)
 
     def render(self, shape):
         """Sample on a grid (exact when frequencies are grid-resolvable).
@@ -481,14 +554,14 @@ class TrigPoly:
         last bit (a zero imaginary part may differ in sign, which the real
         part kept here never shows).  The first key of a pair keeps its e
         until its mirror's turn, which conjugates it in place.  The terms
-        are summed one at a time in the dict's key order (summing a pair
-        first would move the last bits)."""
+        are summed one at a time in key order (summing a pair first would
+        move the last bits)."""
         shape = tuple(int(s) for s in shape)
         axes = [np.arange(s) * (2 * math.pi / s) for s in shape]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         out = np.zeros(shape + (self.dimV,), dtype=complex)
         waiting = {}  # mirror key -> the exponential it will conjugate
-        for m, a in self.terms.items():
+        for m, a in zip(self.keys, self.amps):
             e = waiting.pop(m, None)
             if e is None:
                 phase = sum(mi * g for mi, g in zip(m, grids))
@@ -496,7 +569,7 @@ class TrigPoly:
                 del phase
                 np.exp(e, out=e)
                 mirror = tuple(-mi for mi in m)
-                if mirror != m and mirror in self.terms:
+                if mirror != m and mirror in self._index:
                     waiting[mirror] = e
             else:
                 np.conjugate(e, out=e)
@@ -505,52 +578,53 @@ class TrigPoly:
 
 
 def trig_product(a, b):
-    """Exact product of scalar trig polynomials (sparse convolution)."""
+    """Exact product of scalar trig polynomials (sparse convolution): the
+    outer sums of a's keys (outer) and b's, in first occurrence, each adding
+    its products to 0.0 in that order, so that no sum is regrouped."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     if a.dimV != 1 or b.dimV != 1:
         raise ValueError("trig_product multiplies scalar polynomials; "
                          "use .component() for vectors")
-    if len(a.terms) * len(b.terms) > TRIG_TERM_CAP:
-        raise OverflowError(f"product would touch {len(a.terms) * len(b.terms)}"
+    if len(a.keys) * len(b.keys) > TRIG_TERM_CAP:
+        raise OverflowError(f"product would touch {len(a.keys) * len(b.keys)}"
                             f" terms (cap {TRIG_TERM_CAP})")
-    bs = [(m2, a2[0]) for m2, a2 in b.terms.items()]
-    terms = {}
-    for m1, a1 in a.terms.items():
-        c1 = a1[0]
-        for m2, c2 in bs:
-            m = tuple(map(operator.add, m1, m2))
-            terms[m] = terms.get(m, 0.0) + c1 * c2
-    # the constructor drops the modes that cancel exactly
-    return TrigPoly(n=a.n, dimV=1, terms=terms)
+    index = {}
+    rows = np.array([index.setdefault(tuple(map(operator.add, m1, m2)), len(index))
+                     for m1 in a.keys for m2 in b.keys], dtype=np.intp)
+    prods = _products(itertools.product(a.amps[:, 0].tolist(),
+                                        b.amps[:, 0].tolist()), -1)
+    amps = np.empty((len(index), 1), dtype=complex)
+    amps.real[:, 0] = np.bincount(rows, prods.real, len(index))
+    amps.imag[:, 0] = np.bincount(rows, prods.imag, len(index))
+    out = TrigPoly._derived(a.n, 1, index, amps)  # drops exact cancellations
+    if out.keys:
+        _check_hermitian(out._index, out.amps)
+    return out
 
 
 def trig_integral(a):
     """Exact integral over the box: volume x zero-frequency amplitude."""
     vol = (2 * math.pi) ** a.n
-    zero = a.terms.get((0,) * a.n)
-    if zero is None:
+    row = a._index.get((0,) * a.n)
+    if row is None:
         return np.zeros(a.dimV)
-    return np.real(zero) * vol
+    return np.real(a.amps[row]) * vol
 
 
 def trig_pair(a, b):
     """Exact integral of a b over the box for scalar trig polynomials:
-    vol sum_m a_m b_{-m}, summed over the smaller dict.  Equal to
-    trig_integral(trig_product(a, b))[0] without building the product."""
+    vol sum_m a_m b_{-m}, summed in key order over the polynomial with fewer
+    keys.  Equal to trig_integral(trig_product(a, b))[0] without building
+    the product."""
     if a.n != b.n:
         raise ValueError("dimension mismatch")
     if a.dimV != 1 or b.dimV != 1:
         raise ValueError("trig_pair pairs scalar polynomials")
     vol = (2 * math.pi) ** a.n
-    if len(b.terms) < len(a.terms):
+    if len(b.keys) < len(a.keys):
         a, b = b, a
-    total = 0.0
-    for m, am in a.terms.items():
-        bm = b.terms.get(_neg(m))
-        if bm is not None:
-            total += am[0] * bm[0]
-    return float(np.real(total) * vol)
+    return float(np.real(a.mirror_sum(b, 0, 0)) * vol)
 
 
 # ---------------------------------------------------------------------------

@@ -478,7 +478,7 @@ def _annulus_index(m):
 def besov_block_sums(f):
     """Amplitude l^1 sums per dyadic annulus: {j: sum of |amplitudes|}."""
     blocks = {}
-    for m, amp in f.terms.items():
+    for m, amp in zip(f.keys, f.amps):
         j = _annulus_index(m)
         if j < 0:
             continue

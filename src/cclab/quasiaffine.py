@@ -62,12 +62,7 @@ class Integrand:
         """Exact mean of F(v): sum over form of c sum_m a_m[i] a_{-m}[j]."""
         acc = 0
         for i, j, c in self.form:
-            z = 0
-            for m, a in v.terms.items():
-                b = v.terms.get(tuple(-x for x in m))
-                if b is not None:
-                    z += a[i] * b[j]
-            acc += c * z
+            acc += c * np.complex128(v.mirror_sum(v, i, j))
         # integral over the box, then divided by its volume: the rounding of
         # trig_integral(F(v)) / vol, so seed-0 outputs keep their bits
         vol = (2 * math.pi) ** v.n
@@ -168,8 +163,8 @@ def quasiaffine_mean_test(F, sym, trials=100, seed=0):
         mean_F = F.mean(total)
         F0 = float(F(v0[None, :])[0])
         # Parseval: mean of |pert|^2 over the box
-        mass = sum(float(np.sum(np.abs(a) ** 2))
-                   for m, a in total.terms.items() if m != zero)
+        mass = sum(s for m, s in zip(total.keys, np.sum(
+            np.abs(total.amps) ** 2, axis=1).tolist()) if m != zero)
         scale = max(1.0, abs(F0), mass)
         dev = abs(mean_F - F0)
         worst = max(worst, dev / scale)
