@@ -16,8 +16,8 @@ import math
 
 import numpy as np
 
-from .field import (GridField, Spectrum, TrigPoly, fft, gradient, ifft,
-                    trig_pair, trig_product)
+from .field import (GridField, Spectrum, TrigPoly, _row_halves, fft,
+                    gradient, ifft, trig_pair, trig_product)
 from .norms import _lp_norm, besov_sup
 
 __all__ = ["pairing_identity", "theoremD_ratio", "thmD_ensemble",
@@ -233,10 +233,15 @@ def interpolation_ensemble(alpha=0.5):
     and takes its own gradient transforms (the transform of amp * sin is not
     bit for bit amp times that of sin), each component on its strip
     (_strip_gradient).  A record allocates the strips' arrays, with the
-    partials broadcast to the grid as views, and on the grid det Du (then
-    scratch for the squares), u1y * u2x, |Du|, |u|^2, |u| and a power per
-    norm.  |Du|^2 adds squares left to right, as np.sum does below 8 terms;
-    u1y and u2x are exact zeros, so the order moves no bit."""
+    partials broadcast to the grid as views, and fills three grid arrays,
+    allocated once per frequency and dropped before the next render: det
+    Du phi, |Du| and |u|.  Their two row halves are filled on the caller's
+    thread and the helper thread (field._row_halves), each block from its
+    own rows; np.sum and both _lp_norms then run on the whole arrays on the
+    caller's thread, so every sum keeps its order.  The cross partials u1y
+    and u2x are +0.0 on every grid (_strip_gradient), so det Du is u1x u2y
+    and |Du|^2 is u1x^2 + u2y^2: subtracting +0.0 from a value, or adding
+    it to a square, which is never -0.0, moves no bit."""
     n = 2
     h = 2 * math.pi / SHAPE
     x, cell, grid = np.arange(SHAPE) * h, h * h, (SHAPE, SHAPE)
@@ -247,21 +252,29 @@ def interpolation_ensemble(alpha=0.5):
         phiv = phi_tp.render(grid).values[..., 0]
         holder = besov_sup(phi_tp, alpha)
         s, c = np.sin(m * x)[:, None], np.cos(m * x)[None, :]
+        det, dmag, umag = np.empty(grid), np.empty(grid), np.empty(grid)
         for a in AMPLITUDES:
             amp = a * float(m) ** -BETA1
             u1, u2 = amp * s, -amp * c
-            (u1x, u1y), (u2x, u2y) = (_strip_gradient(v, grid)
-                                      for v in (u1, u2))
-            det = u1x * u2y
-            det -= u1y * u2x
-            det *= phiv
+            u1x = _strip_gradient(u1, grid)[0]
+            u2y = _strip_gradient(u2, grid)[1]
+            usq1, usq2 = u1 * u1, u2 * u2
+
+            def fill(rows):
+                d, g, r = det[rows], dmag[rows], umag[rows]
+                a1, a2 = u1x[rows], u2y[rows]
+                np.multiply(a1, a2, out=d)
+                d *= phiv[rows]
+                np.multiply(a1, a1, out=g)
+                g += np.multiply(a2, a2, out=r)  # r is scratch until |u|
+                np.sqrt(g, out=g)
+                np.sqrt(np.add(usq1[rows], usq2, out=r), out=r)
+
+            _row_halves(SHAPE, fill)
             pairing = float(np.sum(det) * cell)
-            mag = u1x * u1x
-            for d in (u1y, u2x, u2y):
-                mag += np.multiply(d, d, out=det)
-            denom = (holder
-                     * _lp_norm(np.sqrt(u1 * u1 + u2 * u2), cell, 2.0) ** alpha
-                     * _lp_norm(np.sqrt(mag, out=mag), cell, 2.0) ** (n - alpha))
+            denom = (holder * _lp_norm(umag, cell, 2.0) ** alpha
+                     * _lp_norm(dmag, cell, 2.0) ** (n - alpha))
             records.append({"m": m, "amplitude": a,
                             "ratio": abs(pairing) / denom})
+        del det, dmag, umag  # not held through the next frequency's render
     return _spread(records)

@@ -14,6 +14,8 @@ import itertools
 import math
 import numbers
 import operator
+import queue
+import threading
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -45,6 +47,69 @@ __all__ = [
 TRIG_TERM_CAP = 10**7
 # random_bandlimited's modes: 0 <= m1 <= BANDLIMIT, |m2| <= BANDLIMIT
 BANDLIMIT = 6
+
+
+# ---------------------------------------------------------------------------
+# The helper thread
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _helper():
+    """The job queue of the one helper thread (_serve), which serves
+    norms.local_maximal's sweep and _row_halves.  The thread starts with
+    the first job, not with the import, and is kept for the life of the
+    process; as a daemon it never holds up the exit."""
+    jobs = queue.SimpleQueue()
+    threading.Thread(target=_serve, args=(jobs,), name="cclab-sweep",
+                     daemon=True).start()
+    return jobs
+
+
+def _serve(jobs):
+    """The helper thread's loop: call each job that comes in on jobs, then
+    put None, or the exception that stopped it, on the job's reply queue.
+    No reference to the job's arrays (the exception's traceback holds them
+    too) outlives the reply, so none outlives the call that allocated
+    them.  A job must not wait on the helper itself."""
+    while True:
+        job, reply = jobs.get()
+        try:
+            job()
+            error = None
+        except BaseException as exc:  # the waiting caller raises it
+            error = exc
+        del job
+        reply.put(error)
+        del error
+
+
+def _take_rows(work, todo):
+    """Call work on each row block that comes in on todo, the
+    queue.SimpleQueue that both threads share, up to its None: the thread
+    that takes None puts it back for the other."""
+    while (rows := todo.get()) is not None:
+        work(rows)
+    todo.put(None)
+
+
+def _row_halves(n, work):
+    """work(rows) for the blocks [0, n//2) and [n//2, n) of a first axis of
+    n rows, on the caller's thread and the helper thread, which take the
+    blocks in turn from one queue: a helper busy with another caller's job
+    leaves both blocks to this caller.  Returns once both threads have
+    stopped; an exception of either block is raised then.  A block writes
+    only its own rows, so a reduction over the rows belongs after the
+    call, where its order is that of one thread."""
+    todo, reply = queue.SimpleQueue(), queue.SimpleQueue()
+    for rows in (slice(0, n // 2), slice(n // 2, n), None):
+        todo.put(rows)
+    _helper().put((functools.partial(_take_rows, work, todo), reply))
+    try:
+        _take_rows(work, todo)
+    finally:
+        error = reply.get()  # the helper's part has stopped
+    if error is not None:
+        raise error
 
 
 # ---------------------------------------------------------------------------
@@ -555,25 +620,35 @@ class TrigPoly:
         part kept here never shows).  The first key of a pair keeps its e
         until its mirror's turn, which conjugates it in place.  The terms
         are summed one at a time in key order (summing a pair first would
-        move the last bits)."""
+        move the last bits).
+
+        The two halves of the first axis render on the caller's thread and
+        the helper thread (_row_halves).  Each builds its phases from its
+        own rows of the first axis and adds into its own rows of out, so
+        every value sees the operations of one whole-grid pass."""
         shape = tuple(int(s) for s in shape)
         axes = [np.arange(s) * (2 * math.pi / s) for s in shape]
         grids = np.meshgrid(*axes, indexing="ij", sparse=True)
         out = np.zeros(shape + (self.dimV,), dtype=complex)
-        waiting = {}  # mirror key -> the exponential it will conjugate
-        for m, a in zip(self.keys, self.amps):
-            e = waiting.pop(m, None)
-            if e is None:
-                phase = sum(mi * g for mi, g in zip(m, grids))
-                e = np.multiply(1j, phase, dtype=complex)
-                del phase
-                np.exp(e, out=e)
-                mirror = tuple(-mi for mi in m)
-                if mirror != m and mirror in self._index:
-                    waiting[mirror] = e
-            else:
-                np.conjugate(e, out=e)
-            out += e[..., None] * a
+
+        def block(rows):
+            part, cut = out[rows], [grids[0][rows], *grids[1:]]
+            waiting = {}  # mirror key -> the exponential it will conjugate
+            for m, a in zip(self.keys, self.amps):
+                e = waiting.pop(m, None)
+                if e is None:
+                    phase = sum(mi * g for mi, g in zip(m, cut))
+                    e = np.multiply(1j, phase, dtype=complex)
+                    del phase
+                    np.exp(e, out=e)
+                    mirror = tuple(-mi for mi in m)
+                    if mirror != m and mirror in self._index:
+                        waiting[mirror] = e
+                else:
+                    np.conjugate(e, out=e)
+                part += e[..., None] * a
+
+        _row_halves(shape[0], block)
         return GridField(np.real(out))
 
 

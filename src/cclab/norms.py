@@ -17,13 +17,12 @@ import functools
 import math
 import queue
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .field import (GridField, Spectrum, _periodic_dist2, kernel_hat,
-                    mollify_into)
+from .field import (GridField, Spectrum, _helper, _periodic_dist2,
+                    kernel_hat, mollify_into)
 
 __all__ = [
     "YoungFunction",
@@ -511,35 +510,6 @@ def t_grid(f):
     return np.geomspace(t_lo, t_hi, T_LEVELS)
 
 
-@functools.cache
-def _helper():
-    """The job queue of local_maximal's helper thread (_serve).  The thread
-    starts with the first sweep, not with the import, and is kept for the
-    life of the process; as a daemon it never holds up the exit."""
-    jobs = queue.SimpleQueue()
-    threading.Thread(target=_serve, args=(jobs,), name="cclab-sweep",
-                     daemon=True).start()
-    return jobs
-
-
-def _serve(jobs):
-    """The helper thread's loop: sweep each half that comes in on jobs,
-    then put None, or the exception that stopped it, on the job's reply
-    queue.  No reference to the half's arrays (the exception's traceback
-    holds them too) outlives the reply, so none outlives the call that
-    allocated them."""
-    while True:
-        half, reply = jobs.get()
-        try:
-            _max_into(*half)
-            error = None
-        except BaseException as exc:  # the waiting caller raises it
-            error = exc
-        del half
-        reply.put(error)
-        del error
-
-
 def _max_into(acc, rec, todo, buf, vals, rows):
     """Fold |f * kernel| into one half's running max acc, kernel by kernel
     as they come in on todo, the queue.SimpleQueue that both halves share,
@@ -563,9 +533,10 @@ def local_maximal(f, kernel_hats=None, rows=None):
     computes M_loc f on those rows alone and returns it as an array of
     the rows' shape; each value keeps the bits of the whole grid's.
 
-    The sweep runs in two halves, on the caller's thread and on one helper
-    thread (_helper), which take the kernels in turn from one queue.  The
-    caller's thread allocates everything: the transform and the helper's
+    The sweep runs in two halves, on the caller's thread and on the one
+    helper thread (field._helper, a job of functools.partial(_max_into,
+    ...)), which take the kernels in turn from one queue.  The caller's
+    thread allocates everything: the transform and the helper's
     product buffer, inverse output and running max; then the kernels, in
     scale order, each queued as it is built, so that the helper sweeps
     while the set is being built; then its own buffer, output and max, and
@@ -584,8 +555,9 @@ def local_maximal(f, kernel_hats=None, rows=None):
     shape = f.values[band].shape
     acc = np.zeros(shape[:-1])
     todo, reply = queue.SimpleQueue(), queue.SimpleQueue()
-    _helper().put(((acc, rec, todo, np.empty_like(rec.hat), np.empty(shape),
-                    band), reply))
+    _helper().put((functools.partial(_max_into, acc, rec, todo,
+                                     np.empty_like(rec.hat), np.empty(shape),
+                                     band), reply))
     try:
         try:
             built = []

@@ -1,10 +1,16 @@
 import math
+import os
+import subprocess
+import sys
+import threading
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import cclab
 from cclab.field import (GridField, TrigPoly, fft, ifft, apply_symbol,
                          random_bandlimited, trig_product,
                          trig_integral, trig_pair, mollified, mollify,
@@ -318,3 +324,137 @@ def test_trig_pair_rejects_vectors():
     v = TrigPoly.wave(2, (1, 0), "cos", phase_vector=[1.0, 1.0])
     with pytest.raises(ValueError):
         trig_pair(v, v)
+
+
+def _render_poly(rng, shape):
+    """A random real trig polynomial of three conjugate pairs and a constant,
+    vector-valued (dimV = 2), its frequencies past the grid's Nyquist."""
+    terms = {(0,) * len(shape): rng.normal(size=2) + 0j}
+    for _ in range(3):
+        m = tuple(int(k) for k in rng.integers(-20, 21, size=len(shape)))
+        a = rng.normal(size=2) + 1j * rng.normal(size=2)
+        terms[m], terms[tuple(-k for k in m)] = a, np.conj(a)
+    return TrigPoly(n=len(shape), dimV=2, terms=terms)
+
+
+def _bits(f):
+    return f.values.view(np.int64)
+
+
+class _Blocks:
+    """field._row_halves, planted: each block is logged once it stops, as
+    ((start, stop), thread) with thread "caller" (the test's) or "helper".
+    A block on the `hold` thread waits until a block has started on the
+    other; a block on the `fail` thread raises RuntimeError in place of its
+    work; running counts the blocks in flight."""
+
+    def __init__(self, monkeypatch, hold=None, fail=None):
+        self.hold, self.fail = hold, fail
+        self.log, self.running, self.caller = [], 0, threading.get_ident()
+        self._lock, self._other = threading.Lock(), threading.Event()
+        self._row_halves = field_mod._row_halves
+        monkeypatch.setattr(field_mod, "_row_halves", self.row_halves)
+
+    def row_halves(self, n, work):
+        def block(rows):
+            on = "caller" if threading.get_ident() == self.caller else "helper"
+            with self._lock:
+                self.running += 1
+            try:
+                if on != self.hold:
+                    self._other.set()
+                elif not self._other.wait(10):
+                    raise RuntimeError("no block started on the other thread")
+                if on == self.fail:
+                    raise RuntimeError(f"block {rows} failed")
+                work(rows)
+            finally:
+                with self._lock:
+                    self.running -= 1
+                    self.log.append(((rows.start, rows.stop), on))
+
+        return self._row_halves(n, block)
+
+
+def test_render_helper_takes_the_block_a_slow_caller_leaves(monkeypatch):
+    """With the caller's block held until the helper has started, the helper
+    renders the other half of the rows, and the values keep the bits of an
+    unhindered call."""
+    shape = (33, 20)
+    tp = _render_poly(np.random.default_rng(5), shape)
+    want = _bits(tp.render(shape))
+    with monkeypatch.context() as mp:
+        blocks = _Blocks(mp, hold="caller")
+        got = _bits(tp.render(shape))
+    assert np.array_equal(got, want)
+    assert sorted(rows for rows, _ in blocks.log) == [(0, 16), (16, 33)]
+    assert sorted(on for _, on in blocks.log) == ["caller", "helper"]
+
+
+@pytest.mark.parametrize("hold, fail", [("caller", "helper"),
+                                        ("helper", "caller")])
+def test_render_raises_once_both_blocks_stop(monkeypatch, hold, fail):
+    """A block that raises, on the helper or on the caller, is raised in
+    the caller only once both blocks have stopped, even while the other
+    thread's block is still rendering.  The helper is kept, and the next
+    render keeps a fresh call's bits."""
+    shape = (64, 48)
+    tp = _render_poly(np.random.default_rng(6), shape)
+    want = _bits(tp.render(shape))
+    with monkeypatch.context() as mp:
+        blocks = _Blocks(mp, hold=hold, fail=fail)
+        with pytest.raises(RuntimeError, match="failed"):
+            tp.render(shape)
+        assert blocks.running == 0
+        assert sorted(on for _, on in blocks.log) == ["caller", "helper"]
+    assert np.array_equal(_bits(tp.render(shape)), want)
+
+
+def test_render_from_many_threads_keeps_bits():
+    """Four caller threads share the one helper thread, with the switch
+    interval cut to 1 us: every render keeps the bits of a call made
+    alone."""
+    rng = np.random.default_rng(7)
+    shapes = [(24, 20), (17, 9), (8, 6, 5), (31,)]
+    polys = [_render_poly(rng, shape) for shape in shapes]
+    want = [_bits(p.render(s)).tobytes() for p, s in zip(polys, shapes)]
+    got = [[] for _ in polys]
+
+    def run(i):
+        for _ in range(5):
+            got[i].append(_bits(polys[i].render(shapes[i])).tobytes())
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[w] * 5 for w in want]
+
+
+def test_one_helper_thread_and_none_at_import():
+    """In a fresh interpreter, importing cclab starts no thread; the maximal
+    function's sweep, a render and the interpolation ensemble then share
+    one helper thread."""
+    code = (
+        "import threading\n"
+        "import cclab\n"
+        "assert threading.active_count() == 1, threading.enumerate()\n"
+        "import numpy as np\n"
+        "from cclab.extension import interpolation_ensemble\n"
+        "from cclab.field import GridField, TrigPoly\n"
+        "from cclab.norms import local_maximal\n"
+        "local_maximal(GridField(np.ones((8, 8, 1))))\n"
+        "TrigPoly.wave(2, (1, 2)).render((8, 6))\n"
+        "interpolation_ensemble()\n"
+        "print(sorted(t.name for t in threading.enumerate()))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cclab.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.split("\n")[-2] == "['MainThread', 'cclab-sweep']"

@@ -582,11 +582,14 @@ def _old_render(tp, shape):
     return GridField(np.real(out))
 
 
-RENDER_SHAPES = {2: [(8, 10), (9, 7), (16, 16), (11, 11)],
-                 3: [(6, 4, 8), (5, 7, 3), (4, 5, 6)]}
+# (2, 5), (3, 8), (2, 4, 5) and (2,) give the row halves one row each, or
+# one and two; (7,) and (3,) uneven halves
+RENDER_SHAPES = {1: [(7,), (2,), (3,), (16,)],
+                 2: [(8, 10), (9, 7), (16, 16), (11, 11), (2, 5), (3, 8)],
+                 3: [(6, 4, 8), (5, 7, 3), (4, 5, 6), (2, 4, 5)]}
 
 
-@given(seeds, st.sampled_from([2, 3]), st.integers(1, 3), st.booleans())
+@given(seeds, st.sampled_from([1, 2, 3]), st.integers(1, 3), st.booleans())
 def test_render_bits(seed, n, dimV, zero_mode):
     """Conjugate pairs that share one exponential against the loop that
     takes one per key: random Hermitian polynomials, keys shuffled (so a
